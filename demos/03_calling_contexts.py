@@ -17,14 +17,14 @@ from stackpol import (
     running_example,
     set_leq,
 )
-from stackpol.contexts import CallSite, Condition, format_family
+from stackpol.contexts import CallSite, Condition, format_ctx, format_family
 
 z1 = CallSite("main", 1)
 z3 = CallSite("connectFaculty", 30)
 z5 = CallSite("checkConnect", 5)
 
 # sequences that traverse the same sites collapse to one set
-print(abstract_ctx((z1, z3, z5)))
+print(format_ctx(abstract_ctx((z1, z3, z5))))
 print(abstract_ctx((z1, z3, z1, z5)) == abstract_ctx((z1, z3, z5)))
 
 # abstraction of a set of sequences keeps the distinct routes apart
@@ -32,7 +32,8 @@ fam = abstract_ctx_set([(z1, z3), (z1, z5)])
 print(format_family(fam))
 
 # concretization enumerates the finite sequences a member stands for
-for seq in sorted(concretize([frozenset({z1, z3})]), key=len)[:6]:
+routes = sorted(concretize([frozenset({z1, z3})]), key=lambda s: (len(s), s))
+for seq in routes[:6]:
     print("  " + ("->".join(str(s) for s in seq) or "(empty)"))
 
 # the two sides form an adjunction: comparing abstractions of routes is

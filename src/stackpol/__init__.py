@@ -35,7 +35,6 @@ from .model import (
     DepNode,
     Method,
     ProgramModel,
-    clone_graph,
     compute_phi_meth,
     lint_model,
     parse_model,
@@ -76,12 +75,10 @@ from .policy import (
     simulate_inspection,
 )
 from .pushdown import (
-    AnnotatedSymbol,
     AnnotatedWPDS,
     ConditionalWPDS,
     Rule,
     movp,
-    reduce_to_wpds,
 )
 from .sample import running_example, running_example_text
 from .weights import ALL, ONE, ZERO, Weight, WeightTuple
@@ -92,7 +89,6 @@ __all__ = [
     "ALL",
     "ANY",
     "ANY_FAMILY",
-    "AnnotatedSymbol",
     "AnnotatedWPDS",
     "Bracket",
     "CallEdge",
@@ -126,7 +122,6 @@ __all__ = [
     "abstract_ctx_set",
     "check_policy",
     "checkpoints",
-    "clone_graph",
     "compute_phi_meth",
     "concrete_stacks",
     "concretize",
@@ -147,7 +142,6 @@ __all__ = [
     "parse_permission",
     "parse_policy_table",
     "phi_route_along",
-    "reduce_to_wpds",
     "relates",
     "running_example",
     "running_example_text",

@@ -21,12 +21,7 @@ import sys
 from pathlib import Path
 
 from .contexts import format_family
-from .errors import (
-    CapacityError,
-    EnumerationLimitError,
-    ModelError,
-    PolicyError,
-)
+from .errors import CapacityError, EnumerationLimitError, StackpolError
 from .model import ProgramModel, compute_phi_meth, lint_model, parse_model
 from .oracle import DEFAULT_PATH_BOUND, oracle_policy
 from .permissions import checkpoints, generate_permissions
@@ -62,9 +57,17 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise StackpolError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+
+
 def _load_model(path: str) -> ProgramModel:
-    text = Path(path).read_text(encoding="utf-8")
-    return parse_model(text)
+    return parse_model(_read_text(path))
 
 
 def _note(msg: str) -> None:
@@ -93,7 +96,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    given = parse_policy_table(Path(args.policy).read_text(encoding="utf-8"))
+    given = parse_policy_table(_read_text(args.policy))
     universe = generate_permissions(model)
     generated = generate_policy(model, universe, tuple_cap=args.tuple_cap).policy
     report = check_policy(given, generated)
@@ -154,7 +157,7 @@ def _build_parser() -> _Parser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: _Parser) -> None:
+    def solving(p: _Parser) -> None:
         p.add_argument("model", help="program model file")
         p.add_argument(
             "--tuple-cap",
@@ -164,7 +167,7 @@ def _build_parser() -> _Parser:
         )
 
     p = sub.add_parser("analyze", help="generate a policy from a model")
-    common(p)
+    solving(p)
     p.add_argument("--emit", metavar="PATH", help="write the policy here")
     p.add_argument(
         "--format",
@@ -175,12 +178,12 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_analyze)
 
     p = sub.add_parser("check", help="check a policy file against the model")
-    common(p)
+    solving(p)
     p.add_argument("--policy", required=True, help="policy table to check")
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("oracle", help="generate the policy by enumeration")
-    common(p)
+    solving(p)
     p.add_argument(
         "--bound",
         type=_positive_int,
@@ -195,7 +198,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_oracle)
 
     p = sub.add_parser("dump", help="print the encoded rules and tables")
-    common(p)
+    p.add_argument("model", help="program model file")
     p.set_defaults(func=_cmd_dump)
 
     return parser
@@ -206,15 +209,12 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, PolicyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except (CapacityError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CAPACITY
+    except (StackpolError, OSError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -23,8 +23,8 @@ permission-checking primitive) and ``priv`` (the privilege-asserting
 primitive) markers, and they must be three different methods.
 
 Everything is resolved and cross-checked at parse time; semantic queries
-(route context families, per-path context folds, the cloned graph for
-external tools, consistency lints) live here too.
+(route context families, per-path context folds, consistency lints) live
+here too.
 """
 
 from __future__ import annotations
@@ -138,22 +138,6 @@ class ProgramModel:
     entry_method: str = ""
     check_method: str = ""
     priv_method: str = ""
-
-    @property
-    def call_sites(self) -> frozenset[CallSite]:
-        return frozenset(e.site for e in self.call_edges)
-
-    def edges_from(self, method: str) -> list[CallEdge]:
-        return [e for e in self.call_edges if e.caller == method]
-
-    def edges_into(self, method: str) -> list[CallEdge]:
-        return [e for e in self.call_edges if e.callee == method]
-
-    def dep_successors(self, node_id: str) -> list[DepEdge]:
-        return [e for e in self.dep_edges if e.src == node_id]
-
-    def is_call_site(self, method: str, line: int) -> bool:
-        return CallSite(method, line) in self.call_sites
 
 
 # ---------------------------------------------------------------------------
@@ -659,32 +643,6 @@ def phi_route_along(path: Sequence[CallEdge]) -> CtxFamily:
     for e in path:
         family = {c | choice for c in family for choice in e.ctx}
     return frozenset(family)
-
-
-@dataclass(frozen=True, slots=True)
-class CloneGraph:
-    """Context-expanded call graph for tools that need explicit clones."""
-
-    nodes: frozenset[tuple[CtxSet, str]]
-    edges: frozenset[tuple[tuple[CtxSet, str], tuple[CtxSet, str]]]
-
-
-def clone_graph(
-    model: ProgramModel, phi: dict[str, CtxFamily] | None = None
-) -> CloneGraph:
-    """One node per (route context, method); edges follow context growth."""
-    if phi is None:
-        phi = compute_phi_meth(model)
-    nodes = frozenset(
-        (ctx, method) for method, fam in phi.items() for ctx in fam
-    )
-    has_edge = {(e.caller, e.callee) for e in model.call_edges}
-    edges = set()
-    for c, n in nodes:
-        for c2, n2 in nodes:
-            if (n, n2) in has_edge and c <= c2:
-                edges.add(((c, n), (c2, n2)))
-    return CloneGraph(nodes=nodes, edges=frozenset(edges))
 
 
 def lint_model(model: ProgramModel, phi: dict[str, CtxFamily] | None = None) -> list[str]:

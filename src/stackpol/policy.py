@@ -33,11 +33,11 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .contexts import ANY, CallSite, Condition
+from .contexts import Condition
 from .errors import PolicyError
-from .model import INTER_RETURN, ProgramModel
+from .model import INTER_RETURN, ProgramModel, _strip_comment
 from .permissions import Permission, PermissionUniverse
-from .pushdown import DEFAULT_MAX_STEPS, ConditionalWPDS, Rule, movp
+from .pushdown import ConditionalWPDS, Rule, movp
 from .weights import ALL, DEFAULT_TUPLE_CAP, ONE, Weight, WeightTuple
 
 
@@ -45,29 +45,18 @@ def encode(model: ProgramModel) -> ConditionalWPDS:
     """Build the conditional weighted pushdown system for a model."""
     rules: list[Rule] = []
     for e in model.call_edges:
-        if e.caller == model.priv_method:
-            w = Weight(
-                frozenset(
-                    {
-                        WeightTuple(
-                            kill=frozenset({ALL}),
-                            gen=frozenset({e.caller}),
-                            history=frozenset({e.site}),
-                        )
-                    }
-                )
+        kill = frozenset({ALL}) if e.caller == model.priv_method else frozenset()
+        w = Weight(
+            frozenset(
+                {
+                    WeightTuple(
+                        kill=kill,
+                        gen=frozenset({e.caller}),
+                        history=frozenset({e.site}),
+                    )
+                }
             )
-        else:
-            w = Weight(
-                frozenset(
-                    {
-                        WeightTuple(
-                            gen=frozenset({e.caller}),
-                            history=frozenset({e.site}),
-                        )
-                    }
-                )
-            )
+        )
         rules.append(
             Rule(lhs=e.caller, rhs=(e.callee, e.site), cond=Condition(e.ctx), weight=w)
         )
@@ -129,7 +118,6 @@ def generate_policy(
     universe: PermissionUniverse,
     *,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> PolicyResult:
     """Solve the encoded system and extract minimal per-method grants.
 
@@ -140,12 +128,7 @@ def generate_policy(
     that boundary; the second keeps context-separated demands apart.
     """
     system = encode(model)
-    weight = movp(
-        system,
-        targets={model.check_method},
-        tuple_cap=tuple_cap,
-        max_steps=max_steps,
-    )
+    weight = movp(system, targets={model.check_method}, tuple_cap=tuple_cap)
     grants: dict[str, set[Permission]] = {}
     hidden = {model.check_method, model.priv_method}
     origins = universe.origins
@@ -215,18 +198,6 @@ def parse_permission(text: str) -> Permission:
         raise PolicyError(f"malformed permission {text.strip()!r}")
     ptype, target, action = m.groups()
     return Permission(ptype, target, action)
-
-
-def _strip_comment(line: str) -> str:
-    out = []
-    in_quotes = False
-    for ch in line:
-        if ch == '"':
-            in_quotes = not in_quotes
-        elif ch == "#" and not in_quotes:
-            break
-        out.append(ch)
-    return "".join(out)
 
 
 def parse_policy_table(text: str) -> Policy:

@@ -13,13 +13,13 @@ symbol and carries two extras beyond a plain pushdown rule:
 one-symbol start configuration to any configuration whose top matches
 ``targets``, of the extend-product of the weights along the path.
 
-Conditions are compiled away rather than interpreted: ``reduce_to_wpds``
-views the system over an annotated alphabet where each symbol carries the
-exact set of call sites below it on the stack.  A push extends the new
-top's annotation with the pushed return site; swaps preserve it; a pop
-uncovers the symbol underneath together with its recorded annotation.
-Rule applicability is then a plain lookup on the annotation, and the
-solver is an ordinary weighted post* saturation over annotated symbols.
+Conditions are compiled away rather than interpreted: ``AnnotatedWPDS``
+views the system over pairs ``(symbol, sites_below)``, where the second
+part is the exact set of call sites below the symbol on the stack.  A
+push extends the new top's set with the pushed return site; swaps
+preserve it; a pop uncovers the symbol underneath together with its
+recorded set.  Rule applicability is then a plain lookup on the pair, and
+the solver is an ordinary weighted post* saturation over such pairs.
 
 Weight bookkeeping follows a tail-weighting discipline: the transition
 created for the *first* symbol of a push carries the semiring unit, and
@@ -32,29 +32,15 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Union
+from typing import Iterable, Union
 
 from .contexts import ANY, CallSite, Condition, CtxSet
+from .errors import CapacityError
 from .weights import DEFAULT_TUPLE_CAP, ONE, ZERO, Weight, check_width
 
 StackSymbol = Union[str, CallSite]
-Stack = tuple[StackSymbol, ...]
 
 DEFAULT_MAX_STEPS = 1_000_000
-
-
-def symbol_str(sym: StackSymbol) -> str:
-    return str(sym)
-
-
-def _site_only(sym: StackSymbol) -> frozenset[CallSite]:
-    if isinstance(sym, CallSite):
-        return frozenset({sym})
-    return frozenset()
-
-
-def stack_sites(stack: Iterable[StackSymbol]) -> CtxSet:
-    return frozenset(s for s in stack if isinstance(s, CallSite))
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,40 +61,16 @@ class Rule:
         return ("pop", "swap", "push")[len(self.rhs)]
 
     def __str__(self) -> str:
-        rhs = " ".join(symbol_str(s) for s in self.rhs) if self.rhs else "eps"
-        return f"{symbol_str(self.lhs)} --[{self.cond}]--> {rhs} ; {self.weight}"
+        rhs = " ".join(str(s) for s in self.rhs) if self.rhs else "eps"
+        return f"{self.lhs} --[{self.cond}]--> {rhs} ; {self.weight}"
 
 
 @dataclass(slots=True)
 class ConditionalWPDS:
-    """A rule set plus start symbol, with explicit-configuration stepping."""
+    """A rule set plus start symbol."""
 
     rules: list[Rule] = field(default_factory=list)
     start: StackSymbol = ""
-
-    @property
-    def alphabet(self) -> frozenset[StackSymbol]:
-        syms: set[StackSymbol] = {self.start}
-        for r in self.rules:
-            syms.add(r.lhs)
-            syms.update(r.rhs)
-        return frozenset(syms)
-
-    def successors(self, stack: Stack) -> list[tuple[Rule, Stack]]:
-        """One-step rewrites of ``stack`` under the conditional semantics.
-
-        Interprets conditions directly on the concrete stack and shares no
-        code with the annotated view, so the two can be cross-checked.
-        """
-        if not stack:
-            return []
-        top, rest = stack[0], stack[1:]
-        below = stack_sites(rest)
-        out = []
-        for r in self.rules:
-            if r.lhs == top and r.cond.holds(below):
-                out.append((r, r.rhs + rest))
-        return out
 
     def dump(self) -> str:
         """Deterministic listing: pushes, then swaps, then pops."""
@@ -119,8 +81,8 @@ class ConditionalWPDS:
                 self.rules,
                 key=lambda r: (
                     order[r.kind],
-                    symbol_str(r.lhs),
-                    tuple(symbol_str(s) for s in r.rhs),
+                    str(r.lhs),
+                    tuple(str(s) for s in r.rhs),
                     str(r.cond),
                 ),
             )
@@ -128,78 +90,38 @@ class ConditionalWPDS:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True, slots=True)
-class AnnotatedSymbol:
-    """A stack symbol bundled with the sites strictly beneath it."""
-
-    base: StackSymbol
-    below: CtxSet = frozenset()
-
-
-@dataclass(frozen=True, slots=True)
-class AnnotatedRule:
-    """An unconditional rule instance at one specific annotation."""
-
-    lhs: AnnotatedSymbol
-    rhs: tuple[AnnotatedSymbol, ...]
-    weight: Weight
-    origin: int  # index of the conditional rule this instantiates
+# one rule instance: (index of the conditional rule, its weight, and the
+# (symbol, sites_below) pairs it leaves on top of the stack)
+Instance = tuple[int, Weight, tuple[tuple[StackSymbol, CtxSet], ...]]
 
 
 class AnnotatedWPDS:
     """Lazy unconditional view of a conditional system.
 
-    Rule instances exist per (symbol, annotation) pair and are materialized
-    on demand; nothing enumerates the powerset of call sites up front.
+    Rule instances exist per ``(symbol, sites_below)`` pair and are
+    materialized on demand; nothing enumerates the powerset of call sites
+    up front.
     """
 
     def __init__(self, system: ConditionalWPDS):
-        self.system = system
         self._by_lhs: dict[StackSymbol, list[tuple[int, Rule]]] = defaultdict(list)
         for idx, r in enumerate(system.rules):
             self._by_lhs[r.lhs].append((idx, r))
 
-    def instances(self, base: StackSymbol, below: CtxSet) -> list[AnnotatedRule]:
+    def instances(self, base: StackSymbol, below: CtxSet) -> list[Instance]:
         """All rules applicable at top symbol ``base`` with ``below`` sites."""
         out = []
         for idx, r in self._by_lhs.get(base, ()):
             if not r.cond.holds(below):
                 continue
-            lhs = AnnotatedSymbol(base, below)
-            if len(r.rhs) == 0:
-                rhs: tuple[AnnotatedSymbol, ...] = ()
-            elif len(r.rhs) == 1:
-                rhs = (AnnotatedSymbol(r.rhs[0], below),)
-            else:
+            if len(r.rhs) == 2:
                 first, second = r.rhs
-                rhs = (
-                    AnnotatedSymbol(first, below | _site_only(second)),
-                    AnnotatedSymbol(second, below),
-                )
-            out.append(AnnotatedRule(lhs, rhs, r.weight, idx))
+                covered = below | {second} if isinstance(second, CallSite) else below
+                rhs = ((first, covered), (second, below))
+            else:
+                rhs = tuple((sym, below) for sym in r.rhs)
+            out.append((idx, r.weight, rhs))
         return out
-
-    def annotate_stack(self, stack: Stack) -> tuple[AnnotatedSymbol, ...]:
-        return tuple(
-            AnnotatedSymbol(sym, stack_sites(stack[i + 1 :]))
-            for i, sym in enumerate(stack)
-        )
-
-    def successors(
-        self, stack: tuple[AnnotatedSymbol, ...]
-    ) -> list[tuple[AnnotatedRule, tuple[AnnotatedSymbol, ...]]]:
-        """One-step rewrites in the reduced system, for cross-checking."""
-        if not stack:
-            return []
-        top, rest = stack[0], stack[1:]
-        return [
-            (inst, inst.rhs + rest) for inst in self.instances(top.base, top.below)
-        ]
-
-
-def reduce_to_wpds(system: ConditionalWPDS) -> AnnotatedWPDS:
-    """Compile stack conditions into symbol annotations (lazy view)."""
-    return AnnotatedWPDS(system)
 
 
 # automaton states: 0 is the control location, 1 accepts the stack bottom
@@ -212,22 +134,14 @@ _TransKey = tuple[int, StackSymbol, CtxSet, int]
 
 def movp(
     system: ConditionalWPDS,
-    targets: Callable[[StackSymbol], bool] | Iterable[StackSymbol],
+    targets: Iterable[StackSymbol],
     *,
-    start: StackSymbol | None = None,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
     max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Weight:
-    """Meet over all paths from the start stack to any matching stack top."""
-    if callable(targets):
-        pred = targets
-    else:
-        wanted = set(targets)
-        pred = lambda sym: sym in wanted
-    if start is None:
-        start = system.start
-
-    annotated = reduce_to_wpds(system)
+    """Meet over all paths from the start stack to any stack topped by a target."""
+    wanted = set(targets)
+    annotated = AnnotatedWPDS(system)
     trans: dict[_TransKey, Weight] = {}
     out_of: dict[int, list[_TransKey]] = defaultdict(list)
     eps: dict[int, Weight] = {}
@@ -262,30 +176,30 @@ def movp(
         for src, sym, ann, dst in list(out_of.get(q, ())):
             update_trans((_P, sym, ann, dst), trans[(src, sym, ann, dst)].extend(new))
 
-    update_trans((_P, start, frozenset(), _QF), ONE)
+    update_trans((_P, system.start, frozenset(), _QF), ONE)
 
     while worklist:
         steps += 1
         if steps > max_steps:
-            raise RuntimeError(
+            raise CapacityError(
                 f"post* saturation did not stabilize within {max_steps} steps"
             )
         key = worklist.popleft()
         src, sym, ann, dst = key
         d = trans[key]
         if src == _P:
-            for inst in annotated.instances(sym, ann):
-                w = d.extend(inst.weight)
-                if len(inst.rhs) == 0:
+            for rule_idx, weight, rhs in annotated.instances(sym, ann):
+                w = d.extend(weight)
+                if not rhs:
                     update_eps(dst, w)
-                elif len(inst.rhs) == 1:
-                    (only,) = inst.rhs
-                    update_trans((_P, only.base, only.below, dst), w)
+                elif len(rhs) == 1:
+                    ((top, top_below),) = rhs
+                    update_trans((_P, top, top_below, dst), w)
                 else:
-                    first, second = inst.rhs
-                    q_mid = mid_state(inst.origin, ann)
-                    update_trans((_P, first.base, first.below, q_mid), ONE)
-                    update_trans((q_mid, second.base, second.below, dst), w)
+                    (first, first_below), (second, second_below) = rhs
+                    q_mid = mid_state(rule_idx, ann)
+                    update_trans((_P, first, first_below, q_mid), ONE)
+                    update_trans((q_mid, second, second_below, dst), w)
         else:
             e = eps.get(src)
             if e is not None:
@@ -309,9 +223,11 @@ def movp(
                 reach[src] = cand
                 pending.append(src)
 
-    result = ZERO
+    # accumulate in one set; combining into a frozenset per transition is quadratic
+    digests: set = set()
     for (src, sym, _ann, dst), w in trans.items():
-        if src == _P and pred(sym):
-            result = result.combine(reach[dst].extend(w))
+        if src == _P and sym in wanted:
+            digests |= reach[dst].extend(w).tuples
+    result = Weight(frozenset(digests))
     check_width(result, tuple_cap)
     return result

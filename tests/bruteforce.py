@@ -1,4 +1,9 @@
-"""Reference solvers that share no code with the saturation engine.
+"""Reference stepping and solvers that share no code with the saturation engine.
+
+``successors`` interprets a conditional system on one concrete stack,
+testing each rule's condition against the call sites below the top.
+``reduced_successors`` steps the same stack through the engine's
+``AnnotatedWPDS`` view instead, so tests can check that the two agree.
 
 ``movp_by_stepping`` interprets a conditional system configuration by
 configuration with the direct ``successors`` semantics and folds rule
@@ -12,8 +17,53 @@ an independent path-digest reference for single runs.
 
 from __future__ import annotations
 
-from stackpol.pushdown import ConditionalWPDS, Stack, StackSymbol
+from stackpol.contexts import CallSite, CtxSet
+from stackpol.pushdown import AnnotatedWPDS, ConditionalWPDS, Rule, StackSymbol
 from stackpol.weights import ONE, ZERO, Weight
+
+Stack = tuple[StackSymbol, ...]
+# a stack whose every symbol is paired with the call sites strictly below it
+PairStack = tuple[tuple[StackSymbol, CtxSet], ...]
+
+
+def stack_sites(stack) -> CtxSet:
+    return frozenset(s for s in stack if isinstance(s, CallSite))
+
+
+def alphabet(system: ConditionalWPDS) -> frozenset[StackSymbol]:
+    syms: set[StackSymbol] = {system.start}
+    for r in system.rules:
+        syms.add(r.lhs)
+        syms.update(r.rhs)
+    return frozenset(syms)
+
+
+def successors(system: ConditionalWPDS, stack: Stack) -> list[tuple[Rule, Stack]]:
+    """One-step rewrites of ``stack`` under the conditional semantics."""
+    if not stack:
+        return []
+    top, rest = stack[0], stack[1:]
+    below = stack_sites(rest)
+    return [
+        (r, r.rhs + rest)
+        for r in system.rules
+        if r.lhs == top and r.cond.holds(below)
+    ]
+
+
+def annotate_stack(stack: Stack) -> PairStack:
+    return tuple((sym, stack_sites(stack[i + 1 :])) for i, sym in enumerate(stack))
+
+
+def reduced_successors(
+    annotated: AnnotatedWPDS, stack: PairStack
+) -> list[tuple[int, PairStack]]:
+    """One-step rewrites of a paired stack in the unconditional view,
+    as (index of the rule that fired, resulting paired stack)."""
+    if not stack:
+        return []
+    (top, below), rest = stack[0], stack[1:]
+    return [(idx, rhs + rest) for idx, _w, rhs in annotated.instances(top, below)]
 
 
 def fold_weights(weights) -> Weight:
@@ -28,7 +78,6 @@ def movp_by_stepping(
     targets,
     depth: int,
     *,
-    start: StackSymbol | None = None,
     require_drained: bool = True,
 ) -> Weight:
     """Combine over every run of at most ``depth`` rule firings.
@@ -37,23 +86,18 @@ def movp_by_stepping(
     the result provably covers all runs.  Cyclic systems never drain;
     callers must instead pick a depth at which the total has saturated.
     """
-    if callable(targets):
-        pred = targets
-    else:
-        wanted = set(targets)
-        pred = lambda sym: sym in wanted
-
-    top = system.start if start is None else start
-    total = ONE if pred(top) else ZERO
+    wanted = set(targets)
+    top = system.start
+    total = ONE if top in wanted else ZERO
     frontier: dict[Stack, Weight] = {(top,): ONE}
     for _ in range(depth):
         if not frontier:
             break
         level: dict[Stack, Weight] = {}
         for stack, w in frontier.items():
-            for rule, succ in system.successors(stack):
+            for rule, succ in successors(system, stack):
                 nw = w.extend(rule.weight)
-                if succ and pred(succ[0]):
+                if succ and succ[0] in wanted:
                     total = total.combine(nw)
                 if succ:
                     prev = level.get(succ)

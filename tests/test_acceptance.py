@@ -11,7 +11,7 @@ import random
 import time
 from itertools import chain, combinations
 
-from bruteforce import fold_weights
+from bruteforce import annotate_stack, reduced_successors, successors
 from randmodels import random_model
 from test_contexts import _families, _universe_strings
 from test_cwpds import _random_system, _strip
@@ -36,13 +36,12 @@ from stackpol import (
     generate_permissions,
     generate_policy,
     oracle_policy,
-    reduce_to_wpds,
     relates,
     set_leq,
     simulate_inspection,
 )
 from stackpol.contexts import CallSite
-from stackpol.pushdown import stack_sites
+from stackpol.pushdown import AnnotatedWPDS
 
 S = CallSite
 
@@ -236,19 +235,16 @@ def _step_equivalence(minimum: int) -> int:
     sequences = 0
     while sequences < minimum:
         system = _random_system(rng)
-        annotated = reduce_to_wpds(system)
+        annotated = AnnotatedWPDS(system)
         stack = (system.start,)
         for _step in range(6):
-            direct = system.successors(stack)
-            reduced = annotated.successors(annotated.annotate_stack(stack))
+            direct = successors(system, stack)
+            reduced = reduced_successors(annotated, annotate_stack(stack))
             direct_view = {(id(r), s) for r, s in direct}
-            reduced_view = {
-                (id(system.rules[inst.origin]), _strip(s)) for inst, s in reduced
-            }
+            reduced_view = {(id(system.rules[idx]), _strip(s)) for idx, s in reduced}
             assert direct_view == reduced_view
-            for inst, s in reduced:
-                for i, sym in enumerate(s):
-                    assert sym.below == stack_sites(_strip(s)[i + 1 :])
+            for _idx, s in reduced:
+                assert s == annotate_stack(_strip(s))
             if not direct:
                 break
             stack = rng.choice(direct)[1]

@@ -151,6 +151,15 @@ def test_dump_is_reproducible(model_file, capsys):
     assert first == second
 
 
+def test_dump_takes_no_tuple_cap(model_file, capsys):
+    # dump solves nothing, so it has no cap to take
+    with pytest.raises(SystemExit) as exc:
+        main(["dump", model_file, "--tuple-cap", "1"])
+    assert exc.value.code == 1
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --tuple-cap" in err
+
+
 # ------------------------------------------------------------ errors and usage
 
 
@@ -166,6 +175,15 @@ def test_malformed_model_reports_the_line(tmp_path, capsys):
     assert main(["analyze", str(bad)]) == 1
     _, err = capsys.readouterr()
     assert err.startswith("error: line 2:")
+
+
+def test_non_utf8_input_is_a_usage_error(model_file, tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"method m\xff entry\n")
+    for argv in (["analyze", str(bad)], ["check", model_file, "--policy", str(bad)]):
+        assert main(argv) == 1
+        _, err = capsys.readouterr()
+        assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 8)\n"
 
 
 def test_unknown_subcommand_exits_one(capsys):

@@ -7,18 +7,18 @@ import random
 
 import pytest
 
-from bruteforce import fold_weights, movp_by_stepping
+from bruteforce import (
+    alphabet,
+    annotate_stack,
+    fold_weights,
+    movp_by_stepping,
+    reduced_successors,
+    stack_sites,
+    successors,
+)
 from stackpol.contexts import ANY, CallSite, Condition
 from stackpol.errors import CapacityError
-from stackpol.pushdown import (
-    AnnotatedSymbol,
-    ConditionalWPDS,
-    Rule,
-    movp,
-    reduce_to_wpds,
-    stack_sites,
-    symbol_str,
-)
+from stackpol.pushdown import AnnotatedWPDS, ConditionalWPDS, Rule, movp
 from stackpol.weights import ALL, ONE, ZERO, Weight, WeightTuple
 
 
@@ -71,7 +71,6 @@ def test_rule_rendering():
 def test_stack_sites_ignores_method_symbols():
     za, zb = site("A", 1), site("B", 2)
     assert stack_sites(("A", za, "B", zb)) == frozenset({za, zb})
-    assert symbol_str(za) == "A:1"
 
 
 def test_conditions_see_the_stack_strictly_below_the_top():
@@ -82,14 +81,14 @@ def test_conditions_see_the_stack_strictly_below_the_top():
         Rule("B", ("C", site("B", 2)), cond=cond([za])),
     ]
     system = ConditionalWPDS(rules, "A")
-    first = system.successors(("A",))
+    first = successors(system, ("A",))
     assert [r.kind for r, _ in first] == ["push"]
     (rule, stack) = first[0]
     assert stack == ("B", za)
-    second = system.successors(stack)
+    second = successors(system, stack)
     assert len(second) == 1
     # but with the site removed from below, the conditional rule is dead
-    assert system.successors(("B",)) == []
+    assert successors(system, ("B",)) == []
 
 
 def test_condition_on_top_symbol_itself_does_not_count():
@@ -97,8 +96,8 @@ def test_condition_on_top_symbol_itself_does_not_count():
     rules = [Rule(za, ("X",), cond=cond([za]))]
     system = ConditionalWPDS(rules, za)
     # za is the top, not below it
-    assert system.successors((za,)) == []
-    assert len(system.successors((za, za))) == 1
+    assert successors(system, (za,)) == []
+    assert len(successors(system, (za, za))) == 1
 
 
 def test_alphabet_and_dump_are_deterministic():
@@ -109,7 +108,7 @@ def test_alphabet_and_dump_are_deterministic():
         Rule(za, ("A",)),
     ]
     system = ConditionalWPDS(rules, "A")
-    assert system.alphabet == frozenset({"A", "B", za})
+    assert alphabet(system) == frozenset({"A", "B", za})
     dump = system.dump()
     assert dump.splitlines() == [
         "A --[any]--> B A:1 ; 1",
@@ -120,7 +119,7 @@ def test_alphabet_and_dump_are_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# the reduction to an unconditional system over annotated symbols
+# the unconditional view over (symbol, sites_below) pairs
 
 
 def test_annotation_math_push_swap_pop():
@@ -130,21 +129,17 @@ def test_annotation_math_push_swap_pop():
         Rule("B", ("X",)),
         Rule("X", ()),
     ]
-    ann = reduce_to_wpds(ConditionalWPDS(rules, "A"))
+    ann = AnnotatedWPDS(ConditionalWPDS(rules, "A"))
     below = frozenset({zb})
-    push = ann.instances("A", below)[0]
-    assert push.rhs[0] == AnnotatedSymbol("B", below | {za})
-    assert push.rhs[1] == AnnotatedSymbol(za, below)
-    swap = ann.instances("B", below)[0]
-    assert swap.rhs == (AnnotatedSymbol("X", below),)
-    pop = ann.instances("X", below)[0]
-    assert pop.rhs == ()
+    assert ann.instances("A", below) == [(0, ONE, (("B", below | {za}), (za, below)))]
+    assert ann.instances("B", below) == [(1, ONE, (("X", below),))]
+    assert ann.instances("X", below) == [(2, ONE, ())]
 
 
 def test_annotated_instances_respect_conditions():
     za = site("A", 1)
     rules = [Rule("B", ("C", site("B", 2)), cond=cond([za]))]
-    ann = reduce_to_wpds(ConditionalWPDS(rules, "B"))
+    ann = AnnotatedWPDS(ConditionalWPDS(rules, "B"))
     assert ann.instances("B", frozenset()) == []
     assert len(ann.instances("B", frozenset({za}))) == 1
 
@@ -177,8 +172,8 @@ def _random_system(rng: random.Random) -> ConditionalWPDS:
     return ConditionalWPDS(rules, "A")
 
 
-def _strip(ann_stack):
-    return tuple(s.base for s in ann_stack)
+def _strip(pair_stack):
+    return tuple(sym for sym, _below in pair_stack)
 
 
 def test_conditional_and_reduced_stepping_agree_on_random_walks():
@@ -186,22 +181,18 @@ def test_conditional_and_reduced_stepping_agree_on_random_walks():
     sequences = 0
     while sequences < 250:
         system = _random_system(rng)
-        ann = reduce_to_wpds(system)
+        ann = AnnotatedWPDS(system)
         stack = (system.start,)
         for _step in range(6):
-            direct = system.successors(stack)
-            annotated = ann.successors(ann.annotate_stack(stack))
+            direct = successors(system, stack)
+            reduced = reduced_successors(ann, annotate_stack(stack))
             # same rules fire, producing the same concrete stacks
             direct_view = {(id(r), s) for r, s in direct}
-            ann_view = {
-                (id(system.rules[inst.origin]), _strip(s))
-                for inst, s in annotated
-            }
-            assert direct_view == ann_view
-            # and the annotations they carry describe their suffixes
-            for inst, s in annotated:
-                for i, sym in enumerate(s):
-                    assert sym.below == stack_sites(_strip(s)[i + 1 :])
+            reduced_view = {(id(system.rules[idx]), _strip(s)) for idx, s in reduced}
+            assert direct_view == reduced_view
+            # and the sites paired with each symbol are those below it
+            for _idx, s in reduced:
+                assert s == annotate_stack(_strip(s))
             if not direct:
                 break
             stack = rng.choice(direct)[1]
@@ -353,7 +344,7 @@ def test_step_budget_guards_against_runaway_saturation():
         ],
         "A",
     )
-    with pytest.raises(RuntimeError):
+    with pytest.raises(CapacityError):
         movp(system, {"B"}, max_steps=2)
 
 

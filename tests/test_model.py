@@ -1,4 +1,4 @@
-"""Tests for model parsing, route contexts, cloning and lints."""
+"""Tests for model parsing, route contexts and lints."""
 
 from __future__ import annotations
 
@@ -7,7 +7,6 @@ import pytest
 from stackpol.contexts import ANY_FAMILY, CallSite
 from stackpol.errors import ModelError
 from stackpol.model import (
-    clone_graph,
     compute_phi_meth,
     lint_model,
     parse_model,
@@ -46,10 +45,11 @@ def test_bundled_model_shape(example_model):
         "checkPermission",
         "doPrivileged",
     )
-    assert len(m.edges_into(m.check_method)) == 2
+    assert len([e for e in m.call_edges if e.callee == m.check_method]) == 2
     assert m.checkargs[CallSite("checkConnect", 6)] == "p1"
-    assert m.is_call_site("checkConnect", 5)
-    assert not m.is_call_site("checkConnect", 99)
+    sites = {e.site for e in m.call_edges}
+    assert CallSite("checkConnect", 5) in sites
+    assert CallSite("checkConnect", 99) not in sites
 
 
 def test_minimal_model_is_a_one_node_graph():
@@ -264,28 +264,6 @@ def test_route_family_of_one_path():
 def test_route_family_of_unconditional_path_is_unconstrained(example_model):
     edges = {e.ident: e for e in example_model.call_edges}
     assert phi_route_along([edges["1"], edges["3"]]) == ANY_FAMILY
-
-
-# ---------------------------------------------------------------------------
-# cloning
-
-
-def test_clone_graph_expands_contexts(example_model, example_phi):
-    g = clone_graph(example_model, example_phi)
-    faculty = frozenset({CallSite("main", 1), CallSite("connectFaculty", 30)})
-    student = frozenset({CallSite("main", 2), CallSite("connectStudent", 36)})
-    assert (faculty, "checkConnect") in g.nodes
-    assert (student, "checkConnect") in g.nodes
-    fac_entry = frozenset({CallSite("main", 1)})
-    assert ((fac_entry, "connectFaculty"), (faculty, "checkConnect")) in g.edges
-    # the student clone is not reachable from the faculty branch
-    assert ((fac_entry, "connectFaculty"), (student, "checkConnect")) not in g.edges
-
-
-def test_clone_graph_of_one_node():
-    g = clone_graph(parse_model(MINIMAL))
-    assert (frozenset(), "main") in g.nodes
-    assert g.edges == frozenset()
 
 
 # ---------------------------------------------------------------------------
