@@ -648,9 +648,9 @@ def phi_route_along(path: Sequence[CallEdge]) -> CtxFamily:
 def lint_model(model: ProgramModel, phi: dict[str, CtxFamily] | None = None) -> list[str]:
     """Non-fatal consistency warnings.
 
-    * edge-context: every member of an edge's family should be one of the
-      caller's route contexts (unconditional edges rarely satisfy this
-      literally, since their family is the bare empty context);
+    * edge-context: every member of a conditional edge's family should be
+      one of the caller's route contexts; unconditional edges are skipped,
+      because the empty context holds below every stack and is never a gap;
     * coverage: per method with outgoing edges, the union of the out-edge
       families should equal the method's route context family;
     * fact-context: each points-to / string fact context should be one of
@@ -660,9 +660,11 @@ def lint_model(model: ProgramModel, phi: dict[str, CtxFamily] | None = None) -> 
         phi = compute_phi_meth(model)
     warnings: list[str] = []
     for e in model.call_edges:
+        if e.unconditional:
+            continue
         bad = [c for c in e.ctx if c not in phi[e.caller]]
         if bad:
-            shown = "any" if e.unconditional else format_family(frozenset(bad))
+            shown = format_family(frozenset(bad))
             warnings.append(
                 f"edge-context: calledge {e.ident}: context {shown} is not a "
                 f"route context of caller {e.caller}"

@@ -33,7 +33,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .contexts import Condition
+from .contexts import CallSite, Condition
 from .errors import PolicyError
 from .model import INTER_RETURN, ProgramModel, _strip_comment
 from .permissions import Permission, PermissionUniverse
@@ -113,6 +113,44 @@ def _method_domains(model: ProgramModel) -> dict[str, str]:
     }
 
 
+def _permission_masks(
+    digests: list[WeightTuple], universe: PermissionUniverse
+) -> dict[Permission, int]:
+    """Per permission, the bitset of ``digests`` (bit i for ``digests[i]``)
+    that require it; permissions no digest requires are left out.
+
+    Each call site maps to the bitset of digests whose history holds it.
+    A permission's origin mask ORs its checkpoints' bitsets; each demand
+    context then ANDs its sites' bitsets into what is left of that mask,
+    so the empty context (``ANY_FAMILY``) keeps every origin digest.
+    """
+    by_site: dict[CallSite, int] = defaultdict(int)
+    for i, digest in enumerate(digests):
+        bit = 1 << i
+        for site in digest.history:
+            by_site[site] |= bit
+    masks: dict[Permission, int] = {}
+    # ``origins`` rebuilds its frozensets on every access; the pairs in
+    # ``sources`` name the same checkpoints without that cost
+    for p, pairs in universe.sources.items():
+        origin = 0
+        for site, _node in pairs:
+            origin |= by_site.get(site, 0)
+        hit = 0
+        for ctx in universe.contexts[p]:
+            if hit == origin:
+                break
+            left = origin & ~hit
+            for site in ctx:
+                left &= by_site.get(site, 0)
+                if not left:
+                    break
+            hit |= left
+        if hit:
+            masks[p] = hit
+    return masks
+
+
 def generate_policy(
     model: ProgramModel,
     universe: PermissionUniverse,
@@ -126,19 +164,17 @@ def generate_policy(
     demand contexts.  The first clause keeps a permission demanded only
     behind a privilege boundary from leaking to stacks that never cross
     that boundary; the second keeps context-separated demands apart.
+    Both are decided for all digests at once, on bitsets indexed by call
+    site, in place of a subset test per digest, permission and context.
     """
     system = encode(model)
     weight = movp(system, targets={model.check_method}, tuple_cap=tuple_cap)
+    digests = list(weight.tuples)
+    masks = _permission_masks(digests, universe)
     grants: dict[str, set[Permission]] = {}
     hidden = {model.check_method, model.priv_method}
-    origins = universe.origins
-    for digest in weight.tuples:
-        required = [
-            p
-            for p in universe.perms
-            if origins[p] & digest.history
-            and any(c <= digest.history for c in universe.contexts[p])
-        ]
+    for i, digest in enumerate(digests):
+        required = [p for p, mask in masks.items() if mask >> i & 1]
         if not required:
             continue
         for method in (digest.gen - digest.finished) - hidden:

@@ -13,11 +13,17 @@ same way as the automaton construction.
 
 ``fold_weights`` composes a rule-weight sequence left to right, giving
 an independent path-digest reference for single runs.
+
+``grants_by_scan`` extracts grants from a solved weight by testing every
+digest against every permission and demand context, the reference for
+``generate_policy``'s indexed extraction.
 """
 
 from __future__ import annotations
 
 from stackpol.contexts import CallSite, CtxSet
+from stackpol.model import ProgramModel
+from stackpol.permissions import Permission, PermissionUniverse
 from stackpol.pushdown import AnnotatedWPDS, ConditionalWPDS, Rule, StackSymbol
 from stackpol.weights import ONE, ZERO, Weight
 
@@ -106,3 +112,23 @@ def movp_by_stepping(
     if require_drained and frontier:
         raise RuntimeError(f"runs outlived depth {depth}")
     return total
+
+
+def grants_by_scan(
+    model: ProgramModel, universe: PermissionUniverse, weight: Weight
+) -> dict[str, frozenset[Permission]]:
+    grants: dict[str, set[Permission]] = {}
+    hidden = {model.check_method, model.priv_method}
+    origins = universe.origins
+    for digest in weight.tuples:
+        required = [
+            p
+            for p in universe.perms
+            if origins[p] & digest.history
+            and any(c <= digest.history for c in universe.contexts[p])
+        ]
+        if not required:
+            continue
+        for method in (digest.gen - digest.finished) - hidden:
+            grants.setdefault(method, set()).update(required)
+    return {m: frozenset(ps) for m, ps in grants.items()}

@@ -301,6 +301,16 @@ def test_lints_flag_known_gaps_in_the_bundled_model(example_model):
     }
 
 
+def test_lints_skip_unconditional_edges(example_model):
+    # the empty context holds below every stack, so ctx=any is never a gap
+    warnings = lint_model(example_model)
+    assert not any("context any" in w for w in warnings)
+    assert [w.split(":")[1].strip() for w in warnings if w.startswith("edge-context")] == [
+        "calledge 8",
+        "calledge 9",
+    ]
+
+
 def test_lint_flags_foreign_fact_context():
     m = parse_model(
         minimal_plus(

@@ -1,9 +1,12 @@
 """System encoding, policy extraction, rendering, checking, simulation."""
 
 import pytest
+from bruteforce import grants_by_scan
+from randmodels import random_model
 
 from stackpol import (
     ALL,
+    ANY_FAMILY,
     ONE,
     Frame,
     Permission,
@@ -162,6 +165,108 @@ def test_unreachable_checkpoint_grants_nothing():
     result = generate_policy(m, generate_permissions(m))
     assert result.policy.grants == {}
     assert not result.weight.tuples
+
+
+def _grants_match_scan(model):
+    """Generate a policy and check it against the digest-by-digest scan."""
+    universe = generate_permissions(model)
+    result = generate_policy(model, universe)
+    assert result.policy.grants == grants_by_scan(model, universe, result.weight)
+    return universe, result.policy.grants
+
+
+def _diamond_ladder(depth: int):
+    # level i calls level i+1 at two sites, guarded below level 0 by both
+    # sites of the level above; the bottom checks a form-3 permission
+    names = [f"L{i}" for i in range(depth + 1)]
+    lines = [f"method {names[0]} entry"] + [f"method {n}" for n in names[1:]]
+    lines += ["method doPriv priv", "method check check"]
+    ident = 0
+    for i in range(depth):
+        ctx = "any" if i == 0 else f"{{{names[i - 1]}:1;{names[i - 1]}:2}}"
+        for branch in (1, 2):
+            ident += 1
+            lines.append(f"calledge {ident} {names[i]} {branch} {names[i + 1]} ctx={ctx}")
+    bottom = names[-1]
+    route = ",".join(f"{n}:1" for n in names[:-1])
+    lines += [
+        f"calledge {ident + 1} {bottom} 1 check ctx=any",
+        f"depnode a {bottom} 90 kind=alloc form=3 type=P",
+        f"checkarg {bottom}:1 var=p",
+        f"pta p@{bottom} = {{(P, a, {{{route}}})}}",
+    ]
+    return parse_model("\n".join(lines) + "\n"), names
+
+
+def test_extraction_matches_scan_on_the_bundled_model(example_model):
+    _, grants = _grants_match_scan(example_model)
+    assert len(grants) == 6
+
+
+def test_extraction_matches_scan_on_random_models():
+    for seed in range(60):
+        _grants_match_scan(random_model(seed))
+
+
+def test_extraction_matches_scan_on_a_form3_diamond_ladder():
+    model, names = _diamond_ladder(6)
+    universe, grants = _grants_match_scan(model)
+    (perm,) = universe.perms
+    assert len(universe.contexts[perm]) == 2**6
+    assert grants == {n: frozenset({perm}) for n in names}
+
+
+def test_extraction_matches_scan_on_an_any_family_demand():
+    # allocated in the entry method, whose only route context is the empty one
+    m = build(
+        "method worker",
+        "calledge 1 main 1 worker ctx=any",
+        "calledge 2 worker 1 check ctx=any",
+        "depnode a main 5 kind=alloc form=3 type=P",
+        "checkarg worker:1 var=p",
+        "pta p@worker = {(P, a, {main:1})}",
+    )
+    universe, grants = _grants_match_scan(m)
+    (perm,) = universe.perms
+    assert universe.contexts[perm] == ANY_FAMILY
+    assert grants == {"main": frozenset({perm}), "worker": frozenset({perm})}
+
+
+def test_extraction_matches_scan_when_a_checkpoint_is_never_traversed():
+    m = build(
+        "method worker",
+        "method island",
+        "calledge 1 main 1 worker ctx=any",
+        "calledge 2 worker 1 check ctx=any",
+        "calledge 3 island 1 check ctx=any",
+        "depnode a worker 5 kind=alloc form=3 type=P",
+        "depnode b island 5 kind=alloc form=3 type=Q",
+        "checkarg worker:1 var=p",
+        "checkarg island:1 var=q",
+        "pta p@worker = {(P, a, {main:1})}",
+        "pta q@island = {(Q, b, {island:1})}",
+    )
+    universe, grants = _grants_match_scan(m)
+    assert len(universe.perms) == 2
+    assert grants == {
+        "main": frozenset({Permission("P")}),
+        "worker": frozenset({Permission("P")}),
+    }
+
+
+def test_extraction_matches_scan_below_a_privilege_assertion():
+    # doPriv's call kills main's frame, so only inner needs the permission
+    m = build(
+        "method inner",
+        "calledge 1 main 1 doPriv ctx=any",
+        "calledge 2 doPriv 1 inner ctx=any",
+        "calledge 3 inner 1 check ctx=any",
+        "depnode a inner 5 kind=alloc form=3 type=P",
+        "checkarg inner:1 var=p",
+        "pta p@inner = {(P, a, {main:1,doPriv:1})}",
+    )
+    _, grants = _grants_match_scan(m)
+    assert grants == {"inner": frozenset({Permission("P")})}
 
 
 def test_grants_never_name_the_privilege_or_check_primitives(example_policy):
