@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict, deque
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .contexts import (
@@ -73,13 +73,13 @@ class CallEdge:
     line: int
     callee: str
     ctx: CtxFamily = ANY_FAMILY
+    # built once: sets of these sites then hold the very objects looked up,
+    # so lookups match by identity and skip the dataclass ``__eq__``
+    site: CallSite = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "ctx", normalize_family(self.ctx))
-
-    @property
-    def site(self) -> CallSite:
-        return CallSite(self.caller, self.line)
+        object.__setattr__(self, "site", CallSite(self.caller, self.line))
 
     @property
     def unconditional(self) -> bool:
@@ -96,10 +96,10 @@ class DepNode:
     perm_type: str | None = None
     target_var: str | None = None
     action_var: str | None = None
+    site: CallSite = field(init=False, repr=False, compare=False)
 
-    @property
-    def site(self) -> CallSite:
-        return CallSite(self.method, self.line)
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "site", CallSite(self.method, self.line))
 
 
 @dataclass(frozen=True, slots=True)
@@ -145,6 +145,8 @@ class ProgramModel:
 
 
 def _strip_comment(line: str) -> str:
+    if "#" not in line:
+        return line
     out = []
     in_quotes = False
     for ch in line:

@@ -14,6 +14,11 @@ Everything here is bounded brute force over the model's graphs:
   it is valid when some full path from the entry reaches the asserter and
   extends it to a route-supported whole.  Those witnesses ride along as
   the path's ``extensions``.
+  Validity is decided edge by edge.  A union of choices is covered
+  exactly when each chosen alternative is, so some member of the path's
+  ``phi_route_along`` family is covered exactly when every edge has an
+  alternative covered by the path's sites.  That test is linear in the
+  path length; the family itself can grow exponentially with it.
 * a *flow path* walks the dependency graph from an allocation to a
   checkpoint, tracking how the permission object travels.  Call- and
   return-crossings are matched like brackets against the call stack that
@@ -37,7 +42,7 @@ cycles; a global cap guards against combinatorial blowups.
 from __future__ import annotations
 
 from collections import Counter, defaultdict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .contexts import CallSite
 from .errors import EnumerationLimitError
@@ -48,7 +53,6 @@ from .model import (
     CallEdge,
     DepEdge,
     ProgramModel,
-    phi_route_along,
 )
 from .permissions import PermissionUniverse, checkpoints
 from .policy import Frame, Policy, _method_domains
@@ -73,13 +77,18 @@ class CallPath:
     edges: tuple[CallEdge, ...]
     truncated: bool = False
     extensions: tuple[tuple[CallEdge, ...], ...] = ()
+    # built once: ``relates`` asks for it once per pair of stacks
+    _methods: frozenset[str] = field(init=False, repr=False, compare=False)
 
-    def methods(self) -> frozenset[str]:
+    def __post_init__(self) -> None:
         out = {self.start}
         for e in self.edges:
             out.add(e.caller)
             out.add(e.callee)
-        return frozenset(out)
+        object.__setattr__(self, "_methods", frozenset(out))
+
+    def methods(self) -> frozenset[str]:
+        return self._methods
 
     def sites(self) -> frozenset[CallSite]:
         return frozenset(e.site for e in self.edges)
@@ -179,8 +188,10 @@ def _bounded_sequences(
 
 
 def _route_valid(edges) -> bool:
+    """Is some member of ``phi_route_along(edges)`` covered by the path's
+    own sites?  Decided edge by edge, without building the family."""
     sites = frozenset(e.site for e in edges)
-    return any(c <= sites for c in phi_route_along(edges))
+    return all(any(c <= sites for c in e.ctx) for e in edges)
 
 
 def _ident_key(edges) -> tuple[str, ...]:
@@ -299,7 +310,8 @@ def relates(
     if not pairs or not sigma.edges:
         return False
     checkpoint = sigma.edges[-1].site
-    sigma_methods = sigma.methods()
+    contexts = universe.contexts[perm]
+    sigma_methods = sigma.methods() - {model.check_method}
     for pi in flow_paths:
         # the flow must deliver the permission to the checkpoint this very
         # path invokes, not to some other checkpoint of the same method set
@@ -314,19 +326,18 @@ def relates(
                 # which no edge sequence denotes; synthesize it
                 paths = paths + [CallPath(alloc_method, ())]
             vpath_cache[alloc_method] = paths
-        word_tail = extract(model, pi)
-        pi_methods = pi.methods(model)
+        word_tail = list(extract(model, pi))
+        # the demand stack may only hold methods that the flow, the check
+        # or the allocating stack put there
+        need = sigma_methods - pi.methods(model)
         for sigma_p in vpath_cache[alloc_method]:
-            allowed = pi_methods | sigma_p.methods() | {model.check_method}
-            if not sigma_methods <= allowed:
+            if not need <= sigma_p.methods():
                 continue
             for variant in sigma_p.full_variants():
-                if not well_matched(_opens(variant) + list(word_tail)):
+                if not well_matched(_opens(variant) + word_tail):
                     continue
                 variant_sites = frozenset(e.site for e in variant)
-                if any(
-                    c <= variant_sites for c in universe.contexts[perm]
-                ):
+                if any(c <= variant_sites for c in contexts):
                     return True
     return False
 

@@ -17,12 +17,27 @@ an independent path-digest reference for single runs.
 ``grants_by_scan`` extracts grants from a solved weight by testing every
 digest against every permission and demand context, the reference for
 ``generate_policy``'s indexed extraction.
+
+``route_valid_by_family`` and ``relates_by_scan`` are the oracle's route
+validity and relation tests as first written: the first builds the whole
+``phi_route_along`` family of a path, the second rebuilds both stacks'
+method sets for every pair of stacks.  They are the references for
+``oracle._route_valid`` and ``oracle.relates``.
 """
 
 from __future__ import annotations
 
 from stackpol.contexts import CallSite, CtxSet
-from stackpol.model import ProgramModel
+from stackpol.model import ProgramModel, phi_route_along
+from stackpol.oracle import (
+    DEFAULT_PATH_BOUND,
+    CallPath,
+    DepPath,
+    _opens,
+    enum_vpaths,
+    extract,
+    well_matched,
+)
 from stackpol.permissions import Permission, PermissionUniverse
 from stackpol.pushdown import AnnotatedWPDS, ConditionalWPDS, Rule, StackSymbol
 from stackpol.weights import ONE, ZERO, Weight
@@ -132,3 +147,49 @@ def grants_by_scan(
         for method in (digest.gen - digest.finished) - hidden:
             grants.setdefault(method, set()).update(required)
     return {m: frozenset(ps) for m, ps in grants.items()}
+
+
+def route_valid_by_family(edges) -> bool:
+    sites = frozenset(e.site for e in edges)
+    return any(c <= sites for c in phi_route_along(edges))
+
+
+def relates_by_scan(
+    model: ProgramModel,
+    sigma: CallPath,
+    perm,
+    universe: PermissionUniverse,
+    flow_paths: list[DepPath],
+    vpath_cache: dict[str, list[CallPath]],
+    bound: int = DEFAULT_PATH_BOUND,
+) -> bool:
+    pairs = universe.sources.get(perm, frozenset())
+    if not pairs or not sigma.edges:
+        return False
+    checkpoint = sigma.edges[-1].site
+    sigma_methods = sigma.methods()
+    for pi in flow_paths:
+        end_site = model.dep_nodes[pi.end].site
+        if end_site != checkpoint or (end_site, pi.start) not in pairs:
+            continue
+        alloc_method = model.dep_nodes[pi.start].method
+        if alloc_method not in vpath_cache:
+            paths = enum_vpaths(model, alloc_method, bound)
+            if alloc_method == model.entry_method:
+                paths = paths + [CallPath(alloc_method, ())]
+            vpath_cache[alloc_method] = paths
+        word_tail = extract(model, pi)
+        pi_methods = pi.methods(model)
+        for sigma_p in vpath_cache[alloc_method]:
+            allowed = pi_methods | sigma_p.methods() | {model.check_method}
+            if not sigma_methods <= allowed:
+                continue
+            for variant in sigma_p.full_variants():
+                if not well_matched(_opens(variant) + list(word_tail)):
+                    continue
+                variant_sites = frozenset(e.site for e in variant)
+                if any(
+                    c <= variant_sites for c in universe.contexts[perm]
+                ):
+                    return True
+    return False

@@ -7,6 +7,9 @@ import pytest
 from stackpol.contexts import ANY_FAMILY, CallSite
 from stackpol.errors import ModelError
 from stackpol.model import (
+    CallEdge,
+    DepNode,
+    _strip_comment,
     compute_phi_meth,
     lint_model,
     parse_model,
@@ -63,6 +66,22 @@ def test_comments_and_blank_lines_are_ignored():
         "# heading\n\nmethod main entry  # trailing\nmethod p priv\nmethod c check\n"
     )
     assert set(m.methods) == {"main", "p", "c"}
+
+
+def test_strip_comment_keeps_quoted_hashes():
+    assert _strip_comment('sa v@m = {("a#b", {})} # note') == 'sa v@m = {("a#b", {})} '
+    assert _strip_comment("method main entry # note") == "method main entry "
+    plain = "method main entry"
+    assert _strip_comment(plain) is plain
+
+
+def test_sites_are_stored_but_not_compared():
+    edge = CallEdge("1", "main", 3, "a")
+    node = DepNode("n", "main", 3, "plain")
+    assert edge.site is edge.site and edge.site == CallSite("main", 3)
+    assert node.site == edge.site
+    assert edge == CallEdge("1", "main", 3, "a") and "site" not in repr(edge)
+    assert hash(node) == hash(DepNode("n", "main", 3, "plain"))
 
 
 def test_edge_context_parsing_and_normalization():
