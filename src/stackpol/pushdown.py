@@ -21,6 +21,12 @@ preserve it; a pop uncovers the symbol underneath together with its
 recorded set.  Rule applicability is then a plain lookup on the pair, and
 the solver is an ordinary weighted post* saturation over such pairs.
 
+The saturation runs on packed digests (see ``weights``): once per solve,
+the methods and call sites named by the rule weights are interned, every
+weight becomes a set of four-int digests, and sequencing is a handful of
+int operations.  The final union is decoded to a ``Weight`` exactly once,
+so callers see the same digests as the readable algebra would give.
+
 Weight bookkeeping follows a tail-weighting discipline: the transition
 created for the *first* symbol of a push carries the semiring unit, and
 the accumulated path weight rides on the transition for the *second*
@@ -36,7 +42,17 @@ from typing import Iterable, Union
 
 from .contexts import ANY, CallSite, Condition, CtxSet
 from .errors import CapacityError
-from .weights import DEFAULT_TUPLE_CAP, ONE, ZERO, Weight, check_width
+from .weights import (
+    DEFAULT_TUPLE_CAP,
+    ONE,
+    Packed,
+    PackedDigest,
+    Packing,
+    Weight,
+    check_packed_width,
+    check_width,
+    extend_packed,
+)
 
 StackSymbol = Union[str, CallSite]
 
@@ -142,9 +158,13 @@ def movp(
     """Meet over all paths from the start stack to any stack topped by a target."""
     wanted = set(targets)
     annotated = AnnotatedWPDS(system)
-    trans: dict[_TransKey, Weight] = {}
+    packing = Packing(r.weight for r in system.rules)
+    rule_weights = [packing.pack(r.weight) for r in system.rules]
+    one = packing.pack(ONE)
+    zero: Packed = frozenset()
+    trans: dict[_TransKey, Packed] = {}
     out_of: dict[int, list[_TransKey]] = defaultdict(list)
-    eps: dict[int, Weight] = {}
+    eps: dict[int, Packed] = {}
     mids: dict[tuple[int, CtxSet], int] = {}
     worklist: deque[_TransKey] = deque()
     steps = 0
@@ -155,28 +175,28 @@ def movp(
             mids[key] = 2 + len(mids)
         return mids[key]
 
-    def update_trans(key: _TransKey, w: Weight) -> None:
-        old = trans.get(key, ZERO)
-        new = old.combine(w)
-        if new != old:
-            check_width(new, tuple_cap)
-            if key not in trans:
-                out_of[key[0]].append(key)
-            trans[key] = new
-            worklist.append(key)
-
-    def update_eps(q: int, w: Weight) -> None:
-        old = eps.get(q, ZERO)
-        new = old.combine(w)
-        if new == old:
+    def update_trans(key: _TransKey, w: Packed) -> None:
+        old = trans.get(key, zero)
+        if w <= old:
             return
-        check_width(new, tuple_cap)
-        eps[q] = new
+        new = check_packed_width(old | w, tuple_cap)
+        if key not in trans:
+            out_of[key[0]].append(key)
+        trans[key] = new
+        worklist.append(key)
+
+    def update_eps(q: int, w: Packed) -> None:
+        old = eps.get(q, zero)
+        if w <= old:
+            return
+        new = eps[q] = check_packed_width(old | w, tuple_cap)
         # re-fold the excursion value into every continuation recorded under q
         for src, sym, ann, dst in list(out_of.get(q, ())):
-            update_trans((_P, sym, ann, dst), trans[(src, sym, ann, dst)].extend(new))
+            update_trans(
+                (_P, sym, ann, dst), extend_packed(trans[(src, sym, ann, dst)], new)
+            )
 
-    update_trans((_P, system.start, frozenset(), _QF), ONE)
+    update_trans((_P, system.start, frozenset(), _QF), one)
 
     while worklist:
         steps += 1
@@ -188,8 +208,8 @@ def movp(
         src, sym, ann, dst = key
         d = trans[key]
         if src == _P:
-            for rule_idx, weight, rhs in annotated.instances(sym, ann):
-                w = d.extend(weight)
+            for rule_idx, _weight, rhs in annotated.instances(sym, ann):
+                w = extend_packed(d, rule_weights[rule_idx])
                 if not rhs:
                     update_eps(dst, w)
                 elif len(rhs) == 1:
@@ -198,16 +218,16 @@ def movp(
                 else:
                     (first, first_below), (second, second_below) = rhs
                     q_mid = mid_state(rule_idx, ann)
-                    update_trans((_P, first, first_below, q_mid), ONE)
+                    update_trans((_P, first, first_below, q_mid), one)
                     update_trans((q_mid, second, second_below, dst), w)
         else:
             e = eps.get(src)
             if e is not None:
-                update_trans((_P, sym, ann, dst), d.extend(e))
+                update_trans((_P, sym, ann, dst), extend_packed(d, e))
 
     # value of completing the stack below a state, composed bottom-up
-    reach: dict[int, Weight] = defaultdict(lambda: ZERO)
-    reach[_QF] = ONE
+    reach: dict[int, Packed] = defaultdict(frozenset)
+    reach[_QF] = one
     by_dst: dict[int, list[_TransKey]] = defaultdict(list)
     for key in trans:
         if key[0] != _P:
@@ -217,17 +237,16 @@ def movp(
         q_done = pending.popleft()
         for key in by_dst[q_done]:
             src = key[0]
-            cand = reach[src].combine(reach[q_done].extend(trans[key]))
-            if cand != reach[src]:
-                check_width(cand, tuple_cap)
-                reach[src] = cand
+            w = extend_packed(reach[q_done], trans[key])
+            if not w <= reach[src]:
+                reach[src] = check_packed_width(reach[src] | w, tuple_cap)
                 pending.append(src)
 
     # accumulate in one set; combining into a frozenset per transition is quadratic
-    digests: set = set()
+    digests: set[PackedDigest] = set()
     for (src, sym, _ann, dst), w in trans.items():
         if src == _P and sym in wanted:
-            digests |= reach[dst].extend(w).tuples
-    result = Weight(frozenset(digests))
+            digests |= extend_packed(reach[dst], w)
+    result = packing.unpack(digests)
     check_width(result, tuple_cap)
     return result

@@ -17,6 +17,16 @@ blanket ``ALL`` kill, the left-hand candidates are discarded wholesale and
 only the right-hand ones survive.  Otherwise the right-hand kills prune the
 left-hand candidates pointwise.  ``finished`` and ``history`` always union.
 
+``WeightTuple`` and ``Weight`` are the readable specification of this
+algebra and the format of every solver result.  The solver itself works on
+*packed* digests: ``Packing`` interns the methods and call sites named by
+a set of weights, and a digest becomes a ``(kill, gen, finished,
+history)`` tuple of ints, one bit per interned method or site.  Bit 0 of
+``kill`` stands for ``ALL``, and a kill holding it is exactly ``1``, so
+equal digests pack to equal tuples.  A packed weight is a frozenset of
+such tuples, ``extend_packed`` is ``Weight.extend`` on them, and
+``Packing.unpack`` turns the final set back into a ``Weight``.
+
 Weights form a bounded idempotent semiring: ``combine`` is set union (the
 meet), ``extend`` is the pairwise digest product.  ``ZERO`` (no digests) is
 the unit of ``combine`` and annihilates ``extend``; ``ONE`` (the single
@@ -159,11 +169,115 @@ ZERO = Weight(frozenset())
 ONE = Weight(frozenset({WeightTuple()}))
 
 
+def _too_wide(width: int, cap: int) -> CapacityError:
+    return CapacityError(
+        f"weight grew to {width} digests (cap {cap}); "
+        "the model's branching is too rich for exhaustive tracking"
+    )
+
+
 def check_width(weight: Weight, cap: int = DEFAULT_TUPLE_CAP) -> Weight:
     """Guard against digest-set blowup; raises ``CapacityError`` past the cap."""
     if weight.width() > cap:
-        raise CapacityError(
-            f"weight grew to {weight.width()} digests (cap {cap}); "
-            "the model's branching is too rich for exhaustive tracking"
-        )
+        raise _too_wide(weight.width(), cap)
     return weight
+
+
+# ---------------------------------------------------------------------------
+# packed digests: the solver's working form
+
+# (kill, gen, finished, history); bit 0 of kill is ALL, bit i >= 1 of the
+# three method fields is the i-th interned method, bit j of history the
+# j-th interned call site
+PackedDigest = tuple[int, int, int, int]
+Packed = frozenset[PackedDigest]
+
+
+def _mask(names: Iterable, bit: dict) -> int:
+    out = 0
+    for name in names:
+        out |= bit[name]
+    return out
+
+
+def _members(bits: int, names: list) -> frozenset:
+    out = []
+    while bits:
+        low = bits & -bits
+        out.append(names[low.bit_length() - 1])
+        bits ^= low
+    return frozenset(out)
+
+
+class Packing:
+    """Bit positions for the methods and call sites named by some weights.
+
+    Only those names can be packed; every digest built from packed ones by
+    ``extend_packed`` and set union stays within them.
+    """
+
+    def __init__(self, weights: Iterable[Weight]):
+        methods: dict[object, int] = {ALL: 1}
+        sites: dict[CallSite, int] = {}
+        for w in weights:
+            for t in w.tuples:
+                for m in (*t.kill, *t.gen, *t.finished):
+                    if m not in methods:
+                        methods[m] = 1 << len(methods)
+                for s in t.history:
+                    if s not in sites:
+                        sites[s] = 1 << len(sites)
+        self._method_bit = methods
+        self._site_bit = sites
+        self._methods = list(methods)
+        self._sites = list(sites)
+
+    def pack(self, weight: Weight) -> Packed:
+        mb, sb = self._method_bit, self._site_bit
+        return frozenset(
+            (
+                _mask(t.kill, mb),
+                _mask(t.gen, mb),
+                _mask(t.finished, mb),
+                _mask(t.history, sb),
+            )
+            for t in weight.tuples
+        )
+
+    def unpack(self, packed: Iterable[PackedDigest]) -> Weight:
+        methods, sites = self._methods, self._sites
+        # method fields repeat across digests far more often than histories
+        names: dict[int, frozenset] = {}
+
+        def method_set(bits: int) -> frozenset:
+            got = names.get(bits)
+            if got is None:
+                got = names[bits] = _members(bits, methods)
+            return got
+
+        return Weight(
+            frozenset(
+                WeightTuple(
+                    method_set(k), method_set(g), method_set(f), _members(h, sites)
+                )
+                for k, g, f, h in packed
+            )
+        )
+
+
+def extend_packed(left: Packed, right: Packed) -> Packed:
+    """``Weight.extend`` on packed weights: ``WeightTuple.seq`` per pair."""
+    return frozenset(
+        (1, rg, lf | rf, lh | rh)
+        if rk & 1
+        else (1 if lk & 1 else lk | rk, lg & ~rk | rg, lf | rf, lh | rh)
+        for lk, lg, lf, lh in left
+        for rk, rg, rf, rh in right
+    )
+
+
+def check_packed_width(packed: Packed, cap: int = DEFAULT_TUPLE_CAP) -> Packed:
+    """``check_width`` on a packed weight."""
+    if len(packed) > cap:
+        raise _too_wide(len(packed), cap)
+    return packed

@@ -11,6 +11,10 @@ weights along every run.  It is exponential and only usable on desk
 scale systems, which is the point: it is too simple to be wrong in the
 same way as the automaton construction.
 
+``movp_by_weights`` is the post* solver as first written, saturating on
+``Weight`` values directly; it is the reference for ``movp``, which runs
+the same saturation on packed digests.
+
 ``fold_weights`` composes a rule-weight sequence left to right, giving
 an independent path-digest reference for single runs.
 
@@ -27,7 +31,11 @@ method sets for every pair of stacks.  They are the references for
 
 from __future__ import annotations
 
+from collections import defaultdict, deque
+from typing import Iterable
+
 from stackpol.contexts import CallSite, CtxSet
+from stackpol.errors import CapacityError
 from stackpol.model import ProgramModel, phi_route_along
 from stackpol.oracle import (
     DEFAULT_PATH_BOUND,
@@ -39,8 +47,17 @@ from stackpol.oracle import (
     well_matched,
 )
 from stackpol.permissions import Permission, PermissionUniverse
-from stackpol.pushdown import AnnotatedWPDS, ConditionalWPDS, Rule, StackSymbol
-from stackpol.weights import ONE, ZERO, Weight
+from stackpol.pushdown import (
+    _P,
+    _QF,
+    DEFAULT_MAX_STEPS,
+    AnnotatedWPDS,
+    ConditionalWPDS,
+    Rule,
+    StackSymbol,
+    _TransKey,
+)
+from stackpol.weights import DEFAULT_TUPLE_CAP, ONE, ZERO, Weight, check_width
 
 Stack = tuple[StackSymbol, ...]
 # a stack whose every symbol is paired with the call sites strictly below it
@@ -127,6 +144,107 @@ def movp_by_stepping(
     if require_drained and frontier:
         raise RuntimeError(f"runs outlived depth {depth}")
     return total
+
+
+def movp_by_weights(
+    system: ConditionalWPDS,
+    targets: Iterable[StackSymbol],
+    *,
+    tuple_cap: int = DEFAULT_TUPLE_CAP,
+    max_steps: int = DEFAULT_MAX_STEPS,
+) -> Weight:
+    """Meet over all paths from the start stack to any stack topped by a target."""
+    wanted = set(targets)
+    annotated = AnnotatedWPDS(system)
+    trans: dict[_TransKey, Weight] = {}
+    out_of: dict[int, list[_TransKey]] = defaultdict(list)
+    eps: dict[int, Weight] = {}
+    mids: dict[tuple[int, CtxSet], int] = {}
+    worklist: deque[_TransKey] = deque()
+    steps = 0
+
+    def mid_state(rule_idx: int, ann: CtxSet) -> int:
+        key = (rule_idx, ann)
+        if key not in mids:
+            mids[key] = 2 + len(mids)
+        return mids[key]
+
+    def update_trans(key: _TransKey, w: Weight) -> None:
+        old = trans.get(key, ZERO)
+        new = old.combine(w)
+        if new != old:
+            check_width(new, tuple_cap)
+            if key not in trans:
+                out_of[key[0]].append(key)
+            trans[key] = new
+            worklist.append(key)
+
+    def update_eps(q: int, w: Weight) -> None:
+        old = eps.get(q, ZERO)
+        new = old.combine(w)
+        if new == old:
+            return
+        check_width(new, tuple_cap)
+        eps[q] = new
+        # re-fold the excursion value into every continuation recorded under q
+        for src, sym, ann, dst in list(out_of.get(q, ())):
+            update_trans((_P, sym, ann, dst), trans[(src, sym, ann, dst)].extend(new))
+
+    update_trans((_P, system.start, frozenset(), _QF), ONE)
+
+    while worklist:
+        steps += 1
+        if steps > max_steps:
+            raise CapacityError(
+                f"post* saturation did not stabilize within {max_steps} steps"
+            )
+        key = worklist.popleft()
+        src, sym, ann, dst = key
+        d = trans[key]
+        if src == _P:
+            for rule_idx, weight, rhs in annotated.instances(sym, ann):
+                w = d.extend(weight)
+                if not rhs:
+                    update_eps(dst, w)
+                elif len(rhs) == 1:
+                    ((top, top_below),) = rhs
+                    update_trans((_P, top, top_below, dst), w)
+                else:
+                    (first, first_below), (second, second_below) = rhs
+                    q_mid = mid_state(rule_idx, ann)
+                    update_trans((_P, first, first_below, q_mid), ONE)
+                    update_trans((q_mid, second, second_below, dst), w)
+        else:
+            e = eps.get(src)
+            if e is not None:
+                update_trans((_P, sym, ann, dst), d.extend(e))
+
+    # value of completing the stack below a state, composed bottom-up
+    reach: dict[int, Weight] = defaultdict(lambda: ZERO)
+    reach[_QF] = ONE
+    by_dst: dict[int, list[_TransKey]] = defaultdict(list)
+    for key in trans:
+        if key[0] != _P:
+            by_dst[key[3]].append(key)
+    pending = deque([_QF])
+    while pending:
+        q_done = pending.popleft()
+        for key in by_dst[q_done]:
+            src = key[0]
+            cand = reach[src].combine(reach[q_done].extend(trans[key]))
+            if cand != reach[src]:
+                check_width(cand, tuple_cap)
+                reach[src] = cand
+                pending.append(src)
+
+    # accumulate in one set; combining into a frozenset per transition is quadratic
+    digests: set = set()
+    for (src, sym, _ann, dst), w in trans.items():
+        if src == _P and sym in wanted:
+            digests |= reach[dst].extend(w).tuples
+    result = Weight(frozenset(digests))
+    check_width(result, tuple_cap)
+    return result
 
 
 def grants_by_scan(

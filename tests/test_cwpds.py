@@ -12,12 +12,17 @@ from bruteforce import (
     annotate_stack,
     fold_weights,
     movp_by_stepping,
+    movp_by_weights,
     reduced_successors,
     stack_sites,
     successors,
 )
+from randmodels import random_model
+from test_oracle import _layered as layered_model
+from test_policy import _diamond_ladder as guarded_diamond_ladder
 from stackpol.contexts import ANY, CallSite, Condition
 from stackpol.errors import CapacityError
+from stackpol.policy import encode
 from stackpol.pushdown import AnnotatedWPDS, ConditionalWPDS, Rule, movp
 from stackpol.weights import ALL, ONE, ZERO, Weight, WeightTuple
 
@@ -321,15 +326,19 @@ def test_weight_fold_along_one_run_matches_rule_order():
     assert movp(system, {"C"}) == fold_weights([r1.weight, r2.weight])
 
 
-def test_tuple_cap_aborts_wide_solves():
-    # a diamond ladder doubles the digest count at every level
+def _diamond_ladder(levels: int) -> ConditionalWPDS:
+    # level i pushes level i+1 at two sites, doubling the digests each time
     rules = []
-    for i in range(14):
+    for i in range(levels):
         top, nxt = f"L{i}", f"L{i + 1}"
         for branch in (1, 2):
             s = site(top, branch)
             rules.append(Rule(top, (nxt, s), weight=w(hist=[s])))
-    system = ConditionalWPDS(rules, "L0")
+    return ConditionalWPDS(rules, "L0")
+
+
+def test_tuple_cap_aborts_wide_solves():
+    system = _diamond_ladder(14)
     with pytest.raises(CapacityError):
         movp(system, {"L14"}, tuple_cap=1000)
     assert movp(system, {"L14"}, tuple_cap=1 << 15).width() == 1 << 14
@@ -351,8 +360,6 @@ def test_step_budget_guards_against_runaway_saturation():
 def test_movp_on_the_bundled_model_matches_stepping(example_model):
     # the make-then-return excursion can repeat, so runs never drain;
     # compare at two depths to show the stepped total has saturated
-    from stackpol.policy import encode
-
     system = encode(example_model)
     engine = movp(system, {example_model.check_method})
     stepped = movp_by_stepping(
@@ -364,3 +371,66 @@ def test_movp_on_the_bundled_model_matches_stepping(example_model):
     assert stepped == deeper, "stepping had not saturated at depth 18"
     assert engine == stepped
     assert engine.width() == 8
+
+
+# ---------------------------------------------------------------------------
+# the packed solver against the reference that saturates on Weight values
+
+
+def _solvers_agree(system: ConditionalWPDS, targets) -> Weight:
+    packed = movp(system, targets)
+    assert packed == movp_by_weights(system, targets)
+    return packed
+
+
+def _model_solvers_agree(model) -> Weight:
+    return _solvers_agree(encode(model), {model.check_method})
+
+
+def test_packed_solver_matches_the_reference_on_the_bundled_model(example_model):
+    assert _model_solvers_agree(example_model).width() == 8
+
+
+def test_packed_solver_matches_the_reference_on_random_models():
+    for seed in range(60):
+        _model_solvers_agree(random_model(seed))
+
+
+def test_packed_solver_matches_the_reference_on_a_layered_model():
+    # the factory's return flow adds a pop and a swap, so digests also
+    # come through the solver's epsilon folding
+    model = layered_model(3, 3)
+    kinds = {r.kind for r in encode(model).rules}
+    assert kinds == {"push", "swap", "pop"}
+    weight = _model_solvers_agree(model)
+    assert any("fac" in t.finished for t in weight.tuples)
+
+
+def test_packed_solver_matches_the_reference_on_a_guarded_diamond_ladder():
+    model, _names = guarded_diamond_ladder(6)
+    assert _model_solvers_agree(model).width() == 2**6
+
+
+def test_packed_solver_matches_the_reference_when_a_privileged_caller_kills_all():
+    zm, zw, zp, zr = site("main", 1), site("main", 2), site("priv", 1), site("work", 1)
+    system = ConditionalWPDS(
+        [
+            Rule("main", ("priv", zm), weight=w(gen=["main"], hist=[zm])),
+            Rule("main", ("work", zw), weight=w(gen=["main"], hist=[zw])),
+            Rule("priv", ("work", zp), weight=w(kill=[ALL], gen=["priv"], hist=[zp])),
+            Rule("work", ("check", zr), weight=w(gen=["work"], kill=["main"], hist=[zr])),
+        ],
+        "main",
+    )
+    weight = _solvers_agree(system, {"check"})
+    assert {t.kill for t in weight.tuples} == {frozenset({ALL}), frozenset({"main"})}
+
+
+def test_packed_and_reference_solvers_reach_the_same_caps():
+    system = _diamond_ladder(14)
+    for cap in (1000, 1 << 13):
+        with pytest.raises(CapacityError) as packed:
+            movp(system, {"L14"}, tuple_cap=cap)
+        with pytest.raises(CapacityError) as reference:
+            movp_by_weights(system, {"L14"}, tuple_cap=cap)
+        assert str(packed.value) == str(reference.value)

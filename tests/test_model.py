@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stackpol.contexts import ANY_FAMILY, CallSite
-from stackpol.errors import ModelError
+from stackpol.errors import ModelError, StackpolError
 from stackpol.model import (
     CallEdge,
     DepNode,
@@ -16,6 +18,8 @@ from stackpol.model import (
     phi_route_along,
     serialize_model,
 )
+from stackpol.permissions import generate_permissions
+from stackpol.policy import emit_policy, generate_policy
 from stackpol.sample import running_example_text
 
 MINIMAL = """
@@ -351,3 +355,42 @@ def test_lint_flags_edge_context_outside_the_callers_routes():
         )
     )
     assert any(w.startswith("edge-context: calledge 2") for w in lint_model(m))
+
+
+# ---------------------------------------------------------------------------
+# robustness: edited model text fails only with the toolkit's own errors
+
+_TEXT = running_example_text()
+# the text's own characters, plus a few the grammar never uses
+_EDIT_CHARS = sorted(set(_TEXT) | set("\t\x00é!*"))
+
+
+@st.composite
+def _edited_texts(draw):
+    text = _TEXT
+    for _ in range(draw(st.integers(1, 4))):
+        pos = draw(st.integers(0, len(text)))
+        op = draw(st.sampled_from(("insert", "delete", "replace")))
+        ch = draw(st.sampled_from(_EDIT_CHARS))
+        if op == "insert":
+            text = text[:pos] + ch + text[pos:]
+        elif op == "delete":
+            text = text[:pos] + text[pos + 1 :]
+        else:
+            text = text[:pos] + ch + text[pos + 1 :]
+    return text
+
+
+@settings(max_examples=250, deadline=None)
+@given(_edited_texts())
+def test_edited_model_text_raises_only_stackpol_errors(text):
+    try:
+        model = parse_model(text)
+        compute_phi_meth(model)
+        lint_model(model)
+        universe = generate_permissions(model)
+        policy = generate_policy(model, universe, tuple_cap=2000).policy
+        emit_policy(policy, "table")
+        emit_policy(policy, "java")
+    except StackpolError:
+        pass

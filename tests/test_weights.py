@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stackpol.contexts import CallSite
@@ -12,9 +12,12 @@ from stackpol.weights import (
     ALL,
     ONE,
     ZERO,
+    Packing,
     Weight,
     WeightTuple,
+    check_packed_width,
     check_width,
+    extend_packed,
 )
 
 _METHODS = ["f", "g", "h", "p"]
@@ -43,6 +46,10 @@ def _tuples():
 
 def _weights():
     return st.frozensets(_tuples(), max_size=3).map(Weight)
+
+
+def _any_weights():
+    return st.one_of(st.just(ZERO), st.just(ONE), _weights())
 
 
 # ---------------------------------------------------------------------------
@@ -223,6 +230,49 @@ def test_descending_chains_stabilize():
     else:
         pytest.fail("no fixpoint reached")
     assert rounds < 30
+
+
+# ---------------------------------------------------------------------------
+# packed digests
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_weights())
+def test_packing_round_trips(w):
+    packing = Packing([w])
+    assert packing.unpack(packing.pack(w)) == w
+
+
+_WIPE = Weight(frozenset({WeightTuple(kill=frozenset({ALL}), gen=frozenset({"p"}))}))
+_PRUNE = Weight(frozenset({WeightTuple(kill=frozenset({"f"}), gen=frozenset({"g"}))}))
+_LIVE = Weight(frozenset({WeightTuple(gen=frozenset({"f", "h"}))}))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_any_weights(), _any_weights())
+@example(ZERO, ONE)
+@example(ONE, ONE)
+@example(_LIVE, _WIPE)
+@example(_WIPE, _PRUNE)
+@example(_WIPE, _WIPE)
+def test_packed_extend_is_extend(a, b):
+    # compared packed, so a digest that decodes right but packs two ways
+    # (an ALL kill carrying named bits) is caught as well
+    packing = Packing([a, b])
+    packed = extend_packed(packing.pack(a), packing.pack(b))
+    assert packed == packing.pack(a.extend(b))
+    assert packing.unpack(packed) == a.extend(b)
+
+
+def test_packed_width_guard_matches_the_weight_guard():
+    w = Weight(frozenset({WeightTuple(gen=frozenset({m})) for m in _METHODS}))
+    packed = Packing([w]).pack(w)
+    assert check_packed_width(packed, cap=4) is packed
+    with pytest.raises(CapacityError) as got:
+        check_packed_width(packed, cap=3)
+    with pytest.raises(CapacityError) as want:
+        check_width(w, cap=3)
+    assert str(got.value) == str(want.value)
 
 
 # ---------------------------------------------------------------------------
