@@ -4,6 +4,8 @@ Inside the solver: the weighted rule system and its digests
 """
 
 import stackpol as sp
+from stackpol.policy import encode
+from stackpol.pushdown import movp
 
 model = sp.running_example()
 
@@ -12,7 +14,7 @@ model = sp.running_example()
 # maker's frame leaves the stack) and a swap rule (control stands at the
 # site just after the call).  Conditional edges keep their context
 # condition, written between the brackets.
-system = sp.encode(model)
+system = encode(model)
 print(system.dump())
 print()
 
@@ -29,7 +31,7 @@ print()
 
 # The meet over all paths into the check method folds rule weights along
 # every derivation and combines the results.
-weight = sp.movp(system, targets={model.check_method})
+weight = movp(system, targets={model.check_method})
 print(f"{weight.width()} stack digests reach {model.check_method}:")
 for digest in sorted(weight.tuples, key=lambda d: sorted(map(str, d.history))):
     on_stack = sorted(digest.gen - digest.finished)

@@ -8,16 +8,17 @@ a family of such sets stands for "one of these routes".  This script
 pokes at the abstraction directly.
 """
 
-from stackpol import (
+from stackpol import CallSite, compute_phi_meth, running_example
+from stackpol.contexts import (
+    Condition,
     abstract_ctx,
     abstract_ctx_set,
-    compute_phi_meth,
     concretize,
     family_leq,
-    running_example,
+    format_ctx,
+    format_family,
     set_leq,
 )
-from stackpol.contexts import CallSite, Condition, format_ctx, format_family
 
 z1 = CallSite("main", 1)
 z3 = CallSite("connectFaculty", 30)

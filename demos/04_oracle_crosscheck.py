@@ -9,6 +9,7 @@ pipelines is the main correctness instrument.
 """
 
 import stackpol as sp
+from stackpol.oracle import dep_paths, extract, match_paths
 
 model = sp.running_example()
 universe = sp.generate_permissions(model)
@@ -31,11 +32,11 @@ print()
 # value flows from an allocation to a checkpoint, and their bracket
 # words; a close bracket is a return crossing and must pop the site the
 # hosting path actually opened
-for flow in sp.dep_paths(model):
-    word = sp.extract(model, flow)
+for flow in dep_paths(model):
+    word = extract(model, flow)
     rendered = " ".join(f"{b.polarity}@{b.site}" for b in word) or "(empty)"
     print(f"flow {flow.start}->{flow.end}: {rendered}")
-    hosts = sp.match_paths(model, flow)
+    hosts = match_paths(model, flow)
     for host in hosts:
         print("  hosted by " + "".join(f"({e.ident})" for e in host.edges))
 print()

@@ -8,20 +8,15 @@ per-method permission grants off the resulting stack digests.  A bounded
 path-enumeration oracle independently recomputes policies for
 cross-checking, and a simulator replays the runtime's stack-inspection
 walk against any policy.
+
+This package exports the pipeline and the types it hands back.  The
+encoding and solver (``stackpol.policy.encode``, ``stackpol.pushdown``),
+the weight constants (``stackpol.weights``), the oracle's steps
+(``stackpol.oracle``) and the context lattice (``stackpol.contexts``)
+are imported from their modules.
 """
 
-from .contexts import (
-    ANY,
-    ANY_FAMILY,
-    CallSite,
-    Condition,
-    abstract_ctx,
-    abstract_ctx_set,
-    concretize,
-    ctx_leq,
-    family_leq,
-    set_leq,
-)
+from .contexts import CallSite
 from .errors import (
     CapacityError,
     EnumerationLimitError,
@@ -30,30 +25,13 @@ from .errors import (
     StackpolError,
 )
 from .model import (
-    CallEdge,
-    DepEdge,
-    DepNode,
-    Method,
     ProgramModel,
     compute_phi_meth,
     lint_model,
     parse_model,
-    phi_route_along,
     serialize_model,
 )
-from .oracle import (
-    Bracket,
-    CallPath,
-    DepPath,
-    concrete_stacks,
-    dep_paths,
-    enum_vpaths,
-    extract,
-    match_paths,
-    oracle_policy,
-    relates,
-    well_matched,
-)
+from .oracle import CallPath, concrete_stacks, enum_vpaths, oracle_policy
 from .permissions import (
     Permission,
     PermissionUniverse,
@@ -68,85 +46,52 @@ from .policy import (
     PolicyResult,
     check_policy,
     emit_policy,
-    encode,
     generate_policy,
     parse_permission,
     parse_policy_table,
     simulate_inspection,
 )
-from .pushdown import (
-    AnnotatedWPDS,
-    ConditionalWPDS,
-    Rule,
-    movp,
-)
 from .sample import running_example, running_example_text
-from .weights import ALL, ONE, ZERO, Weight, WeightTuple
+from .weights import Weight, WeightTuple
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL",
-    "ANY",
-    "ANY_FAMILY",
-    "AnnotatedWPDS",
-    "Bracket",
-    "CallEdge",
-    "CallPath",
+    # pipeline
+    "parse_model",
+    "serialize_model",
+    "compute_phi_meth",
+    "lint_model",
+    "generate_permissions",
+    "checkpoints",
+    "generate_policy",
+    "emit_policy",
+    "parse_policy_table",
+    "parse_permission",
+    "check_policy",
+    "simulate_inspection",
+    "oracle_policy",
+    "enum_vpaths",
+    "concrete_stacks",
+    "running_example",
+    "running_example_text",
+    # types
+    "ProgramModel",
     "CallSite",
-    "CapacityError",
-    "CheckReport",
-    "Condition",
-    "ConditionalWPDS",
-    "DepEdge",
-    "DepNode",
-    "DepPath",
-    "EnumerationLimitError",
-    "Frame",
-    "InspectionResult",
-    "Method",
-    "ModelError",
-    "ONE",
     "Permission",
     "PermissionUniverse",
     "Policy",
-    "PolicyError",
     "PolicyResult",
-    "ProgramModel",
-    "Rule",
-    "StackpolError",
+    "CheckReport",
+    "Frame",
+    "InspectionResult",
     "Weight",
     "WeightTuple",
-    "ZERO",
-    "abstract_ctx",
-    "abstract_ctx_set",
-    "check_policy",
-    "checkpoints",
-    "compute_phi_meth",
-    "concrete_stacks",
-    "concretize",
-    "ctx_leq",
-    "dep_paths",
-    "emit_policy",
-    "encode",
-    "enum_vpaths",
-    "extract",
-    "family_leq",
-    "generate_permissions",
-    "generate_policy",
-    "lint_model",
-    "match_paths",
-    "movp",
-    "oracle_policy",
-    "parse_model",
-    "parse_permission",
-    "parse_policy_table",
-    "phi_route_along",
-    "relates",
-    "running_example",
-    "running_example_text",
-    "serialize_model",
-    "set_leq",
-    "simulate_inspection",
-    "well_matched",
+    "CallPath",
+    # errors
+    "StackpolError",
+    "ModelError",
+    "PolicyError",
+    "CapacityError",
+    "EnumerationLimitError",
 ]

@@ -38,19 +38,18 @@ from .errors import PolicyError
 from .model import INTER_RETURN, ProgramModel, _strip_comment
 from .permissions import Permission, PermissionUniverse
 from .pushdown import ConditionalWPDS, Rule, movp
-from .weights import ALL, DEFAULT_TUPLE_CAP, ONE, Weight, WeightTuple
+from .weights import DEFAULT_TUPLE_CAP, ONE, Weight, WeightTuple
 
 
 def encode(model: ProgramModel) -> ConditionalWPDS:
     """Build the conditional weighted pushdown system for a model."""
     rules: list[Rule] = []
     for e in model.call_edges:
-        kill = frozenset({ALL}) if e.caller == model.priv_method else frozenset()
         w = Weight(
             frozenset(
                 {
                     WeightTuple(
-                        kill=kill,
+                        kill=e.caller == model.priv_method,
                         gen=frozenset({e.caller}),
                         history=frozenset({e.site}),
                     )

@@ -56,7 +56,8 @@ from .weights import (
 
 StackSymbol = Union[str, CallSite]
 
-DEFAULT_MAX_STEPS = 1_000_000
+# the solver's fixed step budget
+MAX_STEPS = 1_000_000
 
 
 @dataclass(frozen=True, slots=True)
@@ -106,9 +107,9 @@ class ConditionalWPDS:
         return "\n".join(lines)
 
 
-# one rule instance: (index of the conditional rule, its weight, and the
+# one rule instance: (index of the conditional rule, and the
 # (symbol, sites_below) pairs it leaves on top of the stack)
-Instance = tuple[int, Weight, tuple[tuple[StackSymbol, CtxSet], ...]]
+Instance = tuple[int, tuple[tuple[StackSymbol, CtxSet], ...]]
 
 
 class AnnotatedWPDS:
@@ -136,7 +137,7 @@ class AnnotatedWPDS:
                 rhs = ((first, covered), (second, below))
             else:
                 rhs = tuple((sym, below) for sym in r.rhs)
-            out.append((idx, r.weight, rhs))
+            out.append((idx, rhs))
         return out
 
 
@@ -153,7 +154,6 @@ def movp(
     targets: Iterable[StackSymbol],
     *,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Weight:
     """Meet over all paths from the start stack to any stack topped by a target."""
     wanted = set(targets)
@@ -200,15 +200,15 @@ def movp(
 
     while worklist:
         steps += 1
-        if steps > max_steps:
+        if steps > MAX_STEPS:
             raise CapacityError(
-                f"post* saturation did not stabilize within {max_steps} steps"
+                f"post* saturation did not stabilize within {MAX_STEPS} steps"
             )
         key = worklist.popleft()
         src, sym, ann, dst = key
         d = trans[key]
         if src == _P:
-            for rule_idx, _weight, rhs in annotated.instances(sym, ann):
+            for rule_idx, rhs in annotated.instances(sym, ann):
                 w = extend_packed(d, rule_weights[rule_idx])
                 if not rhs:
                     update_eps(dst, w)

@@ -5,26 +5,25 @@ execution paths that agree on four facts:
 
 * ``gen``      methods entered on the path that a stack walk would still
                reach, i.e. candidates for a permission grant,
-* ``kill``     methods whose candidacy was cancelled because the path ran
-               through a privilege-asserting call later on; the ``ALL``
-               marker cancels every earlier candidate at once,
+* ``kill``     one bit: the path ran through a call made by the privilege
+               primitive, which cancels every earlier candidate at once,
 * ``finished`` methods whose activation already returned; they were entered
                but are no longer on the stack at the path's end,
 * ``history``  the call sites the path traversed, as a set.
 
-Sequencing digests is asymmetric: when the right-hand digest carries a
-blanket ``ALL`` kill, the left-hand candidates are discarded wholesale and
-only the right-hand ones survive.  Otherwise the right-hand kills prune the
-left-hand candidates pointwise.  ``finished`` and ``history`` always union.
+Sequencing digests is asymmetric: when the right-hand digest kills, the
+left-hand candidates are discarded wholesale and only the right-hand ones
+survive; otherwise the candidates union.  ``finished`` and ``history``
+always union.  Stack inspection stops at a privileged frame, so a kill
+never needs to name the frames it cancels.
 
 ``WeightTuple`` and ``Weight`` are the readable specification of this
 algebra and the format of every solver result.  The solver itself works on
 *packed* digests: ``Packing`` interns the methods and call sites named by
 a set of weights, and a digest becomes a ``(kill, gen, finished,
-history)`` tuple of ints, one bit per interned method or site.  Bit 0 of
-``kill`` stands for ``ALL``, and a kill holding it is exactly ``1``, so
-equal digests pack to equal tuples.  A packed weight is a frozenset of
-such tuples, ``extend_packed`` is ``Weight.extend`` on them, and
+history)`` tuple of ints: ``kill`` is ``0`` or ``1``, and the other fields
+hold one bit per interned method or site.  A packed weight is a frozenset
+of such tuples, ``extend_packed`` is ``Weight.extend`` on them, and
 ``Packing.unpack`` turns the final set back into a ``Weight``.
 
 Weights form a bounded idempotent semiring: ``combine`` is set union (the
@@ -43,55 +42,29 @@ from .contexts import CallSite
 from .errors import CapacityError
 
 
-class _AllFrames:
-    """Singleton kill marker: cancels every candidate accumulated so far."""
-
-    __slots__ = ()
-
-    def __repr__(self) -> str:
-        return "ALL"
-
-    def __str__(self) -> str:
-        return "*"
-
-
-ALL = _AllFrames()
-
-KillSet = frozenset  # method names and/or the ALL marker
-
 DEFAULT_TUPLE_CAP = 10_000
-
-
-def _canon_kill(kill: frozenset) -> frozenset:
-    # ALL subsumes any named kill
-    if ALL in kill:
-        return frozenset({ALL})
-    return kill
 
 
 @dataclass(frozen=True, slots=True)
 class WeightTuple:
     """One path digest; see module docstring for field meaning."""
 
-    kill: frozenset = frozenset()
+    kill: bool = False
     gen: frozenset[str] = frozenset()
     finished: frozenset[str] = frozenset()
     history: frozenset[CallSite] = frozenset()
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "kill", _canon_kill(frozenset(self.kill)))
         object.__setattr__(self, "gen", frozenset(self.gen))
         object.__setattr__(self, "finished", frozenset(self.finished))
         object.__setattr__(self, "history", frozenset(self.history))
 
     def seq(self, after: "WeightTuple") -> "WeightTuple":
         """Digest of running ``self``'s paths, then ``after``'s."""
-        if ALL in after.kill:
-            gen = after.gen
-            kill = frozenset({ALL})
+        if after.kill:
+            kill, gen = True, after.gen
         else:
-            gen = (self.gen - after.kill) | after.gen
-            kill = _canon_kill(self.kill | after.kill)
+            kill, gen = self.kill, self.gen | after.gen
         return WeightTuple(
             kill=kill,
             gen=gen,
@@ -101,7 +74,7 @@ class WeightTuple:
 
     def _sort_key(self):
         return (
-            sorted(str(k) for k in self.kill),
+            self.kill,
             sorted(self.gen),
             sorted(self.finished),
             sorted((s.method, s.line) for s in self.history),
@@ -112,7 +85,7 @@ class WeightTuple:
             return "{" + ",".join(items) + "}"
 
         return "(%s|%s|%s|%s)" % (
-            braces(sorted(str(k) for k in self.kill)),
+            "{*}" if self.kill else "{}",
             braces(sorted(self.gen)),
             braces(sorted(self.finished)),
             braces(str(s) for s in sorted(self.history)),
@@ -148,10 +121,6 @@ class Weight:
         """Natural order: ``self`` is below iff it absorbs ``other``."""
         return other.tuples <= self.tuples
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.tuples
-
     def width(self) -> int:
         return len(self.tuples)
 
@@ -186,9 +155,8 @@ def check_width(weight: Weight, cap: int = DEFAULT_TUPLE_CAP) -> Weight:
 # ---------------------------------------------------------------------------
 # packed digests: the solver's working form
 
-# (kill, gen, finished, history); bit 0 of kill is ALL, bit i >= 1 of the
-# three method fields is the i-th interned method, bit j of history the
-# j-th interned call site
+# (kill, gen, finished, history); kill is 0 or 1, bit i of gen and finished
+# is the i-th interned method, bit j of history the j-th interned call site
 PackedDigest = tuple[int, int, int, int]
 Packed = frozenset[PackedDigest]
 
@@ -217,11 +185,11 @@ class Packing:
     """
 
     def __init__(self, weights: Iterable[Weight]):
-        methods: dict[object, int] = {ALL: 1}
+        methods: dict[str, int] = {}
         sites: dict[CallSite, int] = {}
         for w in weights:
             for t in w.tuples:
-                for m in (*t.kill, *t.gen, *t.finished):
+                for m in (*t.gen, *t.finished):
                     if m not in methods:
                         methods[m] = 1 << len(methods)
                 for s in t.history:
@@ -236,7 +204,7 @@ class Packing:
         mb, sb = self._method_bit, self._site_bit
         return frozenset(
             (
-                _mask(t.kill, mb),
+                int(t.kill),
                 _mask(t.gen, mb),
                 _mask(t.finished, mb),
                 _mask(t.history, sb),
@@ -258,7 +226,7 @@ class Packing:
         return Weight(
             frozenset(
                 WeightTuple(
-                    method_set(k), method_set(g), method_set(f), _members(h, sites)
+                    k == 1, method_set(g), method_set(f), _members(h, sites)
                 )
                 for k, g, f, h in packed
             )
@@ -268,9 +236,7 @@ class Packing:
 def extend_packed(left: Packed, right: Packed) -> Packed:
     """``Weight.extend`` on packed weights: ``WeightTuple.seq`` per pair."""
     return frozenset(
-        (1, rg, lf | rf, lh | rh)
-        if rk & 1
-        else (1 if lk & 1 else lk | rk, lg & ~rk | rg, lf | rf, lh | rh)
+        (1, rg, lf | rf, lh | rh) if rk else (lk, lg | rg, lf | rf, lh | rh)
         for lk, lg, lf, lh in left
         for rk, rg, rf, rh in right
     )

@@ -34,6 +34,7 @@ from __future__ import annotations
 from collections import defaultdict, deque
 from typing import Iterable
 
+from stackpol import pushdown
 from stackpol.contexts import CallSite, CtxSet
 from stackpol.errors import CapacityError
 from stackpol.model import ProgramModel, phi_route_along
@@ -50,7 +51,6 @@ from stackpol.permissions import Permission, PermissionUniverse
 from stackpol.pushdown import (
     _P,
     _QF,
-    DEFAULT_MAX_STEPS,
     AnnotatedWPDS,
     ConditionalWPDS,
     Rule,
@@ -101,7 +101,7 @@ def reduced_successors(
     if not stack:
         return []
     (top, below), rest = stack[0], stack[1:]
-    return [(idx, rhs + rest) for idx, _w, rhs in annotated.instances(top, below)]
+    return [(idx, rhs + rest) for idx, rhs in annotated.instances(top, below)]
 
 
 def fold_weights(weights) -> Weight:
@@ -151,7 +151,6 @@ def movp_by_weights(
     targets: Iterable[StackSymbol],
     *,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
-    max_steps: int = DEFAULT_MAX_STEPS,
 ) -> Weight:
     """Meet over all paths from the start stack to any stack topped by a target."""
     wanted = set(targets)
@@ -194,16 +193,16 @@ def movp_by_weights(
 
     while worklist:
         steps += 1
-        if steps > max_steps:
+        if steps > pushdown.MAX_STEPS:
             raise CapacityError(
-                f"post* saturation did not stabilize within {max_steps} steps"
+                f"post* saturation did not stabilize within {pushdown.MAX_STEPS} steps"
             )
         key = worklist.popleft()
         src, sym, ann, dst = key
         d = trans[key]
         if src == _P:
-            for rule_idx, weight, rhs in annotated.instances(sym, ann):
-                w = d.extend(weight)
+            for rule_idx, rhs in annotated.instances(sym, ann):
+                w = d.extend(system.rules[rule_idx].weight)
                 if not rhs:
                     update_eps(dst, w)
                 elif len(rhs) == 1:

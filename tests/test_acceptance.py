@@ -17,31 +17,30 @@ from test_contexts import _families, _universe_strings
 from test_cwpds import _random_system, _strip
 
 from stackpol import (
-    ALL,
-    ONE,
-    ZERO,
     Permission,
     Policy,
     Weight,
     WeightTuple,
-    abstract_ctx_set,
     check_policy,
     checkpoints,
     compute_phi_meth,
     concrete_stacks,
-    concretize,
-    dep_paths,
     enum_vpaths,
-    family_leq,
     generate_permissions,
     generate_policy,
     oracle_policy,
-    relates,
-    set_leq,
     simulate_inspection,
 )
-from stackpol.contexts import CallSite
+from stackpol.contexts import (
+    CallSite,
+    abstract_ctx_set,
+    concretize,
+    family_leq,
+    set_leq,
+)
+from stackpol.oracle import dep_paths, relates
 from stackpol.pushdown import AnnotatedWPDS
+from stackpol.weights import ONE, ZERO
 
 S = CallSite
 
@@ -176,12 +175,9 @@ def _random_weight(rng: random.Random) -> Weight:
     sites = [S(m, i) for m in methods[:2] for i in (1, 2)]
     tuples = []
     for _ in range(rng.randint(1, 3)):
-        kill = set(rng.sample(methods, rng.randint(0, 2)))
-        if rng.random() < 0.2:
-            kill.add(ALL)
         tuples.append(
             WeightTuple(
-                kill=frozenset(kill),
+                kill=rng.random() < 0.2,
                 gen=frozenset(rng.sample(methods, rng.randint(0, 2))),
                 finished=frozenset(rng.sample(methods, rng.randint(0, 1))),
                 history=frozenset(rng.sample(sites, rng.randint(0, 2))),

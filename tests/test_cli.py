@@ -19,6 +19,59 @@ EXPECTED_TABLE = (
     'method main: SocketPermission("jaist.ac.jp/student:8080","connect")\n'
 )
 
+EXPECTED_JAVA = (
+    'grant codeBase "Priv.run" {\n'
+    '  permission FilePermission "C:/log.txt", "write";\n'
+    '};\n'
+    'grant codeBase "checkAccess" {\n'
+    '  permission FilePermission "C:/log.txt", "write";\n'
+    '};\n'
+    'grant codeBase "checkConnect" {\n'
+    '  permission SocketPermission "jaist.ac.jp/faculty:8080", "connect";\n'
+    '  permission SocketPermission "jaist.ac.jp/student:8080", "connect";\n'
+    '};\n'
+    'grant codeBase "connectFaculty" {\n'
+    '  permission SocketPermission "jaist.ac.jp/faculty:8080", "connect";\n'
+    '};\n'
+    'grant codeBase "connectStudent" {\n'
+    '  permission SocketPermission "jaist.ac.jp/student:8080", "connect";\n'
+    '};\n'
+    'grant codeBase "main" {\n'
+    '  permission SocketPermission "jaist.ac.jp/faculty:8080", "connect";\n'
+    '  permission SocketPermission "jaist.ac.jp/student:8080", "connect";\n'
+    '};\n'
+)
+
+EXPECTED_DUMP = (
+    'Priv.run --[{connectFaculty:30,doPrivileged:1,main:1;connectStudent:36,doPrivileged:1,main:2}]--> checkAccess Priv.run:20 ; ({}|{Priv.run}|{}|{Priv.run:20})\n'
+    'checkAccess --[any]--> checkPermission checkAccess:24 ; ({}|{checkAccess}|{}|{checkAccess:24})\n'
+    'checkConnect --[any]--> checkPermission checkConnect:6 ; ({}|{checkConnect}|{}|{checkConnect:6})\n'
+    'checkConnect --[any]--> doPrivileged checkConnect:8 ; ({}|{checkConnect}|{}|{checkConnect:8})\n'
+    'checkConnect --[any]--> mkSocketPerm checkConnect:5 ; ({}|{checkConnect}|{}|{checkConnect:5})\n'
+    'connectFaculty --[any]--> checkConnect connectFaculty:30 ; ({}|{connectFaculty}|{}|{connectFaculty:30})\n'
+    'connectStudent --[any]--> checkConnect connectStudent:36 ; ({}|{connectStudent}|{}|{connectStudent:36})\n'
+    'doPrivileged --[{connectFaculty:30,main:1;connectStudent:36,main:2}]--> Priv.run doPrivileged:1 ; ({*}|{doPrivileged}|{}|{doPrivileged:1})\n'
+    'main --[any]--> connectFaculty main:1 ; ({}|{main}|{}|{main:1})\n'
+    'main --[any]--> connectStudent main:2 ; ({}|{main}|{}|{main:2})\n'
+    'checkConnect:5 --[any]--> checkConnect ; 1\n'
+    'mkSocketPerm --[any]--> eps ; ({}|{}|{mkSocketPerm}|{})\n'
+    '\n'
+    'phi_meth:\n'
+    '  Priv.run: {checkConnect:8,connectFaculty:30,doPrivileged:1,main:1;checkConnect:8,connectStudent:36,doPrivileged:1,main:2}\n'
+    '  checkAccess: {Priv.run:20,checkConnect:8,connectFaculty:30,doPrivileged:1,main:1;Priv.run:20,checkConnect:8,connectStudent:36,doPrivileged:1,main:2}\n'
+    '  checkConnect: {connectFaculty:30,main:1;connectStudent:36,main:2}\n'
+    '  checkPermission: {checkConnect:6,connectFaculty:30,main:1;checkConnect:6,connectStudent:36,main:2;Priv.run:20,checkAccess:24,checkConnect:8,connectFaculty:30,doPrivileged:1,main:1;Priv.run:20,checkAccess:24,checkConnect:8,connectStudent:36,doPrivileged:1,main:2}\n'
+    '  connectFaculty: {main:1}\n'
+    '  connectStudent: {main:2}\n'
+    '  doPrivileged: {checkConnect:8,connectFaculty:30,main:1;checkConnect:8,connectStudent:36,main:2}\n'
+    '  main: any\n'
+    '  mkSocketPerm: {checkConnect:5,connectFaculty:30,main:1;checkConnect:5,connectStudent:36,main:2}\n'
+    '\n'
+    'checkpoints:\n'
+    '  checkAccess:24\n'
+    '  checkConnect:6\n'
+)
+
 
 @pytest.fixture()
 def model_file(tmp_path):
@@ -58,6 +111,7 @@ def test_analyze_java_format(model_file, capsys):
     assert out.startswith('grant codeBase "Priv.run" {\n')
     assert '  permission SocketPermission "jaist.ac.jp/faculty:8080", "connect";\n' in out
     assert out.rstrip().endswith("};")
+    assert out == EXPECTED_JAVA
 
 
 def test_analyze_tiny_tuple_cap_exits_three(model_file, capsys):
@@ -141,6 +195,9 @@ def test_dump_lists_rules_tables_and_checkpoints(model_file, capsys):
     assert chk.startswith("checkpoints:\n")
     assert chk.rstrip().endswith("  checkAccess:24\n  checkConnect:6".replace("\n", "\n"))
     assert "  checkAccess:24" in chk and "  checkConnect:6" in chk
+    # the privileged push renders its kill bit as {*}
+    assert "; ({*}|{doPrivileged}|{}|{doPrivileged:1})" in rules
+    assert out == EXPECTED_DUMP
 
 
 def test_dump_is_reproducible(model_file, capsys):

@@ -23,20 +23,21 @@ from test_policy import _diamond_ladder as guarded_diamond_ladder
 from stackpol.contexts import ANY, CallSite, Condition
 from stackpol.errors import CapacityError
 from stackpol.policy import encode
+from stackpol import pushdown
 from stackpol.pushdown import AnnotatedWPDS, ConditionalWPDS, Rule, movp
-from stackpol.weights import ALL, ONE, ZERO, Weight, WeightTuple
+from stackpol.weights import ONE, ZERO, Weight, WeightTuple
 
 
 def site(m, l):
     return CallSite(m, l)
 
 
-def w(gen=(), kill=(), fin=(), hist=()):
+def w(gen=(), kill=False, fin=(), hist=()):
     return Weight(
         frozenset(
             {
                 WeightTuple(
-                    kill=frozenset(kill),
+                    kill=kill,
                     gen=frozenset(gen),
                     finished=frozenset(fin),
                     history=frozenset(hist),
@@ -136,9 +137,9 @@ def test_annotation_math_push_swap_pop():
     ]
     ann = AnnotatedWPDS(ConditionalWPDS(rules, "A"))
     below = frozenset({zb})
-    assert ann.instances("A", below) == [(0, ONE, (("B", below | {za}), (za, below)))]
-    assert ann.instances("B", below) == [(1, ONE, (("X", below),))]
-    assert ann.instances("X", below) == [(2, ONE, ())]
+    assert ann.instances("A", below) == [(0, (("B", below | {za}), (za, below)))]
+    assert ann.instances("B", below) == [(1, (("X", below),))]
+    assert ann.instances("X", below) == [(2, ())]
 
 
 def test_annotated_instances_respect_conditions():
@@ -321,7 +322,7 @@ def test_movp_matches_stepping_on_a_cyclic_system():
 def test_weight_fold_along_one_run_matches_rule_order():
     za, zb = site("A", 1), site("B", 1)
     r1 = Rule("A", ("B", za), weight=w(gen=["A"], hist=[za]))
-    r2 = Rule("B", ("C", zb), weight=w(kill=[ALL], gen=["B"], hist=[zb]))
+    r2 = Rule("B", ("C", zb), weight=w(kill=True, gen=["B"], hist=[zb]))
     system = ConditionalWPDS([r1, r2], "A")
     assert movp(system, {"C"}) == fold_weights([r1.weight, r2.weight])
 
@@ -344,7 +345,7 @@ def test_tuple_cap_aborts_wide_solves():
     assert movp(system, {"L14"}, tuple_cap=1 << 15).width() == 1 << 14
 
 
-def test_step_budget_guards_against_runaway_saturation():
+def test_step_budget_guards_against_runaway_saturation(monkeypatch):
     za = site("A", 1)
     system = ConditionalWPDS(
         [
@@ -353,8 +354,9 @@ def test_step_budget_guards_against_runaway_saturation():
         ],
         "A",
     )
-    with pytest.raises(CapacityError):
-        movp(system, {"B"}, max_steps=2)
+    monkeypatch.setattr(pushdown, "MAX_STEPS", 2)
+    with pytest.raises(CapacityError, match="within 2 steps"):
+        movp(system, {"B"})
 
 
 def test_movp_on_the_bundled_model_matches_stepping(example_model):
@@ -417,13 +419,16 @@ def test_packed_solver_matches_the_reference_when_a_privileged_caller_kills_all(
         [
             Rule("main", ("priv", zm), weight=w(gen=["main"], hist=[zm])),
             Rule("main", ("work", zw), weight=w(gen=["main"], hist=[zw])),
-            Rule("priv", ("work", zp), weight=w(kill=[ALL], gen=["priv"], hist=[zp])),
-            Rule("work", ("check", zr), weight=w(gen=["work"], kill=["main"], hist=[zr])),
+            Rule("priv", ("work", zp), weight=w(kill=True, gen=["priv"], hist=[zp])),
+            Rule("work", ("check", zr), weight=w(gen=["work"], hist=[zr])),
         ],
         "main",
     )
     weight = _solvers_agree(system, {"check"})
-    assert {t.kill for t in weight.tuples} == {frozenset({ALL}), frozenset({"main"})}
+    assert {(t.kill, t.gen) for t in weight.tuples} == {
+        (True, frozenset({"priv", "work"})),
+        (False, frozenset({"main", "work"})),
+    }
 
 
 def test_packed_and_reference_solvers_reach_the_same_caps():

@@ -5,16 +5,12 @@ from bruteforce import grants_by_scan
 from randmodels import random_model
 
 from stackpol import (
-    ALL,
-    ANY_FAMILY,
-    ONE,
     Frame,
     Permission,
     Policy,
     PolicyError,
     check_policy,
     emit_policy,
-    encode,
     generate_permissions,
     generate_policy,
     parse_model,
@@ -22,7 +18,9 @@ from stackpol import (
     parse_policy_table,
     simulate_inspection,
 )
-from stackpol.contexts import CallSite
+from stackpol.contexts import ANY_FAMILY, CallSite
+from stackpol.policy import encode
+from stackpol.weights import ONE
 
 S = CallSite
 
@@ -58,7 +56,8 @@ def test_bundled_encoding_rule_inventory(example_model):
     assert pop.lhs == "mkSocketPerm" and pop.rhs == ()
     (digest,) = pop.weight.tuples
     assert digest.finished == frozenset({"mkSocketPerm"})
-    assert digest.gen == digest.kill == frozenset()
+    assert digest.gen == frozenset()
+    assert digest.kill is False
 
     (swap,) = swaps
     assert swap.lhs == S("checkConnect", 5)
@@ -75,12 +74,12 @@ def test_push_weights_record_caller_and_site(example_model):
     (digest,) = plain.weight.tuples
     assert digest.gen == frozenset({"connectFaculty"})
     assert digest.history == frozenset({S("connectFaculty", 30)})
-    assert digest.kill == frozenset()
+    assert digest.kill is False
 
     # a call made by the privilege primitive wipes everything beneath it
     privileged = by_site[S("doPrivileged", 1)]
     (digest,) = privileged.weight.tuples
-    assert digest.kill == frozenset({ALL})
+    assert digest.kill is True
     assert digest.gen == frozenset({"doPrivileged"})
     assert not privileged.cond.is_any
 

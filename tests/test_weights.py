@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from stackpol.contexts import CallSite
 from stackpol.errors import CapacityError
 from stackpol.weights import (
-    ALL,
     ONE,
     ZERO,
     Packing,
@@ -28,16 +27,10 @@ def _meth_sets():
     return st.frozensets(st.sampled_from(_METHODS), max_size=3)
 
 
-def _kills():
-    return st.one_of(
-        _meth_sets(), _meth_sets().map(lambda s: frozenset(s) | {ALL})
-    )
-
-
 def _tuples():
     return st.builds(
         WeightTuple,
-        kill=_kills(),
+        kill=st.booleans(),
         gen=_meth_sets(),
         finished=_meth_sets(),
         history=st.frozensets(st.sampled_from(_SITES), max_size=3),
@@ -56,17 +49,14 @@ def _any_weights():
 # single-digest composition
 
 
-def test_kill_all_subsumes_named_kills():
-    t = WeightTuple(kill=frozenset({"f", ALL}))
-    assert t.kill == frozenset({ALL})
-
-
 def test_sequencing_filters_earlier_gens_only():
     first = WeightTuple(gen=frozenset({"f", "g"}))
-    second = WeightTuple(kill=frozenset({"f"}), gen=frozenset({"h"}))
-    out = first.seq(second)
-    assert out.gen == frozenset({"g", "h"})
-    assert out.kill == frozenset({"f"})
+    plain = WeightTuple(gen=frozenset({"h"}))
+    assert first.seq(plain) == WeightTuple(gen=frozenset({"f", "g", "h"}))
+    killing = WeightTuple(kill=True, gen=frozenset({"h"}))
+    assert first.seq(killing) == killing
+    # an earlier kill stays set when a later step does not kill
+    assert killing.seq(first) == WeightTuple(kill=True, gen=frozenset({"f", "g", "h"}))
 
 
 def test_privilege_wipe_drops_everything_before_it():
@@ -82,7 +72,7 @@ def test_privilege_wipe_drops_everything_before_it():
             history=frozenset({site("checkConnect", 8)}),
         ),
         WeightTuple(
-            kill=frozenset({ALL}),
+            kill=True,
             gen=frozenset({"doPrivileged"}),
             history=frozenset({site("doPrivileged", 1)}),
         ),
@@ -98,7 +88,7 @@ def test_privilege_wipe_drops_everything_before_it():
     for step in steps:
         acc = acc.seq(step)
     assert acc.gen == frozenset({"doPrivileged", "Priv.run", "checkAccess"})
-    assert acc.kill == frozenset({ALL})
+    assert acc.kill is True
     assert acc.finished == frozenset()
     assert len(acc.history) == 6
 
@@ -106,7 +96,7 @@ def test_privilege_wipe_drops_everything_before_it():
 def test_finished_and_history_always_accumulate():
     a = WeightTuple(finished=frozenset({"f"}), history=frozenset({_SITES[0]}))
     b = WeightTuple(
-        kill=frozenset({ALL}),
+        kill=True,
         finished=frozenset({"g"}),
         history=frozenset({_SITES[1]}),
     )
@@ -121,10 +111,7 @@ def test_finished_and_history_always_accumulate():
 
 def _onesided_seq(a: WeightTuple, b: WeightTuple) -> WeightTuple:
     # filter the union by the later kill, keep only the earlier kill
-    if ALL in b.kill:
-        gen = frozenset()
-    else:
-        gen = (a.gen | b.gen) - b.kill
+    gen = frozenset() if b.kill else a.gen | b.gen
     return WeightTuple(
         kill=a.kill,
         gen=gen,
@@ -135,7 +122,7 @@ def _onesided_seq(a: WeightTuple, b: WeightTuple) -> WeightTuple:
 
 def test_onesided_product_is_not_associative():
     a = WeightTuple(gen=frozenset({"f"}))
-    b = WeightTuple(kill=frozenset({ALL}), gen=frozenset({"p"}))
+    b = WeightTuple(kill=True, gen=frozenset({"p"}))
     c = WeightTuple(gen=frozenset({"g"}))
     left = _onesided_seq(_onesided_seq(a, b), c)
     right = _onesided_seq(a, _onesided_seq(b, c))
@@ -147,7 +134,7 @@ def test_onesided_product_is_not_associative():
 def test_onesided_fold_agrees_up_to_the_privilege_marker(names):
     # None stands for the privilege-assertion step
     steps = [
-        WeightTuple(kill=frozenset({ALL}), gen=frozenset({"p"}))
+        WeightTuple(kill=True, gen=frozenset({"p"}))
         if n is None
         else WeightTuple(gen=frozenset({n}))
         for n in names
@@ -217,7 +204,7 @@ def test_descending_chains_stabilize():
         frozenset(
             {
                 WeightTuple(gen=frozenset({"f"}), history=frozenset({_SITES[0]})),
-                WeightTuple(kill=frozenset({"f"}), gen=frozenset({"g"})),
+                WeightTuple(kill=True, gen=frozenset({"g"})),
             }
         )
     )
@@ -243,9 +230,11 @@ def test_packing_round_trips(w):
     assert packing.unpack(packing.pack(w)) == w
 
 
-_WIPE = Weight(frozenset({WeightTuple(kill=frozenset({ALL}), gen=frozenset({"p"}))}))
-_PRUNE = Weight(frozenset({WeightTuple(kill=frozenset({"f"}), gen=frozenset({"g"}))}))
+_WIPE = Weight(frozenset({WeightTuple(kill=True, gen=frozenset({"p"}))}))
 _LIVE = Weight(frozenset({WeightTuple(gen=frozenset({"f", "h"}))}))
+_DONE = Weight(
+    frozenset({WeightTuple(finished=frozenset({"f"}), history=frozenset({_SITES[0]}))})
+)
 
 
 @settings(max_examples=200, deadline=None)
@@ -253,11 +242,12 @@ _LIVE = Weight(frozenset({WeightTuple(gen=frozenset({"f", "h"}))}))
 @example(ZERO, ONE)
 @example(ONE, ONE)
 @example(_LIVE, _WIPE)
-@example(_WIPE, _PRUNE)
+@example(_WIPE, _LIVE)
+@example(_WIPE, _DONE)
 @example(_WIPE, _WIPE)
 def test_packed_extend_is_extend(a, b):
-    # compared packed, so a digest that decodes right but packs two ways
-    # (an ALL kill carrying named bits) is caught as well
+    # compared packed as well as decoded, so a digest that decodes right
+    # but packs another way is caught too
     packing = Packing([a, b])
     packed = extend_packed(packing.pack(a), packing.pack(b))
     assert packed == packing.pack(a.extend(b))
@@ -292,7 +282,7 @@ def test_rendering_is_deterministic():
     w = Weight(
         frozenset(
             {
-                WeightTuple(kill=frozenset({ALL}), gen=frozenset({"b", "a"})),
+                WeightTuple(kill=True, gen=frozenset({"b", "a"})),
                 WeightTuple(gen=frozenset({"a"})),
             }
         )
