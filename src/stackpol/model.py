@@ -22,9 +22,17 @@ Exactly one method must carry each of the ``entry``, ``check`` (the
 permission-checking primitive) and ``priv`` (the privilege-asserting
 primitive) markers, and they must be three different methods.
 
-Everything is resolved and cross-checked at parse time; semantic queries
-(route context families, per-path context folds, consistency lints) live
-here too.
+Everything is resolved and cross-checked at parse time.  The parser reads
+the directives one kind at a time, in the order listed above, and each
+kind in file order, so a directive may name anything the file declares,
+on an earlier line or a later one.  Each check runs when the line it is
+about is read, with two exceptions: unknown directives are rejected before
+anything else, and the roles, then each call edge's callee and context
+sites, are checked once the last call edge is read.  A file with several
+faults reports the first one met in that order.
+
+Semantic queries (route context families, per-path context folds,
+consistency lints) live here too.
 """
 
 from __future__ import annotations
@@ -229,17 +237,17 @@ def _parse_fact_set(rhs: str, item_re: re.Pattern, lineno: int) -> list:
 class _Parser:
     def __init__(self) -> None:
         self.methods: dict[str, Method] = {}
-        self.method_lines: dict[str, int] = {}
         self.call_edges: dict[str, CallEdge] = {}
-        self.edge_lines: dict[str, int] = {}
         self.dep_nodes: dict[str, DepNode] = {}
         self.node_lines: dict[str, int] = {}
-        self.dep_edges: list[tuple[DepEdge, int]] = []
-        self.checkargs: dict[CallSite, tuple[str, int]] = {}
-        self.pta: dict[tuple[str, str], tuple[list[PtaTriple], int]] = {}
-        self.sa: dict[tuple[str, str], tuple[list[StringFact], int]] = {}
-
-    # -- first pass: method declarations only
+        self.dep_edges: set[tuple[str, str, str | None]] = set()
+        self.checkargs: dict[CallSite, str] = {}
+        self.pta: dict[tuple[str, str], tuple[PtaTriple, ...]] = {}
+        self.sa: dict[tuple[str, str], tuple[StringFact, ...]] = {}
+        # set by close_call_graph, once every method and call edge is in
+        self.entry = self.check = self.priv = ""
+        self.sites: frozenset[CallSite] = frozenset()
+        self.check_sites: frozenset[CallSite] = frozenset()
 
     def method(self, body: str, lineno: int) -> None:
         tokens = body.split()
@@ -268,9 +276,6 @@ class _Parser:
             is_priv=flags["priv"],
             domain=domain,
         )
-        self.method_lines[name] = lineno
-
-    # -- second pass: everything else
 
     def calledge(self, body: str, lineno: int) -> None:
         parts = body.split(None, 4)
@@ -286,15 +291,46 @@ class _Parser:
         for name in (caller, callee):
             if name not in self.methods:
                 raise ModelError(f"unknown method {name!r}", lineno)
-        edge = CallEdge(
+        self.call_edges[ident] = CallEdge(
             ident=ident,
             caller=caller,
             line=_parse_int(line_txt, "call line", lineno),
             callee=callee,
             ctx=_parse_family(ctx_txt[len("ctx=") :], lineno),
         )
-        self.call_edges[ident] = edge
-        self.edge_lines[ident] = lineno
+
+    def close_call_graph(self, linenos: list[int]) -> None:
+        """The checks that need every method and call edge: the three roles,
+        then each edge's callee and context sites.  ``linenos`` are the
+        calledge lines, one per edge in insertion order."""
+        entries = [m for m in self.methods.values() if m.is_entry]
+        checks = [m for m in self.methods.values() if m.is_check]
+        privs = [m for m in self.methods.values() if m.is_priv]
+        for role, found in (("entry", entries), ("check", checks), ("priv", privs)):
+            if len(found) != 1:
+                raise ModelError(
+                    f"exactly one {role} method required, found {len(found)}"
+                )
+        self.entry, self.check, self.priv = entries[0].name, checks[0].name, privs[0].name
+        if len({self.entry, self.check, self.priv}) != 3:
+            raise ModelError("entry, check and priv must be three distinct methods")
+        edges = self.call_edges.values()
+        self.sites = frozenset(e.site for e in edges)
+        self.check_sites = frozenset(e.site for e in edges if e.callee == self.check)
+        for e, lineno in zip(edges, linenos):
+            if e.callee == self.entry:
+                raise ModelError(
+                    f"entry method has an incoming call edge {e.ident!r}", lineno
+                )
+            if e.ctx != ANY_FAMILY:
+                what = f"edge {e.ident!r}"
+                for member in e.ctx:
+                    self._known_sites(member, what, lineno)
+
+    def _known_sites(self, ctx: CtxSet, what: str, lineno: int) -> None:
+        for s in ctx:
+            if s not in self.sites:
+                raise ModelError(f"{what} context mentions unknown site {s}", lineno)
 
     def depnode(self, body: str, lineno: int) -> None:
         tokens = body.split()
@@ -338,7 +374,7 @@ class _Parser:
                 raise ModelError("form-3 alloc takes neither target= nor action=", lineno)
         if attrs:
             raise ModelError(f"unknown depnode attributes {sorted(attrs)}", lineno)
-        self.dep_nodes[ident] = DepNode(
+        node = DepNode(
             ident=ident,
             method=method,
             line=_parse_int(line_txt, "node line", lineno),
@@ -348,6 +384,9 @@ class _Parser:
             target_var=target_var,
             action_var=action_var,
         )
+        if kind == CALLSITE and node.site not in self.sites:
+            raise ModelError(f"callsite node {ident!r} is not at a call site", lineno)
+        self.dep_nodes[ident] = node
         self.node_lines[ident] = lineno
 
     def depedge(self, body: str, lineno: int) -> None:
@@ -365,7 +404,18 @@ class _Parser:
         for ident in (src, dst):
             if ident not in self.dep_nodes:
                 raise ModelError(f"unknown dep node {ident!r}", lineno)
-        self.dep_edges.append((DepEdge(src, dst, inter), lineno))
+        key = (src, dst, inter)
+        if key in self.dep_edges:
+            raise ModelError(f"duplicate dep edge {src} -> {dst}", lineno)
+        if inter == INTER_RETURN and self.dep_nodes[dst].site not in self.sites:
+            raise ModelError(f"return dep edge target {dst!r} is not at a call site", lineno)
+        if inter == INTER_CALL and self.dep_nodes[src].site not in self.sites:
+            raise ModelError(f"call dep edge source {src!r} is not at a call site", lineno)
+        if self.dep_nodes[dst].kind == ALLOC:
+            raise ModelError(
+                f"alloc node {dst!r} has incoming dep edges", self.node_lines[dst]
+            )
+        self.dep_edges.add(key)
 
     def checkarg(self, body: str, lineno: int) -> None:
         tokens = body.split()
@@ -377,9 +427,11 @@ class _Parser:
             raise ModelError("empty checkarg variable", lineno)
         if site in self.checkargs:
             raise ModelError(f"duplicate checkarg for site {site}", lineno)
-        self.checkargs[site] = (var, lineno)
+        if site not in self.check_sites:
+            raise ModelError(f"checkarg site {site} does not call the check method", lineno)
+        self.checkargs[site] = var
 
-    def _fact_key(self, lhs: str, lineno: int) -> tuple[str, str]:
+    def _fact_key(self, label: str, lhs: str, facts: dict, lineno: int) -> tuple[str, str]:
         lhs = lhs.strip()
         if "@" not in lhs:
             raise ModelError(f"fact key must look like var@method, got {lhs!r}", lineno)
@@ -387,49 +439,68 @@ class _Parser:
         var, method = var.strip(), method.strip()
         if not var or method not in self.methods:
             raise ModelError(f"bad fact key {lhs!r}", lineno)
+        if (var, method) in facts:
+            raise ModelError(f"duplicate {label} fact for {var}@{method}", lineno)
         return var, method
 
     def pta_fact(self, body: str, lineno: int) -> None:
         lhs, eq, rhs = body.partition("=")
         if not eq:
             raise ModelError("pta needs: <var>@<method> = {...}", lineno)
-        key = self._fact_key(lhs, lineno)
-        if key in self.pta:
-            raise ModelError(f"duplicate pta fact for {key[0]}@{key[1]}", lineno)
+        key = self._fact_key("pta", lhs, self.pta, lineno)
         triples = [
             PtaTriple(ptype, node, _parse_sites(sites, lineno))
             for ptype, node, sites in _parse_fact_set(rhs, _PTA_TRIPLE_RE, lineno)
         ]
-        self.pta[key] = (triples, lineno)
+        for t in triples:
+            if t.node not in self.dep_nodes:
+                raise ModelError(f"pta fact points to unknown node {t.node!r}", lineno)
+            if self.dep_nodes[t.node].kind != ALLOC:
+                raise ModelError(f"pta fact points to non-alloc node {t.node!r}", lineno)
+            self._known_sites(t.ctx, "pta", lineno)
+        self.pta[key] = tuple(
+            sorted(triples, key=lambda t: (t.perm_type, t.node, sorted(t.ctx)))
+        )
 
     def sa_fact(self, body: str, lineno: int) -> None:
         lhs, eq, rhs = body.partition("=")
         if not eq:
             raise ModelError("sa needs: <var>@<method> = {...}", lineno)
-        key = self._fact_key(lhs, lineno)
-        if key in self.sa:
-            raise ModelError(f"duplicate sa fact for {key[0]}@{key[1]}", lineno)
+        key = self._fact_key("sa", lhs, self.sa, lineno)
         facts = [
             StringFact(value, _parse_sites(sites, lineno))
             for value, sites in _parse_fact_set(rhs, _SA_PAIR_RE, lineno)
         ]
-        self.sa[key] = (facts, lineno)
+        for f in facts:
+            self._known_sites(f.ctx, "sa", lineno)
+        self.sa[key] = tuple(sorted(facts, key=lambda f: (f.value, sorted(f.ctx))))
+
+    def model(self) -> ProgramModel:
+        return ProgramModel(
+            methods={name: self.methods[name] for name in sorted(self.methods)},
+            call_edges=tuple(sorted(self.call_edges.values(), key=lambda e: e.ident)),
+            dep_nodes={ident: self.dep_nodes[ident] for ident in sorted(self.dep_nodes)},
+            dep_edges=tuple(
+                DepEdge(src, dst, inter)
+                for src, dst, inter in sorted(
+                    self.dep_edges, key=lambda t: (t[0], t[1], t[2] or "")
+                )
+            ),
+            checkargs={site: self.checkargs[site] for site in sorted(self.checkargs)},
+            pta={key: self.pta[key] for key in sorted(self.pta)},
+            sa={key: self.sa[key] for key in sorted(self.sa)},
+            entry_method=self.entry,
+            check_method=self.check,
+            priv_method=self.priv,
+        )
 
 
 def parse_model(text: str) -> ProgramModel:
     """Parse and fully validate a model; raises ``ModelError`` on any flaw."""
     parser = _Parser()
-    lines = text.splitlines()
-    directives: list[tuple[str, str, int]] = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        word, _, body = line.partition(" ")
-        directives.append((word, body.strip(), lineno))
-
-    # methods first so every later directive can resolve names
+    # dependency order: each kind's checks may use every kind before it
     handlers = {
+        "method": parser.method,
         "calledge": parser.calledge,
         "depnode": parser.depnode,
         "depedge": parser.depedge,
@@ -437,127 +508,21 @@ def parse_model(text: str) -> ProgramModel:
         "pta": parser.pta_fact,
         "sa": parser.sa_fact,
     }
-    for word, body, lineno in directives:
-        if word == "method":
-            parser.method(body, lineno)
-        elif word not in handlers:
+    by_kind: dict[str, list[tuple[str, int]]] = {word: [] for word in handlers}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = _strip_comment(raw).strip()
+        if not line:
+            continue
+        word, _, body = line.partition(" ")
+        if word not in by_kind:
             raise ModelError(f"unknown directive {word!r}", lineno)
-    for word, body, lineno in directives:
-        if word != "method":
-            handlers[word](body, lineno)
-
-    return _finish(parser)
-
-
-def _finish(p: _Parser) -> ProgramModel:
-    entries = [m for m in p.methods.values() if m.is_entry]
-    checks = [m for m in p.methods.values() if m.is_check]
-    privs = [m for m in p.methods.values() if m.is_priv]
-    for role, found in (("entry", entries), ("check", checks), ("priv", privs)):
-        if len(found) != 1:
-            raise ModelError(
-                f"exactly one {role} method required, found {len(found)}"
-            )
-    entry, check, priv = entries[0].name, checks[0].name, privs[0].name
-    if len({entry, check, priv}) != 3:
-        raise ModelError("entry, check and priv must be three distinct methods")
-
-    edges = tuple(sorted(p.call_edges.values(), key=lambda e: e.ident))
-    sites = frozenset(e.site for e in edges)
-
-    for e in edges:
-        if e.callee == entry:
-            raise ModelError(
-                f"entry method has an incoming call edge {e.ident!r}",
-                p.edge_lines[e.ident],
-            )
-        if e.ctx != ANY_FAMILY:
-            for member in e.ctx:
-                for s in member:
-                    if s not in sites:
-                        raise ModelError(
-                            f"edge {e.ident!r} context mentions unknown site {s}",
-                            p.edge_lines[e.ident],
-                        )
-
-    node_ids = set(p.dep_nodes)
-    incoming: dict[str, int] = defaultdict(int)
-    seen_pairs: set[tuple[str, str, str | None]] = set()
-    for edge, lineno in p.dep_edges:
-        key = (edge.src, edge.dst, edge.inter)
-        if key in seen_pairs:
-            raise ModelError(f"duplicate dep edge {edge.src} -> {edge.dst}", lineno)
-        seen_pairs.add(key)
-        incoming[edge.dst] += 1
-        src, dst = p.dep_nodes[edge.src], p.dep_nodes[edge.dst]
-        if edge.inter == INTER_RETURN and dst.site not in sites:
-            raise ModelError(
-                f"return dep edge target {edge.dst!r} is not at a call site", lineno
-            )
-        if edge.inter == INTER_CALL and src.site not in sites:
-            raise ModelError(
-                f"call dep edge source {edge.src!r} is not at a call site", lineno
-            )
-    for node in p.dep_nodes.values():
-        if node.kind == ALLOC and incoming[node.ident]:
-            raise ModelError(
-                f"alloc node {node.ident!r} has incoming dep edges",
-                p.node_lines[node.ident],
-            )
-        if node.kind == CALLSITE and node.site not in sites:
-            raise ModelError(
-                f"callsite node {node.ident!r} is not at a call site",
-                p.node_lines[node.ident],
-            )
-
-    check_sites = frozenset(e.site for e in edges if e.callee == check)
-    checkargs: dict[CallSite, str] = {}
-    for site, (var, lineno) in p.checkargs.items():
-        if site not in check_sites:
-            raise ModelError(
-                f"checkarg site {site} does not call the check method", lineno
-            )
-        checkargs[site] = var
-
-    pta: dict[tuple[str, str], tuple[PtaTriple, ...]] = {}
-    for key, (triples, lineno) in p.pta.items():
-        for t in triples:
-            if t.node not in node_ids:
-                raise ModelError(f"pta fact points to unknown node {t.node!r}", lineno)
-            if p.dep_nodes[t.node].kind != ALLOC:
-                raise ModelError(
-                    f"pta fact points to non-alloc node {t.node!r}", lineno
-                )
-            for s in t.ctx:
-                if s not in sites:
-                    raise ModelError(f"pta context mentions unknown site {s}", lineno)
-        pta[key] = tuple(sorted(triples, key=lambda t: (t.perm_type, t.node, sorted(t.ctx))))
-
-    sa: dict[tuple[str, str], tuple[StringFact, ...]] = {}
-    for key, (facts, lineno) in p.sa.items():
-        for f in facts:
-            for s in f.ctx:
-                if s not in sites:
-                    raise ModelError(f"sa context mentions unknown site {s}", lineno)
-        sa[key] = tuple(sorted(facts, key=lambda f: (f.value, sorted(f.ctx))))
-
-    return ProgramModel(
-        methods={name: p.methods[name] for name in sorted(p.methods)},
-        call_edges=edges,
-        dep_nodes={ident: p.dep_nodes[ident] for ident in sorted(p.dep_nodes)},
-        dep_edges=tuple(
-            DepEdge(src, dst, inter)
-            for src, dst, inter in sorted(
-                seen_pairs, key=lambda t: (t[0], t[1], t[2] or "")
-            )
-        ),
-        checkargs={site: checkargs[site] for site in sorted(checkargs)},
-        pta={key: pta[key] for key in sorted(pta)},
-        sa={key: sa[key] for key in sorted(sa)},
-        entry_method=entry,
-        check_method=check,
-        priv_method=priv,
-    )
+        by_kind[word].append((body.strip(), lineno))
+    for word, handler in handlers.items():
+        for body, lineno in by_kind[word]:
+            handler(body, lineno)
+        if word == "calledge":
+            parser.close_call_graph([lineno for _, lineno in by_kind[word]])
+    return parser.model()
 
 
 def serialize_model(model: ProgramModel) -> str:

@@ -156,13 +156,10 @@ def _opens(edges) -> list[Bracket]:
 
 
 def _bounded_sequences(
-    model: ProgramModel, start: str, target: str, bound: int
+    out_edges: dict[str, list[CallEdge]], start: str, target: str, bound: int
 ) -> list[tuple[CallEdge, ...]]:
     """All edge sequences start -> target using each edge at most ``bound``
     times; includes the empty sequence when start == target."""
-    out_edges: dict[str, list[CallEdge]] = defaultdict(list)
-    for e in model.call_edges:
-        out_edges[e.caller].append(e)
     results: list[tuple[CallEdge, ...]] = []
     path: list[CallEdge] = []
     counts: Counter[str] = Counter()
@@ -205,16 +202,19 @@ def enum_vpaths(
     if bound < 1:
         raise ValueError("path bound must be at least 1")
     priv = model.priv_method
+    out_edges: dict[str, list[CallEdge]] = defaultdict(list)
+    for e in model.call_edges:
+        out_edges[e.caller].append(e)
     full = []
-    for edges in _bounded_sequences(model, model.entry_method, target, bound):
+    for edges in _bounded_sequences(out_edges, model.entry_method, target, bound):
         if not edges or any(e.caller == priv for e in edges):
             continue
         if _route_valid(edges):
             full.append(CallPath(model.entry_method, edges))
 
     truncated = []
-    prefixes = _bounded_sequences(model, model.entry_method, priv, bound)
-    for edges in _bounded_sequences(model, priv, target, bound):
+    prefixes = _bounded_sequences(out_edges, model.entry_method, priv, bound)
+    for edges in _bounded_sequences(out_edges, priv, target, bound):
         if not edges or edges[0].caller != priv:
             continue
         if any(e.caller == priv for e in edges[1:]):

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stackpol.contexts import ANY_FAMILY, CallSite
@@ -113,7 +113,11 @@ def test_parse_errors_carry_line_numbers():
 def test_role_errors():
     assert "exactly one entry" in err("method a\nmethod p priv\nmethod c check\n")
     assert "exactly one check" in err("method a entry\nmethod p priv\n")
-    assert "distinct" in err("method a entry priv\nmethod c check\nmethod x priv\n") or True
+    two_privs = "method a entry priv\nmethod c check\nmethod x priv\n"
+    assert "exactly one priv method required, found 2" in err(two_privs)
+    assert "entry, check and priv must be three distinct methods" in err(
+        "method a entry priv\nmethod c check\n"
+    )
     # one method holding two roles collapses the count of distinct names
     with pytest.raises(ModelError):
         parse_model("method a entry priv check\n")
@@ -126,8 +130,10 @@ def test_reference_errors():
             "calledge 1 main 1 doPriv ctx=any", "calledge 1 main 2 doPriv ctx=any"
         )
     )
-    assert "incoming call edge" in err(minimal_plus("calledge 1 doPriv 1 main ctx=any"))
-    assert "unknown site" in err(
+    assert "line 5: entry method has an incoming call edge '1'" in err(
+        minimal_plus("calledge 1 doPriv 1 main ctx=any")
+    )
+    assert "line 6: edge '2' context mentions unknown site main:9" in err(
         minimal_plus(
             "calledge 1 main 1 doPriv ctx=any",
             "calledge 2 doPriv 1 check ctx={main:9}",
@@ -142,7 +148,8 @@ def test_dep_graph_errors():
         "calledge 2 doPriv 1 check ctx=any",
     ]
     assert "unknown dep node" in err(minimal_plus(*base, "depedge a b"))
-    assert "alloc node" in err(
+    # reported at the alloc node's own line, not at the edge's
+    assert "line 7: alloc node 'a' has incoming dep edges" in err(
         minimal_plus(
             *base,
             "depnode a main 50 kind=alloc form=3 type=P",
@@ -150,13 +157,33 @@ def test_dep_graph_errors():
             "depedge b a",
         )
     )
-    assert "not at a call site" in err(
+    assert "line 9: return dep edge target 'b' is not at a call site" in err(
         minimal_plus(
             *base,
             "depnode a main 50 kind=alloc form=3 type=P",
             "depnode b main 51 kind=plain",
             "depedge a b inter=return",
         )
+    )
+    assert "line 9: call dep edge source 'b' is not at a call site" in err(
+        minimal_plus(
+            *base,
+            "depnode b main 51 kind=plain",
+            "depnode c doPriv 1 kind=plain",
+            "depedge b c inter=call",
+        )
+    )
+    assert "line 10: duplicate dep edge b -> c" in err(
+        minimal_plus(
+            *base,
+            "depnode b main 51 kind=plain",
+            "depnode c main 52 kind=plain",
+            "depedge b c",
+            "depedge b c",
+        )
+    )
+    assert "line 7: callsite node 'c' is not at a call site" in err(
+        minimal_plus(*base, "depnode c main 51 kind=callsite")
     )
     assert "form-1 alloc needs" in err(
         minimal_plus(*base, "depnode a main 50 kind=alloc form=1 type=P target=t")
@@ -181,19 +208,22 @@ def test_fact_errors():
         "depnode a main 50 kind=alloc form=3 type=P",
         "depnode b main 51 kind=plain",
     ]
-    assert "does not call the check method" in err(
+    assert "line 9: checkarg site main:1 does not call the check method" in err(
         minimal_plus(*base, "checkarg main:1 var=p")
     )
-    assert "unknown node" in err(
+    assert "line 9: pta fact points to unknown node 'ghost'" in err(
         minimal_plus(*base, "pta p@main = {(P, ghost, {main:1})}")
     )
-    assert "non-alloc node" in err(
+    assert "line 9: pta fact points to non-alloc node 'b'" in err(
         minimal_plus(*base, "pta p@main = {(P, b, {main:1})}")
     )
-    assert "unknown site" in err(
+    assert "line 9: pta context mentions unknown site main:9" in err(
+        minimal_plus(*base, "pta p@main = {(P, a, {main:9})}")
+    )
+    assert "line 9: sa context mentions unknown site main:9" in err(
         minimal_plus(*base, "sa v@main = {(\"x\", {main:9})}")
     )
-    assert "duplicate sa" in err(
+    assert "line 10: duplicate sa fact for v@main" in err(
         minimal_plus(
             *base,
             'sa v@main = {("x", {main:1})}',
@@ -394,3 +424,16 @@ def test_edited_model_text_raises_only_stackpol_errors(text):
         emit_policy(policy, "java")
     except StackpolError:
         pass
+
+
+_LINES = [line for line in _TEXT.splitlines() if line.strip()]
+_FIRST_DEPEDGE = next(line for line in _LINES if line.startswith("depedge "))
+
+
+@settings(max_examples=100, deadline=None)
+# the edge's two depnodes both come after it
+@example([_FIRST_DEPEDGE, *(line for line in _LINES if line != _FIRST_DEPEDGE)])
+@given(st.permutations(_LINES))
+def test_directive_order_does_not_matter(lines):
+    expected = serialize_model(parse_model(_TEXT))
+    assert serialize_model(parse_model("\n".join(lines))) == expected
