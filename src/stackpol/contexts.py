@@ -28,14 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import permutations
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import EnumerationLimitError
 
 
-@dataclass(frozen=True, slots=True, order=True)
-class CallSite:
-    """A call site, identified by enclosing method and source line."""
+class CallSite(NamedTuple):
+    """A call site, identified by enclosing method and source line.
+
+    A named tuple, so hashing and comparison run in C: every history,
+    context and condition is a frozenset of call sites.  As a tuple it
+    also equals, and hashes like, the plain pair ``(method, line)``.
+    """
 
     method: str
     line: int

@@ -15,11 +15,18 @@ one-symbol start configuration to any configuration whose top matches
 
 Conditions are compiled away rather than interpreted: ``AnnotatedWPDS``
 views the system over pairs ``(symbol, sites_below)``, where the second
-part is the exact set of call sites below the symbol on the stack.  A
-push extends the new top's set with the pushed return site; swaps
-preserve it; a pop uncovers the symbol underneath together with its
-recorded set.  Rule applicability is then a plain lookup on the pair, and
-the solver is an ordinary weighted post* saturation over such pairs.
+part is the set of call sites below the symbol on the stack that some
+rule condition names.  A push extends the new top's set with the pushed
+return site if a condition names it; swaps preserve the set; a pop
+uncovers the symbol underneath together with its recorded set.  A
+condition only asks whether one of its members is a subset of the sites
+below, and every member lies inside the named sites, so the projection
+decides each condition exactly as the full set would.  Rule
+applicability is then a plain lookup on the pair, and the solver is an
+ordinary weighted post* saturation over such pairs.  Stacks that differ
+only in sites no condition reads share their pairs, so the number of
+transitions grows with the distinct *named* sites below, not with every
+distinct stack.
 
 The saturation runs on packed digests (see ``weights``): once per solve,
 the methods and call sites named by the rule weights are interned, every
@@ -117,13 +124,19 @@ class AnnotatedWPDS:
 
     Rule instances exist per ``(symbol, sites_below)`` pair and are
     materialized on demand; nothing enumerates the powerset of call sites
-    up front.
+    up front.  ``sites_below`` holds only the sites that some rule
+    condition names; a system without conditions pairs every symbol with
+    the empty set.
     """
 
     def __init__(self, system: ConditionalWPDS):
         self._by_lhs: dict[StackSymbol, list[tuple[int, Rule]]] = defaultdict(list)
+        named: set[CallSite] = set()
         for idx, r in enumerate(system.rules):
             self._by_lhs[r.lhs].append((idx, r))
+            for member in r.cond.family:
+                named |= member
+        self._named: CtxSet = frozenset(named)
 
     def instances(self, base: StackSymbol, below: CtxSet) -> list[Instance]:
         """All rules applicable at top symbol ``base`` with ``below`` sites."""
@@ -133,7 +146,7 @@ class AnnotatedWPDS:
                 continue
             if len(r.rhs) == 2:
                 first, second = r.rhs
-                covered = below | {second} if isinstance(second, CallSite) else below
+                covered = below | {second} if second in self._named else below
                 rhs = ((first, covered), (second, below))
             else:
                 rhs = tuple((sym, below) for sym in r.rhs)

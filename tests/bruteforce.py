@@ -4,6 +4,9 @@
 testing each rule's condition against the call sites below the top.
 ``reduced_successors`` steps the same stack through the engine's
 ``AnnotatedWPDS`` view instead, so tests can check that the two agree.
+``annotate_stack`` pairs each symbol of a concrete stack with the sites
+below it that ``named_sites`` (the sites some rule condition names)
+contains, which is the pair stack the view must reach.
 
 ``movp_by_stepping`` interprets a conditional system configuration by
 configuration with the direct ``successors`` semantics and folds rule
@@ -89,8 +92,16 @@ def successors(system: ConditionalWPDS, stack: Stack) -> list[tuple[Rule, Stack]
     ]
 
 
-def annotate_stack(stack: Stack) -> PairStack:
-    return tuple((sym, stack_sites(stack[i + 1 :])) for i, sym in enumerate(stack))
+def named_sites(system: ConditionalWPDS) -> CtxSet:
+    return frozenset(
+        site for r in system.rules for member in r.cond.family for site in member
+    )
+
+
+def annotate_stack(stack: Stack, named: CtxSet) -> PairStack:
+    return tuple(
+        (sym, stack_sites(stack[i + 1 :]) & named) for i, sym in enumerate(stack)
+    )
 
 
 def reduced_successors(

@@ -33,6 +33,37 @@ def sites(*idx):
 
 
 # ---------------------------------------------------------------------------
+# call sites
+
+
+def test_call_site_fields_order_and_rendering():
+    z = CallSite("main", 3)
+    assert (z.method, z.line) == ("main", 3)
+    assert str(z) == "main:3"
+    assert repr(z) == "CallSite(method='main', line=3)"
+    assert sorted([CallSite("b", 1), CallSite("a", 9), CallSite("a", 2)]) == [
+        CallSite("a", 2),
+        CallSite("a", 9),
+        CallSite("b", 1),
+    ]
+
+
+def test_call_site_is_a_value_that_equals_its_plain_pair():
+    z = CallSite("main", 3)
+    assert {z: "x"}[CallSite("main", 3)] == "x"
+    assert z != CallSite("main", 4)
+    # a named tuple: equal to, and hashed like, the pair (method, line)
+    assert z == ("main", 3)
+    assert hash(z) == hash(("main", 3))
+
+
+def test_call_site_is_exported_at_the_top_level():
+    from stackpol import CallSite as exported
+
+    assert exported is CallSite
+
+
+# ---------------------------------------------------------------------------
 # abstraction
 
 

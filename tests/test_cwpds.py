@@ -13,6 +13,7 @@ from bruteforce import (
     fold_weights,
     movp_by_stepping,
     movp_by_weights,
+    named_sites,
     reduced_successors,
     stack_sites,
     successors,
@@ -129,17 +130,22 @@ def test_alphabet_and_dump_are_deterministic():
 
 
 def test_annotation_math_push_swap_pop():
-    za, zb = site("A", 1), site("B", 2)
+    # the swap's condition names za and zb; no condition names zc
+    za, zb, zc = site("A", 1), site("B", 2), site("A", 3)
     rules = [
         Rule("A", ("B", za)),
-        Rule("B", ("X",)),
+        Rule("A", ("B", zc)),
+        Rule("B", ("X",), cond=cond([za], [zb])),
         Rule("X", ()),
     ]
     ann = AnnotatedWPDS(ConditionalWPDS(rules, "A"))
     below = frozenset({zb})
-    assert ann.instances("A", below) == [(0, (("B", below | {za}), (za, below)))]
-    assert ann.instances("B", below) == [(1, (("X", below),))]
-    assert ann.instances("X", below) == [(2, ())]
+    assert ann.instances("A", below) == [
+        (0, (("B", below | {za}), (za, below))),
+        (1, (("B", below), (zc, below))),
+    ]
+    assert ann.instances("B", below) == [(2, (("X", below),))]
+    assert ann.instances("X", below) == [(3, ())]
 
 
 def test_annotated_instances_respect_conditions():
@@ -188,17 +194,18 @@ def test_conditional_and_reduced_stepping_agree_on_random_walks():
     while sequences < 250:
         system = _random_system(rng)
         ann = AnnotatedWPDS(system)
+        named = named_sites(system)
         stack = (system.start,)
         for _step in range(6):
             direct = successors(system, stack)
-            reduced = reduced_successors(ann, annotate_stack(stack))
+            reduced = reduced_successors(ann, annotate_stack(stack, named))
             # same rules fire, producing the same concrete stacks
             direct_view = {(id(r), s) for r, s in direct}
             reduced_view = {(id(system.rules[idx]), _strip(s)) for idx, s in reduced}
             assert direct_view == reduced_view
-            # and the sites paired with each symbol are those below it
+            # and the sites paired with each symbol are the named ones below it
             for _idx, s in reduced:
-                assert s == annotate_stack(_strip(s))
+                assert s == annotate_stack(_strip(s), named)
             if not direct:
                 break
             stack = rng.choice(direct)[1]
@@ -317,6 +324,85 @@ def test_movp_matches_stepping_on_a_cyclic_system():
     }
     assert stepped == deeper, "stepping had not saturated at depth 16"
     assert engine == stepped
+
+
+def _random_draining_system(rng: random.Random) -> ConditionalWPDS:
+    # calls only go forward and a return resumes a continuation symbol
+    # that can only pop, so every run drains; conditions name a random
+    # few of the sites pushed so far, or now and then one never pushed
+    order = ["A", "B", "C", "D", "E"]
+    rules = []
+    pushed = []
+
+    def maybe_cond():
+        if not pushed or rng.random() < 0.3:
+            return ANY
+        pool = pushed + [site("Z", 1)]
+        return Condition(
+            frozenset(
+                frozenset(rng.sample(pool, min(len(pool), rng.randint(1, 3))))
+                for _ in range(rng.randint(1, 2))
+            )
+        )
+
+    for i, m in enumerate(order):
+        for callee in order[i + 1 :]:
+            if rng.random() < 0.6:
+                s = site(m, rng.randint(1, 2))
+                rules.append(
+                    Rule(m, (callee, s), cond=maybe_cond(), weight=w(gen=[m], hist=[s]))
+                )
+                pushed.append(s)
+        for m_ in (m, m + "'"):
+            if rng.random() < 0.5:
+                rules.append(Rule(m_, (), cond=maybe_cond(), weight=w(fin=[m_])))
+        for l in (1, 2):
+            if rng.random() < 0.5:
+                rules.append(Rule(site(m, l), (m + "'",), weight=w(gen=[m + "'"])))
+    return ConditionalWPDS(rules, "A")
+
+
+def test_movp_matches_stepping_on_random_partly_named_systems():
+    # the stepping reference tests conditions against every site below
+    # the top, so it catches a projection that drops a site a condition
+    # reads, which the weight-level reference, sharing AnnotatedWPDS,
+    # cannot
+    rng = random.Random(23)
+    partly_named = 0
+    for _trial in range(80):
+        system = _random_draining_system(rng)
+        pushed = {r.rhs[1] for r in system.rules if r.kind == "push"}
+        named = named_sites(system)
+        if pushed & named and pushed - named:
+            partly_named += 1
+        for target in sorted(alphabet(system), key=str):
+            assert movp(system, {target}) == movp_by_stepping(
+                system, {target}, depth=30
+            ), f"target {target}"
+    assert partly_named >= 20
+
+
+def test_movp_matches_stepping_on_a_ladder_whose_conditions_name_some_sites():
+    model, _names = guarded_diamond_ladder(4)
+    system = encode(model)
+    pushed = {r.rhs[1] for r in system.rules if r.kind == "push"}
+    assert named_sites(system) < pushed
+    check = {model.check_method}
+    assert movp(system, check) == movp_by_stepping(system, check, depth=12)
+
+
+def test_a_system_without_conditions_reaches_only_empty_annotations():
+    system = encode(layered_model(3, 3))
+    assert all(r.cond.is_any for r in system.rules)
+    ann = AnnotatedWPDS(system)
+    frontier = {((system.start, frozenset()),)}
+    seen = set(frontier)
+    for _depth in range(12):
+        frontier = {s for stack in frontier for _idx, s in reduced_successors(ann, stack)}
+        frontier -= seen
+        seen |= frontier
+    assert len(seen) > 20
+    assert {below for stack in seen for _sym, below in stack} == {frozenset()}
 
 
 def test_weight_fold_along_one_run_matches_rule_order():
@@ -439,3 +525,28 @@ def test_packed_and_reference_solvers_reach_the_same_caps():
         with pytest.raises(CapacityError) as reference:
             movp_by_weights(system, {"L14"}, tuple_cap=cap)
         assert str(packed.value) == str(reference.value)
+
+
+def test_packed_and_reference_solvers_reach_the_same_final_cap(monkeypatch):
+    # the conditions keep the two sites of each upper level apart in the
+    # annotations, so every transition stays narrow and only the final
+    # result exceeds the cap
+    model, _names = guarded_diamond_ladder(8)
+    system = encode(model)
+    check = {model.check_method}
+    cap = 2**8 - 1
+    final_widths = []
+    check_width = pushdown.check_width
+
+    def recorded(weight, tuple_cap):
+        final_widths.append(weight.width())
+        return check_width(weight, tuple_cap)
+
+    monkeypatch.setattr(pushdown, "check_width", recorded)
+    with pytest.raises(CapacityError) as packed:
+        movp(system, check, tuple_cap=cap)
+    with pytest.raises(CapacityError) as reference:
+        movp_by_weights(system, check, tuple_cap=cap)
+    assert final_widths == [2**8]
+    assert str(packed.value) == str(reference.value)
+    assert str(packed.value).startswith("weight grew to 256 digests (cap 255)")
