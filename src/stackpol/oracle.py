@@ -36,13 +36,25 @@ methods.
 
 Enumeration counts each edge at most ``bound`` times per path, which
 makes every enumeration finite while still letting paths wind through
-cycles; a global cap guards against combinatorial blowups.
+cycles; a global cap guards against combinatorial blowups.  It descends
+only into callees that can reach the target in the call graph.  A walk
+that leaves them never arrives, so the pruning drops no path, keeps the
+order of the rest and reaches the cap at the same count.  The out-edge
+and reachability maps and the entry-to-asserter prefixes are built once
+per model, not once per target.
+
+Relating is memoized per run.  Whether an allocating stack can witness a
+demand for a flow path and a permission does not depend on the demand
+stack, so ``relates`` keeps the witnesses' method sets as it finds them
+and searches further only when none of those answers a query.
 """
 
 from __future__ import annotations
 
+import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .contexts import CallSite
 from .errors import EnumerationLimitError
@@ -54,7 +66,7 @@ from .model import (
     DepEdge,
     ProgramModel,
 )
-from .permissions import PermissionUniverse, checkpoints
+from .permissions import Permission, PermissionUniverse, checkpoints
 from .policy import Frame, Policy, _method_domains
 
 DEFAULT_PATH_BOUND = 2
@@ -155,33 +167,104 @@ def _opens(edges) -> list[Bracket]:
     return [Bracket(OPEN, e.site) for e in edges]
 
 
-def _bounded_sequences(
-    out_edges: dict[str, list[CallEdge]], start: str, target: str, bound: int
-) -> list[tuple[CallEdge, ...]]:
-    """All edge sequences start -> target using each edge at most ``bound``
-    times; includes the empty sequence when start == target."""
-    results: list[tuple[CallEdge, ...]] = []
-    path: list[CallEdge] = []
-    counts: Counter[str] = Counter()
+class _CallGraph:
+    """The call-graph maps that enumeration reads, built once per model.
 
-    def dfs(method: str) -> None:
-        if method == target:
-            results.append(tuple(path))
-            if len(results) > MAX_ENUMERATED_PATHS:
-                raise EnumerationLimitError(
-                    f"more than {MAX_ENUMERATED_PATHS} paths from "
-                    f"{start} to {target} at bound {bound}"
-                )
-        for e in out_edges[method]:
-            if counts[e.ident] < bound:
-                counts[e.ident] += 1
-                path.append(e)
-                dfs(e.callee)
-                path.pop()
-                counts[e.ident] -= 1
+    ``toward(target)`` keeps only the edges into methods that can reach
+    ``target``; a walk that leaves that set never arrives, so pruning the
+    rest drops no sequence and keeps the order of those that remain.
+    ``prefixes(bound)`` holds the entry-to-asserter sequences with their
+    per-edge counts, which every truncated path is joined to.
+    """
 
-    dfs(start)
-    return results
+    def __init__(self, model: ProgramModel) -> None:
+        self.entry = model.entry_method
+        self.priv = model.priv_method
+        self.out_edges: dict[str, list[CallEdge]] = {}
+        self.callers: dict[str, list[str]] = {}
+        for e in model.call_edges:
+            self.out_edges.setdefault(e.caller, []).append(e)
+            self.callers.setdefault(e.callee, []).append(e.caller)
+        self.zero_counts = dict.fromkeys((e.ident for e in model.call_edges), 0)
+        self._toward: dict[str, dict[str, list[CallEdge]]] = {}
+        self._prefixes: dict[int, list[tuple[tuple[CallEdge, ...], Counter[str]]]] = {}
+
+    def toward(self, target: str) -> dict[str, list[CallEdge]]:
+        """Out-edges of each method that can reach ``target``, restricted
+        to callees that can reach it too."""
+        succ = self._toward.get(target)
+        if succ is None:
+            reach = {target}
+            todo = [target]
+            while todo:
+                for caller in self.callers.get(todo.pop(), ()):
+                    if caller not in reach:
+                        reach.add(caller)
+                        todo.append(caller)
+            succ = self._toward[target] = {
+                m: [e for e in self.out_edges.get(m, ()) if e.callee in reach]
+                for m in reach
+            }
+        return succ
+
+    def sequences(self, start: str, target: str, bound: int) -> list[tuple[CallEdge, ...]]:
+        """All edge sequences start -> target using each edge at most
+        ``bound`` times; includes the empty sequence when start == target."""
+        succ = self.toward(target)
+        results: list[tuple[CallEdge, ...]] = []
+        path: list[CallEdge] = []
+        counts = self.zero_counts.copy()
+
+        def dfs(method: str) -> None:
+            if method == target:
+                results.append(tuple(path))
+                if len(results) > MAX_ENUMERATED_PATHS:
+                    raise EnumerationLimitError(
+                        f"more than {MAX_ENUMERATED_PATHS} paths from "
+                        f"{start} to {target} at bound {bound}"
+                    )
+            for e in succ[method]:
+                if counts[e.ident] < bound:
+                    counts[e.ident] += 1
+                    path.append(e)
+                    dfs(e.callee)
+                    path.pop()
+                    counts[e.ident] -= 1
+
+        if start in succ:
+            dfs(start)
+        return results
+
+    def prefixes(self, bound: int) -> list[tuple[tuple[CallEdge, ...], Counter[str]]]:
+        """Entry-to-asserter sequences, each with its per-edge counts."""
+        out = self._prefixes.get(bound)
+        if out is None:
+            out = self._prefixes[bound] = [
+                (edges, Counter(e.ident for e in edges))
+                for edges in self.sequences(self.entry, self.priv, bound)
+            ]
+        return out
+
+
+# the call graph of the last model enumerated, dropped with that model; a
+# model is immutable, and one oracle run enumerates toward several targets
+_last_graph: tuple[weakref.ref, _CallGraph] | None = None
+
+
+def _call_graph(model: ProgramModel) -> _CallGraph:
+    global _last_graph
+    last = _last_graph
+    if last is not None and last[0]() is model:
+        return last[1]
+    graph = _CallGraph(model)
+    _last_graph = (weakref.ref(model, _drop_graph), graph)
+    return graph
+
+
+def _drop_graph(ref: weakref.ref) -> None:
+    global _last_graph
+    if _last_graph is not None and _last_graph[0] is ref:
+        _last_graph = None
 
 
 def _route_valid(edges) -> bool:
@@ -202,28 +285,25 @@ def enum_vpaths(
     if bound < 1:
         raise ValueError("path bound must be at least 1")
     priv = model.priv_method
-    out_edges: dict[str, list[CallEdge]] = defaultdict(list)
-    for e in model.call_edges:
-        out_edges[e.caller].append(e)
+    graph = _call_graph(model)
     full = []
-    for edges in _bounded_sequences(out_edges, model.entry_method, target, bound):
+    for edges in graph.sequences(model.entry_method, target, bound):
         if not edges or any(e.caller == priv for e in edges):
             continue
         if _route_valid(edges):
             full.append(CallPath(model.entry_method, edges))
 
     truncated = []
-    prefixes = _bounded_sequences(out_edges, model.entry_method, priv, bound)
-    for edges in _bounded_sequences(out_edges, priv, target, bound):
+    prefixes = graph.prefixes(bound)
+    for edges in graph.sequences(priv, target, bound):
         if not edges or edges[0].caller != priv:
             continue
         if any(e.caller == priv for e in edges[1:]):
             continue
         counts = Counter(e.ident for e in edges)
         extensions = []
-        for prefix in prefixes:
-            combined = counts + Counter(e.ident for e in prefix)
-            if any(n > bound for n in combined.values()):
+        for prefix, prefix_counts in prefixes:
+            if any(counts[i] + n > bound for i, n in prefix_counts.items()):
                 continue
             whole = prefix + edges
             if _route_valid(whole):
@@ -296,29 +376,98 @@ def match_paths(
     return out
 
 
+@dataclass(slots=True)
+class _Flow:
+    """What ``relates`` reads of one flow path, worked out once per run,
+    and per permission the lazy search for admissible allocating stacks:
+    the distinct method sets found so far and the rest of the stacks."""
+
+    start: str
+    alloc_method: str
+    word_tail: list[Bracket]
+    methods: frozenset[str]
+    admissible: dict[Permission, tuple[set[frozenset[str]], Iterator[frozenset[str]]]] = (
+        field(default_factory=dict)
+    )
+
+
+# memo key of the flow paths indexed by end site; the memo's other keys are
+# allocating methods (their valid paths) and flow paths (their ``_Flow``)
+_BY_END = object()
+
+
+def _flows_by_end(
+    model: ProgramModel, flow_paths: list[DepPath], memo: dict
+) -> dict[CallSite, list[_Flow]]:
+    indexed = memo.get(_BY_END)
+    if indexed is None or indexed[0] is not flow_paths:
+        by_end: dict[CallSite, list[_Flow]] = defaultdict(list)
+        for pi in flow_paths:
+            flow = memo.get(pi)
+            if flow is None:
+                flow = memo[pi] = _Flow(
+                    pi.start,
+                    model.dep_nodes[pi.start].method,
+                    list(extract(model, pi)),
+                    pi.methods(model),
+                )
+            by_end[model.dep_nodes[pi.end].site].append(flow)
+        indexed = memo[_BY_END] = (flow_paths, by_end)
+    return indexed[1]
+
+
+def _admissible_methods(
+    stacks: list[CallPath], word_tail: list[Bracket], contexts
+) -> Iterator[frozenset[str]]:
+    """Method sets of the stacks that can host a flow with bracket word
+    ``word_tail`` and cover one of ``contexts``, in stack order."""
+    for sigma_p in stacks:
+        for variant in sigma_p.full_variants():
+            if not well_matched(_opens(variant) + word_tail):
+                continue
+            variant_sites = frozenset(e.site for e in variant)
+            if any(c <= variant_sites for c in contexts):
+                yield sigma_p.methods()
+                break
+
+
 def relates(
     model: ProgramModel,
     sigma: CallPath,
     perm,
     universe: PermissionUniverse,
     flow_paths: list[DepPath],
-    vpath_cache: dict[str, list[CallPath]],
+    vpath_cache: dict,
     bound: int = DEFAULT_PATH_BOUND,
 ) -> bool:
-    """Does ``perm`` get demanded while ``sigma`` is the inspected stack?"""
+    """Does ``perm`` get demanded while ``sigma`` is the inspected stack?
+
+    It does when a flow path carries ``perm`` to the checkpoint ``sigma``
+    invokes and some *admissible* allocating stack holds every method of
+    ``sigma`` that the flow and the check do not account for.  A stack is
+    admissible for a flow path and a permission when one of its variants
+    hosts the flow (the bracket word is well matched) and covers one of
+    the permission's demand contexts; that does not depend on ``sigma``.
+
+    ``vpath_cache`` is one run's memo, shared by every call for the same
+    model, universe and bound.  It holds the valid paths of each
+    allocating method, the flow paths indexed by end site, and per
+    (flow path, permission) the distinct method sets of the admissible
+    stacks found so far with a cursor into the remaining stacks.  A query
+    tests the sets found so far and only then advances the cursor,
+    stopping at the first stack that answers it.
+    """
     pairs = universe.sources.get(perm, frozenset())
     if not pairs or not sigma.edges:
         return False
     checkpoint = sigma.edges[-1].site
-    contexts = universe.contexts[perm]
     sigma_methods = sigma.methods() - {model.check_method}
-    for pi in flow_paths:
-        # the flow must deliver the permission to the checkpoint this very
-        # path invokes, not to some other checkpoint of the same method set
-        end_site = model.dep_nodes[pi.end].site
-        if end_site != checkpoint or (end_site, pi.start) not in pairs:
+    # the flow must deliver the permission to the checkpoint this very
+    # path invokes, not to some other checkpoint of the same method set
+    for flow in _flows_by_end(model, flow_paths, vpath_cache).get(checkpoint, ()):
+        if (checkpoint, flow.start) not in pairs:
             continue
-        alloc_method = model.dep_nodes[pi.start].method
+        alloc_method = flow.alloc_method
         if alloc_method not in vpath_cache:
             paths = enum_vpaths(model, alloc_method, bound)
             if alloc_method == model.entry_method:
@@ -326,19 +475,22 @@ def relates(
                 # which no edge sequence denotes; synthesize it
                 paths = paths + [CallPath(alloc_method, ())]
             vpath_cache[alloc_method] = paths
-        word_tail = list(extract(model, pi))
+        state = flow.admissible.get(perm)
+        if state is None:
+            pending = _admissible_methods(
+                vpath_cache[alloc_method], flow.word_tail, universe.contexts[perm]
+            )
+            state = flow.admissible[perm] = (set(), pending)
+        found, pending = state
         # the demand stack may only hold methods that the flow, the check
         # or the allocating stack put there
-        need = sigma_methods - pi.methods(model)
-        for sigma_p in vpath_cache[alloc_method]:
-            if not need <= sigma_p.methods():
-                continue
-            for variant in sigma_p.full_variants():
-                if not well_matched(_opens(variant) + word_tail):
-                    continue
-                variant_sites = frozenset(e.site for e in variant)
-                if any(c <= variant_sites for c in contexts):
-                    return True
+        need = sigma_methods - flow.methods
+        if any(need <= methods for methods in found):
+            return True
+        for methods in pending:
+            found.add(methods)
+            if need <= methods:
+                return True
     return False
 
 
@@ -349,11 +501,12 @@ def oracle_policy(
 ) -> Policy:
     """Reference policy: enumerate stacks, relate demands, union grants."""
     flow = dep_paths(model, bound)
-    cache: dict[str, list[CallPath]] = {}
+    cache: dict = {}
     hidden = frozenset({model.check_method, model.priv_method})
+    perms = universe.sorted_perms()
     grants: dict[str, set] = {}
     for sigma in enum_vpaths(model, model.check_method, bound):
-        for perm in universe.sorted_perms():
+        for perm in perms:
             if relates(model, sigma, perm, universe, flow, cache, bound):
                 for method in sigma.methods() - hidden:
                     grants.setdefault(method, set()).add(perm)

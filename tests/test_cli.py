@@ -181,6 +181,39 @@ def test_oracle_rejects_a_zero_bound(model_file, capsys):
     assert "must be at least 1" in err
 
 
+def test_oracle_enumeration_blowup_exits_three(tmp_path, capsys):
+    # four call sites each way between a and b: at the default bound the
+    # paths that wind through them to the check method pass the
+    # enumeration cap, while the route contexts stay few
+    lines = [
+        "method main entry",
+        "method doPriv priv",
+        "method check check",
+        "method a",
+        "method b",
+        "calledge 0 main 1 a ctx=any",
+    ]
+    for k in range(1, 5):
+        lines.append(f"calledge ab{k} a {k} b ctx=any")
+        lines.append(f"calledge ba{k} b {k} a ctx=any")
+    lines += [
+        "calledge z a 9 check ctx=any",
+        "depnode n a 90 kind=alloc form=3 type=P",
+        "depnode c a 9 kind=callsite",
+        "depedge n c",
+        "checkarg a:9 var=p",
+        "pta p@a = {(P, n, {})}",
+    ]
+    path = tmp_path / "blowup.model"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["oracle", str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: more than 200000 paths from main to check at bound 2"
+    ]
+
+
 # ----------------------------------------------------------------------- dump
 
 

@@ -1,5 +1,15 @@
 """Reference enumeration: valid paths, flow paths, bracket matching."""
 
+import gc
+import json
+import os
+import random
+import subprocess
+import sys
+import textwrap
+import weakref
+from pathlib import Path
+
 import pytest
 from bruteforce import relates_by_scan, route_valid_by_family
 from hypothesis import example, given, settings
@@ -16,6 +26,7 @@ from stackpol import (
     generate_policy,
     oracle_policy,
     parse_model,
+    running_example,
 )
 from stackpol import oracle
 from stackpol.contexts import CallSite
@@ -133,9 +144,11 @@ def test_bound_lets_paths_wind_through_cycles():
     assert ("1", "2", "3", "2", "3", "4") in at2
 
 
-def test_bound_below_one_is_rejected(example_model):
+def test_bound_below_one_is_rejected(example_model, example_universe):
     with pytest.raises(ValueError):
         enum_vpaths(example_model, "checkPermission", bound=0)
+    with pytest.raises(ValueError):
+        oracle_policy(example_model, example_universe, bound=0)
 
 
 def test_enumeration_blowup_is_capped():
@@ -149,6 +162,29 @@ def test_enumeration_blowup_is_capped():
     m = build(*lines)
     with pytest.raises(EnumerationLimitError):
         enum_vpaths(m, "check", bound=1)
+
+
+def test_the_call_graph_is_built_per_model_and_dropped_with_it():
+    chain = build(
+        "method a",
+        "calledge 1 main 1 a ctx=any",
+        "calledge 2 a 2 check ctx=any",
+    )
+    fork = build(
+        "method a",
+        "method b",
+        "calledge 1 main 1 a ctx=any",
+        "calledge 2 main 2 b ctx=any",
+        "calledge 3 a 3 check ctx=any",
+        "calledge 4 b 4 check ctx=any",
+    )
+    for model, want in ((chain, 1), (fork, 2), (chain, 1)):
+        assert len(enum_vpaths(model, "check")) == want
+    alive = weakref.ref(chain)
+    del model, chain
+    gc.collect()
+    assert alive() is None
+    assert oracle._last_graph is None
 
 
 # ------------------------------------------------------------ bracket matching
@@ -465,7 +501,7 @@ def test_rewrite_matches_references_on_the_bundled_model(example_model, monkeypa
 def test_rewrite_matches_references_on_random_models(monkeypatch):
     from randmodels import random_model
 
-    for seed in range(60):
+    for seed in range(200):
         _matches_references(random_model(seed), monkeypatch)
 
 
@@ -487,6 +523,43 @@ def test_rewrite_matches_references_on_a_layered_model(monkeypatch):
     assert Permission("RuntimePermission") in policy.grants["m2_1"]
     # only the flow puts m1_3 on a stack that allocates there
     assert Permission("NetPermission") in policy.grants["m1_3"]
+
+
+_MEMO_MODELS = {
+    "bundled": running_example,
+    "layered": lambda: _layered(3, 3),
+    "ladder": lambda: _guarded_ladder(4),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
+def test_relates_answers_alike_from_a_shared_and_a_fresh_memo(name):
+    # a shared memo resumes each admissible-stack search where an earlier
+    # query left it, so its answers must not depend on the query order
+    model = _MEMO_MODELS[name]()
+    universe = generate_permissions(model)
+    flows = dep_paths(model)
+    pairs = [
+        (sigma, perm)
+        for sigma in enum_vpaths(model, model.check_method)
+        for perm in universe.sorted_perms()
+    ]
+    ref_cache = {}
+    want = [
+        relates_by_scan(model, sigma, perm, universe, flows, ref_cache)
+        for sigma, perm in pairs
+    ]
+    assert any(want) and not all(want)
+
+    order = list(reversed(range(len(pairs))))
+    shuffled = order[:]
+    random.Random(0).shuffle(shuffled)
+    shared = {}
+    for i in order + shuffled:
+        sigma, perm = pairs[i]
+        assert relates(model, sigma, perm, universe, flows, shared) == want[i]
+    for i, (sigma, perm) in enumerate(pairs):
+        assert relates(model, sigma, perm, universe, flows, {}) == want[i]
 
 
 _SITES = [S(m, line) for m in "abc" for line in (1, 2)]
@@ -685,3 +758,36 @@ def test_known_engine_oracle_divergence_on_random_model(seed):
 
     assert minus(engine, reference) == OVERGRANTS[seed]
     assert minus(reference, engine) == {}
+
+
+def test_engine_oracle_divergence_sweep_on_random_models():
+    # the generated texts depend on the hash seed (see RANDOM_MODELS), so the
+    # sweep runs in a child under a fixed one; when a fix lands, the
+    # expected set is restated, never widened
+    here = Path(__file__).resolve().parent
+    script = textwrap.dedent(
+        """
+        import json
+        from randmodels import random_model
+        from stackpol import generate_permissions, generate_policy, oracle_policy
+
+        divergent = []
+        for seed in range(3000):
+            m = random_model(seed)
+            u = generate_permissions(m)
+            if generate_policy(m, u).policy.grants != oracle_policy(m, u).grants:
+                divergent.append(seed)
+        print(json.dumps(divergent))
+        """
+    )
+    path = os.pathsep.join([str(here.parent / "src"), str(here)])
+    env = dict(os.environ, PYTHONHASHSEED="0", PYTHONPATH=path)
+    proc = subprocess.run(
+        [sys.executable, "-c", script],
+        env=env,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert set(json.loads(proc.stdout)) == {170, 2054, 2309, 2929}
