@@ -10,10 +10,9 @@ Everything here is bounded brute force over the model's graphs:
   the sites the path itself traverses (the route can self-support its
   contexts) and no edge is a call made by the privilege-asserting method.
   A *truncated* path starts at the privilege asserter instead of the
-  entry: it stands for the stack segment above an asserted privilege, and
-  it is valid when some full path from the entry reaches the asserter and
-  extends it to a route-supported whole.  Those witnesses ride along as
-  the path's ``extensions``.
+  entry: it stands for the stack segment above an asserted privilege.
+  Its ``extensions`` are the route-valid walks from the entry whose last
+  call made by the asserter starts that segment.
   Validity is decided edge by edge.  A union of choices is covered
   exactly when each chosen alternative is, so some member of the path's
   ``phi_route_along`` family is covered exactly when every edge has an
@@ -36,12 +35,12 @@ methods.
 
 Enumeration counts each edge at most ``bound`` times per path, which
 makes every enumeration finite while still letting paths wind through
-cycles; a global cap guards against combinatorial blowups.  It descends
-only into callees that can reach the target in the call graph.  A walk
-that leaves them never arrives, so the pruning drops no path, keeps the
-order of the rest and reaches the cap at the same count.  The out-edge
-and reachability maps and the entry-to-asserter prefixes are built once
-per model, not once per target.
+cycles; a global cap guards against combinatorial blowups.  Each target
+is enumerated by one walk from the entry, which yields the full paths and
+the extensions of the truncated ones alike, so the cap counts that walk
+alone.  It descends only into callees that can reach the target in the
+call graph.  A walk that leaves them never arrives, so the pruning drops
+no path and leaves the count the cap sees unchanged.
 
 Relating is memoized per run.  Whether an allocating stack can witness a
 demand for a flow path and a permission does not depend on the demand
@@ -51,7 +50,6 @@ and searches further only when none of those answers a query.
 
 from __future__ import annotations
 
-import weakref
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Iterator
@@ -167,104 +165,53 @@ def _opens(edges) -> list[Bracket]:
     return [Bracket(OPEN, e.site) for e in edges]
 
 
-class _CallGraph:
-    """The call-graph maps that enumeration reads, built once per model.
+def _walks(model: ProgramModel, target: str, bound: int) -> list[tuple[CallEdge, ...]]:
+    """All edge sequences from the entry to ``target`` using each edge at
+    most ``bound`` times; includes the empty one when the entry is the
+    target.
 
-    ``toward(target)`` keeps only the edges into methods that can reach
-    ``target``; a walk that leaves that set never arrives, so pruning the
-    rest drops no sequence and keeps the order of those that remain.
-    ``prefixes(bound)`` holds the entry-to-asserter sequences with their
-    per-edge counts, which every truncated path is joined to.
+    The walk descends only into callees that can reach ``target``: one
+    that leaves them never arrives, so this drops no sequence.
     """
+    callers: dict[str, list[str]] = {}
+    for e in model.call_edges:
+        callers.setdefault(e.callee, []).append(e.caller)
+    reach = {target}
+    todo = [target]
+    while todo:
+        for caller in callers.get(todo.pop(), ()):
+            if caller not in reach:
+                reach.add(caller)
+                todo.append(caller)
+    succ: dict[str, list[CallEdge]] = {}
+    for e in model.call_edges:
+        if e.callee in reach:
+            succ.setdefault(e.caller, []).append(e)
 
-    def __init__(self, model: ProgramModel) -> None:
-        self.entry = model.entry_method
-        self.priv = model.priv_method
-        self.out_edges: dict[str, list[CallEdge]] = {}
-        self.callers: dict[str, list[str]] = {}
-        for e in model.call_edges:
-            self.out_edges.setdefault(e.caller, []).append(e)
-            self.callers.setdefault(e.callee, []).append(e.caller)
-        self.zero_counts = dict.fromkeys((e.ident for e in model.call_edges), 0)
-        self._toward: dict[str, dict[str, list[CallEdge]]] = {}
-        self._prefixes: dict[int, list[tuple[tuple[CallEdge, ...], Counter[str]]]] = {}
+    start = model.entry_method
+    results: list[tuple[CallEdge, ...]] = []
+    path: list[CallEdge] = []
+    counts = dict.fromkeys((e.ident for e in model.call_edges), 0)
 
-    def toward(self, target: str) -> dict[str, list[CallEdge]]:
-        """Out-edges of each method that can reach ``target``, restricted
-        to callees that can reach it too."""
-        succ = self._toward.get(target)
-        if succ is None:
-            reach = {target}
-            todo = [target]
-            while todo:
-                for caller in self.callers.get(todo.pop(), ()):
-                    if caller not in reach:
-                        reach.add(caller)
-                        todo.append(caller)
-            succ = self._toward[target] = {
-                m: [e for e in self.out_edges.get(m, ()) if e.callee in reach]
-                for m in reach
-            }
-        return succ
+    def dfs(method: str) -> None:
+        if method == target:
+            results.append(tuple(path))
+            if len(results) > MAX_ENUMERATED_PATHS:
+                raise EnumerationLimitError(
+                    f"more than {MAX_ENUMERATED_PATHS} paths from "
+                    f"{start} to {target} at bound {bound}"
+                )
+        for e in succ.get(method, ()):
+            if counts[e.ident] < bound:
+                counts[e.ident] += 1
+                path.append(e)
+                dfs(e.callee)
+                path.pop()
+                counts[e.ident] -= 1
 
-    def sequences(self, start: str, target: str, bound: int) -> list[tuple[CallEdge, ...]]:
-        """All edge sequences start -> target using each edge at most
-        ``bound`` times; includes the empty sequence when start == target."""
-        succ = self.toward(target)
-        results: list[tuple[CallEdge, ...]] = []
-        path: list[CallEdge] = []
-        counts = self.zero_counts.copy()
-
-        def dfs(method: str) -> None:
-            if method == target:
-                results.append(tuple(path))
-                if len(results) > MAX_ENUMERATED_PATHS:
-                    raise EnumerationLimitError(
-                        f"more than {MAX_ENUMERATED_PATHS} paths from "
-                        f"{start} to {target} at bound {bound}"
-                    )
-            for e in succ[method]:
-                if counts[e.ident] < bound:
-                    counts[e.ident] += 1
-                    path.append(e)
-                    dfs(e.callee)
-                    path.pop()
-                    counts[e.ident] -= 1
-
-        if start in succ:
-            dfs(start)
-        return results
-
-    def prefixes(self, bound: int) -> list[tuple[tuple[CallEdge, ...], Counter[str]]]:
-        """Entry-to-asserter sequences, each with its per-edge counts."""
-        out = self._prefixes.get(bound)
-        if out is None:
-            out = self._prefixes[bound] = [
-                (edges, Counter(e.ident for e in edges))
-                for edges in self.sequences(self.entry, self.priv, bound)
-            ]
-        return out
-
-
-# the call graph of the last model enumerated, dropped with that model; a
-# model is immutable, and one oracle run enumerates toward several targets
-_last_graph: tuple[weakref.ref, _CallGraph] | None = None
-
-
-def _call_graph(model: ProgramModel) -> _CallGraph:
-    global _last_graph
-    last = _last_graph
-    if last is not None and last[0]() is model:
-        return last[1]
-    graph = _CallGraph(model)
-    _last_graph = (weakref.ref(model, _drop_graph), graph)
-    return graph
-
-
-def _drop_graph(ref: weakref.ref) -> None:
-    global _last_graph
-    if _last_graph is not None and _last_graph[0] is ref:
-        _last_graph = None
+    if start in reach:
+        dfs(start)
+    return results
 
 
 def _route_valid(edges) -> bool:
@@ -281,41 +228,39 @@ def _ident_key(edges) -> tuple[str, ...]:
 def enum_vpaths(
     model: ProgramModel, target: str, bound: int = DEFAULT_PATH_BOUND
 ) -> list[CallPath]:
-    """All valid call paths ending at ``target``, full and truncated."""
+    """All valid call paths ending at ``target``: the full ones, then the
+    truncated ones, each sorted by edge idents.
+
+    Every route-valid walk from the entry is a full path when the
+    privilege asserter makes none of its calls.  Otherwise it extends the
+    truncated path that starts at its last call made by the asserter.
+    """
     if bound < 1:
         raise ValueError("path bound must be at least 1")
     priv = model.priv_method
-    graph = _call_graph(model)
     full = []
-    for edges in graph.sequences(model.entry_method, target, bound):
-        if not edges or any(e.caller == priv for e in edges):
+    segments: dict[tuple[CallEdge, ...], list[tuple[CallEdge, ...]]] = {}
+    for edges in _walks(model, target, bound):
+        if not edges or not _route_valid(edges):
             continue
-        if _route_valid(edges):
+        cut = len(edges)
+        while cut and edges[cut - 1].caller != priv:
+            cut -= 1
+        if not cut:
             full.append(CallPath(model.entry_method, edges))
-
-    truncated = []
-    prefixes = graph.prefixes(bound)
-    for edges in graph.sequences(priv, target, bound):
-        if not edges or edges[0].caller != priv:
             continue
-        if any(e.caller == priv for e in edges[1:]):
-            continue
-        counts = Counter(e.ident for e in edges)
-        extensions = []
-        for prefix, prefix_counts in prefixes:
-            if any(counts[i] + n > bound for i, n in prefix_counts.items()):
-                continue
-            whole = prefix + edges
-            if _route_valid(whole):
-                extensions.append(whole)
-        if extensions:
-            extensions.sort(key=_ident_key)
-            truncated.append(
-                CallPath(priv, edges, truncated=True, extensions=tuple(extensions))
-            )
+        segments.setdefault(edges[cut - 1 :], []).append(edges)
 
     full.sort(key=lambda p: _ident_key(p.edges))
-    truncated.sort(key=lambda p: _ident_key(p.edges))
+    truncated = [
+        CallPath(
+            priv,
+            segment,
+            truncated=True,
+            extensions=tuple(sorted(extensions, key=_ident_key)),
+        )
+        for segment, extensions in sorted(segments.items(), key=lambda s: _ident_key(s[0]))
+    ]
     return full + truncated
 
 

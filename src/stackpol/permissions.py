@@ -96,9 +96,17 @@ def generate_permissions(
     model: ProgramModel,
     phi_meth: dict[str, CtxFamily] | None = None,
 ) -> PermissionUniverse:
-    """Derive the permission universe demanded at the model's checkpoints."""
-    if phi_meth is None:
-        phi_meth = compute_phi_meth(model)
+    """Derive the permission universe demanded at the model's checkpoints.
+
+    Without ``phi_meth``, the route contexts are computed at the first
+    form-3 allocation, so models that need none never pay for them.
+    """
+
+    def route_contexts(method: str) -> set[CtxSet]:
+        nonlocal phi_meth
+        if phi_meth is None:
+            phi_meth = compute_phi_meth(model)
+        return set(phi_meth.get(method, frozenset()))
 
     contexts: dict[Permission, set[CtxSet]] = {}
     sources: dict[Permission, set[tuple[CallSite, str]]] = {}
@@ -160,7 +168,7 @@ def generate_permissions(
             else:
                 add(
                     Permission(triple.perm_type),
-                    set(phi_meth.get(node.method, frozenset())),
+                    route_contexts(node.method),
                     site,
                     node.ident,
                 )

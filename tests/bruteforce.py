@@ -30,11 +30,17 @@ validity and relation tests as first written: the first builds the whole
 ``phi_route_along`` family of a path, the second rebuilds both stacks'
 method sets for every pair of stacks.  They are the references for
 ``oracle._route_valid`` and ``oracle.relates``.
+
+``vpaths_by_join`` builds each truncated path as enumeration first did:
+walk from the asserter to the target, then join every walk from the
+entry to the asserter whose edge counts keep the whole within the bound.
+It is the reference for ``enum_vpaths``, which cuts the entry's walks at
+their last asserter call instead.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 from typing import Iterable
 
 from stackpol import pushdown
@@ -46,6 +52,7 @@ from stackpol.oracle import (
     CallPath,
     DepPath,
     _opens,
+    _route_valid,
     enum_vpaths,
     extract,
     well_matched,
@@ -321,3 +328,63 @@ def relates_by_scan(
                 ):
                     return True
     return False
+
+
+def _bounded_walks(model: ProgramModel, start: str, target: str, bound: int):
+    out_edges = defaultdict(list)
+    for e in model.call_edges:
+        out_edges[e.caller].append(e)
+    results = []
+    path = []
+    counts = Counter()
+
+    def dfs(method: str) -> None:
+        if method == target:
+            results.append(tuple(path))
+        for e in out_edges[method]:
+            if counts[e.ident] < bound:
+                counts[e.ident] += 1
+                path.append(e)
+                dfs(e.callee)
+                path.pop()
+                counts[e.ident] -= 1
+
+    dfs(start)
+    return results
+
+
+def vpaths_by_join(model: ProgramModel, target: str, bound: int) -> list[CallPath]:
+    entry, priv = model.entry_method, model.priv_method
+
+    def key(edges):
+        return tuple(e.ident for e in edges)
+
+    full = [
+        CallPath(entry, edges)
+        for edges in _bounded_walks(model, entry, target, bound)
+        if edges and all(e.caller != priv for e in edges) and _route_valid(edges)
+    ]
+    prefixes = _bounded_walks(model, entry, priv, bound)
+    truncated = []
+    for segment in _bounded_walks(model, priv, target, bound):
+        if not segment or any(e.caller == priv for e in segment[1:]):
+            continue
+        counts = Counter(e.ident for e in segment)
+        extensions = [
+            prefix + segment
+            for prefix in prefixes
+            if all(counts[i] + n <= bound for i, n in Counter(key(prefix)).items())
+            and _route_valid(prefix + segment)
+        ]
+        if extensions:
+            truncated.append(
+                CallPath(
+                    priv,
+                    segment,
+                    truncated=True,
+                    extensions=tuple(sorted(extensions, key=key)),
+                )
+            )
+    full.sort(key=lambda p: key(p.edges))
+    truncated.sort(key=lambda p: key(p.edges))
+    return full + truncated

@@ -1,17 +1,15 @@
 """Reference enumeration: valid paths, flow paths, bracket matching."""
 
-import gc
 import json
 import os
 import random
 import subprocess
 import sys
 import textwrap
-import weakref
 from pathlib import Path
 
 import pytest
-from bruteforce import relates_by_scan, route_valid_by_family
+from bruteforce import relates_by_scan, route_valid_by_family, vpaths_by_join
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -164,7 +162,7 @@ def test_enumeration_blowup_is_capped():
         enum_vpaths(m, "check", bound=1)
 
 
-def test_the_call_graph_is_built_per_model_and_dropped_with_it():
+def test_enumeration_carries_no_state_across_models():
     chain = build(
         "method a",
         "calledge 1 main 1 a ctx=any",
@@ -180,11 +178,73 @@ def test_the_call_graph_is_built_per_model_and_dropped_with_it():
     )
     for model, want in ((chain, 1), (fork, 2), (chain, 1)):
         assert len(enum_vpaths(model, "check")) == want
-    alive = weakref.ref(chain)
-    del model, chain
-    gc.collect()
-    assert alive() is None
-    assert oracle._last_graph is None
+
+
+# the asserter is entered twice on one stack: main -> doPriv -> a -> doPriv
+REENTRY = (
+    "method a",
+    "calledge 1 main 1 doPriv ctx=any",
+    "calledge 2 doPriv 2 a ctx=any",
+    "calledge 3 a 3 doPriv ctx=any",
+    "calledge 4 a 4 check ctx=any",
+)
+
+
+def test_a_truncated_path_starts_at_the_last_asserter_call():
+    m = build(*REENTRY)
+    at2 = enum_vpaths(m, "check", bound=2)
+    assert [(idents(p), p.truncated) for p in at2] == [(("2", "4"), True)]
+    assert ext_idents(at2[0]) == (("1", "2", "3", "2", "4"), ("1", "2", "4"))
+    (at3,) = enum_vpaths(m, "check", bound=3)
+    assert idents(at3) == ("2", "4")
+    assert ext_idents(at3) == (
+        ("1", "2", "3", "2", "3", "2", "4"),
+        ("1", "2", "3", "2", "4"),
+        ("1", "2", "4"),
+    )
+
+
+_JOIN_MODELS = {
+    "bundled": running_example,
+    "layered": lambda: _layered(3, 3),
+    "ladder": lambda: _guarded_ladder(4),
+    "reentry": lambda: build(*REENTRY),
+}
+
+
+def _agrees_with_the_join(model):
+    for target in sorted(model.methods):
+        for bound in (1, 2, 3):
+            want = vpaths_by_join(model, target, bound)
+            assert enum_vpaths(model, target, bound) == want, (target, bound)
+
+
+@pytest.mark.parametrize("name", sorted(_JOIN_MODELS))
+def test_one_walk_equals_the_prefix_segment_join(name):
+    _agrees_with_the_join(_JOIN_MODELS[name]())
+
+
+def test_one_walk_equals_the_prefix_segment_join_on_random_models():
+    from randmodels import random_model
+
+    for seed in range(300):
+        _agrees_with_the_join(random_model(seed))
+
+
+def test_the_cap_counts_only_the_walk_to_the_target(monkeypatch):
+    monkeypatch.setattr(oracle, "MAX_ENUMERATED_PATHS", 3)
+    # four routes to the asserter, which cannot reach the check
+    m = build(
+        *(f"calledge {i} main {i} doPriv ctx=any" for i in range(1, 5)),
+        "calledge 5 main 5 check ctx=any",
+    )
+    assert [list(idents(p)) for p in enum_vpaths(m, "check", bound=1)] == [["5"]]
+
+    m = build(*(f"calledge {i} main {i} check ctx=any" for i in range(1, 5)))
+    with pytest.raises(
+        EnumerationLimitError, match=r"^more than 3 paths from main to check at bound 1$"
+    ):
+        enum_vpaths(m, "check", bound=1)
 
 
 # ------------------------------------------------------------ bracket matching

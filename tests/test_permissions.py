@@ -6,9 +6,11 @@ from stackpol import (
     ModelError,
     Permission,
     checkpoints,
+    compute_phi_meth,
     generate_permissions,
     parse_model,
 )
+from stackpol import permissions
 from stackpol.contexts import CallSite
 
 S = CallSite
@@ -208,6 +210,68 @@ def test_form_three_allocation_in_the_entry_method_demands_anywhere():
     )
     u = generate_permissions(m)
     assert u.contexts[Permission("AllPermission")] == frozenset({frozenset()})
+
+
+# ------------------------------------------------------ route contexts on demand
+
+
+def _refuse_route_contexts(model):
+    raise AssertionError("route contexts computed")
+
+
+def test_a_missing_checkarg_is_reported_without_route_contexts(monkeypatch):
+    monkeypatch.setattr(permissions, "compute_phi_meth", _refuse_route_contexts)
+    m = build(
+        "method mk",
+        "calledge 1 main 1 mk ctx=any",
+        "calledge 2 main 2 check ctx=any",
+        "depnode a mk 7 kind=alloc form=3 type=AllPermission",
+    )
+    with pytest.raises(ModelError, match="no checkarg binding"):
+        generate_permissions(m)
+
+
+def test_forms_one_and_two_never_compute_route_contexts(
+    example_model, example_universe, monkeypatch
+):
+    monkeypatch.setattr(permissions, "compute_phi_meth", _refuse_route_contexts)
+    assert generate_permissions(example_model) == example_universe
+    m = build(
+        "method mk",
+        "calledge 1 main 1 mk ctx=any",
+        "calledge 2 main 2 check ctx=any",
+        "depnode a mk 7 kind=alloc form=2 type=FilePermission target=t",
+        "checkarg main:2 var=p",
+        "pta p@main = {(FilePermission, a, {main:1})}",
+        'sa t@mk = {("/tmp/x", {main:1})}',
+    )
+    assert generate_permissions(m).perms == frozenset({Permission("FilePermission", "/tmp/x")})
+
+
+def test_route_contexts_are_computed_once_for_many_form_three_allocations(monkeypatch):
+    calls = []
+
+    def counted(model):
+        calls.append(model)
+        return compute_phi_meth(model)
+
+    monkeypatch.setattr(permissions, "compute_phi_meth", counted)
+    m = build(
+        "method mk",
+        "calledge 1 main 1 mk ctx=any",
+        "calledge 2 main 2 check ctx=any",
+        "calledge 3 mk 3 check ctx=any",
+        "depnode a mk 7 kind=alloc form=3 type=AllPermission",
+        "depnode b mk 8 kind=alloc form=3 type=NetPermission",
+        "checkarg main:2 var=p",
+        "checkarg mk:3 var=q",
+        "pta p@main = {(AllPermission, a, {main:1})}",
+        "pta q@mk = {(AllPermission, a, {main:1}); (NetPermission, b, {main:1})}",
+    )
+    u = generate_permissions(m)
+    assert calls == [m]
+    assert u == generate_permissions(m, compute_phi_meth(m))
+    assert u.contexts[Permission("NetPermission")] == frozenset({frozenset({S("main", 1)})})
 
 
 # -------------------------------------------------------------------- errors
