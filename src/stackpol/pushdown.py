@@ -56,7 +56,6 @@ from .weights import (
     PackedDigest,
     Packing,
     Weight,
-    check_packed_width,
     check_width,
     extend_packed,
 )
@@ -168,7 +167,11 @@ def movp(
     *,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
 ) -> Weight:
-    """Meet over all paths from the start stack to any stack topped by a target."""
+    """Meet over all paths from the start stack to any stack topped by a target.
+
+    Raises ``CapacityError`` when the result holds more than ``tuple_cap``
+    digests, or when saturation takes more than ``MAX_STEPS`` steps.
+    """
     wanted = set(targets)
     annotated = AnnotatedWPDS(system)
     packing = Packing(r.weight for r in system.rules)
@@ -192,17 +195,16 @@ def movp(
         old = trans.get(key, zero)
         if w <= old:
             return
-        new = check_packed_width(old | w, tuple_cap)
         if key not in trans:
             out_of[key[0]].append(key)
-        trans[key] = new
+        trans[key] = old | w
         worklist.append(key)
 
     def update_eps(q: int, w: Packed) -> None:
         old = eps.get(q, zero)
         if w <= old:
             return
-        new = eps[q] = check_packed_width(old | w, tuple_cap)
+        new = eps[q] = old | w
         # re-fold the excursion value into every continuation recorded under q
         for src, sym, ann, dst in list(out_of.get(q, ())):
             update_trans(
@@ -252,7 +254,7 @@ def movp(
             src = key[0]
             w = extend_packed(reach[q_done], trans[key])
             if not w <= reach[src]:
-                reach[src] = check_packed_width(reach[src] | w, tuple_cap)
+                reach[src] |= w
                 pending.append(src)
 
     # accumulate in one set; combining into a frozenset per transition is quadratic

@@ -190,7 +190,6 @@ def movp_by_weights(
         old = trans.get(key, ZERO)
         new = old.combine(w)
         if new != old:
-            check_width(new, tuple_cap)
             if key not in trans:
                 out_of[key[0]].append(key)
             trans[key] = new
@@ -201,7 +200,6 @@ def movp_by_weights(
         new = old.combine(w)
         if new == old:
             return
-        check_width(new, tuple_cap)
         eps[q] = new
         # re-fold the excursion value into every continuation recorded under q
         for src, sym, ann, dst in list(out_of.get(q, ())):
@@ -250,7 +248,6 @@ def movp_by_weights(
             src = key[0]
             cand = reach[src].combine(reach[q_done].extend(trans[key]))
             if cand != reach[src]:
-                check_width(cand, tuple_cap)
                 reach[src] = cand
                 pending.append(src)
 
