@@ -123,33 +123,57 @@ class AnnotatedWPDS:
 
     Rule instances exist per ``(symbol, sites_below)`` pair and are
     materialized on demand; nothing enumerates the powerset of call sites
-    up front.  ``sites_below`` holds only the sites that some rule
-    condition names; a system without conditions pairs every symbol with
-    the empty set.
+    up front.  ``sites_below`` holds only the sites below the symbol that
+    some condition can still read while it is on the stack: those in
+    ``relevant[symbol]``, the least set holding the sites named by the
+    conditions of the symbol's own rules and ``relevant`` of every symbol
+    on their right-hand sides.  A system without conditions pairs every
+    symbol with the empty set.
     """
 
     def __init__(self, system: ConditionalWPDS):
-        self._by_lhs: dict[StackSymbol, list[tuple[int, Rule]]] = defaultdict(list)
-        named: set[CallSite] = set()
-        for idx, r in enumerate(system.rules):
-            self._by_lhs[r.lhs].append((idx, r))
+        relevant: dict[StackSymbol, set[CallSite]] = defaultdict(set)
+        lhs_of: dict[StackSymbol, set[StackSymbol]] = defaultdict(set)
+        for r in system.rules:
             for member in r.cond.family:
-                named |= member
-        self._named: CtxSet = frozenset(named)
+                relevant[r.lhs] |= member
+            for sym in r.rhs:
+                lhs_of[sym].add(r.lhs)
+        pending = list(relevant)
+        while pending:
+            sym = pending.pop()
+            for lhs in lhs_of[sym]:
+                if not relevant[sym] <= relevant[lhs]:
+                    relevant[lhs] |= relevant[sym]
+                    pending.append(lhs)
+
+        # per rule and right-hand symbol Y: the set to intersect ``below``
+        # with, or None when relevant[Y] covers relevant[lhs] and ``below``
+        # passes unchanged; and the pushed return site, if relevant to Y
+        none: CtxSet = frozenset()
+        self._by_lhs: dict[StackSymbol, list[tuple]] = defaultdict(list)
+        for idx, r in enumerate(system.rules):
+            lhs_sites = relevant[r.lhs]
+            rhs = []
+            for i, sym in enumerate(r.rhs):
+                sites = frozenset(relevant[sym])
+                keep = None if sites >= lhs_sites else sites
+                pushed = r.rhs[1] if i == 0 and len(r.rhs) == 2 else None
+                add = frozenset({pushed}) if pushed in sites else none
+                rhs.append((sym, keep, add))
+            self._by_lhs[r.lhs].append((idx, r.cond, tuple(rhs)))
 
     def instances(self, base: StackSymbol, below: CtxSet) -> list[Instance]:
         """All rules applicable at top symbol ``base`` with ``below`` sites."""
         out = []
-        for idx, r in self._by_lhs.get(base, ()):
-            if not r.cond.holds(below):
+        for idx, cond, rhs in self._by_lhs.get(base, ()):
+            if not cond.holds(below):
                 continue
-            if len(r.rhs) == 2:
-                first, second = r.rhs
-                covered = below | {second} if second in self._named else below
-                rhs = ((first, covered), (second, below))
-            else:
-                rhs = tuple((sym, below) for sym in r.rhs)
-            out.append((idx, rhs))
+            tops = []
+            for sym, keep, add in rhs:
+                sites = below if keep is None else below & keep
+                tops.append((sym, sites | add if add else sites))
+            out.append((idx, tuple(tops)))
         return out
 
 

@@ -4,9 +4,12 @@
 testing each rule's condition against the call sites below the top.
 ``reduced_successors`` steps the same stack through the engine's
 ``AnnotatedWPDS`` view instead, so tests can check that the two agree.
-``annotate_stack`` pairs each symbol of a concrete stack with the sites
-below it that ``named_sites`` (the sites some rule condition names)
-contains, which is the pair stack the view must reach.
+``relevant_sites`` maps each symbol to the condition sites of every
+symbol its rules' right-hand sides lead to, found by a plain graph walk
+per symbol; ``annotate_stack`` pairs each symbol of a concrete stack
+with the sites below it in its own relevant set, which is the pair
+stack the view must reach.  ``named_sites`` is the set of sites that
+some rule condition names.
 
 ``movp_by_stepping`` interprets a conditional system configuration by
 configuration with the direct ``successors`` semantics and folds rule
@@ -15,8 +18,10 @@ scale systems, which is the point: it is too simple to be wrong in the
 same way as the automaton construction.
 
 ``movp_by_weights`` is the post* solver as first written, saturating on
-``Weight`` values directly; it is the reference for ``movp``, which runs
-the same saturation on packed digests.
+``Weight`` values directly, over ``GlobalAnnotatedWPDS``, which projects
+every symbol onto ``named_sites``.  It is the reference for ``movp``,
+which runs the same saturation on packed digests over the per-symbol
+projection.
 
 ``fold_weights`` composes a rule-weight sequence left to right, giving
 an independent path-digest reference for single runs.
@@ -105,10 +110,57 @@ def named_sites(system: ConditionalWPDS) -> CtxSet:
     )
 
 
-def annotate_stack(stack: Stack, named: CtxSet) -> PairStack:
+def relevant_sites(system: ConditionalWPDS) -> dict[StackSymbol, CtxSet]:
+    leads_to: dict[StackSymbol, set[StackSymbol]] = defaultdict(set)
+    own: dict[StackSymbol, set[CallSite]] = defaultdict(set)
+    for r in system.rules:
+        leads_to[r.lhs].update(r.rhs)
+        for member in r.cond.family:
+            own[r.lhs] |= member
+    relevant = {}
+    for sym in alphabet(system):
+        seen, todo = {sym}, [sym]
+        while todo:
+            for nxt in leads_to[todo.pop()]:
+                if nxt not in seen:
+                    seen.add(nxt)
+                    todo.append(nxt)
+        relevant[sym] = frozenset(site for s in seen for site in own[s])
+    return relevant
+
+
+def annotate_stack(
+    stack: Stack, relevant: dict[StackSymbol, CtxSet]
+) -> PairStack:
     return tuple(
-        (sym, stack_sites(stack[i + 1 :]) & named) for i, sym in enumerate(stack)
+        (sym, stack_sites(stack[i + 1 :]) & relevant[sym])
+        for i, sym in enumerate(stack)
     )
+
+
+class GlobalAnnotatedWPDS:
+    """``AnnotatedWPDS`` as first written: every symbol is paired with
+    the sites below it that some rule condition names."""
+
+    def __init__(self, system: ConditionalWPDS):
+        self._by_lhs: dict[StackSymbol, list[tuple[int, Rule]]] = defaultdict(list)
+        for idx, r in enumerate(system.rules):
+            self._by_lhs[r.lhs].append((idx, r))
+        self._named = named_sites(system)
+
+    def instances(self, base: StackSymbol, below: CtxSet):
+        out = []
+        for idx, r in self._by_lhs.get(base, ()):
+            if not r.cond.holds(below):
+                continue
+            if len(r.rhs) == 2:
+                first, second = r.rhs
+                covered = below | {second} if second in self._named else below
+                rhs = ((first, covered), (second, below))
+            else:
+                rhs = tuple((sym, below) for sym in r.rhs)
+            out.append((idx, rhs))
+        return out
 
 
 def reduced_successors(
@@ -172,7 +224,7 @@ def movp_by_weights(
 ) -> Weight:
     """Meet over all paths from the start stack to any stack topped by a target."""
     wanted = set(targets)
-    annotated = AnnotatedWPDS(system)
+    annotated = GlobalAnnotatedWPDS(system)
     trans: dict[_TransKey, Weight] = {}
     out_of: dict[int, list[_TransKey]] = defaultdict(list)
     eps: dict[int, Weight] = {}

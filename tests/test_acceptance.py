@@ -11,7 +11,7 @@ import random
 import time
 from itertools import chain, combinations
 
-from bruteforce import annotate_stack, named_sites, reduced_successors, successors
+from bruteforce import annotate_stack, reduced_successors, relevant_sites, successors
 from randmodels import random_model
 from test_contexts import _families, _universe_strings
 from test_cwpds import _random_system, _strip
@@ -232,16 +232,16 @@ def _step_equivalence(minimum: int) -> int:
     while sequences < minimum:
         system = _random_system(rng)
         annotated = AnnotatedWPDS(system)
-        named = named_sites(system)
+        relevant = relevant_sites(system)
         stack = (system.start,)
         for _step in range(6):
             direct = successors(system, stack)
-            reduced = reduced_successors(annotated, annotate_stack(stack, named))
+            reduced = reduced_successors(annotated, annotate_stack(stack, relevant))
             direct_view = {(id(r), s) for r, s in direct}
             reduced_view = {(id(system.rules[idx]), _strip(s)) for idx, s in reduced}
             assert direct_view == reduced_view
             for _idx, s in reduced:
-                assert s == annotate_stack(_strip(s), named)
+                assert s == annotate_stack(_strip(s), relevant)
             if not direct:
                 break
             stack = rng.choice(direct)[1]

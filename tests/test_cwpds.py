@@ -8,6 +8,7 @@ import random
 import pytest
 
 from bruteforce import (
+    GlobalAnnotatedWPDS,
     alphabet,
     annotate_stack,
     fold_weights,
@@ -15,6 +16,7 @@ from bruteforce import (
     movp_by_weights,
     named_sites,
     reduced_successors,
+    relevant_sites,
     stack_sites,
     successors,
 )
@@ -130,22 +132,27 @@ def test_alphabet_and_dump_are_deterministic():
 
 
 def test_annotation_math_push_swap_pop():
-    # the swap's condition names za and zb; no condition names zc
+    # B's swap reads za and zb, and the return site za's swap reads zb, so
+    # both are relevant at A and B, zb alone at za, and nothing at X or
+    # zc; C's condition names zc, but C is not reachable from A or B
     za, zb, zc = site("A", 1), site("B", 2), site("A", 3)
     rules = [
         Rule("A", ("B", za)),
         Rule("A", ("B", zc)),
         Rule("B", ("X",), cond=cond([za], [zb])),
         Rule("X", ()),
+        Rule(za, ("X",), cond=cond([zb])),
+        Rule("C", ("X",), cond=cond([zc])),
     ]
     ann = AnnotatedWPDS(ConditionalWPDS(rules, "A"))
-    below = frozenset({zb})
+    below, none = frozenset({zb}), frozenset()
     assert ann.instances("A", below) == [
         (0, (("B", below | {za}), (za, below))),
-        (1, (("B", below), (zc, below))),
+        (1, (("B", below), (zc, none))),
     ]
-    assert ann.instances("B", below) == [(2, (("X", below),))]
-    assert ann.instances("X", below) == [(3, ())]
+    assert ann.instances("B", below | {za}) == [(2, (("X", none),))]
+    assert ann.instances(za, below) == [(4, (("X", none),))]
+    assert ann.instances("X", none) == [(3, ())]
 
 
 def test_annotated_instances_respect_conditions():
@@ -194,18 +201,18 @@ def test_conditional_and_reduced_stepping_agree_on_random_walks():
     while sequences < 250:
         system = _random_system(rng)
         ann = AnnotatedWPDS(system)
-        named = named_sites(system)
+        relevant = relevant_sites(system)
         stack = (system.start,)
         for _step in range(6):
             direct = successors(system, stack)
-            reduced = reduced_successors(ann, annotate_stack(stack, named))
+            reduced = reduced_successors(ann, annotate_stack(stack, relevant))
             # same rules fire, producing the same concrete stacks
             direct_view = {(id(r), s) for r, s in direct}
             reduced_view = {(id(system.rules[idx]), _strip(s)) for idx, s in reduced}
             assert direct_view == reduced_view
-            # and the sites paired with each symbol are the named ones below it
+            # and each symbol is paired with the sites below it relevant to it
             for _idx, s in reduced:
-                assert s == annotate_stack(_strip(s), named)
+                assert s == annotate_stack(_strip(s), relevant)
             if not direct:
                 break
             stack = rng.choice(direct)[1]
@@ -389,6 +396,43 @@ def test_movp_matches_stepping_on_a_ladder_whose_conditions_name_some_sites():
     assert named_sites(system) < pushed
     check = {model.check_method}
     assert movp(system, check) == movp_by_stepping(system, check, depth=12)
+
+
+def _reachable_pairs(view, start) -> set:
+    # every (symbol, sites_below) pair that some rule instance leaves on
+    # the stack, from the start symbol with nothing below it
+    seen = {(start, frozenset())}
+    todo = list(seen)
+    while todo:
+        for _idx, rhs in view.instances(*todo.pop()):
+            for pair in rhs:
+                if pair not in seen:
+                    seen.add(pair)
+                    todo.append(pair)
+    return seen
+
+
+@pytest.mark.parametrize("levels", [4, 8, 12])
+def test_a_guarded_ladder_reaches_linearly_many_annotated_symbols(levels):
+    # each level's calls are guarded by both sites of the level above, so
+    # a level keeps one of those two sites and forgets the rest; the
+    # global projection kept every site above, 2^k annotations at level k
+    model, _names = guarded_diamond_ladder(levels)
+    system = encode(model)
+    assert len(_reachable_pairs(AnnotatedWPDS(system), system.start)) == 4 * levels + 2
+
+
+def test_per_symbol_and_global_projections_give_the_same_weights():
+    # movp_by_weights runs over GlobalAnnotatedWPDS, the projection onto
+    # every condition-named site
+    model, _names = guarded_diamond_ladder(6)
+    system = encode(model)
+    assert len(_reachable_pairs(AnnotatedWPDS(system), system.start)) < len(
+        _reachable_pairs(GlobalAnnotatedWPDS(system), system.start)
+    )
+    for m in [model] + [random_model(seed) for seed in range(300)]:
+        system, check = encode(m), {m.check_method}
+        assert str(movp(system, check)) == str(movp_by_weights(system, check))
 
 
 def test_a_system_without_conditions_reaches_only_empty_annotations():
