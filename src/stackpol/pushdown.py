@@ -113,6 +113,8 @@ class ConditionalWPDS:
         return "\n".join(lines)
 
 
+_NONE: CtxSet = frozenset()
+
 # one rule instance: (index of the conditional rule, and the
 # (symbol, sites_below) pairs it leaves on top of the stack)
 Instance = tuple[int, tuple[tuple[StackSymbol, CtxSet], ...]]
@@ -132,49 +134,66 @@ class AnnotatedWPDS:
     """
 
     def __init__(self, system: ConditionalWPDS):
-        relevant: dict[StackSymbol, set[CallSite]] = defaultdict(set)
-        lhs_of: dict[StackSymbol, set[StackSymbol]] = defaultdict(set)
-        for r in system.rules:
-            for member in r.cond.family:
-                relevant[r.lhs] |= member
-            for sym in r.rhs:
-                lhs_of[sym].add(r.lhs)
-        pending = list(relevant)
-        while pending:
-            sym = pending.pop()
-            for lhs in lhs_of[sym]:
-                if not relevant[sym] <= relevant[lhs]:
-                    relevant[lhs] |= relevant[sym]
-                    pending.append(lhs)
-
-        # per rule and right-hand symbol Y: the set to intersect ``below``
-        # with, or None when relevant[Y] covers relevant[lhs] and ``below``
-        # passes unchanged; and the pushed return site, if relevant to Y
-        none: CtxSet = frozenset()
-        self._by_lhs: dict[StackSymbol, list[tuple]] = defaultdict(list)
+        self._by_lhs: dict[StackSymbol, list[tuple[int, Rule]]] = defaultdict(list)
+        relevant: dict[StackSymbol, CtxSet] = {}
         for idx, r in enumerate(system.rules):
-            lhs_sites = relevant[r.lhs]
-            rhs = []
-            for i, sym in enumerate(r.rhs):
-                sites = frozenset(relevant[sym])
-                keep = None if sites >= lhs_sites else sites
-                pushed = r.rhs[1] if i == 0 and len(r.rhs) == 2 else None
-                add = frozenset({pushed}) if pushed in sites else none
-                rhs.append((sym, keep, add))
-            self._by_lhs[r.lhs].append((idx, r.cond, tuple(rhs)))
+            self._by_lhs[r.lhs].append((idx, r))
+            for member in r.cond.family:
+                if member:
+                    relevant[r.lhs] = relevant.get(r.lhs, _NONE) | member
+        if relevant:
+            lhs_of: dict[StackSymbol, list[StackSymbol]] = defaultdict(list)
+            for r in system.rules:
+                for sym in r.rhs:
+                    lhs_of[sym].append(r.lhs)
+            pending = list(relevant)
+            while pending:
+                sym = pending.pop()
+                for lhs in lhs_of[sym]:
+                    old = relevant.get(lhs, _NONE)
+                    if not relevant[sym] <= old:
+                        relevant[lhs] = old | relevant[sym]
+                        pending.append(lhs)
+        self._relevant = relevant
 
     def instances(self, base: StackSymbol, below: CtxSet) -> list[Instance]:
         """All rules applicable at top symbol ``base`` with ``below`` sites."""
+        # with nothing relevant to base, nothing is to its successors either
+        mine = self._relevant.get(base)
         out = []
-        for idx, cond, rhs in self._by_lhs.get(base, ()):
-            if not cond.holds(below):
+        for idx, r in self._by_lhs.get(base, ()):
+            if not r.cond.holds(below):
                 continue
-            tops = []
-            for sym, keep, add in rhs:
-                sites = below if keep is None else below & keep
-                tops.append((sym, sites | add if add else sites))
-            out.append((idx, tuple(tops)))
+            if len(r.rhs) == 2:
+                first, second = r.rhs
+                if mine:
+                    rhs = (
+                        (first, self._project(first, below, mine, second)),
+                        (second, self._project(second, below, mine)),
+                    )
+                else:
+                    rhs = ((first, below), (second, below))
+            else:
+                rhs = tuple(
+                    (sym, self._project(sym, below, mine) if mine else below)
+                    for sym in r.rhs
+                )
+            out.append((idx, rhs))
         return out
+
+    def _project(
+        self, sym: StackSymbol, below: CtxSet, mine: CtxSet, pushed: CallSite | None = None
+    ) -> CtxSet:
+        """``below`` plus ``pushed``, cut to the sites relevant to ``sym``.
+
+        ``mine`` is the relevant set of the rule's left-hand side, which
+        holds ``below`` and covers ``sym``'s, so when ``sym``'s is all of
+        it ``below`` passes unchanged.
+        """
+        sites = self._relevant.get(sym, _NONE)
+        if not sites >= mine:
+            below = below & sites
+        return below | {pushed} if pushed in sites else below
 
 
 # automaton states: 0 is the control location, 1 accepts the stack bottom
