@@ -15,18 +15,24 @@ one-symbol start configuration to any configuration whose top matches
 
 Conditions are compiled away rather than interpreted: ``AnnotatedWPDS``
 views the system over pairs ``(symbol, sites_below)``, where the second
-part is the set of call sites below the symbol on the stack that some
-rule condition names.  A push extends the new top's set with the pushed
-return site if a condition names it; swaps preserve the set; a pop
-uncovers the symbol underneath together with its recorded set.  A
-condition only asks whether one of its members is a subset of the sites
-below, and every member lies inside the named sites, so the projection
-decides each condition exactly as the full set would.  Rule
-applicability is then a plain lookup on the pair, and the solver is an
-ordinary weighted post* saturation over such pairs.  Stacks that differ
-only in sites no condition reads share their pairs, so the number of
-transitions grows with the distinct *named* sites below, not with every
-distinct stack.
+part is the set of call sites below the symbol on the stack that are
+*relevant* to it.  The sites relevant to X are those named by the
+conditions of X's own rules and, recursively, those relevant to every
+symbol on the right-hand sides of X's rules, so every site that a
+condition can read while X stays on the stack is among them.  A push
+``X -> Y s`` gives Y the relevant part of the sites below X plus ``s``,
+and gives ``s`` the part relevant to ``s``; a swap projects onto the new
+top; a pop uncovers the symbol underneath together with its recorded
+set.  The sites relevant to a right-hand symbol are among those relevant
+to X, so each projection is computed from X's own pair.  A condition
+only asks whether one of its members is a subset of the sites below, and
+every member lies inside the sites relevant to the rule's left-hand
+side, so the projection decides each condition exactly as the full set
+would.  Rule applicability is then a plain lookup on the pair, and the
+solver is an ordinary weighted post* saturation over such pairs.  Stacks
+that differ only in sites no later condition reads share their pairs, so
+on a ladder whose every level is guarded by the level above, each symbol
+has at most two annotations instead of one per route to it.
 
 The saturation runs on packed digests (see ``weights``): once per solve,
 the methods and call sites named by the rule weights are interned, every
@@ -126,11 +132,11 @@ class AnnotatedWPDS:
     Rule instances exist per ``(symbol, sites_below)`` pair and are
     materialized on demand; nothing enumerates the powerset of call sites
     up front.  ``sites_below`` holds only the sites below the symbol that
-    some condition can still read while it is on the stack: those in
-    ``relevant[symbol]``, the least set holding the sites named by the
-    conditions of the symbol's own rules and ``relevant`` of every symbol
-    on their right-hand sides.  A system without conditions pairs every
-    symbol with the empty set.
+    are relevant to it.  The relevant sets are the least ones in which
+    each symbol's holds the sites named by the conditions of its own rules
+    and the relevant set of every symbol on their right-hand sides; a
+    worklist fixpoint computes them once.  A system without conditions
+    pairs every symbol with the empty set.
     """
 
     def __init__(self, system: ConditionalWPDS):
@@ -182,7 +188,11 @@ class AnnotatedWPDS:
         return out
 
     def _project(
-        self, sym: StackSymbol, below: CtxSet, mine: CtxSet, pushed: CallSite | None = None
+        self,
+        sym: StackSymbol,
+        below: CtxSet,
+        mine: CtxSet,
+        pushed: CallSite | None = None,
     ) -> CtxSet:
         """``below`` plus ``pushed``, cut to the sites relevant to ``sym``.
 

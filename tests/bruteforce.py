@@ -129,9 +129,7 @@ def relevant_sites(system: ConditionalWPDS) -> dict[StackSymbol, CtxSet]:
     return relevant
 
 
-def annotate_stack(
-    stack: Stack, relevant: dict[StackSymbol, CtxSet]
-) -> PairStack:
+def annotate_stack(stack: Stack, relevant: dict[StackSymbol, CtxSet]) -> PairStack:
     return tuple(
         (sym, stack_sites(stack[i + 1 :]) & relevant[sym])
         for i, sym in enumerate(stack)

@@ -415,11 +415,13 @@ def _reachable_pairs(view, start) -> set:
 @pytest.mark.parametrize("levels", [4, 8, 12])
 def test_a_guarded_ladder_reaches_linearly_many_annotated_symbols(levels):
     # each level's calls are guarded by both sites of the level above, so
-    # a level keeps one of those two sites and forgets the rest; the
-    # global projection kept every site above, 2^k annotations at level k
+    # a level keeps one of those two sites and forgets the rest; projected
+    # onto every named site, as GlobalAnnotatedWPDS does, level k would
+    # keep any of 2^k site sets
     model, _names = guarded_diamond_ladder(levels)
     system = encode(model)
-    assert len(_reachable_pairs(AnnotatedWPDS(system), system.start)) == 4 * levels + 2
+    pairs = _reachable_pairs(AnnotatedWPDS(system), system.start)
+    assert len(pairs) == 4 * levels + 2
 
 
 def test_per_symbol_and_global_projections_give_the_same_weights():
