@@ -9,7 +9,7 @@ pipelines is the main correctness instrument.
 """
 
 import stackpol as sp
-from stackpol.oracle import dep_paths, extract, match_paths
+from stackpol.oracle import dep_paths, extract
 
 model = sp.running_example()
 universe = sp.generate_permissions(model)
@@ -36,9 +36,6 @@ for flow in dep_paths(model):
     word = extract(model, flow)
     rendered = " ".join(f"{b.polarity}@{b.site}" for b in word) or "(empty)"
     print(f"flow {flow.start}->{flow.end}: {rendered}")
-    hosts = match_paths(model, flow)
-    for host in hosts:
-        print("  hosted by " + "".join(f"({e.ident})" for e in host.edges))
 print()
 
 # both pipelines, same grants

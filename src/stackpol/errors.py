@@ -33,4 +33,4 @@ class CapacityError(StackpolError):
 
 
 class EnumerationLimitError(StackpolError):
-    """A concretization or path enumeration request would be too large."""
+    """A path enumeration request would be too large."""

@@ -31,8 +31,8 @@ anything else, and the roles, then each call edge's callee and context
 sites, are checked once the last call edge is read.  A file with several
 faults reports the first one met in that order.
 
-Semantic queries (route context families, per-path context folds,
-consistency lints) live here too.
+Semantic queries (route context families, consistency lints) live here
+too.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from __future__ import annotations
 import re
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Sequence
 
 from .contexts import (
     ANY_FAMILY,
@@ -597,19 +596,6 @@ def compute_phi_meth(model: ProgramModel) -> dict[str, CtxFamily]:
                 fam[e.callee].add(grown)
                 worklist.append((e.callee, grown))
     return {name: frozenset(members) for name, members in fam.items()}
-
-
-def phi_route_along(path: Sequence[CallEdge]) -> CtxFamily:
-    """Context family of one call path: unions of one choice per edge."""
-    for left, right in zip(path, path[1:]):
-        if left.callee != right.caller:
-            raise ValueError(
-                f"path edges are not incident: {left.ident} then {right.ident}"
-            )
-    family: set[CtxSet] = {frozenset()}
-    for e in path:
-        family = {c | choice for c in family for choice in e.ctx}
-    return frozenset(family)
 
 
 def lint_model(model: ProgramModel, phi: dict[str, CtxFamily] | None = None) -> list[str]:

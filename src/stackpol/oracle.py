@@ -13,11 +13,12 @@ Everything here is bounded brute force over the model's graphs:
   entry: it stands for the stack segment above an asserted privilege.
   Its ``extensions`` are the route-valid walks from the entry whose last
   call made by the asserter starts that segment.
-  Validity is decided edge by edge.  A union of choices is covered
-  exactly when each chosen alternative is, so some member of the path's
-  ``phi_route_along`` family is covered exactly when every edge has an
-  alternative covered by the path's sites.  That test is linear in the
-  path length; the family itself can grow exponentially with it.
+  Validity is decided edge by edge.  The path's context family holds
+  the unions of one alternative per edge.  A union is covered exactly
+  when each chosen alternative is, so some member of the family is
+  covered exactly when every edge has an alternative covered by the
+  path's sites.  That test is linear in the path length; the family
+  itself can grow exponentially with it.
 * a *flow path* walks the dependency graph from an allocation to a
   checkpoint, tracking how the permission object travels.  Call- and
   return-crossings are matched like brackets against the call stack that
@@ -99,9 +100,6 @@ class CallPath:
 
     def methods(self) -> frozenset[str]:
         return self._methods
-
-    def sites(self) -> frozenset[CallSite]:
-        return frozenset(e.site for e in self.edges)
 
     def full_variants(self) -> tuple[tuple[CallEdge, ...], ...]:
         """Entry-rooted edge sequences this path stands for."""
@@ -215,8 +213,8 @@ def _walks(model: ProgramModel, target: str, bound: int) -> list[tuple[CallEdge,
 
 
 def _route_valid(edges) -> bool:
-    """Is some member of ``phi_route_along(edges)`` covered by the path's
-    own sites?  Decided edge by edge, without building the family."""
+    """Is some union of one context alternative per edge covered by the
+    path's own sites?  Decided edge by edge, without building the unions."""
     sites = frozenset(e.site for e in edges)
     return all(any(c <= sites for c in e.ctx) for e in edges)
 
@@ -297,28 +295,6 @@ def dep_paths(
     for alloc in allocs:
         dfs(alloc)
     return results
-
-
-def match_paths(
-    model: ProgramModel, pi: DepPath, bound: int = DEFAULT_PATH_BOUND
-) -> list[CallPath]:
-    """Valid paths to the flow's origin method that can host the flow.
-
-    A path hosts ``pi`` when the bracket word of its opened frames
-    followed by the flow's crossings is well matched: every value
-    returned across a call boundary must return into a frame the path
-    actually opened.
-    """
-    word_tail = list(extract(model, pi))
-    origin = model.dep_nodes[pi.start].method
-    out = []
-    for sigma in enum_vpaths(model, origin, bound):
-        if any(
-            well_matched(_opens(v) + word_tail)
-            for v in sigma.full_variants()
-        ):
-            out.append(sigma)
-    return out
 
 
 @dataclass(slots=True)

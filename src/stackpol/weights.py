@@ -117,10 +117,6 @@ class Weight:
             frozenset(t.seq(u) for t in self.tuples for u in other.tuples)
         )
 
-    def leq(self, other: "Weight") -> bool:
-        """Natural order: ``self`` is below iff it absorbs ``other``."""
-        return other.tuples <= self.tuples
-
     def width(self) -> int:
         return len(self.tuples)
 
@@ -138,17 +134,13 @@ ZERO = Weight(frozenset())
 ONE = Weight(frozenset({WeightTuple()}))
 
 
-def _too_wide(width: int, cap: int) -> CapacityError:
-    return CapacityError(
-        f"weight grew to {width} digests (cap {cap}); "
-        "the model's branching is too rich for exhaustive tracking"
-    )
-
-
 def check_width(weight: Weight, cap: int = DEFAULT_TUPLE_CAP) -> Weight:
     """Guard against digest-set blowup; raises ``CapacityError`` past the cap."""
     if weight.width() > cap:
-        raise _too_wide(weight.width(), cap)
+        raise CapacityError(
+            f"weight grew to {weight.width()} digests (cap {cap}); "
+            "the model's branching is too rich for exhaustive tracking"
+        )
     return weight
 
 
@@ -241,9 +233,3 @@ def extend_packed(left: Packed, right: Packed) -> Packed:
         for rk, rg, rf, rh in right
     )
 
-
-def check_packed_width(packed: Packed, cap: int = DEFAULT_TUPLE_CAP) -> Packed:
-    """``check_width`` on a packed weight."""
-    if len(packed) > cap:
-        raise _too_wide(len(packed), cap)
-    return packed

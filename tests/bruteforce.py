@@ -1,4 +1,24 @@
-"""Reference stepping and solvers that share no code with the saturation engine.
+"""Reference stepping, solvers and specifications that share no code with
+the saturation engine.
+
+The context lattice comes first.  A call string is abstracted to the set
+of sites it visits (``abstract_ctx``), and a set of strings to the family
+of those sets (``abstract_ctx_set``).  Orders:
+
+* strings compare by site-set inclusion (``ctx_leq``),
+* string sets compare by the Hoare lift of that (``set_leq``),
+* families compare by the Hoare lift of set inclusion (``family_leq``).
+
+``abstract_ctx_set`` and ``concretize`` form a Galois connection between
+string sets ordered by ``set_leq`` and families ordered by ``family_leq``:
+
+    family_leq(abstract_ctx_set(S), F)  iff  set_leq(S, concretize(F))
+
+The right-to-left direction needs the full-permutation witness inside
+``concretize`` (every member set appears as a string using each site once),
+which is why concretization enumerates permutations and not just subsets.
+The pipeline never builds these; it relies on the connection through
+``compute_phi_meth`` and ``Condition.holds``.
 
 ``successors`` interprets a conditional system on one concrete stack,
 testing each rule's condition against the call sites below the top.
@@ -30,11 +50,15 @@ an independent path-digest reference for single runs.
 digest against every permission and demand context, the reference for
 ``generate_policy``'s indexed extraction.
 
-``route_valid_by_family`` and ``relates_by_scan`` are the oracle's route
-validity and relation tests as first written: the first builds the whole
-``phi_route_along`` family of a path, the second rebuilds both stacks'
-method sets for every pair of stacks.  They are the references for
-``oracle._route_valid`` and ``oracle.relates``.
+``phi_route_along`` is the context family of one call path: the unions
+of one alternative per edge.  ``route_valid_by_family`` and
+``relates_by_scan`` are the oracle's route validity and relation tests as
+first written: the first builds the whole ``phi_route_along`` family of a
+path, the second rebuilds both stacks' method sets for every pair of
+stacks.  They are the references for ``oracle._route_valid`` and
+``oracle.relates``.  ``match_paths`` lists the valid paths to a flow's
+origin that can host the flow, the reference for the hosting test in
+``oracle._admissible_methods``.
 
 ``vpaths_by_join`` builds each truncated path as enumeration first did:
 walk from the asserter to the target, then join every walk from the
@@ -46,12 +70,13 @@ their last asserter call instead.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from typing import Iterable
+from itertools import permutations
+from typing import Iterable, Sequence
 
 from stackpol import pushdown
-from stackpol.contexts import CallSite, CtxSet
-from stackpol.errors import CapacityError
-from stackpol.model import ProgramModel, phi_route_along
+from stackpol.contexts import CallSite, CtxFamily, CtxSet
+from stackpol.errors import CapacityError, EnumerationLimitError
+from stackpol.model import CallEdge, ProgramModel
 from stackpol.oracle import (
     DEFAULT_PATH_BOUND,
     CallPath,
@@ -77,6 +102,63 @@ from stackpol.weights import DEFAULT_TUPLE_CAP, ONE, ZERO, Weight, check_width
 Stack = tuple[StackSymbol, ...]
 # a stack whose every symbol is paired with the call sites strictly below it
 PairStack = tuple[tuple[StackSymbol, CtxSet], ...]
+CallString = tuple[CallSite, ...]
+
+DEFAULT_CONCRETIZE_BOUND = 8
+
+
+def abstract_ctx(string: Iterable[CallSite]) -> CtxSet:
+    """Collapse a call string to the set of sites it visits."""
+    return frozenset(string)
+
+
+def abstract_ctx_set(strings: Iterable[Iterable[CallSite]]) -> CtxFamily:
+    """Abstract each string separately; no member is dropped or merged."""
+    return frozenset(abstract_ctx(s) for s in strings)
+
+
+def concretize(
+    family: Iterable[Iterable[CallSite]],
+    max_sites: int = DEFAULT_CONCRETIZE_BOUND,
+) -> frozenset[CallString]:
+    """All repetition-free strings compatible with some family member.
+
+    For each member set, emits every permutation of every subset.  The
+    result is finite but factorial in the member size, hence the guard.
+    """
+    fam = frozenset(frozenset(c) for c in family)
+    out: set[CallString] = set()
+    for member in fam:
+        if len(member) > max_sites:
+            raise EnumerationLimitError(
+                f"refusing to concretize a context with {len(member)} sites "
+                f"(bound {max_sites})"
+            )
+        ordered = sorted(member)
+        for k in range(len(ordered) + 1):
+            out.update(permutations(ordered, k))
+    return frozenset(out)
+
+
+def ctx_leq(a: Iterable[CallSite], b: Iterable[CallSite]) -> bool:
+    """String order: every site of ``a`` occurs somewhere in ``b``."""
+    return frozenset(a) <= frozenset(b)
+
+
+def set_leq(
+    strings: Iterable[CallString], bigger: Iterable[CallString]
+) -> bool:
+    """Hoare lift of ``ctx_leq`` to sets of strings."""
+    bigger_sets = [frozenset(t) for t in bigger]
+    return all(
+        any(frozenset(s) <= t for t in bigger_sets) for s in strings
+    )
+
+
+def family_leq(fam1: Iterable[CtxSet], fam2: Iterable[CtxSet]) -> bool:
+    """Hoare lift of set inclusion to families: every member is covered."""
+    f2 = list(fam2)
+    return all(any(a <= b for b in f2) for a in fam1)
 
 
 def stack_sites(stack) -> CtxSet:
@@ -331,9 +413,44 @@ def grants_by_scan(
     return {m: frozenset(ps) for m, ps in grants.items()}
 
 
+def phi_route_along(path: Sequence[CallEdge]) -> CtxFamily:
+    """Context family of one call path: unions of one choice per edge."""
+    for left, right in zip(path, path[1:]):
+        if left.callee != right.caller:
+            raise ValueError(
+                f"path edges are not incident: {left.ident} then {right.ident}"
+            )
+    family: set[CtxSet] = {frozenset()}
+    for e in path:
+        family = {c | choice for c in family for choice in e.ctx}
+    return frozenset(family)
+
+
 def route_valid_by_family(edges) -> bool:
     sites = frozenset(e.site for e in edges)
     return any(c <= sites for c in phi_route_along(edges))
+
+
+def match_paths(
+    model: ProgramModel, pi: DepPath, bound: int = DEFAULT_PATH_BOUND
+) -> list[CallPath]:
+    """Valid paths to the flow's origin method that can host the flow.
+
+    A path hosts ``pi`` when the bracket word of its opened frames
+    followed by the flow's crossings is well matched: every value
+    returned across a call boundary must return into a frame the path
+    actually opened.
+    """
+    word_tail = list(extract(model, pi))
+    origin = model.dep_nodes[pi.start].method
+    out = []
+    for sigma in enum_vpaths(model, origin, bound):
+        if any(
+            well_matched(_opens(v) + word_tail)
+            for v in sigma.full_variants()
+        ):
+            out.append(sigma)
+    return out
 
 
 def relates_by_scan(

@@ -11,7 +11,16 @@ import random
 import time
 from itertools import chain, combinations
 
-from bruteforce import annotate_stack, reduced_successors, relevant_sites, successors
+from bruteforce import (
+    abstract_ctx_set,
+    annotate_stack,
+    concretize,
+    family_leq,
+    reduced_successors,
+    relevant_sites,
+    set_leq,
+    successors,
+)
 from randmodels import random_model
 from test_contexts import _families, _universe_strings
 from test_cwpds import _random_system, _strip
@@ -31,13 +40,7 @@ from stackpol import (
     oracle_policy,
     simulate_inspection,
 )
-from stackpol.contexts import (
-    CallSite,
-    abstract_ctx_set,
-    concretize,
-    family_leq,
-    set_leq,
-)
+from stackpol.contexts import CallSite
 from stackpol.oracle import dep_paths, relates
 from stackpol.pushdown import AnnotatedWPDS
 from stackpol.weights import ONE, ZERO

@@ -439,7 +439,7 @@ def test_per_symbol_and_global_projections_give_the_same_weights():
 
 def test_a_system_without_conditions_reaches_only_empty_annotations():
     system = encode(layered_model(3, 3))
-    assert all(r.cond.is_any for r in system.rules)
+    assert all(r.cond == ANY for r in system.rules)
     ann = AnnotatedWPDS(system)
     frontier = {((system.start, frozenset()),)}
     seen = set(frontier)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import pytest
+from bruteforce import phi_route_along
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -15,7 +16,6 @@ from stackpol.model import (
     compute_phi_meth,
     lint_model,
     parse_model,
-    phi_route_along,
     serialize_model,
 )
 from stackpol.permissions import generate_permissions

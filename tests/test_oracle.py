@@ -9,7 +9,13 @@ import textwrap
 from pathlib import Path
 
 import pytest
-from bruteforce import relates_by_scan, route_valid_by_family, vpaths_by_join
+from bruteforce import (
+    match_paths,
+    phi_route_along,
+    relates_by_scan,
+    route_valid_by_family,
+    vpaths_by_join,
+)
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -27,8 +33,8 @@ from stackpol import (
     running_example,
 )
 from stackpol import oracle
-from stackpol.contexts import CallSite
-from stackpol.model import CallEdge, phi_route_along
+from stackpol.contexts import ANY_FAMILY, CallSite
+from stackpol.model import CallEdge
 from stackpol.oracle import (
     CLOSE,
     OPEN,
@@ -36,7 +42,6 @@ from stackpol.oracle import (
     DepPath,
     dep_paths,
     extract,
-    match_paths,
     relates,
     well_matched,
 )
@@ -98,7 +103,7 @@ def test_path_accessors(example_model):
     assert full.methods() == frozenset(
         {"main", "connectFaculty", "checkConnect", "checkPermission"}
     )
-    assert full.sites() == frozenset(
+    assert frozenset(e.site for e in full.edges) == frozenset(
         {S("main", 1), S("connectFaculty", 30), S("checkConnect", 6)}
     )
 
@@ -338,6 +343,22 @@ def test_match_paths_rejects_a_close_no_path_opened():
     flow = DepPath(tuple(m.dep_edges))
     assert flow.start == "a" and flow.end == "c"
     assert match_paths(m, flow) == []
+
+
+def _hosts_alike(model):
+    for pi in dep_paths(model):
+        stacks = enum_vpaths(model, model.dep_nodes[pi.start].method)
+        word_tail = list(extract(model, pi))
+        got = list(oracle._admissible_methods(stacks, word_tail, ANY_FAMILY))
+        assert got == [sigma.methods() for sigma in match_paths(model, pi)], pi
+
+
+def test_the_hosting_test_in_relates_equals_match_paths():
+    from randmodels import random_model
+
+    _hosts_alike(running_example())
+    for seed in range(300):
+        _hosts_alike(random_model(seed))
 
 
 # --------------------------------------------------------------------- relates
