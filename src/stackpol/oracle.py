@@ -41,7 +41,9 @@ is enumerated by one walk from the entry, which yields the full paths and
 the extensions of the truncated ones alike, so the cap counts that walk
 alone.  It descends only into callees that can reach the target in the
 call graph.  A walk that leaves them never arrives, so the pruning drops
-no path and leaves the count the cap sees unchanged.
+no path and leaves the count the cap sees unchanged.  Walks keep their
+own stack of edge iterators instead of recursing, so a deep call or
+dependency chain does not run into Python's recursion limit.
 
 Relating is memoized per run.  Whether an allocating stack can witness a
 demand for a flow path and a permission does not depend on the demand
@@ -51,8 +53,9 @@ and searches further only when none of those answers a query.
 
 from __future__ import annotations
 
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field
+from itertools import islice
 from typing import Iterator
 
 from .contexts import CallSite
@@ -163,6 +166,40 @@ def _opens(edges) -> list[Bracket]:
     return [Bracket(OPEN, e.site) for e in edges]
 
 
+def _bounded_walks(start, succ: dict, stops, bound: int):
+    """Each walk from ``start`` that ends at a node in ``stops`` and uses
+    each edge at most ``bound`` times, as a tuple of edges, depth first.
+
+    ``succ`` maps a node to its out-edges as ``(edge, number, next
+    node)`` triples, in the order to try them; the number tells the
+    edges apart for the count.  The empty walk is never yielded.
+    """
+    counts: dict[int, int] = {}
+    path: list = []
+    numbers: list[int] = []
+    stack = [iter(succ.get(start, ()))]
+    while stack:
+        for edge, number, nxt in stack[-1]:
+            used = counts.get(number, 0)
+            if used < bound:
+                path.append(edge)
+                if nxt in stops:
+                    yield tuple(path)
+                out = succ.get(nxt)
+                if out:
+                    counts[number] = used + 1
+                    numbers.append(number)
+                    stack.append(iter(out))
+                    break
+                # a dead end: nothing to descend into, so no count to keep
+                path.pop()
+        else:
+            stack.pop()
+            if path:
+                path.pop()
+                counts[numbers.pop()] -= 1
+
+
 def _walks(model: ProgramModel, target: str, bound: int) -> list[tuple[CallEdge, ...]]:
     """All edge sequences from the entry to ``target`` using each edge at
     most ``bound`` times; includes the empty one when the entry is the
@@ -181,34 +218,22 @@ def _walks(model: ProgramModel, target: str, bound: int) -> list[tuple[CallEdge,
             if caller not in reach:
                 reach.add(caller)
                 todo.append(caller)
-    succ: dict[str, list[CallEdge]] = {}
-    for e in model.call_edges:
+    succ: dict[str, list[tuple[CallEdge, int, str]]] = {}
+    for i, e in enumerate(model.call_edges):
         if e.callee in reach:
-            succ.setdefault(e.caller, []).append(e)
+            succ.setdefault(e.caller, []).append((e, i, e.callee))
 
     start = model.entry_method
-    results: list[tuple[CallEdge, ...]] = []
-    path: list[CallEdge] = []
-    counts = dict.fromkeys((e.ident for e in model.call_edges), 0)
-
-    def dfs(method: str) -> None:
-        if method == target:
-            results.append(tuple(path))
-            if len(results) > MAX_ENUMERATED_PATHS:
-                raise EnumerationLimitError(
-                    f"more than {MAX_ENUMERATED_PATHS} paths from "
-                    f"{start} to {target} at bound {bound}"
-                )
-        for e in succ.get(method, ()):
-            if counts[e.ident] < bound:
-                counts[e.ident] += 1
-                path.append(e)
-                dfs(e.callee)
-                path.pop()
-                counts[e.ident] -= 1
-
-    if start in reach:
-        dfs(start)
+    if start not in reach:
+        return []
+    results: list[tuple[CallEdge, ...]] = [()] if start == target else []
+    walks = _bounded_walks(start, succ, {target}, bound)
+    results.extend(islice(walks, MAX_ENUMERATED_PATHS + 1 - len(results)))
+    if len(results) > MAX_ENUMERATED_PATHS:
+        raise EnumerationLimitError(
+            f"more than {MAX_ENUMERATED_PATHS} paths from "
+            f"{start} to {target} at bound {bound}"
+        )
     return results
 
 
@@ -267,33 +292,25 @@ def dep_paths(
 ) -> list[DepPath]:
     """All flow paths from an allocation to a checkpoint-co-located node."""
     targets = checkpoints(model)
-    successors: dict[str, list[DepEdge]] = defaultdict(list)
-    for e in model.dep_edges:
-        successors[e.src].append(e)
+    at_checkpoints = {
+        ident for ident, n in model.dep_nodes.items() if n.site in targets
+    }
+    successors: dict[str, list[tuple[DepEdge, int, str]]] = {}
+    for i, e in enumerate(model.dep_edges):
+        successors.setdefault(e.src, []).append((e, i, e.dst))
     allocs = sorted(
         ident for ident, n in model.dep_nodes.items() if n.kind == ALLOC
     )
     results: list[DepPath] = []
-    path: list[DepEdge] = []
-    counts: Counter[DepEdge] = Counter()
-
-    def dfs(node: str) -> None:
-        if path and model.dep_nodes[node].site in targets:
-            results.append(DepPath(tuple(path)))
-            if len(results) > MAX_ENUMERATED_PATHS:
-                raise EnumerationLimitError(
-                    f"more than {MAX_ENUMERATED_PATHS} flow paths at bound {bound}"
-                )
-        for e in successors[node]:
-            if counts[e] < bound:
-                counts[e] += 1
-                path.append(e)
-                dfs(e.dst)
-                path.pop()
-                counts[e] -= 1
-
     for alloc in allocs:
-        dfs(alloc)
+        walks = _bounded_walks(alloc, successors, at_checkpoints, bound)
+        results.extend(
+            map(DepPath, islice(walks, MAX_ENUMERATED_PATHS + 1 - len(results)))
+        )
+        if len(results) > MAX_ENUMERATED_PATHS:
+            raise EnumerationLimitError(
+                f"more than {MAX_ENUMERATED_PATHS} flow paths at bound {bound}"
+            )
     return results
 
 

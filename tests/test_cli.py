@@ -214,6 +214,30 @@ def test_oracle_enumeration_blowup_exits_three(tmp_path, capsys):
     ]
 
 
+def test_oracle_compare_on_a_call_chain_deeper_than_the_recursion_limit(
+    tmp_path, capsys
+):
+    # main -> m1 -> ... -> m1200 -> check, with a form-3 check at the bottom
+    n = 1200
+    lines = ["method main entry", "method doPriv priv", "method check check"]
+    lines += [f"method m{i}" for i in range(1, n + 1)]
+    lines.append("calledge 0 main 1 m1 ctx=any")
+    lines += [f"calledge {i} m{i} 1 m{i + 1} ctx=any" for i in range(1, n)]
+    lines += [
+        f"calledge {n} m{n} 2 check ctx=any",
+        f"depnode a m{n} 1 kind=alloc form=3 type=P",
+        f"depnode c m{n} 2 kind=callsite",
+        "depedge a c",
+        f"checkarg m{n}:2 var=p",
+        f"pta p@m{n} = {{(P, a, {{}})}}",
+    ]
+    path = tmp_path / "chain.model"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["oracle", str(path), "--compare"]) == 0
+    out, _ = capsys.readouterr()
+    assert out == "MATCH\n"
+
+
 # ----------------------------------------------------------------------- dump
 
 

@@ -306,6 +306,23 @@ def test_call_crossings_open_the_source_site():
     assert extract(m, flow) == (Bracket(OPEN, S("main", 1)),)
 
 
+def test_a_dependency_chain_deeper_than_the_recursion_limit_has_its_one_flow():
+    n = 1200
+    m = build(
+        "calledge 1 main 2 check ctx=any",
+        "depnode a main 5 kind=alloc form=3 type=P",
+        *(f"depnode v{i} main {10 + i} kind=plain" for i in range(n)),
+        "depnode arg main 2 kind=callsite",
+        "depedge a v0",
+        *(f"depedge v{i} v{i + 1}" for i in range(n - 1)),
+        f"depedge v{n - 1} arg",
+        "checkarg main:2 var=p",
+        "pta p@main = {(P, a, {})}",
+    )
+    (flow,) = dep_paths(m)
+    assert (flow.start, flow.end, len(flow.edges)) == ("a", "arg", n + 1)
+
+
 # ----------------------------------------------------------------- match paths
 
 
