@@ -1,4 +1,8 @@
-"""The package's public surface: exactly the pipeline, its types and errors."""
+"""The package's public surface: exactly the pipeline, its types and errors,
+and no library definition that the library itself never names."""
+
+import ast
+from pathlib import Path
 
 import stackpol
 
@@ -53,3 +57,53 @@ def test_every_public_name_resolves():
     # a star import fails on any listed name the package does not define
     exec("from stackpol import *", namespace)
     assert PUBLIC <= set(namespace)
+
+
+# Library definitions that no library code names, each with the reason it
+# stays.  Everything else a module defines must be named somewhere in
+# ``src/stackpol`` outside its own definition.
+UNNAMED_BUT_KEPT = {
+    # argparse calls it on a bad command line
+    "_Parser.error",
+    # the benchmark's tracing wraps it to count combines
+    "Weight.combine",
+    # the benchmark's counting pass reads it to count granting digests
+    "PermissionUniverse.origins",
+}
+
+SRC = Path(stackpol.__file__).resolve().parent
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, bare name, node) of each module-level function and
+    class, and of each method of a module-level class."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node.name, node
+        if isinstance(node, ast.ClassDef):
+            for sub in node.body:
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    yield f"{node.name}.{sub.name}", sub.name, sub
+
+
+def test_every_library_definition_is_named_in_the_library():
+    trees = [ast.parse(path.read_text(encoding="utf-8")) for path in sorted(SRC.glob("*.py"))]
+    # every ast.Name and ast.Attribute node, by the name it refers to
+    uses: dict[str, list[ast.AST]] = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.setdefault(node.id, []).append(node)
+            elif isinstance(node, ast.Attribute):
+                uses.setdefault(node.attr, []).append(node)
+    unnamed = []
+    for tree in trees:
+        for qualname, name, node in _definitions(tree):
+            if name in stackpol.__all__ or qualname in UNNAMED_BUT_KEPT:
+                continue
+            if name.startswith("__") and name.endswith("__"):
+                continue
+            inside = {id(n) for n in ast.walk(node)}
+            if all(id(use) in inside for use in uses.get(name, ())):
+                unnamed.append(qualname)
+    assert unnamed == []
