@@ -31,8 +31,8 @@ anything else, and the roles, then each call edge's callee and context
 sites, are checked once the last call edge is read.  A file with several
 faults reports the first one met in that order.
 
-Semantic queries (route context families, consistency lints) live here
-too.
+Semantic queries live here too: route context families, and a lint for
+declared contexts that no route covers.
 """
 
 from __future__ import annotations
@@ -80,8 +80,8 @@ class CallEdge:
     line: int
     callee: str
     ctx: CtxFamily = ANY_FAMILY
-    # built once: sets of these sites then hold the very objects looked up,
-    # so lookups match by identity and skip the dataclass ``__eq__``
+    # built once rather than on each read: the oracle reads it for every
+    # edge of every path it enumerates
     site: CallSite = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -266,6 +266,8 @@ class _Parser:
                 domain = tok[len("domain=") :]
                 if not domain:
                     raise ModelError("empty domain name", lineno)
+                if '"' in domain:
+                    raise ModelError(f"domain name {domain!r} contains a quote", lineno)
             else:
                 raise ModelError(f"unknown method attribute {tok!r}", lineno)
         self.methods[name] = Method(
@@ -360,9 +362,10 @@ class _Parser:
             form = _parse_int(attrs.pop("form", ""), "alloc form", lineno)
             if form not in (1, 2, 3):
                 raise ModelError(f"alloc form must be 1, 2 or 3, got {form}", lineno)
-            perm_type = attrs.pop("type", None)
-            if not perm_type:
-                raise ModelError("alloc node needs type=<PermType>", lineno)
+            # a policy table names the type bare, so it must read back as a name
+            perm_type = attrs.pop("type", "")
+            if not _NAME_RE.match(perm_type):
+                raise ModelError(f"alloc node needs type=<PermType>, got {perm_type!r}", lineno)
             target_var = attrs.pop("target", None)
             action_var = attrs.pop("action", None)
             if form == 1 and not (target_var and action_var):
@@ -452,6 +455,8 @@ class _Parser:
             for ptype, node, sites in _parse_fact_set(rhs, _PTA_TRIPLE_RE, lineno)
         ]
         for t in triples:
+            if not _NAME_RE.match(t.perm_type):
+                raise ModelError(f"bad permission type {t.perm_type!r}", lineno)
             if t.node not in self.dep_nodes:
                 raise ModelError(f"pta fact points to unknown node {t.node!r}", lineno)
             if self.dep_nodes[t.node].kind != ALLOC:
@@ -599,44 +604,38 @@ def compute_phi_meth(model: ProgramModel) -> dict[str, CtxFamily]:
 
 
 def lint_model(model: ProgramModel, phi: dict[str, CtxFamily] | None = None) -> list[str]:
-    """Non-fatal consistency warnings.
+    """Warnings about declared contexts that can never hold.
 
-    * edge-context: every member of a conditional edge's family should be
-      one of the caller's route contexts; unconditional edges are skipped,
-      because the empty context holds below every stack and is never a gap;
-    * coverage: per method with outgoing edges, the union of the out-edge
-      families should equal the method's route context family;
-    * fact-context: each points-to / string fact context should be one of
-      its method's route contexts.
+    A context holds when it is a subset of the sites below the stack top,
+    which are one of the method's routes in ``phi``; one that no route
+    contains is dead.  ``dead-edge`` lists a conditional edge's dead members
+    (``ctx=any`` holds below every stack, so it is never flagged);
+    ``dead-fact`` flags a points-to or string fact whose context is dead.
     """
     if phi is None:
         phi = compute_phi_meth(model)
+
+    def covered(ctx: CtxSet, method: str) -> bool:
+        # a whole route is the usual cover, and one hash lookup finds it
+        routes = phi[method]
+        return ctx in routes or any(ctx <= r for r in routes)
+
     warnings: list[str] = []
     for e in model.call_edges:
         if e.unconditional:
             continue
-        bad = [c for c in e.ctx if c not in phi[e.caller]]
-        if bad:
-            shown = format_family(frozenset(bad))
+        dead = [c for c in e.ctx if not covered(c, e.caller)]
+        if dead:
             warnings.append(
-                f"edge-context: calledge {e.ident}: context {shown} is not a "
-                f"route context of caller {e.caller}"
-            )
-    by_caller: dict[str, set[CtxSet]] = defaultdict(set)
-    for e in model.call_edges:
-        by_caller[e.caller].update(e.ctx)
-    for method in sorted(by_caller):
-        if by_caller[method] != set(phi[method]):
-            warnings.append(
-                f"coverage: method {method}: union of out-edge contexts differs "
-                f"from its route context family"
+                f"dead-edge: calledge {e.ident}: no route to {e.caller} covers "
+                f"{format_family(frozenset(dead))}"
             )
     for label, facts in (("pta", model.pta), ("sa", model.sa)):
         for (var, method), entries in facts.items():
             for entry in entries:
-                if entry.ctx not in phi[method]:
+                if not covered(entry.ctx, method):
                     warnings.append(
-                        f"fact-context: {label} {var}@{method}: context "
-                        f"{{{format_ctx(entry.ctx)}}} is not a route context of {method}"
+                        f"dead-fact: {label} {var}@{method}: no route to {method} "
+                        f"covers {{{format_ctx(entry.ctx)}}}"
                     )
     return warnings

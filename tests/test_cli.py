@@ -91,7 +91,7 @@ def test_analyze_prints_the_table_and_keeps_notes_on_stderr(model_file, capsys):
     assert "stack digests: 8" in err
     assert "note: skipped pairing" in err
     assert all(
-        line.startswith(("warning:", "note:", "permissions:", "stack digests:"))
+        line.startswith(("note:", "permissions:", "stack digests:"))
         for line in err.strip().splitlines()
     )
 
@@ -130,6 +130,29 @@ def test_check_generated_policy_passes(model_file, tmp_path, capsys):
     assert main(["check", model_file, "--policy", str(policy)]) == 0
     out, _ = capsys.readouterr()
     assert out == "PASS\n"
+
+
+@pytest.mark.parametrize("ptype", ["P.x", "P-x"])
+def test_check_reads_back_the_emitted_table(ptype, tmp_path, capsys):
+    model = tmp_path / "m.model"
+    model.write_text(
+        "method main entry\nmethod doPriv priv\nmethod check check\n"
+        "calledge 1 main 1 check ctx=any\ncheckarg main:1 var=v\n"
+        "depnode a main 50 kind=alloc form=3 type=P\n"
+        f"pta v@main = {{({ptype}, a, {{}})}}\n",
+        encoding="utf-8",
+    )
+    policy = tmp_path / "p.policy"
+    code = main(["analyze", str(model), "--emit", str(policy)])
+    if ptype == "P-x":
+        # rejected at parse, before anything is written
+        assert code == 1 and not policy.exists()
+        assert "error: line 7: bad permission type 'P-x'" in capsys.readouterr().err
+        return
+    assert code == 0
+    assert policy.read_text(encoding="utf-8") == "method main: P.x\n"
+    assert main(["check", str(model), "--policy", str(policy)]) == 0
+    assert capsys.readouterr().out == "PASS\n"
 
 
 def test_check_missing_grant_fails_naming_it(model_file, tmp_path, capsys):

@@ -12,6 +12,7 @@ from stackpol.errors import ModelError, StackpolError
 from stackpol.model import (
     CallEdge,
     DepNode,
+    _parse_family,
     _strip_comment,
     compute_phi_meth,
     lint_model,
@@ -232,6 +233,25 @@ def test_fact_errors():
     )
 
 
+def test_names_written_into_policies_are_checked():
+    # a table names the permission type bare and java quotes the domain, so
+    # either would emit a policy that does not read back
+    base = ["calledge 1 main 1 check ctx=any", "checkarg main:1 var=v"]
+    assert "line 7: alloc node needs type=<PermType>, got 'P-x'" in err(
+        minimal_plus(*base, "depnode a main 50 kind=alloc form=3 type=P-x")
+    )
+    assert "line 8: bad permission type 'P-x'" in err(
+        minimal_plus(
+            *base,
+            "depnode a main 50 kind=alloc form=3 type=P",
+            "pta v@main = {(P-x, a, {})}",
+        )
+    )
+    assert "line 1: domain name 'a\"b' contains a quote" in err(
+        'method main entry domain=a"b\n' + MINIMAL.replace("method main entry\n", "")
+    )
+
+
 def test_unknown_directive_is_rejected():
     assert "unknown directive" in err(MINIMAL + "frobnicate a b c\n")
 
@@ -338,30 +358,23 @@ def test_random_models_round_trip():
         assert parse_model(serialize_model(m)) == m
 
 
-def test_lints_flag_known_gaps_in_the_bundled_model(example_model):
-    warnings = lint_model(example_model)
-    # main's out edges are unconditional and its route family is {{}}, so it
-    # stays quiet; every deeper method uses ctx=any shorthand and gets flagged
-    assert not any(w.startswith("coverage: method main") for w in warnings)
-    assert any(w.startswith("coverage: method checkConnect") for w in warnings)
-    # the string-analysis contexts at checkAccess deliberately omit the
-    # Priv.run frame, so they are not literal route contexts
-    facts = [w for w in warnings if w.startswith("fact-context")]
-    assert facts and all("@checkAccess" in w for w in facts)
-    assert {w.split(":")[1].strip().split("@")[0] for w in facts} == {
-        "sa fn",
-        "sa lit_write",
-    }
+def test_bundled_model_lints_clean(example_model):
+    # its conditions and fact contexts are subsets of real routes, not routes
+    assert lint_model(example_model) == []
 
 
-def test_lints_skip_unconditional_edges(example_model):
-    # the empty context holds below every stack, so ctx=any is never a gap
-    warnings = lint_model(example_model)
-    assert not any("context any" in w for w in warnings)
-    assert [w.split(":")[1].strip() for w in warnings if w.startswith("edge-context")] == [
-        "calledge 8",
-        "calledge 9",
-    ]
+def test_lints_skip_unconditional_edges():
+    # `lonely` is unreachable, so it has no route at all; the empty context
+    # of ctx=any still holds below every stack, while {main:1} never does
+    m = parse_model(
+        minimal_plus(
+            "method lonely",
+            "calledge 1 main 1 doPriv ctx=any",
+            "calledge 2 lonely 1 check ctx=any",
+            "calledge 3 lonely 2 check ctx={main:1}",
+        )
+    )
+    assert lint_model(m) == ["dead-edge: calledge 3: no route to lonely covers {main:1}"]
 
 
 def test_lint_flags_foreign_fact_context():
@@ -374,7 +387,7 @@ def test_lint_flags_foreign_fact_context():
         )
     )
     warnings = lint_model(m)
-    assert any(w.startswith("fact-context: sa v@main") for w in warnings)
+    assert any(w.startswith("dead-fact: sa v@main") for w in warnings)
 
 
 def test_lint_flags_edge_context_outside_the_callers_routes():
@@ -384,7 +397,43 @@ def test_lint_flags_edge_context_outside_the_callers_routes():
             "calledge 2 doPriv 1 check ctx={doPriv:1}",
         )
     )
-    assert any(w.startswith("edge-context: calledge 2") for w in lint_model(m))
+    assert any(w.startswith("dead-edge: calledge 2") for w in lint_model(m))
+
+
+def test_lint_keeps_contexts_that_a_route_covers():
+    # check's only route is {main:1,doPriv:2}; a strict subset of it holds
+    # below that stack, so neither the edge nor the fact is dead
+    m = parse_model(
+        minimal_plus(
+            "calledge 1 main 1 doPriv ctx=any",
+            "calledge 2 doPriv 2 check ctx={main:1}",
+            "depnode a doPriv 50 kind=alloc form=3 type=P",
+            "pta p@check = {(P, a, {main:1})}",
+        )
+    )
+    assert lint_model(m) == []
+
+
+def test_dead_edge_members_are_on_no_bounded_walk():
+    from randmodels import random_model_text
+
+    from stackpol.oracle import _walks
+
+    flagged = 0
+    for seed in range(300):
+        model = parse_model(random_model_text(seed))
+        edges = {e.ident: e for e in model.call_edges}
+        for warning in lint_model(model):
+            if not warning.startswith("dead-edge: "):
+                continue
+            ident = warning.split(":")[1].split()[1]
+            members = _parse_family(warning.rpartition(" covers ")[2], 0)
+            assert members and members <= edges[ident].ctx
+            for walk in _walks(model, edges[ident].caller, 2):
+                sites = {e.site for e in walk}
+                assert not any(member <= sites for member in members), (seed, warning)
+            flagged += 1
+    assert flagged
 
 
 # ---------------------------------------------------------------------------
