@@ -10,7 +10,7 @@ condition against them.
 """
 
 from stackpol import CallSite, compute_phi_meth, running_example
-from stackpol.contexts import Condition, format_family
+from stackpol.contexts import format_family, holds
 
 # per-method route families for the bundled model: one member per
 # distinct set of sites on the routes from the entry
@@ -19,12 +19,12 @@ phi = compute_phi_meth(model)
 for method in ("checkConnect", "checkAccess", "main"):
     print(f"{method}: {format_family(phi[method])}")
 
-# a condition on a rule asks whether some member is covered by the sites
-# currently on the stack below the top; order and repetition do not matter
+# an edge's family is the condition on its push rule: it holds when some
+# member is covered by the sites currently on the stack below the top;
+# order and repetition do not matter
 (edge,) = [e for e in model.call_edges if e.caller == model.priv_method]
-cond = Condition(edge.ctx)
-print(f"{edge.caller} -> {edge.callee} needs {cond}")
+print(f"{edge.caller} -> {edge.callee} needs {format_family(edge.ctx)}")
 for route in sorted(phi[edge.caller], key=sorted):
-    print(f"  route {format_family(frozenset({route}))}: {cond.holds(route)}")
+    print(f"  route {format_family(frozenset({route}))}: {holds(edge.ctx, route)}")
 mixed = frozenset({CallSite("main", 1), CallSite("connectStudent", 36)})
-print(f"  stack {format_family(frozenset({mixed}))}: {cond.holds(mixed)}")
+print(f"  stack {format_family(frozenset({mixed}))}: {holds(edge.ctx, mixed)}")

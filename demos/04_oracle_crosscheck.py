@@ -4,7 +4,8 @@ Cross-checking the engine against brute-force enumeration
 
 The package carries a second, independent pipeline that never touches
 the pushdown machinery: enumerate bounded call paths, walk the value
-flows, match the two like brackets, and union up grants.  Diffing both
+flows, replay each flow's call and return crossings on the stacks that
+can host it, and union up grants.  Diffing both
 pipelines is the main correctness instrument.
 """
 
@@ -29,12 +30,12 @@ for path in sp.enum_vpaths(model, model.check_method):
         print(f"  {ids}")
 print()
 
-# value flows from an allocation to a checkpoint, and their bracket
-# words; a close bracket is a return crossing and must pop the site the
-# hosting path actually opened
+# value flows from an allocation to a checkpoint, and their crossing
+# words; a return crossing must pop the site the hosting path actually
+# opened
 for flow in dep_paths(model):
     word = extract(model, flow)
-    rendered = " ".join(f"{b.polarity}@{b.site}" for b in word) or "(empty)"
+    rendered = " ".join(f"{inter}@{site}" for inter, site in word) or "(empty)"
     print(f"flow {flow.start}->{flow.end}: {rendered}")
 print()
 

@@ -12,8 +12,8 @@ walk against any policy.
 This package exports the pipeline and the types it hands back.  The
 encoding and solver (``stackpol.policy.encode``, ``stackpol.pushdown``),
 the weight constants (``stackpol.weights``), the oracle's steps
-(``stackpol.oracle``) and the context families and conditions
-(``stackpol.contexts``) are imported from their modules.
+(``stackpol.oracle``) and the context families and their ``holds``
+test (``stackpol.contexts``) are imported from their modules.
 """
 
 from .contexts import CallSite

@@ -8,22 +8,22 @@ is deliberately not closed under subset: two members with incomparable site
 sets record genuinely different routes, and collapsing them loses precision
 when a condition later asks "did the stack come through one of these?".
 
-A ``Condition`` asks that question of the sites on a stack: it holds when
-some member of its family is a subset of them.
+A family *holds* for the sites on a stack when some member is a subset of
+them; ``holds`` is that test, and a pushdown rule's condition and an
+edge's feasibility both read a family through it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, NamedTuple
 
 
 class CallSite(NamedTuple):
     """A call site, identified by enclosing method and source line.
 
-    A named tuple, so hashing and comparison run in C: every history,
-    context and condition is a frozenset of call sites.  As a tuple it
-    also equals, and hashes like, the plain pair ``(method, line)``.
+    A named tuple, so hashing and comparison run in C: every history and
+    context is a frozenset of call sites.  As a tuple it also equals, and
+    hashes like, the plain pair ``(method, line)``.
     """
 
     method: str
@@ -53,27 +53,9 @@ def normalize_family(family: Iterable[Iterable[CallSite]]) -> CtxFamily:
     return fam
 
 
-@dataclass(frozen=True, slots=True)
-class Condition:
-    """A stack condition: some family member must sit below the stack top.
-
-    ``holds`` receives the *set* of sites on the inspected stack fragment;
-    the condition asks whether at least one member is entirely present.
-    """
-
-    family: CtxFamily
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "family", normalize_family(self.family))
-
-    def holds(self, sites: CtxSet) -> bool:
-        return any(member <= sites for member in self.family)
-
-    def __str__(self) -> str:
-        return format_family(self.family)
-
-
-ANY = Condition(ANY_FAMILY)
+def holds(family: CtxFamily, sites: CtxSet) -> bool:
+    """Does some member of ``family`` lie entirely within ``sites``?"""
+    return any(member <= sites for member in family)
 
 
 def format_ctx(ctx: CtxSet) -> str:
@@ -81,7 +63,7 @@ def format_ctx(ctx: CtxSet) -> str:
 
 
 def format_family(family: CtxFamily) -> str:
-    if normalize_family(family) == ANY_FAMILY:
+    if EMPTY_CTX in family:
         return "any"
     members = sorted(family, key=lambda c: (len(c), sorted(c)))
     return "{" + ";".join(format_ctx(c) for c in members) + "}"

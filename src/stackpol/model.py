@@ -22,14 +22,20 @@ Exactly one method must carry each of the ``entry``, ``check`` (the
 permission-checking primitive) and ``priv`` (the privilege-asserting
 primitive) markers, and they must be three different methods.
 
-Everything is resolved and cross-checked at parse time.  The parser reads
-the directives one kind at a time, in the order listed above, and each
-kind in file order, so a directive may name anything the file declares,
-on an earlier line or a later one.  Each check runs when the line it is
-about is read, with two exceptions: unknown directives are rejected before
-anything else, and the roles, then each call edge's callee and context
-sites, are checked once the last call edge is read.  A file with several
-faults reports the first one met in that order.
+Names, sites and attributes are resolved and cross-checked at parse
+time.  Three checks wait for ``generate_permissions``, since only a
+checkpoint's demand needs them: that each checkpoint has a ``checkarg``,
+that its argument has ``pta`` facts, and that every string variable its
+allocations read has ``sa`` facts.  A model that lacks one still parses,
+serializes and dumps.
+
+The parser reads the directives one kind at a time, in the order listed
+above, and each kind in file order, so a directive may name anything the
+file declares, on an earlier line or a later one.  Each check runs when
+the line it is about is read, with two exceptions: unknown directives are
+rejected before anything else, and the roles, then each call edge's
+callee and context sites, are checked once the last call edge is read.
+A file with several faults reports the first one met in that order.
 
 Semantic queries live here too: route context families, and a lint for
 declared contexts that no route covers.
@@ -67,9 +73,6 @@ _ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 @dataclass(frozen=True, slots=True)
 class Method:
     name: str
-    is_entry: bool = False
-    is_check: bool = False
-    is_priv: bool = False
     domain: str | None = None
 
 
@@ -209,7 +212,7 @@ def _parse_family(text: str, lineno: int) -> CtxFamily:
         if not sites:
             raise ModelError("context family member is empty", lineno)
         members.append(sites)
-    return normalize_family(members)
+    return frozenset(members)
 
 
 _PTA_TRIPLE_RE = re.compile(
@@ -243,6 +246,8 @@ class _Parser:
         self.checkargs: dict[CallSite, str] = {}
         self.pta: dict[tuple[str, str], tuple[PtaTriple, ...]] = {}
         self.sa: dict[tuple[str, str], tuple[StringFact, ...]] = {}
+        # the methods marked with each role, in file order
+        self.roles: dict[str, list[str]] = {"entry": [], "check": [], "priv": []}
         # set by close_call_graph, once every method and call edge is in
         self.entry = self.check = self.priv = ""
         self.sites: frozenset[CallSite] = frozenset()
@@ -257,26 +262,27 @@ class _Parser:
             raise ModelError(f"bad method name {name!r}", lineno)
         if name in self.methods:
             raise ModelError(f"duplicate method {name!r}", lineno)
-        flags = {"entry": False, "check": False, "priv": False}
+        seen = set()
         domain = None
         for tok in tokens[1:]:
-            if tok in flags:
-                flags[tok] = True
+            if tok in self.roles:
+                key = tok
             elif tok.startswith("domain="):
+                key = "domain"
+            else:
+                raise ModelError(f"unknown method attribute {tok!r}", lineno)
+            if key in seen:
+                raise ModelError(f"duplicate attribute {key!r}", lineno)
+            seen.add(key)
+            if key == "domain":
                 domain = tok[len("domain=") :]
                 if not domain:
                     raise ModelError("empty domain name", lineno)
                 if '"' in domain:
                     raise ModelError(f"domain name {domain!r} contains a quote", lineno)
             else:
-                raise ModelError(f"unknown method attribute {tok!r}", lineno)
-        self.methods[name] = Method(
-            name,
-            is_entry=flags["entry"],
-            is_check=flags["check"],
-            is_priv=flags["priv"],
-            domain=domain,
-        )
+                self.roles[key].append(name)
+        self.methods[name] = Method(name, domain)
 
     def calledge(self, body: str, lineno: int) -> None:
         parts = body.split(None, 4)
@@ -304,15 +310,12 @@ class _Parser:
         """The checks that need every method and call edge: the three roles,
         then each edge's callee and context sites.  ``linenos`` are the
         calledge lines, one per edge in insertion order."""
-        entries = [m for m in self.methods.values() if m.is_entry]
-        checks = [m for m in self.methods.values() if m.is_check]
-        privs = [m for m in self.methods.values() if m.is_priv]
-        for role, found in (("entry", entries), ("check", checks), ("priv", privs)):
+        for role, found in self.roles.items():
             if len(found) != 1:
                 raise ModelError(
                     f"exactly one {role} method required, found {len(found)}"
                 )
-        self.entry, self.check, self.priv = entries[0].name, checks[0].name, privs[0].name
+        self.entry, self.check, self.priv = (found[0] for found in self.roles.values())
         if len({self.entry, self.check, self.priv}) != 3:
             raise ModelError("entry, check and priv must be three distinct methods")
         edges = self.call_edges.values()
@@ -532,15 +535,16 @@ def parse_model(text: str) -> ProgramModel:
 def serialize_model(model: ProgramModel) -> str:
     """Canonical text form; ``parse_model`` of the output reproduces the model."""
     out: list[str] = []
+    roles = {
+        model.entry_method: "entry",
+        model.check_method: "check",
+        model.priv_method: "priv",
+    }
     for name in sorted(model.methods):
         m = model.methods[name]
         parts = [f"method {name}"]
-        if m.is_entry:
-            parts.append("entry")
-        if m.is_check:
-            parts.append("check")
-        if m.is_priv:
-            parts.append("priv")
+        if name in roles:
+            parts.append(roles[name])
         if m.domain:
             parts.append(f"domain={m.domain}")
         out.append(" ".join(parts))

@@ -20,17 +20,18 @@ Everything here is bounded brute force over the model's graphs:
   path's sites.  That test is linear in the path length; the family
   itself can grow exponentially with it.
 * a *flow path* walks the dependency graph from an allocation to a
-  checkpoint, tracking how the permission object travels.  Call- and
-  return-crossings are matched like brackets against the call stack that
-  an allocating path would have built: an interprocedural return may only
-  pop the call site it actually returns to.
+  checkpoint, tracking how the permission object travels.  Its word is
+  the sequence of its ``inter=call|return`` crossings, each with its call
+  site.  The word is replayed on the call stack that an allocating path
+  would have built: a call pushes its site, and an interprocedural return
+  may only pop the call site it actually returns to.
 
 A permission relates to a call path reaching the check method when some
 flow path carries it from one of its allocations to the demanding
-checkpoint, some valid path reaches the allocation such that the bracket
-word is well matched, the demand path stays within the methods those
-witnesses put on the stack, and one of the permission's demand contexts
-is covered by the witnessing route.  The reference policy grants the
+checkpoint, some valid path reaches the allocation such that the flow's
+word is well matched on it, the demand path stays within the methods
+those witnesses put on the stack, and one of the permission's demand
+contexts is covered by the witnessing route.  The reference policy grants the
 permission to every method on each related path, minus the two system
 methods.
 
@@ -56,9 +57,9 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterator
+from typing import Iterable, Iterator
 
-from .contexts import CallSite
+from .contexts import CallSite, CtxFamily, holds
 from .errors import EnumerationLimitError
 from .model import (
     ALLOC,
@@ -73,9 +74,6 @@ from .policy import Frame, Policy, _method_domains
 
 DEFAULT_PATH_BOUND = 2
 MAX_ENUMERATED_PATHS = 200_000
-
-OPEN = "open"
-CLOSE = "close"
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,37 +131,33 @@ class DepPath:
         return frozenset(out)
 
 
-@dataclass(frozen=True, slots=True)
-class Bracket:
-    polarity: str
-    site: CallSite
+# a flow path's interprocedural crossing: ``inter`` and its call site
+Crossing = tuple[str, CallSite]
 
 
-def well_matched(word) -> bool:
-    """Every close must pop a matching open; unmatched opens are fine."""
-    stack: list[CallSite] = []
-    for b in word:
-        if b.polarity == OPEN:
-            stack.append(b.site)
-        else:
-            if not stack or stack.pop() != b.site:
-                return False
+def well_matched(opened: Iterable[CallSite], word: Iterable[Crossing]) -> bool:
+    """Replay ``word`` on a stack holding the ``opened`` sites, the last
+    one on top: a call pushes its site, and a return must pop the very
+    site it returns to.  Sites left on the stack are fine."""
+    stack = list(opened)
+    for inter, site in word:
+        if inter == INTER_CALL:
+            stack.append(site)
+        elif not stack or stack.pop() != site:
+            return False
     return True
 
 
-def extract(model: ProgramModel, path: DepPath) -> tuple[Bracket, ...]:
-    """Bracket word of a flow path: interprocedural crossings only."""
+def extract(model: ProgramModel, path: DepPath) -> tuple[Crossing, ...]:
+    """The crossing word of a flow path: a call enters at its source's
+    site, a return comes back to its target's."""
     word = []
     for e in path.edges:
         if e.inter == INTER_CALL:
-            word.append(Bracket(OPEN, model.dep_nodes[e.src].site))
+            word.append((INTER_CALL, model.dep_nodes[e.src].site))
         elif e.inter == INTER_RETURN:
-            word.append(Bracket(CLOSE, model.dep_nodes[e.dst].site))
+            word.append((INTER_RETURN, model.dep_nodes[e.dst].site))
     return tuple(word)
-
-
-def _opens(edges) -> list[Bracket]:
-    return [Bracket(OPEN, e.site) for e in edges]
 
 
 def _bounded_walks(start, succ: dict, stops, bound: int):
@@ -241,7 +235,7 @@ def _route_valid(edges) -> bool:
     """Is some union of one context alternative per edge covered by the
     path's own sites?  Decided edge by edge, without building the unions."""
     sites = frozenset(e.site for e in edges)
-    return all(any(c <= sites for c in e.ctx) for e in edges)
+    return all(holds(e.ctx, sites) for e in edges)
 
 
 def _ident_key(edges) -> tuple[str, ...]:
@@ -322,7 +316,7 @@ class _Flow:
 
     start: str
     alloc_method: str
-    word_tail: list[Bracket]
+    word: tuple[Crossing, ...]
     methods: frozenset[str]
     admissible: dict[Permission, tuple[set[frozenset[str]], Iterator[frozenset[str]]]] = (
         field(default_factory=dict)
@@ -346,7 +340,7 @@ def _flows_by_end(
                 flow = memo[pi] = _Flow(
                     pi.start,
                     model.dep_nodes[pi.start].method,
-                    list(extract(model, pi)),
+                    extract(model, pi),
                     pi.methods(model),
                 )
             by_end[model.dep_nodes[pi.end].site].append(flow)
@@ -355,16 +349,15 @@ def _flows_by_end(
 
 
 def _admissible_methods(
-    stacks: list[CallPath], word_tail: list[Bracket], contexts
+    stacks: list[CallPath], word: tuple[Crossing, ...], contexts: CtxFamily
 ) -> Iterator[frozenset[str]]:
-    """Method sets of the stacks that can host a flow with bracket word
-    ``word_tail`` and cover one of ``contexts``, in stack order."""
+    """Method sets of the stacks that can host a flow with crossing word
+    ``word`` and cover one of ``contexts``, in stack order."""
     for sigma_p in stacks:
         for variant in sigma_p.full_variants():
-            if not well_matched(_opens(variant) + word_tail):
+            if not well_matched((e.site for e in variant), word):
                 continue
-            variant_sites = frozenset(e.site for e in variant)
-            if any(c <= variant_sites for c in contexts):
+            if holds(contexts, frozenset(e.site for e in variant)):
                 yield sigma_p.methods()
                 break
 
@@ -384,8 +377,9 @@ def relates(
     invokes and some *admissible* allocating stack holds every method of
     ``sigma`` that the flow and the check do not account for.  A stack is
     admissible for a flow path and a permission when one of its variants
-    hosts the flow (the bracket word is well matched) and covers one of
-    the permission's demand contexts; that does not depend on ``sigma``.
+    hosts the flow (the crossing word is well matched on it) and covers
+    one of the permission's demand contexts; that does not depend on
+    ``sigma``.
 
     ``vpath_cache`` is one run's memo, shared by every call for the same
     model, universe and bound.  It holds the valid paths of each
@@ -416,7 +410,7 @@ def relates(
         state = flow.admissible.get(perm)
         if state is None:
             pending = _admissible_methods(
-                vpath_cache[alloc_method], flow.word_tail, universe.contexts[perm]
+                vpath_cache[alloc_method], flow.word, universe.contexts[perm]
             )
             state = flow.admissible[perm] = (set(), pending)
         found, pending = state

@@ -36,8 +36,15 @@ class Permission:
     target: str | None = None
     action: str | None = None
 
-    def _key(self) -> tuple[str, str, str]:
-        return (self.ptype, self.target or "", self.action or "")
+    def _key(self) -> tuple[str, bool, str, bool, str]:
+        # an absent value sorts before every present one, "" included
+        return (
+            self.ptype,
+            self.target is not None,
+            self.target or "",
+            self.action is not None,
+            self.action or "",
+        )
 
     def __lt__(self, other: "Permission") -> bool:
         return self._key() < other._key()

@@ -33,7 +33,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .contexts import CallSite, Condition
+from .contexts import CallSite
 from .errors import PolicyError
 from .model import INTER_RETURN, ProgramModel, _strip_comment
 from .permissions import Permission, PermissionUniverse
@@ -56,9 +56,7 @@ def encode(model: ProgramModel) -> ConditionalWPDS:
                 }
             )
         )
-        rules.append(
-            Rule(lhs=e.caller, rhs=(e.callee, e.site), cond=Condition(e.ctx), weight=w)
-        )
+        rules.append(Rule(lhs=e.caller, rhs=(e.callee, e.site), cond=e.ctx, weight=w))
     seen: set[tuple] = set()
     for d in model.dep_edges:
         if d.inter != INTER_RETURN:

@@ -4,9 +4,9 @@ Stack symbols are method names (``str``) or call sites (``CallSite``); a
 configuration is a stack written top-first.  Every rule rewrites the top
 symbol and carries two extras beyond a plain pushdown rule:
 
-* a *condition* on the stack **below** the top: the rule fires only when
-  some member of the condition's family is contained in the set of call
-  sites sitting under the current top;
+* a *condition* on the stack **below** the top, a context family: the
+  rule fires only when some member of the family is contained in the set
+  of call sites sitting under the current top (``contexts.holds``);
 * a *weight* from the path-digest semiring, picked up when the rule fires.
 
 ``movp(system, targets)`` returns the combine over all rule paths from the
@@ -53,7 +53,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import Iterable, Union
 
-from .contexts import ANY, CallSite, Condition, CtxSet
+from .contexts import ANY_FAMILY, CallSite, CtxFamily, CtxSet, format_family, holds
 from .errors import CapacityError
 from .weights import (
     DEFAULT_TUPLE_CAP,
@@ -78,7 +78,7 @@ class Rule:
 
     lhs: StackSymbol
     rhs: tuple[StackSymbol, ...]
-    cond: Condition = ANY
+    cond: CtxFamily = ANY_FAMILY
     weight: Weight = ONE
 
     def __post_init__(self) -> None:
@@ -91,7 +91,7 @@ class Rule:
 
     def __str__(self) -> str:
         rhs = " ".join(str(s) for s in self.rhs) if self.rhs else "eps"
-        return f"{self.lhs} --[{self.cond}]--> {rhs} ; {self.weight}"
+        return f"{self.lhs} --[{format_family(self.cond)}]--> {rhs} ; {self.weight}"
 
 
 @dataclass(slots=True)
@@ -112,7 +112,7 @@ class ConditionalWPDS:
                     order[r.kind],
                     str(r.lhs),
                     tuple(str(s) for s in r.rhs),
-                    str(r.cond),
+                    format_family(r.cond),
                 ),
             )
         ]
@@ -144,7 +144,7 @@ class AnnotatedWPDS:
         relevant: dict[StackSymbol, CtxSet] = {}
         for idx, r in enumerate(system.rules):
             self._by_lhs[r.lhs].append((idx, r))
-            for member in r.cond.family:
+            for member in r.cond:
                 if member:
                     relevant[r.lhs] = relevant.get(r.lhs, _NONE) | member
         if relevant:
@@ -168,7 +168,7 @@ class AnnotatedWPDS:
         mine = self._relevant.get(base)
         out = []
         for idx, r in self._by_lhs.get(base, ()):
-            if not r.cond.holds(below):
+            if not holds(r.cond, below):
                 continue
             if len(r.rhs) == 2:
                 first, second = r.rhs

@@ -18,7 +18,7 @@ The right-to-left direction needs the full-permutation witness inside
 ``concretize`` (every member set appears as a string using each site once),
 which is why concretization enumerates permutations and not just subsets.
 The pipeline never builds these; it relies on the connection through
-``compute_phi_meth`` and ``Condition.holds``.
+``compute_phi_meth`` and ``contexts.holds``.
 
 ``successors`` interprets a conditional system on one concrete stack,
 testing each rule's condition against the call sites below the top.
@@ -81,7 +81,6 @@ from stackpol.oracle import (
     DEFAULT_PATH_BOUND,
     CallPath,
     DepPath,
-    _opens,
     _route_valid,
     enum_vpaths,
     extract,
@@ -182,13 +181,13 @@ def successors(system: ConditionalWPDS, stack: Stack) -> list[tuple[Rule, Stack]
     return [
         (r, r.rhs + rest)
         for r in system.rules
-        if r.lhs == top and r.cond.holds(below)
+        if r.lhs == top and any(member <= below for member in r.cond)
     ]
 
 
 def named_sites(system: ConditionalWPDS) -> CtxSet:
     return frozenset(
-        site for r in system.rules for member in r.cond.family for site in member
+        site for r in system.rules for member in r.cond for site in member
     )
 
 
@@ -197,7 +196,7 @@ def relevant_sites(system: ConditionalWPDS) -> dict[StackSymbol, CtxSet]:
     own: dict[StackSymbol, set[CallSite]] = defaultdict(set)
     for r in system.rules:
         leads_to[r.lhs].update(r.rhs)
-        for member in r.cond.family:
+        for member in r.cond:
             own[r.lhs] |= member
     relevant = {}
     for sym in alphabet(system):
@@ -231,7 +230,7 @@ class GlobalAnnotatedWPDS:
     def instances(self, base: StackSymbol, below: CtxSet):
         out = []
         for idx, r in self._by_lhs.get(base, ()):
-            if not r.cond.holds(below):
+            if not any(member <= below for member in r.cond):
                 continue
             if len(r.rhs) == 2:
                 first, second = r.rhs
@@ -436,17 +435,16 @@ def match_paths(
 ) -> list[CallPath]:
     """Valid paths to the flow's origin method that can host the flow.
 
-    A path hosts ``pi`` when the bracket word of its opened frames
-    followed by the flow's crossings is well matched: every value
-    returned across a call boundary must return into a frame the path
-    actually opened.
+    A path hosts ``pi`` when the flow's crossings replay well matched on
+    the call sites the path opened: every value returned across a call
+    boundary must return into a frame the path actually opened.
     """
-    word_tail = list(extract(model, pi))
+    word = extract(model, pi)
     origin = model.dep_nodes[pi.start].method
     out = []
     for sigma in enum_vpaths(model, origin, bound):
         if any(
-            well_matched(_opens(v) + word_tail)
+            well_matched((e.site for e in v), word)
             for v in sigma.full_variants()
         ):
             out.append(sigma)
@@ -477,14 +475,14 @@ def relates_by_scan(
             if alloc_method == model.entry_method:
                 paths = paths + [CallPath(alloc_method, ())]
             vpath_cache[alloc_method] = paths
-        word_tail = extract(model, pi)
+        word = extract(model, pi)
         pi_methods = pi.methods(model)
         for sigma_p in vpath_cache[alloc_method]:
             allowed = pi_methods | sigma_p.methods() | {model.check_method}
             if not sigma_methods <= allowed:
                 continue
             for variant in sigma_p.full_variants():
-                if not well_matched(_opens(variant) + list(word_tail)):
+                if not well_matched((e.site for e in variant), word):
                     continue
                 variant_sites = frozenset(e.site for e in variant)
                 if any(

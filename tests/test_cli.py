@@ -1,7 +1,9 @@
 """Command line behavior: output channels, formats, exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -343,6 +345,48 @@ def test_console_script_end_to_end(model_file):
     )
     assert proc.returncode == 0
     assert proc.stdout == EXPECTED_TABLE
+
+
+# an absent target and an empty literal render differently, so their
+# order in a policy must not follow set iteration order
+EMPTY_LITERAL_MODEL = """\
+method main entry
+method doPriv priv
+method check check
+calledge 1 main 1 check ctx=any
+depnode a main 50 kind=alloc form=2 type=P target=t
+depnode b main 51 kind=alloc form=3 type=P
+checkarg main:1 var=p
+pta p@main = {(P, a, {}); (P, b, {})}
+sa t@main = {("", {})}
+"""
+
+
+def _cli_stdout(argv: list[str], hash_seed: str) -> str:
+    src = str(Path(stackpol.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-m", "stackpol.cli", *argv],
+        capture_output=True,
+        text=True,
+        env=env,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.parametrize(
+    "text",
+    [stackpol.running_example_text(), EMPTY_LITERAL_MODEL],
+    ids=["bundled", "empty-literal"],
+)
+def test_cli_output_does_not_depend_on_the_hash_seed(text, tmp_path):
+    path = tmp_path / "m.model"
+    path.write_text(text, encoding="utf-8")
+    for argv in (["analyze"], ["analyze", "--format", "java"], ["dump"]):
+        argv = [*argv, str(path)]
+        assert _cli_stdout(argv, "1") == _cli_stdout(argv, "7"), argv
 
 
 # ------------------------------------------------------------------- mutation

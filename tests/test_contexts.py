@@ -18,12 +18,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from stackpol.contexts import (
-    ANY,
     ANY_FAMILY,
     CallSite,
-    Condition,
     format_ctx,
     format_family,
+    holds,
     normalize_family,
 )
 from stackpol.errors import EnumerationLimitError
@@ -203,19 +202,21 @@ def test_empty_member_collapses_the_family():
 
 
 def test_condition_asks_for_one_member_below():
-    cond = Condition(frozenset({sites(1, 2), sites(3)}))
-    assert cond.holds(sites(1, 2, 5))
-    assert cond.holds(sites(3))
-    assert not cond.holds(sites(1, 5))
-    assert not cond.holds(frozenset())
+    fam = frozenset({sites(1, 2), sites(3)})
+    assert holds(fam, sites(1, 2, 5))
+    assert holds(fam, sites(3))
+    assert not holds(fam, sites(1, 5))
+    assert not holds(fam, frozenset())
 
 
 def test_any_condition_holds_everywhere():
-    assert ANY.holds(frozenset())
-    assert ANY.holds(sites(1, 2, 3))
-    assert ANY.family == ANY_FAMILY
+    assert holds(ANY_FAMILY, frozenset())
+    assert holds(ANY_FAMILY, sites(1, 2, 3))
     # an empty member swallows the rest of the family
-    assert Condition(frozenset({sites(1), frozenset()})) == ANY
+    fam = frozenset({sites(1), frozenset()})
+    assert holds(fam, frozenset())
+    assert normalize_family(fam) == ANY_FAMILY
+    assert format_family(fam) == "any"
 
 
 def test_formatting_is_sorted_and_stable():

@@ -23,7 +23,7 @@ from bruteforce import (
 from randmodels import random_model
 from test_oracle import _layered as layered_model
 from test_policy import _diamond_ladder as guarded_diamond_ladder
-from stackpol.contexts import ANY, CallSite, Condition
+from stackpol.contexts import ANY_FAMILY, CallSite, normalize_family
 from stackpol.errors import CapacityError
 from stackpol.policy import encode
 from stackpol import pushdown
@@ -51,7 +51,7 @@ def w(gen=(), kill=False, fin=(), hist=()):
 
 
 def cond(*members):
-    return Condition(frozenset(frozenset(m) for m in members))
+    return frozenset(frozenset(m) for m in members)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +182,9 @@ def _random_system(rng: random.Random) -> ConditionalWPDS:
                 frozenset(rng.sample(sites, rng.randint(0, 2)))
                 for _ in range(rng.randint(1, 2))
             ]
-            c = Condition(frozenset(members))
+            c = normalize_family(members)
         else:
-            c = ANY
+            c = ANY_FAMILY
         rules.append(
             Rule(lhs, rhs, cond=c, weight=w(gen=[str(rng.randint(0, 3))]))
         )
@@ -288,7 +288,7 @@ def test_movp_matches_stepping_on_random_acyclic_systems():
                     if rng.random() < 0.3:
                         c = cond([site("A", ord(callee))])  # may be dead
                     else:
-                        c = ANY
+                        c = ANY_FAMILY
                     rules.append(
                         Rule(
                             m,
@@ -343,13 +343,11 @@ def _random_draining_system(rng: random.Random) -> ConditionalWPDS:
 
     def maybe_cond():
         if not pushed or rng.random() < 0.3:
-            return ANY
+            return ANY_FAMILY
         pool = pushed + [site("Z", 1)]
-        return Condition(
-            frozenset(
-                frozenset(rng.sample(pool, min(len(pool), rng.randint(1, 3))))
-                for _ in range(rng.randint(1, 2))
-            )
+        return frozenset(
+            frozenset(rng.sample(pool, min(len(pool), rng.randint(1, 3))))
+            for _ in range(rng.randint(1, 2))
         )
 
     for i, m in enumerate(order):
@@ -439,7 +437,7 @@ def test_per_symbol_and_global_projections_give_the_same_weights():
 
 def test_a_system_without_conditions_reaches_only_empty_annotations():
     system = encode(layered_model(3, 3))
-    assert all(r.cond == ANY for r in system.rules)
+    assert all(r.cond == ANY_FAMILY for r in system.rules)
     ann = AnnotatedWPDS(system)
     frontier = {((system.start, frozenset()),)}
     seen = set(frontier)

@@ -124,6 +124,17 @@ def test_role_errors():
         parse_model("method a entry priv check\n")
 
 
+def test_repeated_method_attributes_are_rejected():
+    rest = MINIMAL.replace("method main entry\n", "")
+    assert "line 1: duplicate attribute 'domain'" in err(
+        "method main entry domain=a domain=b" + rest
+    )
+    assert "line 1: duplicate attribute 'entry'" in err("method main entry entry" + rest)
+    assert "line 2: duplicate attribute 'priv'" in err(
+        "method main entry" + rest.replace("doPriv priv", "doPriv priv domain=d priv")
+    )
+
+
 def test_reference_errors():
     assert "unknown method" in err(minimal_plus("calledge 1 main 1 ghost ctx=any"))
     assert "duplicate call edge" in err(

@@ -1,4 +1,4 @@
-"""Reference enumeration: valid paths, flow paths, bracket matching."""
+"""Reference enumeration: valid paths, flow paths, crossing words."""
 
 import json
 import os
@@ -34,11 +34,8 @@ from stackpol import (
 )
 from stackpol import oracle
 from stackpol.contexts import ANY_FAMILY, CallSite
-from stackpol.model import CallEdge
+from stackpol.model import INTER_CALL, INTER_RETURN, CallEdge
 from stackpol.oracle import (
-    CLOSE,
-    OPEN,
-    Bracket,
     DepPath,
     dep_paths,
     extract,
@@ -252,22 +249,29 @@ def test_the_cap_counts_only_the_walk_to_the_target(monkeypatch):
         enum_vpaths(m, "check", bound=1)
 
 
-# ------------------------------------------------------------ bracket matching
+# ------------------------------------------------------------ crossing words
 
 
 def test_well_matched_words():
     a, b = S("m", 1), S("m", 2)
-    assert well_matched([])
-    assert well_matched([Bracket(OPEN, a)])
-    assert well_matched([Bracket(OPEN, a), Bracket(CLOSE, a)])
-    assert well_matched(
-        [Bracket(OPEN, a), Bracket(OPEN, b), Bracket(CLOSE, b), Bracket(CLOSE, a)]
-    )
-    assert not well_matched([Bracket(CLOSE, a)])
-    assert not well_matched([Bracket(OPEN, a), Bracket(CLOSE, b)])
-    assert not well_matched(
-        [Bracket(OPEN, a), Bracket(OPEN, b), Bracket(CLOSE, a)]
-    )
+    call, ret = INTER_CALL, INTER_RETURN
+    assert well_matched([], [])
+    assert well_matched([], [(call, a)])
+    assert well_matched([], [(call, a), (ret, a)])
+    assert well_matched([], [(call, a), (call, b), (ret, b), (ret, a)])
+    assert not well_matched([], [(ret, a)])
+    assert not well_matched([], [(call, a), (ret, b)])
+    assert not well_matched([], [(call, a), (call, b), (ret, a)])
+    # the opened sites are popped last-opened-first, and may stay open
+    assert well_matched([a], [])
+    assert well_matched([a, b], [(ret, b), (ret, a)])
+    assert well_matched([a, b], [(ret, b)])
+    assert not well_matched([a, b], [(ret, a)])
+    # a return to a site that was never opened
+    assert not well_matched([a], [(ret, b)])
+    # a call crossing is popped by its own return, above the opened sites
+    assert well_matched([a], [(call, b), (ret, b), (ret, a)])
+    assert not well_matched([a], [(call, b), (ret, a)])
 
 
 def test_bundled_flow_paths_and_their_words(example_model):
@@ -277,9 +281,7 @@ def test_bundled_flow_paths_and_their_words(example_model):
 
     # the socket permission value returns out of mkSocketPerm into the
     # frame that called it at checkConnect:5; the file flow never crosses
-    assert extract(example_model, socket_flow) == (
-        Bracket(CLOSE, S("checkConnect", 5)),
-    )
+    assert extract(example_model, socket_flow) == ((INTER_RETURN, S("checkConnect", 5)),)
     assert extract(example_model, file_flow) == ()
 
     assert socket_flow.methods(example_model) == frozenset(
@@ -303,7 +305,7 @@ def test_call_crossings_open_the_source_site():
     )
 
     flow = DepPath(tuple(m.dep_edges))
-    assert extract(m, flow) == (Bracket(OPEN, S("main", 1)),)
+    assert extract(m, flow) == ((INTER_CALL, S("main", 1)),)
 
 
 def test_a_dependency_chain_deeper_than_the_recursion_limit_has_its_one_flow():
@@ -365,8 +367,7 @@ def test_match_paths_rejects_a_close_no_path_opened():
 def _hosts_alike(model):
     for pi in dep_paths(model):
         stacks = enum_vpaths(model, model.dep_nodes[pi.start].method)
-        word_tail = list(extract(model, pi))
-        got = list(oracle._admissible_methods(stacks, word_tail, ANY_FAMILY))
+        got = list(oracle._admissible_methods(stacks, extract(model, pi), ANY_FAMILY))
         assert got == [sigma.methods() for sigma in match_paths(model, pi)], pi
 
 

@@ -49,6 +49,15 @@ def test_permission_ordering_treats_missing_fields_as_empty():
     ]
 
 
+def test_an_absent_value_sorts_before_the_empty_string():
+    # both render apart, so a tie would leave policy order to set order
+    bare, empty = Permission("P"), Permission("P", "")
+    target, empty_action = Permission("P", "a"), Permission("P", "a", "")
+    expected = [bare, empty, target, empty_action]
+    assert sorted(expected) == expected
+    assert sorted(reversed(expected)) == expected
+
+
 # ----------------------------------------------------------- running example
 
 

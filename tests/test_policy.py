@@ -18,7 +18,7 @@ from stackpol import (
     parse_policy_table,
     simulate_inspection,
 )
-from stackpol.contexts import ANY, ANY_FAMILY, CallSite
+from stackpol.contexts import ANY_FAMILY, CallSite
 from stackpol.policy import encode
 from stackpol.weights import ONE
 
@@ -81,12 +81,12 @@ def test_push_weights_record_caller_and_site(example_model):
     (digest,) = privileged.weight.tuples
     assert digest.kill is True
     assert digest.gen == frozenset({"doPrivileged"})
-    assert privileged.cond != ANY
+    assert privileged.cond != ANY_FAMILY
 
 
 def test_push_conditions_mirror_edge_contexts(example_model):
     system = encode(example_model)
-    conditional = [r for r in system.rules if r.kind == "push" and r.cond != ANY]
+    conditional = [r for r in system.rules if r.kind == "push" and r.cond != ANY_FAMILY]
     assert {r.rhs[1] for r in conditional} == {
         S("doPrivileged", 1),
         S("Priv.run", 20),
