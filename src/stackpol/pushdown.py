@@ -164,44 +164,27 @@ class AnnotatedWPDS:
 
     def instances(self, base: StackSymbol, below: CtxSet) -> list[Instance]:
         """All rules applicable at top symbol ``base`` with ``below`` sites."""
-        # with nothing relevant to base, nothing is to its successors either
-        mine = self._relevant.get(base)
         out = []
         for idx, r in self._by_lhs.get(base, ()):
             if not holds(r.cond, below):
                 continue
             if len(r.rhs) == 2:
                 first, second = r.rhs
-                if mine:
-                    rhs = (
-                        (first, self._project(first, below, mine, second)),
-                        (second, self._project(second, below, mine)),
-                    )
-                else:
-                    rhs = ((first, below), (second, below))
-            else:
-                rhs = tuple(
-                    (sym, self._project(sym, below, mine) if mine else below)
-                    for sym in r.rhs
+                rhs = (
+                    (first, self._project(first, below, second)),
+                    (second, self._project(second, below)),
                 )
+            else:
+                rhs = tuple((sym, self._project(sym, below)) for sym in r.rhs)
             out.append((idx, rhs))
         return out
 
     def _project(
-        self,
-        sym: StackSymbol,
-        below: CtxSet,
-        mine: CtxSet,
-        pushed: CallSite | None = None,
+        self, sym: StackSymbol, below: CtxSet, pushed: CallSite | None = None
     ) -> CtxSet:
-        """``below`` plus ``pushed``, cut to the sites relevant to ``sym``.
-
-        ``mine`` is the relevant set of the rule's left-hand side, which
-        holds ``below`` and covers ``sym``'s, so when ``sym``'s is all of
-        it ``below`` passes unchanged.
-        """
+        """``below`` plus ``pushed``, cut to the sites relevant to ``sym``."""
         sites = self._relevant.get(sym, _NONE)
-        if not sites >= mine:
+        if not below <= sites:
             below = below & sites
         return below | {pushed} if pushed in sites else below
 
@@ -237,12 +220,6 @@ def movp(
     mids: dict[tuple[int, CtxSet], int] = {}
     worklist: deque[_TransKey] = deque()
     steps = 0
-
-    def mid_state(rule_idx: int, ann: CtxSet) -> int:
-        key = (rule_idx, ann)
-        if key not in mids:
-            mids[key] = 2 + len(mids)
-        return mids[key]
 
     def update_trans(key: _TransKey, w: Packed) -> None:
         old = trans.get(key, zero)
@@ -285,7 +262,7 @@ def movp(
                     update_trans((_P, top, top_below, dst), w)
                 else:
                     (first, first_below), (second, second_below) = rhs
-                    q_mid = mid_state(rule_idx, ann)
+                    q_mid = mids.setdefault((rule_idx, ann), 2 + len(mids))
                     update_trans((_P, first, first_below, q_mid), one)
                     update_trans((q_mid, second, second_below, dst), w)
         else:
