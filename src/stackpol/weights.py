@@ -35,7 +35,7 @@ inclusion of digest sets: lower means more digests, i.e. less precise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable
 
 from .contexts import CallSite
@@ -53,11 +53,6 @@ class WeightTuple:
     gen: frozenset[str] = frozenset()
     finished: frozenset[str] = frozenset()
     history: frozenset[CallSite] = frozenset()
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "gen", frozenset(self.gen))
-        object.__setattr__(self, "finished", frozenset(self.finished))
-        object.__setattr__(self, "history", frozenset(self.history))
 
     def seq(self, after: "WeightTuple") -> "WeightTuple":
         """Digest of running ``self``'s paths, then ``after``'s."""
@@ -96,23 +91,14 @@ class WeightTuple:
 class Weight:
     """A set of path digests; the semiring element."""
 
-    tuples: frozenset[WeightTuple] = field(default_factory=frozenset)
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "tuples", frozenset(self.tuples))
+    tuples: frozenset[WeightTuple] = frozenset()
 
     def combine(self, other: "Weight") -> "Weight":
         """Meet: keep every digest from either side."""
-        if not other.tuples:
-            return self
-        if not self.tuples:
-            return other
         return Weight(self.tuples | other.tuples)
 
     def extend(self, other: "Weight") -> "Weight":
         """Sequencing: pairwise digest product."""
-        if not self.tuples or not other.tuples:
-            return ZERO
         return Weight(
             frozenset(t.seq(u) for t in self.tuples for u in other.tuples)
         )
