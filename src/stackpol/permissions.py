@@ -144,41 +144,40 @@ def generate_permissions(
                     f"pta fact at {site} names {triple.node}, which is not "
                     "an allocation node"
                 )
-            if node.form == 1:
-                targets = _sa_facts(model, node.target_var, node.method, node.ident)
-                actions = _sa_facts(model, node.action_var, node.method, node.ident)
-                for tv in targets:
-                    for av in actions:
-                        if tv.ctx == av.ctx:
-                            add(
-                                Permission(triple.perm_type, tv.value, av.value),
-                                {tv.ctx},
-                                site,
-                                node.ident,
-                            )
-                        else:
-                            diagnostics.append(
-                                f"skipped pairing at {node.ident}: target "
-                                f'"{tv.value}" under {{{format_ctx(tv.ctx)}}} '
-                                f'vs action "{av.value}" under '
-                                f"{{{format_ctx(av.ctx)}}} (contexts differ)"
-                            )
-            elif node.form == 2:
-                targets = _sa_facts(model, node.target_var, node.method, node.ident)
-                for tv in targets:
-                    add(
-                        Permission(triple.perm_type, tv.value),
-                        {tv.ctx},
-                        site,
-                        node.ident,
-                    )
-            else:
+            if node.form == 3:
                 add(
                     Permission(triple.perm_type),
                     route_contexts(node.method),
                     site,
                     node.ident,
                 )
+                continue
+            targets = _sa_facts(model, node.target_var, node.method, node.ident)
+            actions = (
+                _sa_facts(model, node.action_var, node.method, node.ident)
+                if node.form == 1
+                else (None,)
+            )
+            for tv in targets:
+                for av in actions:
+                    if av is None or tv.ctx == av.ctx:
+                        add(
+                            Permission(
+                                triple.perm_type,
+                                tv.value,
+                                None if av is None else av.value,
+                            ),
+                            {tv.ctx},
+                            site,
+                            node.ident,
+                        )
+                    else:
+                        diagnostics.append(
+                            f"skipped pairing at {node.ident}: target "
+                            f'"{tv.value}" under {{{format_ctx(tv.ctx)}}} '
+                            f'vs action "{av.value}" under '
+                            f"{{{format_ctx(av.ctx)}}} (contexts differ)"
+                        )
 
     return PermissionUniverse(
         perms=frozenset(contexts),
