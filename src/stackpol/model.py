@@ -464,6 +464,13 @@ class _Parser:
                 raise ModelError(f"pta fact points to unknown node {t.node!r}", lineno)
             if self.dep_nodes[t.node].kind != ALLOC:
                 raise ModelError(f"pta fact points to non-alloc node {t.node!r}", lineno)
+            declared = self.dep_nodes[t.node].perm_type
+            if t.perm_type != declared:
+                raise ModelError(
+                    f"pta fact gives {t.node} type {t.perm_type}, but it "
+                    f"allocates {declared}",
+                    lineno,
+                )
             self._known_sites(t.ctx, "pta", lineno)
         self.pta[key] = tuple(
             sorted(triples, key=lambda t: (t.perm_type, t.node, sorted(t.ctx)))

@@ -140,7 +140,7 @@ def test_check_reads_back_the_emitted_table(ptype, tmp_path, capsys):
     model.write_text(
         "method main entry\nmethod doPriv priv\nmethod check check\n"
         "calledge 1 main 1 check ctx=any\ncheckarg main:1 var=v\n"
-        "depnode a main 50 kind=alloc form=3 type=P\n"
+        "depnode a main 50 kind=alloc form=3 type=P.x\n"
         f"pta v@main = {{({ptype}, a, {{}})}}\n",
         encoding="utf-8",
     )

@@ -263,6 +263,23 @@ def test_names_written_into_policies_are_checked():
     )
 
 
+def test_a_pta_type_must_match_its_allocation():
+    # the pipeline takes the permission type from the triple, so a type
+    # that contradicts the allocation's type= would be granted unnoticed
+    text = minimal_plus(
+        "calledge 1 main 5 check ctx=any",
+        "checkarg main:5 var=v",
+        "depnode a main 5 kind=alloc form=3 type=FilePermission",
+        "pta v@main = {(SocketPermission, a, {})}",
+    )
+    assert (
+        "line 8: pta fact gives a type SocketPermission, but it allocates "
+        "FilePermission"
+    ) in err(text)
+    fixed = parse_model(text.replace("(SocketPermission,", "(FilePermission,"))
+    assert {t.perm_type for t in fixed.pta[("v", "main")]} == {"FilePermission"}
+
+
 def test_unknown_directive_is_rejected():
     assert "unknown directive" in err(MINIMAL + "frobnicate a b c\n")
 
