@@ -58,7 +58,9 @@ path, the second rebuilds both stacks' method sets for every pair of
 stacks.  They are the references for ``oracle._route_valid`` and
 ``oracle.relates``.  ``match_paths`` lists the valid paths to a flow's
 origin that can host the flow, the reference for the hosting test in
-``oracle._admissible_methods``.
+``oracle._admissible_methods``.  Both replay a flow's crossings on a
+path's sites with ``replays_on``, which reads the flow's edges directly,
+so neither shares ``oracle.extract`` or ``oracle.well_matched``.
 
 ``vpaths_by_join`` builds each truncated path as enumeration first did:
 walk from the asserter to the target, then join every walk from the
@@ -76,15 +78,13 @@ from typing import Iterable, Sequence
 from stackpol import pushdown
 from stackpol.contexts import CallSite, CtxFamily, CtxSet
 from stackpol.errors import CapacityError, EnumerationLimitError
-from stackpol.model import CallEdge, ProgramModel
+from stackpol.model import INTER_CALL, INTER_RETURN, CallEdge, ProgramModel
 from stackpol.oracle import (
     DEFAULT_PATH_BOUND,
     CallPath,
     DepPath,
     _route_valid,
     enum_vpaths,
-    extract,
-    well_matched,
 )
 from stackpol.permissions import Permission, PermissionUniverse
 from stackpol.pushdown import (
@@ -430,6 +430,21 @@ def route_valid_by_family(edges) -> bool:
     return any(c <= sites for c in phi_route_along(edges))
 
 
+def replays_on(model: ProgramModel, pi: DepPath, opened: Iterable[CallSite]) -> bool:
+    """Whether ``pi``'s crossings replay on a stack holding the ``opened``
+    sites, the last one on top: a call edge pushes its source node's site,
+    and a return edge must pop its target node's site."""
+    stack = tuple(opened)
+    for e in pi.edges:
+        if e.inter == INTER_CALL:
+            stack += (model.dep_nodes[e.src].site,)
+        elif e.inter == INTER_RETURN:
+            if stack[-1:] != (model.dep_nodes[e.dst].site,):
+                return False
+            stack = stack[:-1]
+    return True
+
+
 def match_paths(
     model: ProgramModel, pi: DepPath, bound: int = DEFAULT_PATH_BOUND
 ) -> list[CallPath]:
@@ -439,12 +454,11 @@ def match_paths(
     the call sites the path opened: every value returned across a call
     boundary must return into a frame the path actually opened.
     """
-    word = extract(model, pi)
     origin = model.dep_nodes[pi.start].method
     out = []
     for sigma in enum_vpaths(model, origin, bound):
         if any(
-            well_matched((e.site for e in v), word)
+            replays_on(model, pi, (e.site for e in v))
             for v in sigma.full_variants()
         ):
             out.append(sigma)
@@ -475,14 +489,13 @@ def relates_by_scan(
             if alloc_method == model.entry_method:
                 paths = paths + [CallPath(alloc_method, ())]
             vpath_cache[alloc_method] = paths
-        word = extract(model, pi)
         pi_methods = pi.methods(model)
         for sigma_p in vpath_cache[alloc_method]:
             allowed = pi_methods | sigma_p.methods() | {model.check_method}
             if not sigma_methods <= allowed:
                 continue
             for variant in sigma_p.full_variants():
-                if not well_matched((e.site for e in variant), word):
+                if not replays_on(model, pi, (e.site for e in variant)):
                     continue
                 variant_sites = frozenset(e.site for e in variant)
                 if any(
