@@ -234,7 +234,14 @@ def parse_permission(text: str) -> Permission:
 
 
 def parse_policy_table(text: str) -> Policy:
-    """Parse the table format back into a policy (inverse of ``emit_policy``)."""
+    """Parse the table format back into a policy.
+
+    This inverts ``emit_policy`` on the grants only: a table carries
+    neither ``method_domains`` nor ``system_methods``.  ``check_policy``
+    needs only the grants, but ``simulate_inspection`` under a read-back
+    table fails at the first system frame; restore those first, with
+    ``dataclasses.replace(given, system_methods=generated.system_methods)``.
+    """
     grants: dict[str, set[Permission]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = _strip_comment(raw).strip()
@@ -319,7 +326,8 @@ def simulate_inspection(
     """Walk a stack top-first the way the runtime access controller does.
 
     Frames of system methods (the check and privilege primitives) always
-    pass.  A frame that asserted privilege ends the walk with success:
+    pass; ``policy.system_methods`` names them, and a policy read back by
+    ``parse_policy_table`` has none.  A frame that asserted privilege ends the walk with success:
     the assertion vouches for everything beneath it, so neither that
     frame nor anything below is consulted.  Any other frame must hold the
     permission in the policy; the first one that does not fails the walk.

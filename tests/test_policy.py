@@ -1,5 +1,7 @@
 """System encoding, policy extraction, rendering, checking, simulation."""
 
+from dataclasses import replace
+
 import pytest
 from bruteforce import grants_by_scan
 from randmodels import random_model
@@ -10,7 +12,9 @@ from stackpol import (
     Policy,
     PolicyError,
     check_policy,
+    concrete_stacks,
     emit_policy,
+    enum_vpaths,
     generate_permissions,
     generate_policy,
     parse_model,
@@ -19,6 +23,7 @@ from stackpol import (
     simulate_inspection,
 )
 from stackpol.contexts import ANY_FAMILY, CallSite
+from stackpol.oracle import dep_paths, relates
 from stackpol.policy import encode
 from stackpol.weights import ONE
 
@@ -323,6 +328,30 @@ def test_emit_rejects_unknown_format(example_policy):
 def test_table_round_trip(example_policy):
     parsed = parse_policy_table(emit_policy(example_policy, "table"))
     assert parsed.grants == example_policy.grants
+
+
+def test_a_read_back_table_replays_once_system_methods_are_restored(
+    example_model, example_universe, example_policy
+):
+    # a table carries grants only, so the read-back policy checks against
+    # the generated one but does not know doPrivileged is a system method
+    given = parse_policy_table(emit_policy(example_policy, "table"))
+    assert check_policy(given, example_policy).passed
+    flows = dep_paths(example_model)
+    cache: dict = {}
+    related = [
+        (stack, perm)
+        for sigma in enum_vpaths(example_model, example_model.check_method)
+        for perm in example_universe.sorted_perms()
+        if relates(example_model, sigma, perm, example_universe, flows, cache)
+        for stack in concrete_stacks(example_model, sigma)
+    ]
+    assert related
+    assert all(simulate_inspection(s, p, example_policy).passed for s, p in related)
+    failed = [simulate_inspection(s, p, given).failed_at for s, p in related]
+    assert sorted(filter(None, failed)) == ["doPrivileged"] * 3
+    fixed = replace(given, system_methods=example_policy.system_methods)
+    assert all(simulate_inspection(s, p, fixed).passed for s, p in related)
 
 
 def test_parse_permission_forms():
