@@ -327,11 +327,11 @@ def simulate_inspection(
 
     Frames of system methods (the check and privilege primitives) always
     pass; ``policy.system_methods`` names them, and a policy read back by
-    ``parse_policy_table`` has none.  A frame that asserted privilege ends the walk with success:
-    the assertion vouches for everything beneath it, so neither that
-    frame nor anything below is consulted.  Any other frame must hold the
-    permission in the policy; the first one that does not fails the walk.
-    An empty stack passes vacuously.
+    ``parse_policy_table`` has none.  A frame that asserted privilege
+    ends the walk with success: the assertion vouches for everything
+    beneath it, so neither that frame nor anything below is consulted.
+    Any other frame must hold the permission in the policy; the first one
+    that does not fails the walk.  An empty stack passes vacuously.
     """
     for raw in stack:
         frame = raw if isinstance(raw, Frame) else Frame(*raw)
