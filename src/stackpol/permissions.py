@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .contexts import CallSite, CtxFamily, CtxSet, format_ctx
 from .errors import ModelError
-from .model import ALLOC, ProgramModel, compute_phi_meth
+from .model import ProgramModel, compute_phi_meth
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,11 +139,6 @@ def generate_permissions(
             )
         for triple in triples:
             node = model.dep_nodes[triple.node]
-            if node.kind != ALLOC:
-                raise ModelError(
-                    f"pta fact at {site} names {triple.node}, which is not "
-                    "an allocation node"
-                )
             if node.form == 3:
                 add(
                     Permission(triple.perm_type),
