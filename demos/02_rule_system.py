@@ -30,8 +30,9 @@ print(f"privileged push: {push_into_priv}")
 print()
 
 # The meet over all paths into the check method folds rule weights along
-# every derivation and combines the results.
-weight = movp(system, targets={model.check_method})
+# every derivation and combines the results.  The solver keeps digests
+# as packed ints; decode() spells them out with method and site names.
+weight = movp(system, targets={model.check_method}).decode()
 print(f"{weight.width()} stack digests reach {model.check_method}:")
 for digest in sorted(weight.tuples, key=lambda d: sorted(map(str, d.history))):
     on_stack = sorted(digest.gen - digest.finished)

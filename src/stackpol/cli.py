@@ -84,7 +84,7 @@ def _cmd_analyze(args: argparse.Namespace) -> int:
         _note(f"note: {diag}")
     result = generate_policy(model, universe, tuple_cap=args.tuple_cap)
     _note(f"permissions: {len(universe.perms)}")
-    _note(f"stack digests: {result.weight.width()}")
+    _note(f"stack digests: {result.digests.width()}")
     text = emit_policy(result.policy, args.format)
     if args.emit:
         Path(args.emit).write_text(text, encoding="utf-8")

@@ -20,7 +20,10 @@ shadowed by a privilege assertion), and which call sites were traversed
 (the history).  ``generate_policy`` grants a permission to the live
 methods of every digest that both traversed a checkpoint where the
 permission originates and matches one of the permission's demand
-contexts; the history carries enough of the route to decide both.
+contexts; the history carries enough of the route to decide both.  It
+decides them on the solver's packed digests and decodes to method names
+only the distinct live sets of the digests that match, once each; the
+result's ``weight`` decodes the whole digest set only when it is read.
 
 The rest of the module closes the loop: render and parse policies, diff
 a given policy against a generated one, and simulate the runtime
@@ -33,12 +36,11 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 
-from .contexts import CallSite
 from .errors import PolicyError
 from .model import INTER_RETURN, ProgramModel, _strip_comment
 from .permissions import Permission, PermissionUniverse
 from .pushdown import ConditionalWPDS, Rule, movp
-from .weights import DEFAULT_TUPLE_CAP, ONE, Weight, WeightTuple
+from .weights import DEFAULT_TUPLE_CAP, ONE, PackedWeight, Weight, WeightTuple
 
 
 def encode(model: ProgramModel) -> ConditionalWPDS:
@@ -100,8 +102,15 @@ class Policy:
 
 @dataclass(frozen=True, slots=True)
 class PolicyResult:
+    """A generated policy and the packed digests it was read from."""
+
     policy: Policy
-    weight: Weight
+    digests: PackedWeight
+
+    @property
+    def weight(self) -> Weight:
+        """The digests as a ``Weight``, decoded on every read."""
+        return self.digests.decode()
 
 
 def _method_domains(model: ProgramModel) -> dict[str, str]:
@@ -110,42 +119,69 @@ def _method_domains(model: ProgramModel) -> dict[str, str]:
     }
 
 
-def _permission_masks(
-    digests: list[WeightTuple], universe: PermissionUniverse
-) -> dict[Permission, int]:
-    """Per permission, the bitset of ``digests`` (bit i for ``digests[i]``)
-    that require it; permissions no digest requires are left out.
+def _grants(
+    solved: PackedWeight, universe: PermissionUniverse, hidden: int
+) -> dict[str, set[Permission]]:
+    """Per method, the permissions that some digest of ``solved`` requires
+    while the method is live; ``hidden`` masks methods never granted.
 
-    Each call site maps to the bitset of digests whose history holds it.
-    A permission's origin mask ORs its checkpoints' bitsets; each demand
-    context then ANDs its sites' bitsets into what is left of that mask,
-    so the empty context (``ANY_FAMILY``) keeps every origin digest.
+    Each call-site bit that some checkpoint or demand context names maps
+    to the bitset of digests (bit i for the i-th) whose history holds
+    it; history bits that nothing reads are not indexed.  A permission's
+    origin mask ORs its checkpoints' bitsets; each demand context then
+    ANDs its sites' bitsets into what is left of that mask, so the empty
+    context (``ANY_FAMILY``) keeps every origin digest, and a context
+    naming a site the packing never interned keeps none.  The matching
+    digests' live masks, ``gen & ~finished``, are collected per
+    permission, and each distinct one is decoded to method names once.
     """
-    by_site: dict[CallSite, int] = defaultdict(int)
-    for i, digest in enumerate(digests):
+    # a site never interned gets bit 0, which no digest's history holds
+    site_bit = solved.packing.site_bit.get
+    named = {site for pairs in universe.sources.values() for site, _node in pairs}
+    for ctxs in universe.contexts.values():
+        named.update(*ctxs)
+    # distinct sites have distinct bits, so their sum is their union
+    read = sum(site_bit(site, 0) for site in named)
+    digests = list(solved.digests)
+    by_site: dict[int, int] = defaultdict(int)
+    for i, (_kill, _gen, _fin, history) in enumerate(digests):
+        history &= read
         bit = 1 << i
-        for site in digest.history:
-            by_site[site] |= bit
-    masks: dict[Permission, int] = {}
+        while history:
+            low = history & -history
+            by_site[low] |= bit
+            history ^= low
+    by_live: dict[int, set[Permission]] = defaultdict(set)
     # ``origins`` rebuilds its frozensets on every access; the pairs in
     # ``sources`` name the same checkpoints without that cost
     for p, pairs in universe.sources.items():
         origin = 0
         for site, _node in pairs:
-            origin |= by_site.get(site, 0)
+            origin |= by_site[site_bit(site, 0)]
         hit = 0
         for ctx in universe.contexts[p]:
             if hit == origin:
                 break
             left = origin & ~hit
             for site in ctx:
-                left &= by_site.get(site, 0)
+                left &= by_site[site_bit(site, 0)]
                 if not left:
                     break
             hit |= left
-        if hit:
-            masks[p] = hit
-    return masks
+        # distinct live masks first: ints hash faster than permissions
+        lives = set()
+        while hit:
+            low = hit & -hit
+            _kill, gen, fin, _history = digests[low.bit_length() - 1]
+            lives.add(gen & ~fin)
+            hit ^= low
+        for live in lives:
+            by_live[live].add(p)
+    grants: dict[str, set[Permission]] = {}
+    for live, perms in by_live.items():
+        for method in solved.packing.methods(live & ~hidden):
+            grants.setdefault(method, set()).update(perms)
+    return grants
 
 
 def generate_policy(
@@ -161,27 +197,24 @@ def generate_policy(
     demand contexts.  The first clause keeps a permission demanded only
     behind a privilege boundary from leaking to stacks that never cross
     that boundary; the second keeps context-separated demands apart.
-    Both are decided for all digests at once, on bitsets indexed by call
-    site, in place of a subset test per digest, permission and context.
+    Both are decided for all digests at once, on the solver's packed
+    digests, with bitsets of digests indexed by call-site bit.  The
+    methods live in a matching digest are decoded to names once per
+    distinct live set; no digest is decoded whole, and the result's
+    ``weight`` decodes them only when read.
     """
     system = encode(model)
-    weight = movp(system, targets={model.check_method}, tuple_cap=tuple_cap)
-    digests = list(weight.tuples)
-    masks = _permission_masks(digests, universe)
-    grants: dict[str, set[Permission]] = {}
+    solved = movp(system, targets={model.check_method}, tuple_cap=tuple_cap)
     hidden = {model.check_method, model.priv_method}
-    for i, digest in enumerate(digests):
-        required = [p for p, mask in masks.items() if mask >> i & 1]
-        if not required:
-            continue
-        for method in (digest.gen - digest.finished) - hidden:
-            grants.setdefault(method, set()).update(required)
+    grants = _grants(
+        solved, universe, sum(solved.packing.method_bit.get(m, 0) for m in hidden)
+    )
     policy = Policy(
         grants={m: frozenset(ps) for m, ps in grants.items()},
         method_domains=_method_domains(model),
         system_methods=frozenset(hidden),
     )
-    return PolicyResult(policy=policy, weight=weight)
+    return PolicyResult(policy=policy, digests=solved)
 
 
 # ---------------------------------------------------------------------------

@@ -11,7 +11,8 @@ symbol and carries two extras beyond a plain pushdown rule:
 
 ``movp(system, targets)`` returns the combine over all rule paths from the
 one-symbol start configuration to any configuration whose top matches
-``targets``, of the extend-product of the weights along the path.
+``targets``, of the extend-product of the weights along the path, as a
+``PackedWeight``.
 
 Conditions are compiled away rather than interpreted: ``AnnotatedWPDS``
 views the system over pairs ``(symbol, sites_below)``, where the second
@@ -37,8 +38,11 @@ has at most two annotations instead of one per route to it.
 The saturation runs on packed digests (see ``weights``): once per solve,
 the methods and call sites named by the rule weights are interned, every
 weight becomes a set of four-int digests, and sequencing is a handful of
-int operations.  The final union is decoded to a ``Weight`` exactly once,
-so callers see the same digests as the readable algebra would give.
+int operations.  The final union is returned packed, with the packing
+that names its bits; ``PackedWeight.decode`` gives the ``Weight`` that
+the readable algebra would, and nothing on the analyze path calls it.
+Decoding maps distinct packed digests to distinct ``WeightTuple``s, so
+``tuple_cap`` counts the same digests either way.
 
 Weight bookkeeping follows a tail-weighting discipline: the transition
 created for the *first* symbol of a push carries the semiring unit, and
@@ -60,6 +64,7 @@ from .weights import (
     ONE,
     Packed,
     PackedDigest,
+    PackedWeight,
     Packing,
     Weight,
     check_width,
@@ -202,7 +207,7 @@ def movp(
     targets: Iterable[StackSymbol],
     *,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
-) -> Weight:
+) -> PackedWeight:
     """Meet over all paths from the start stack to any stack topped by a target.
 
     Raises ``CapacityError`` when the result holds more than ``tuple_cap``
@@ -292,6 +297,6 @@ def movp(
     for (src, sym, _ann, dst), w in trans.items():
         if src == _P and sym in wanted:
             digests |= extend_packed(reach[dst], w)
-    result = packing.unpack(digests)
+    result = PackedWeight(packing, frozenset(digests))
     check_width(result, tuple_cap)
     return result

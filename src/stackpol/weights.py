@@ -18,13 +18,16 @@ always union.  Stack inspection stops at a privileged frame, so a kill
 never needs to name the frames it cancels.
 
 ``WeightTuple`` and ``Weight`` are the readable specification of this
-algebra and the format of every solver result.  The solver itself works on
+algebra and the form in which rules are written.  The solver works on
 *packed* digests: ``Packing`` interns the methods and call sites named by
 a set of weights, and a digest becomes a ``(kill, gen, finished,
 history)`` tuple of ints: ``kill`` is ``0`` or ``1``, and the other fields
 hold one bit per interned method or site.  A packed weight is a frozenset
-of such tuples, ``extend_packed`` is ``Weight.extend`` on them, and
-``Packing.unpack`` turns the final set back into a ``Weight``.
+of such tuples, and ``extend_packed`` is ``Weight.extend`` on them.  A
+solver result stays packed: ``PackedWeight`` keeps the digests with the
+packing that names their bits, grant extraction reads the ints, and
+``PackedWeight.decode`` (``Packing.unpack``) builds the ``Weight`` only
+for a caller that asks for it.
 
 Weights form a bounded idempotent semiring: ``combine`` is set union (the
 meet), ``extend`` is the pairwise digest product.  ``ZERO`` (no digests) is
@@ -120,8 +123,11 @@ ZERO = Weight(frozenset())
 ONE = Weight(frozenset({WeightTuple()}))
 
 
-def check_width(weight: Weight, cap: int = DEFAULT_TUPLE_CAP) -> Weight:
-    """Guard against digest-set blowup; raises ``CapacityError`` past the cap."""
+def check_width(weight, cap: int = DEFAULT_TUPLE_CAP):
+    """Guard against digest-set blowup; raises ``CapacityError`` past the cap.
+
+    ``weight`` is a ``Weight`` or a ``PackedWeight``; both count digests.
+    """
     if weight.width() > cap:
         raise CapacityError(
             f"weight grew to {weight.width()} digests (cap {cap}); "
@@ -173,13 +179,18 @@ class Packing:
                 for s in t.history:
                     if s not in sites:
                         sites[s] = 1 << len(sites)
-        self._method_bit = methods
-        self._site_bit = sites
+        # the bit of each interned name; extraction reads them directly
+        self.method_bit = methods
+        self.site_bit = sites
         self._methods = list(methods)
         self._sites = list(sites)
 
+    def methods(self, bits: int) -> frozenset[str]:
+        """The interned methods whose bits are set in ``bits``."""
+        return _members(bits, self._methods)
+
     def pack(self, weight: Weight) -> Packed:
-        mb, sb = self._method_bit, self._site_bit
+        mb, sb = self.method_bit, self.site_bit
         return frozenset(
             (
                 int(t.kill),
@@ -192,19 +203,13 @@ class Packing:
 
     def unpack(self, packed: Iterable[PackedDigest]) -> Weight:
         methods, sites = self._methods, self._sites
-        # method fields repeat across digests far more often than histories
-        names: dict[int, frozenset] = {}
-
-        def method_set(bits: int) -> frozenset:
-            got = names.get(bits)
-            if got is None:
-                got = names[bits] = _members(bits, methods)
-            return got
-
         return Weight(
             frozenset(
                 WeightTuple(
-                    k == 1, method_set(g), method_set(f), _members(h, sites)
+                    k == 1,
+                    _members(g, methods),
+                    _members(f, methods),
+                    _members(h, sites),
                 )
                 for k, g, f, h in packed
             )
@@ -219,3 +224,17 @@ def extend_packed(left: Packed, right: Packed) -> Packed:
         for rk, rg, rf, rh in right
     )
 
+
+@dataclass(frozen=True, slots=True, eq=False)
+class PackedWeight:
+    """A packed solver result: its digests and the packing that names their bits."""
+
+    packing: Packing
+    digests: Packed
+
+    def width(self) -> int:
+        return len(self.digests)
+
+    def decode(self) -> Weight:
+        """The same digests as a ``Weight``, built anew on every call."""
+        return self.packing.unpack(self.digests)

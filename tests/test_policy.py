@@ -3,14 +3,16 @@
 from dataclasses import replace
 
 import pytest
-from bruteforce import grants_by_scan
+from bruteforce import grants_by_scan, movp_by_weights
 from randmodels import random_model
 
 from stackpol import (
+    CapacityError,
     Frame,
     Permission,
     Policy,
     PolicyError,
+    Weight,
     check_policy,
     concrete_stacks,
     emit_policy,
@@ -25,7 +27,7 @@ from stackpol import (
 from stackpol.contexts import ANY_FAMILY, CallSite
 from stackpol.oracle import dep_paths, relates
 from stackpol.policy import encode
-from stackpol.weights import ONE
+from stackpol.weights import ONE, Packing
 
 S = CallSite
 
@@ -271,6 +273,139 @@ def test_extraction_matches_scan_below_a_privilege_assertion():
     )
     _, grants = _grants_match_scan(m)
     assert grants == {"inner": frozenset({Permission("P")})}
+
+
+def _full_bipartite(layers: int, width: int):
+    # every method of a layer calls every method of the next at the
+    # callee's index; bottom method j checks a form-1 permission whose
+    # facts hold on two routes to it, and m{layers}_2 asserts a privilege
+    # whose tail checks a form-2 permission that a factory returns to it
+    def layer(i):
+        return [f"m{i}_{j}" for j in range(1, width + 1)]
+
+    def route(picks):
+        callers = ["main"] + [f"m{i}_{p}" for i, p in enumerate(picks[:-1], start=1)]
+        return ",".join(f"{c}:{p}" for c, p in zip(callers, picks))
+
+    lines = [f"method {m}" for i in range(1, layers + 1) for m in layer(i)]
+    lines += ["method ptail", "method pfactory"]
+    callers = ["main"]
+    for i in range(1, layers + 1):
+        lines += [
+            f"calledge {c}-{m} {c} {k} {m} ctx=any"
+            for c in callers
+            for k, m in enumerate(layer(i), start=1)
+        ]
+        callers = layer(i)
+    for j, m in enumerate(callers, start=1):
+        straight = route([j] * layers)
+        other = route([j % width + 1] * (layers - 1) + [j])
+        lines += [
+            f"calledge {m}-check {m} 9 check ctx=any",
+            f"depnode a{j} {m} 90 kind=alloc form=1 type=F target=t action=a",
+            f"depnode c{j} {m} 9 kind=callsite",
+            f"depedge a{j} c{j}",
+            f"checkarg {m}:9 var=p",
+            f"pta p@{m} = {{(F, a{j}, {{{straight}}})}}",
+            f'sa t@{m} = {{("/{j}a", {{{straight}}}); ("/{j}b", {{{other}}})}}',
+            f'sa a@{m} = {{("read", {{{straight}}}); ("write", {{{other}}})}}',
+        ]
+    host = f"m{layers}_2"
+    tail = route([1] + [2] * (layers - 1) + [8]) + ",doPriv:1"
+    lines += [
+        f"calledge priv {host} 8 doPriv ctx=any",
+        "calledge tail doPriv 1 ptail ctx=any",
+        "calledge tail-check ptail 1 check ctx=any",
+        "calledge tail-fac ptail 2 pfactory ctx=any",
+        "depnode ta pfactory 90 kind=alloc form=2 type=R target=t",
+        "depnode tr pfactory 91 kind=return",
+        "depnode tb ptail 2 kind=callsite",
+        "depnode tc ptail 1 kind=callsite",
+        "depedge ta tr",
+        "depedge tr tb inter=return",
+        "depedge tb tc",
+        "checkarg ptail:1 var=p",
+        f"pta p@ptail = {{(R, ta, {{{tail}}})}}",
+        f'sa t@pfactory = {{("exit", {{{tail},ptail:2}})}}',
+    ]
+    return build(*lines)
+
+
+def test_extraction_matches_scan_on_a_full_bipartite_layered_model():
+    # many digests share one live set and few grant: the 9 routes into
+    # the asserting m3_2, each with and without the factory's return,
+    # leave only ptail live, and only the one route the tail's demand
+    # names grants there
+    model = _full_bipartite(3, 3)
+    universe, grants = _grants_match_scan(model)
+    weight = generate_policy(model, universe).weight
+    hidden = {model.check_method, model.priv_method}
+    lives = [(d.gen - d.finished) - hidden for d in weight.tuples]
+    granting = [
+        d
+        for d in weight.tuples
+        if grants_by_scan(model, universe, Weight(frozenset({d})))
+    ]
+    assert (len(lives), len(set(lives)), len(granting)) == (45, 28, 7)
+    assert lives.count(frozenset({"ptail"})) == 18
+    assert grants["ptail"] == frozenset({Permission("R", "exit")})
+    assert grants["m3_2"] == frozenset(
+        {Permission("F", "/2a", "read"), Permission("F", "/2b", "write")}
+    )
+    assert len(grants["main"]) == 6
+
+
+def test_a_demand_context_naming_a_site_no_rule_pushes_matches_no_digest(
+    example_model, example_universe
+):
+    # no parsed model names such a site; a hand-built universe can
+    ghost = frozenset({S("nowhere", 1)})
+    universe = replace(
+        example_universe,
+        contexts={
+            p: ctxs | {ghost} if p == PERM_F else frozenset({ghost})
+            for p, ctxs in example_universe.contexts.items()
+        },
+    )
+    grants = generate_policy(example_model, universe).policy.grants
+    assert grants == {
+        m: frozenset({PERM_F})
+        for m in ("main", "checkConnect", "connectFaculty")
+    }
+    result = generate_policy(example_model, universe)
+    assert grants == grants_by_scan(example_model, universe, result.weight)
+
+
+def test_generate_policy_decodes_no_digest(example_model, monkeypatch):
+    models = [example_model] + [random_model(seed) for seed in range(60)]
+    universes = [generate_permissions(m) for m in models]
+    expected = [
+        grants_by_scan(m, u, generate_policy(m, u).weight)
+        for m, u in zip(models, universes)
+    ]
+
+    def refuse(self, packed):
+        raise AssertionError("a digest was decoded")
+
+    monkeypatch.setattr(Packing, "unpack", refuse)
+    got = [generate_policy(m, u).policy.grants for m, u in zip(models, universes)]
+    assert got == expected
+
+
+def test_result_weight_decodes_to_the_reference_solve(example_model):
+    result = generate_policy(example_model, generate_permissions(example_model))
+    reference = movp_by_weights(encode(example_model), {example_model.check_method})
+    assert result.weight == reference
+    assert result.digests.width() == reference.width() == 8
+
+
+def test_tuple_cap_counts_packed_digests_through_generate_policy():
+    model, _names = _diamond_ladder(8)
+    universe = generate_permissions(model)
+    with pytest.raises(CapacityError) as capped:
+        generate_policy(model, universe, tuple_cap=255)
+    assert str(capped.value).startswith("weight grew to 256 digests (cap 255)")
+    assert generate_policy(model, universe, tuple_cap=256).digests.width() == 256
 
 
 def test_grants_never_name_the_privilege_or_check_primitives(example_policy):
