@@ -196,8 +196,9 @@ def _bounded_walks(start, succ: dict, stops, bound: int):
 
 def _walks(model: ProgramModel, target: str, bound: int) -> list[tuple[CallEdge, ...]]:
     """All edge sequences from the entry to ``target`` using each edge at
-    most ``bound`` times; includes the empty one when the entry is the
-    target.
+    most ``bound`` times, none of them empty: no edge enters the entry,
+    and its one-frame stack, which no edge sequence denotes, is built by
+    ``relates`` alone.
 
     The walk descends only into callees that can reach ``target``: one
     that leaves them never arrives, so this drops no sequence.
@@ -220,9 +221,8 @@ def _walks(model: ProgramModel, target: str, bound: int) -> list[tuple[CallEdge,
     start = model.entry_method
     if start not in reach:
         return []
-    results: list[tuple[CallEdge, ...]] = [()] if start == target else []
     walks = _bounded_walks(start, succ, {target}, bound)
-    results.extend(islice(walks, MAX_ENUMERATED_PATHS + 1 - len(results)))
+    results = list(islice(walks, MAX_ENUMERATED_PATHS + 1))
     if len(results) > MAX_ENUMERATED_PATHS:
         raise EnumerationLimitError(
             f"more than {MAX_ENUMERATED_PATHS} paths from "
@@ -258,7 +258,7 @@ def enum_vpaths(
     full = []
     segments: dict[tuple[CallEdge, ...], list[tuple[CallEdge, ...]]] = {}
     for edges in _walks(model, target, bound):
-        if not edges or not _route_valid(edges):
+        if not _route_valid(edges):
             continue
         cut = len(edges)
         while cut and edges[cut - 1].caller != priv:

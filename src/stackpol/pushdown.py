@@ -36,11 +36,11 @@ on a ladder whose every level is guarded by the level above, each symbol
 has at most two annotations instead of one per route to it.
 
 The saturation runs on packed digests (see ``weights``): once per solve,
-the methods and call sites named by the rule weights are interned, every
-weight becomes a set of four-int digests, and sequencing is a handful of
-int operations.  The final union is returned packed, with the packing
-that names its bits; ``PackedWeight.decode`` gives the ``Weight`` that
-the readable algebra would, and nothing on the analyze path calls it.
+each rule weight is packed into four-int digests in the one pass that
+interns its methods and call sites, and sequencing is a handful of int
+operations.  The final union is returned packed, with the packing that
+names its bits; ``PackedWeight.decode`` gives the ``Weight`` that the
+readable algebra would, and nothing on the analyze path calls it.
 Decoding maps distinct packed digests to distinct ``WeightTuple``s, so
 ``tuple_cap`` counts the same digests either way.
 
@@ -215,7 +215,7 @@ def movp(
     """
     wanted = set(targets)
     annotated = AnnotatedWPDS(system)
-    packing = Packing(r.weight for r in system.rules)
+    packing = Packing()
     rule_weights = [packing.pack(r.weight) for r in system.rules]
     one = packing.pack(ONE)
     zero: Packed = frozenset()

@@ -19,15 +19,15 @@ never needs to name the frames it cancels.
 
 ``WeightTuple`` and ``Weight`` are the readable specification of this
 algebra and the form in which rules are written.  The solver works on
-*packed* digests: ``Packing`` interns the methods and call sites named by
-a set of weights, and a digest becomes a ``(kill, gen, finished,
-history)`` tuple of ints: ``kill`` is ``0`` or ``1``, and the other fields
-hold one bit per interned method or site.  A packed weight is a frozenset
-of such tuples, and ``extend_packed`` is ``Weight.extend`` on them.  A
-solver result stays packed: ``PackedWeight`` keeps the digests with the
-packing that names their bits, grant extraction reads the ints, and
-``PackedWeight.decode`` (``Packing.unpack``) builds the ``Weight`` only
-for a caller that asks for it.
+*packed* digests: ``Packing.pack`` interns each method and call site the
+first time a packed weight names it, and a digest becomes a ``(kill, gen,
+finished, history)`` tuple of ints: ``kill`` is ``0`` or ``1``, and the
+other fields hold one bit per interned method or site.  A packed weight
+is a frozenset of such tuples, and ``extend_packed`` is ``Weight.extend``
+on them.  A solver result stays packed: ``PackedWeight`` keeps the
+digests with the packing that names their bits, grant extraction reads
+the ints, and ``PackedWeight.decode``, the one place that decodes,
+builds the ``Weight`` only for a caller that asks for it.
 
 Weights form a bounded idempotent semiring: ``combine`` is set union (the
 meet), ``extend`` is the pairwise digest product.  ``ZERO`` (no digests) is
@@ -145,10 +145,14 @@ PackedDigest = tuple[int, int, int, int]
 Packed = frozenset[PackedDigest]
 
 
-def _mask(names: Iterable, bit: dict) -> int:
+def _intern(names: Iterable, bit: dict) -> int:
+    """The mask of ``names``; a name not yet in ``bit`` gets the next bit."""
     out = 0
     for name in names:
-        out |= bit[name]
+        b = bit.get(name)
+        if b is None:
+            b = bit[name] = 1 << len(bit)
+        out |= b
     return out
 
 
@@ -162,57 +166,35 @@ def _members(bits: int, names: list) -> frozenset:
 
 
 class Packing:
-    """Bit positions for the methods and call sites named by some weights.
+    """Bit positions for the methods and call sites of the packed weights.
 
-    Only those names can be packed; every digest built from packed ones by
-    ``extend_packed`` and set union stays within them.
+    ``pack`` gives each name the next free bit the first time it meets
+    it, digest by digest and ``gen`` before ``finished``; every digest
+    built from packed ones by ``extend_packed`` and set union stays
+    within the names met so far.
     """
 
-    def __init__(self, weights: Iterable[Weight]):
-        methods: dict[str, int] = {}
-        sites: dict[CallSite, int] = {}
-        for w in weights:
-            for t in w.tuples:
-                for m in (*t.gen, *t.finished):
-                    if m not in methods:
-                        methods[m] = 1 << len(methods)
-                for s in t.history:
-                    if s not in sites:
-                        sites[s] = 1 << len(sites)
-        # the bit of each interned name; extraction reads them directly
-        self.method_bit = methods
-        self.site_bit = sites
-        self._methods = list(methods)
-        self._sites = list(sites)
+    def __init__(self):
+        # the bit of each interned name, in bit order; extraction reads
+        # them directly
+        self.method_bit: dict[str, int] = {}
+        self.site_bit: dict[CallSite, int] = {}
 
     def methods(self, bits: int) -> frozenset[str]:
         """The interned methods whose bits are set in ``bits``."""
-        return _members(bits, self._methods)
+        return _members(bits, list(self.method_bit))
 
     def pack(self, weight: Weight) -> Packed:
+        """``weight``'s digests as ints; a name first met here gets a new bit."""
         mb, sb = self.method_bit, self.site_bit
         return frozenset(
             (
                 int(t.kill),
-                _mask(t.gen, mb),
-                _mask(t.finished, mb),
-                _mask(t.history, sb),
+                _intern(t.gen, mb),
+                _intern(t.finished, mb),
+                _intern(t.history, sb),
             )
             for t in weight.tuples
-        )
-
-    def unpack(self, packed: Iterable[PackedDigest]) -> Weight:
-        methods, sites = self._methods, self._sites
-        return Weight(
-            frozenset(
-                WeightTuple(
-                    k == 1,
-                    _members(g, methods),
-                    _members(f, methods),
-                    _members(h, sites),
-                )
-                for k, g, f, h in packed
-            )
         )
 
 
@@ -237,4 +219,16 @@ class PackedWeight:
 
     def decode(self) -> Weight:
         """The same digests as a ``Weight``, built anew on every call."""
-        return self.packing.unpack(self.digests)
+        # a dict's insertion order is its bit order
+        methods, sites = list(self.packing.method_bit), list(self.packing.site_bit)
+        return Weight(
+            frozenset(
+                WeightTuple(
+                    k == 1,
+                    _members(g, methods),
+                    _members(f, methods),
+                    _members(h, sites),
+                )
+                for k, g, f, h in self.digests
+            )
+        )

@@ -27,7 +27,7 @@ from stackpol import (
 from stackpol.contexts import ANY_FAMILY, CallSite
 from stackpol.oracle import dep_paths, relates
 from stackpol.policy import encode
-from stackpol.weights import ONE, Packing
+from stackpol.weights import ONE, PackedWeight
 
 S = CallSite
 
@@ -384,10 +384,10 @@ def test_generate_policy_decodes_no_digest(example_model, monkeypatch):
         for m, u in zip(models, universes)
     ]
 
-    def refuse(self, packed):
+    def refuse(self):
         raise AssertionError("a digest was decoded")
 
-    monkeypatch.setattr(Packing, "unpack", refuse)
+    monkeypatch.setattr(PackedWeight, "decode", refuse)
     got = [generate_policy(m, u).policy.grants for m, u in zip(models, universes)]
     assert got == expected
 

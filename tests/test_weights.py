@@ -12,6 +12,7 @@ from stackpol.weights import (
     ONE,
     ZERO,
     Packing,
+    PackedWeight,
     Weight,
     WeightTuple,
     check_width,
@@ -226,8 +227,8 @@ def test_descending_chains_stabilize():
 @settings(max_examples=200, deadline=None)
 @given(_any_weights())
 def test_packing_round_trips(w):
-    packing = Packing([w])
-    assert packing.unpack(packing.pack(w)) == w
+    packing = Packing()
+    assert PackedWeight(packing, packing.pack(w)).decode() == w
 
 
 _WIPE = Weight(frozenset({WeightTuple(kill=True, gen=frozenset({"p"}))}))
@@ -248,10 +249,41 @@ _DONE = Weight(
 def test_packed_extend_is_extend(a, b):
     # compared packed as well as decoded, so a digest that decodes right
     # but packs another way is caught too
-    packing = Packing([a, b])
+    packing = Packing()
     packed = extend_packed(packing.pack(a), packing.pack(b))
+    names = (dict(packing.method_bit), dict(packing.site_bit))
     assert packed == packing.pack(a.extend(b))
-    assert packing.unpack(packed) == a.extend(b)
+    # the product names nothing its factors did not
+    assert (packing.method_bit, packing.site_bit) == names
+    assert PackedWeight(packing, packed).decode() == a.extend(b)
+
+
+def _first_seen(weights):
+    # names in the order pack meets them: weight by weight, digest by
+    # digest, and gen before finished
+    methods, sites = {}, {}
+    for w in weights:
+        for t in w.tuples:
+            methods.update(dict.fromkeys((*t.gen, *t.finished)))
+            sites.update(dict.fromkeys(t.history))
+    return list(methods), list(sites)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_any_weights(), min_size=2, max_size=4))
+@example([_LIVE, _WIPE, _DONE])
+@example([_DONE, _LIVE, _DONE])
+def test_one_packing_interns_each_name_once_in_first_seen_order(weights):
+    packing = Packing()
+    packed = [packing.pack(w) for w in weights]
+    methods, sites = _first_seen(weights)
+    # as lists: decoding reads the names back in insertion order
+    assert list(packing.method_bit.items()) == [(m, 1 << i) for i, m in enumerate(methods)]
+    assert list(packing.site_bit.items()) == [(s, 1 << i) for i, s in enumerate(sites)]
+    for w, p in zip(weights, packed):
+        # names met in a later pack move no bit of an earlier one
+        assert packing.pack(w) == p
+        assert PackedWeight(packing, p).decode() == w
 
 
 # ---------------------------------------------------------------------------
