@@ -76,10 +76,9 @@ def _note(msg: str) -> None:
 
 def _cmd_analyze(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
-    phi = compute_phi_meth(model)
-    for warning in lint_model(model, phi):
+    for warning in lint_model(model):
         _note(f"warning: {warning}")
-    universe = generate_permissions(model, phi)
+    universe = generate_permissions(model)
     for diag in universe.diagnostics:
         _note(f"note: {diag}")
     result = generate_policy(model, universe, tuple_cap=args.tuple_cap)

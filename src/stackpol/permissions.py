@@ -10,9 +10,38 @@ form says how much of the permission's content is statically known:
 * form 3 from neither (the bare permission type is all we learn).
 
 String facts pair a possible constant value with the calling context in
-which the variable holds it.  Forms 1 and 2 read those facts; form 3
-falls back to the allocating method's route contexts, since any route
-that reaches the allocation can produce the (opaque) permission.
+which the variable holds it.  Forms 1 and 2 read those facts.  Form 3
+learns nothing from them: any route that reaches the allocating method
+``m`` can produce the (opaque) permission.  Its demand family is one
+singleton ``{s}`` per call site ``s`` of an edge whose callee is ``m``,
+or the empty context alone when ``m`` is the entry, which no edge calls.
+
+That family is exact, not an approximation of ``m``'s route contexts
+(``model.compute_phi_meth``): a stack history matches one exactly when
+it matches the other.  A history, as policy extraction reads it, is the
+set of sites pushed along one run of the encoded system, returned calls
+included, so every site in it was pushed on top of a real call chain
+from the entry.
+
+* If the history holds a site ``s`` into ``m``, the sites that were
+  below ``s`` when it was pushed are in the history too.  They name a
+  call chain from the entry to ``s``'s method, and with the edge from
+  ``s`` to ``m`` they form a route to ``m``.  This holds even when the
+  run's push at ``s`` went to another callee of ``s``: the route
+  families ignore conditions and prune nothing, so that route is one of
+  ``m``'s.
+* If the history covers a route to ``m`` and ``m`` is not the entry,
+  the route's last edge calls ``m``, so its site is a site into ``m``.
+
+A permission's family is the union over its sources, and a history
+matches a union when it matches a member, so the equivalence carries
+over.  ``policy.generate_policy`` reads histories cut to the sites that
+checkpoints and demand contexts name; a cut history holds a named site
+exactly when the whole one does, so it matches the same singletons.
+The oracle's cover test for form 3 is true under either family: an
+allocating stack is a route to ``m`` whose last edge calls ``m``.
+The singletons cost one entry per call site into ``m`` where the routes
+cost one per path, which is exponential in the call graph's diamonds.
 
 Alongside the permission set, generation records per permission the
 family of contexts under which it can be demanded (used to gate policy
@@ -25,7 +54,7 @@ from dataclasses import dataclass
 
 from .contexts import CallSite, CtxFamily, CtxSet, format_ctx
 from .errors import ModelError
-from .model import ProgramModel, compute_phi_meth
+from .model import ProgramModel
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,15 +134,13 @@ def generate_permissions(
 ) -> PermissionUniverse:
     """Derive the permission universe demanded at the model's checkpoints.
 
-    Without ``phi_meth``, the route contexts are computed at the first
-    form-3 allocation, so models that need none never pay for them.
+    ``phi_meth`` is accepted for existing callers and ignored: form-3
+    demand is read off the call edges, not the route contexts.
     """
-
-    def route_contexts(method: str) -> set[CtxSet]:
-        nonlocal phi_meth
-        if phi_meth is None:
-            phi_meth = compute_phi_meth(model)
-        return set(phi_meth.get(method, frozenset()))
+    # form-3 demand per allocating method (see the module docstring)
+    into: dict[str, set[CtxSet]] = {model.entry_method: {frozenset()}}
+    for e in model.call_edges:
+        into.setdefault(e.callee, set()).add(frozenset({e.site}))
 
     contexts: dict[Permission, set[CtxSet]] = {}
     sources: dict[Permission, set[tuple[CallSite, str]]] = {}
@@ -142,7 +169,7 @@ def generate_permissions(
             if node.form == 3:
                 add(
                     Permission(triple.perm_type),
-                    route_contexts(node.method),
+                    into.get(node.method, set()),
                     site,
                     node.ident,
                 )

@@ -21,9 +21,13 @@ shadowed by a privilege assertion), and which call sites were traversed
 methods of every digest that both traversed a checkpoint where the
 permission originates and matches one of the permission's demand
 contexts; the history carries enough of the route to decide both.  It
-decides them on the solver's packed digests and decodes to method names
-only the distinct live sets of the digests that match, once each; the
-result's ``weight`` decodes the whole digest set only when it is read.
+solves a system whose push rules record only the sites that some
+checkpoint or demand context names, ``encode(model, sites=...)``, so
+digests that differ only in sites no grant reads are one digest; plain
+``encode(model)`` keeps every site.  It decides the grants on the
+solver's packed digests and decodes to method names only the distinct
+live sets of the digests that match, once each; the result's ``weight``
+decodes the whole digest set only when it is read.
 
 The rest of the module closes the loop: render and parse policies, diff
 a given policy against a generated one, and simulate the runtime
@@ -36,6 +40,7 @@ import re
 from collections import defaultdict
 from dataclasses import dataclass, field
 
+from .contexts import CallSite
 from .errors import PolicyError
 from .model import INTER_RETURN, ProgramModel, _strip_comment
 from .permissions import Permission, PermissionUniverse
@@ -43,8 +48,14 @@ from .pushdown import ConditionalWPDS, Rule, movp
 from .weights import DEFAULT_TUPLE_CAP, ONE, PackedWeight, Weight, WeightTuple
 
 
-def encode(model: ProgramModel) -> ConditionalWPDS:
-    """Build the conditional weighted pushdown system for a model."""
+def encode(
+    model: ProgramModel, sites: frozenset[CallSite] | None = None
+) -> ConditionalWPDS:
+    """Build the conditional weighted pushdown system for a model.
+
+    With ``sites``, a push rule records its call site in the history only
+    when ``sites`` holds it; without, every push records its site.
+    """
     rules: list[Rule] = []
     for e in model.call_edges:
         w = Weight(
@@ -53,7 +64,11 @@ def encode(model: ProgramModel) -> ConditionalWPDS:
                     WeightTuple(
                         kill=e.caller == model.priv_method,
                         gen=frozenset({e.caller}),
-                        history=frozenset({e.site}),
+                        history=(
+                            frozenset({e.site})
+                            if sites is None or e.site in sites
+                            else frozenset()
+                        ),
                     )
                 }
             )
@@ -119,33 +134,36 @@ def _method_domains(model: ProgramModel) -> dict[str, str]:
     }
 
 
+def _read_sites(universe: PermissionUniverse) -> frozenset[CallSite]:
+    """The call sites that grant extraction reads: the checkpoints that
+    permissions originate from and every site of a demand context."""
+    named = {site for pairs in universe.sources.values() for site, _node in pairs}
+    for ctxs in universe.contexts.values():
+        named.update(*ctxs)
+    return frozenset(named)
+
+
 def _grants(
     solved: PackedWeight, universe: PermissionUniverse, hidden: int
 ) -> dict[str, set[Permission]]:
     """Per method, the permissions that some digest of ``solved`` requires
     while the method is live; ``hidden`` masks methods never granted.
 
-    Each call-site bit that some checkpoint or demand context names maps
-    to the bitset of digests (bit i for the i-th) whose history holds
-    it; history bits that nothing reads are not indexed.  A permission's
-    origin mask ORs its checkpoints' bitsets; each demand context then
-    ANDs its sites' bitsets into what is left of that mask, so the empty
-    context (``ANY_FAMILY``) keeps every origin digest, and a context
-    naming a site the packing never interned keeps none.  The matching
-    digests' live masks, ``gen & ~finished``, are collected per
+    Each call-site bit of a history maps to the bitset of digests (bit i
+    for the i-th) whose history holds it; the histories hold only the
+    sites that extraction reads, so every bit indexed is one it needs.
+    A permission's origin mask ORs its checkpoints' bitsets; each demand
+    context then ANDs its sites' bitsets into what is left of that mask,
+    so the empty context (``ANY_FAMILY``) keeps every origin digest, and
+    a context naming a site the packing never interned keeps none.  The
+    matching digests' live masks, ``gen & ~finished``, are collected per
     permission, and each distinct one is decoded to method names once.
     """
     # a site never interned gets bit 0, which no digest's history holds
     site_bit = solved.packing.site_bit.get
-    named = {site for pairs in universe.sources.values() for site, _node in pairs}
-    for ctxs in universe.contexts.values():
-        named.update(*ctxs)
-    # distinct sites have distinct bits, so their sum is their union
-    read = sum(site_bit(site, 0) for site in named)
     digests = list(solved.digests)
     by_site: dict[int, int] = defaultdict(int)
     for i, (_kill, _gen, _fin, history) in enumerate(digests):
-        history &= read
         bit = 1 << i
         while history:
             low = history & -history
@@ -197,13 +215,24 @@ def generate_policy(
     demand contexts.  The first clause keeps a permission demanded only
     behind a privilege boundary from leaking to stacks that never cross
     that boundary; the second keeps context-separated demands apart.
-    Both are decided for all digests at once, on the solver's packed
-    digests, with bitsets of digests indexed by call-site bit.  The
-    methods live in a matching digest are decoded to names once per
+
+    Neither clause reads a site that no checkpoint or demand context
+    names, so the system is encoded with each history cut to the sites
+    that do (``encode(model, sites=...)``).  History is a union along
+    the path, so cutting each rule's history cuts every path's, and the
+    saturation explores the same pairs, since conditions read the
+    annotations, not the weights.  Digests that differ only in unread
+    sites merge, and each grant is the same as from the exact solve.
+    ``tuple_cap``, and the result's ``digests`` and ``weight``, count and
+    hold the cut digests; ``encode(model)`` stays exact.
+
+    Both clauses are decided for all digests at once, on the solver's
+    packed digests, with bitsets of digests indexed by call-site bit.
+    The methods live in a matching digest are decoded to names once per
     distinct live set; no digest is decoded whole, and the result's
     ``weight`` decodes them only when read.
     """
-    system = encode(model)
+    system = encode(model, sites=_read_sites(universe))
     solved = movp(system, targets={model.check_method}, tuple_cap=tuple_cap)
     hidden = {model.check_method, model.priv_method}
     grants = _grants(

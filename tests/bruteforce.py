@@ -48,7 +48,13 @@ an independent path-digest reference for single runs.
 
 ``grants_by_scan`` extracts grants from a solved weight by testing every
 digest against every permission and demand context, the reference for
-``generate_policy``'s indexed extraction.
+``generate_policy``'s indexed extraction.  ``read_sites`` is the set of
+call sites that extraction reads, the checkpoints and the sites of
+every demand context, to which ``generate_policy`` cuts the histories.
+``route_universe`` gives each form-3 permission its allocating methods'
+route contexts as the demand family, the family form 3 had before its
+singletons; scanning the exact solve under it is the reference that the
+singletons and the cut must reproduce.
 
 ``phi_route_along`` is the context family of one call path: the unions
 of one alternative per edge.  ``route_valid_by_family`` and
@@ -72,13 +78,20 @@ their last asserter call instead.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
+from dataclasses import replace
 from itertools import permutations
 from typing import Iterable, Sequence
 
 from stackpol import pushdown
 from stackpol.contexts import CallSite, CtxFamily, CtxSet
 from stackpol.errors import CapacityError, EnumerationLimitError
-from stackpol.model import INTER_CALL, INTER_RETURN, CallEdge, ProgramModel
+from stackpol.model import (
+    INTER_CALL,
+    INTER_RETURN,
+    CallEdge,
+    ProgramModel,
+    compute_phi_meth,
+)
 from stackpol.oracle import (
     DEFAULT_PATH_BOUND,
     CallPath,
@@ -410,6 +423,27 @@ def grants_by_scan(
         for method in (digest.gen - digest.finished) - hidden:
             grants.setdefault(method, set()).update(required)
     return {m: frozenset(ps) for m, ps in grants.items()}
+
+
+def read_sites(universe: PermissionUniverse) -> CtxSet:
+    read = {site for pairs in universe.sources.values() for site, _node in pairs}
+    for family in universe.contexts.values():
+        for ctx in family:
+            read |= ctx
+    return frozenset(read)
+
+
+def route_universe(
+    model: ProgramModel, universe: PermissionUniverse
+) -> PermissionUniverse:
+    # a form-3 permission has no target, and only form 3 makes one
+    phi = compute_phi_meth(model)
+    contexts = dict(universe.contexts)
+    for p, pairs in universe.sources.items():
+        if p.target is None:
+            methods = {model.dep_nodes[node].method for _site, node in pairs}
+            contexts[p] = frozenset(ctx for m in methods for ctx in phi[m])
+    return replace(universe, contexts=contexts)
 
 
 def phi_route_along(path: Sequence[CallEdge]) -> CtxFamily:

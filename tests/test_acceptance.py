@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import random
 import time
+from dataclasses import replace
 from itertools import chain, combinations
 
 from bruteforce import (
@@ -16,6 +17,7 @@ from bruteforce import (
     annotate_stack,
     concretize,
     family_leq,
+    read_sites,
     reduced_successors,
     relevant_sites,
     set_leq,
@@ -42,7 +44,8 @@ from stackpol import (
 )
 from stackpol.contexts import CallSite
 from stackpol.oracle import dep_paths, relates
-from stackpol.pushdown import AnnotatedWPDS
+from stackpol.policy import encode
+from stackpol.pushdown import AnnotatedWPDS, movp
 from stackpol.weights import ONE, ZERO
 
 S = CallSite
@@ -108,8 +111,12 @@ def test_criterion_2_route_contexts_and_checkpoints(example_model):
 # --------------------------------------------------------------- criterion 3
 
 
-def test_criterion_3_meet_over_all_paths_digests(example_model, example_result):
+def test_criterion_3_meet_over_all_paths_digests(
+    example_model, example_universe, example_result
+):
     with _Timer() as t:
+        # the exact solve: every history holds every site its paths pushed
+        exact = movp(encode(example_model), {example_model.check_method}).decode()
         expected = {
             frozenset({Z1, Z3, Z5, Z6}): {"main", "connectFaculty", "checkConnect"},
             frozenset({Z2, Z4, Z5, Z6}): {"main", "connectStudent", "checkConnect"},
@@ -117,14 +124,19 @@ def test_criterion_3_meet_over_all_paths_digests(example_model, example_result):
             frozenset({Z2, Z4, Z7, Z8, Z9, Z10}): {"Priv.run", "checkAccess"},
         }
         hidden = {example_model.check_method, example_model.priv_method}
-        matching = [
-            d for d in example_result.weight.tuples if d.history in expected
-        ]
+        matching = [d for d in exact.tuples if d.history in expected]
         assert len(matching) == 4
         assert {d.history for d in matching} == set(expected)
         for digest in matching:
             stack = (digest.gen - digest.finished) - hidden
             assert stack == expected[digest.history], digest.history
+        # generate_policy solves on histories cut to the sites that
+        # checkpoints and demand contexts name: Priv.run:20 is not one
+        read = read_sites(example_universe)
+        assert Z9 not in read
+        assert example_result.weight.tuples == {
+            replace(d, history=d.history & read) for d in exact.tuples
+        }
     _report(3, "four digests with the expected method stacks", t.elapsed, 1.0)
 
 

@@ -6,6 +6,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from test_policy import _diamond_ladder
 
 import stackpol
 from stackpol.cli import main
@@ -121,6 +122,51 @@ def test_analyze_tiny_tuple_cap_exits_three(model_file, capsys):
     _, err = capsys.readouterr()
     assert err.strip().splitlines()[-1].startswith("error:")
     assert "cap 1" in err
+
+
+def test_analyze_solves_a_deep_form3_ladder_on_cut_histories(tmp_path, capsys):
+    # 2^14 routes reach the bottom, more than the default cap of 10,000
+    # digests; the histories keep only the checkpoint and the two sites
+    # into the allocating method, so two digests remain
+    model, names = _diamond_ladder(14)
+    path = tmp_path / "ladder.model"
+    path.write_text(stackpol.serialize_model(model), encoding="utf-8")
+    assert main(["analyze", str(path)]) == 0
+    out, err = capsys.readouterr()
+    assert out == "".join(f"method {n}: P\n" for n in sorted(names))
+    assert "stack digests: 2" in err.splitlines()
+
+
+def test_pta_contexts_are_read_by_neither_pipeline(tmp_path, capsys):
+    # a known over-grant that both pipelines share: the checkpoint argument
+    # denotes n only on the route through main:1 and a:5, yet b, which
+    # lies only on the other route, is granted P by both
+    text = "\n".join(
+        [
+            "method main entry",
+            "method a",
+            "method b",
+            "method c",
+            "method doPriv priv",
+            "method check check",
+            "calledge 1 main 1 a ctx=any",
+            "calledge 2 main 2 b ctx=any",
+            "calledge 3 a 5 c ctx=any",
+            "calledge 4 b 6 c ctx=any",
+            "calledge 5 c 7 check ctx=any",
+            "depnode n c 90 kind=alloc form=3 type=P",
+            "depnode k c 7 kind=callsite",
+            "depedge n k",
+            "checkarg c:7 var=p",
+            "pta p@c = {(P, n, {main:1,a:5})}",
+        ]
+    )
+    path = tmp_path / "pta.model"
+    path.write_text(text + "\n", encoding="utf-8")
+    for command in ("analyze", "oracle"):
+        assert main([command, str(path)]) == 0
+        out, _ = capsys.readouterr()
+        assert "method b: P\n" in out, command
 
 
 # ---------------------------------------------------------------------- check
@@ -280,6 +326,19 @@ def test_dump_lists_rules_tables_and_checkpoints(model_file, capsys):
     # the privileged push renders its kill bit as {*}
     assert "; ({*}|{doPrivileged}|{}|{doPrivileged:1})" in rules
     assert out == EXPECTED_DUMP
+
+
+def test_dump_prints_the_sites_that_the_solve_cuts(model_file, capsys):
+    # generate_policy drops Priv.run:20 from its histories, since no
+    # checkpoint or demand context names it; dump prints the exact rules
+    model = stackpol.running_example()
+    result = stackpol.generate_policy(model, stackpol.generate_permissions(model))
+    cut = stackpol.CallSite("Priv.run", 20)
+    assert cut not in result.digests.packing.site_bit
+    assert main(["dump", model_file]) == 0
+    out, _ = capsys.readouterr()
+    rules = out.split("\n\n")[0]
+    assert "--> checkAccess Priv.run:20 ; ({}|{Priv.run}|{}|{Priv.run:20})" in rules
 
 
 def test_dump_is_reproducible(model_file, capsys):

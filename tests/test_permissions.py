@@ -10,6 +10,7 @@ from stackpol import (
     generate_permissions,
     parse_model,
 )
+from stackpol import model as model_module
 from stackpol import permissions
 from stackpol.contexts import CallSite
 
@@ -188,7 +189,7 @@ def test_form_two_uses_target_facts_alone():
     assert not u.diagnostics
 
 
-def test_form_three_falls_back_to_the_allocators_route_contexts():
+def test_form_three_demands_a_call_site_into_the_allocator():
     m = build(
         "method mk",
         "calledge 1 main 1 mk ctx=any",
@@ -203,9 +204,31 @@ def test_form_three_falls_back_to_the_allocators_route_contexts():
     assert u.contexts[perm] == frozenset({frozenset({S("main", 1)})})
 
 
+def test_form_three_demand_is_one_singleton_per_site_not_per_route():
+    # two sites into w and two into mk give 2x2 routes to mk, but only
+    # the two sites that enter mk are demanded
+    m = build(
+        "method w",
+        "method mk",
+        "calledge 1 main 1 w ctx=any",
+        "calledge 2 main 2 w ctx=any",
+        "calledge 3 w 3 mk ctx=any",
+        "calledge 4 w 4 mk ctx=any",
+        "calledge 5 main 5 check ctx=any",
+        "depnode a mk 7 kind=alloc form=3 type=AllPermission",
+        "checkarg main:5 var=p",
+        "pta p@main = {(AllPermission, a, {main:1,w:3})}",
+    )
+    u = generate_permissions(m)
+    assert len(compute_phi_meth(m)["mk"]) == 4
+    assert u.contexts[Permission("AllPermission")] == frozenset(
+        {frozenset({S("w", 3)}), frozenset({S("w", 4)})}
+    )
+
+
 def test_form_three_allocation_in_the_entry_method_demands_anywhere():
-    # the entry method's route family is {{}}: the empty context subsumes
-    # every stack, so the permission can be demanded from anywhere
+    # no edge calls the entry method, so its demand is the empty context,
+    # which every stack covers: the permission is demanded from anywhere
     m = build(
         "calledge 1 main 2 check ctx=any",
         "depnode a main 9 kind=alloc form=3 type=AllPermission",
@@ -216,15 +239,22 @@ def test_form_three_allocation_in_the_entry_method_demands_anywhere():
     assert u.contexts[Permission("AllPermission")] == frozenset({frozenset()})
 
 
-# ------------------------------------------------------ route contexts on demand
+# ------------------------------------------------------ no route contexts
 
 
-def _refuse_route_contexts(model):
-    raise AssertionError("route contexts computed")
+@pytest.fixture()
+def no_route_contexts(monkeypatch):
+    # permissions does not import the route enumeration, and a call
+    # through the model module fails the test
+    assert not hasattr(permissions, "compute_phi_meth")
+
+    def refuse(model):
+        raise AssertionError("route contexts computed")
+
+    monkeypatch.setattr(model_module, "compute_phi_meth", refuse)
 
 
-def test_a_missing_checkarg_is_reported_without_route_contexts(monkeypatch):
-    monkeypatch.setattr(permissions, "compute_phi_meth", _refuse_route_contexts)
+def test_a_missing_checkarg_is_reported_without_route_contexts(no_route_contexts):
     m = build(
         "method mk",
         "calledge 1 main 1 mk ctx=any",
@@ -236,9 +266,8 @@ def test_a_missing_checkarg_is_reported_without_route_contexts(monkeypatch):
 
 
 def test_forms_one_and_two_never_compute_route_contexts(
-    example_model, example_universe, monkeypatch
+    example_model, example_universe, no_route_contexts
 ):
-    monkeypatch.setattr(permissions, "compute_phi_meth", _refuse_route_contexts)
     assert generate_permissions(example_model) == example_universe
     m = build(
         "method mk",
@@ -252,14 +281,7 @@ def test_forms_one_and_two_never_compute_route_contexts(
     assert generate_permissions(m).perms == frozenset({Permission("FilePermission", "/tmp/x")})
 
 
-def test_route_contexts_are_computed_once_for_many_form_three_allocations(monkeypatch):
-    calls = []
-
-    def counted(model):
-        calls.append(model)
-        return compute_phi_meth(model)
-
-    monkeypatch.setattr(permissions, "compute_phi_meth", counted)
+def test_many_form_three_allocations_compute_no_route_contexts(no_route_contexts):
     m = build(
         "method mk",
         "calledge 1 main 1 mk ctx=any",
@@ -273,9 +295,9 @@ def test_route_contexts_are_computed_once_for_many_form_three_allocations(monkey
         "pta q@mk = {(AllPermission, a, {main:1}); (NetPermission, b, {main:1})}",
     )
     u = generate_permissions(m)
-    assert calls == [m]
-    assert u == generate_permissions(m, compute_phi_meth(m))
     assert u.contexts[Permission("NetPermission")] == frozenset({frozenset({S("main", 1)})})
+    # a caller's route contexts are accepted and ignored
+    assert u == generate_permissions(m, {"mk": frozenset()})
 
 
 # -------------------------------------------------------------------- errors

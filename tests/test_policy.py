@@ -3,7 +3,7 @@
 from dataclasses import replace
 
 import pytest
-from bruteforce import grants_by_scan, movp_by_weights
+from bruteforce import grants_by_scan, movp_by_weights, read_sites, route_universe
 from randmodels import random_model
 
 from stackpol import (
@@ -27,6 +27,7 @@ from stackpol import (
 from stackpol.contexts import ANY_FAMILY, CallSite
 from stackpol.oracle import dep_paths, relates
 from stackpol.policy import encode
+from stackpol.pushdown import movp
 from stackpol.weights import ONE, PackedWeight
 
 S = CallSite
@@ -204,6 +205,28 @@ def _diamond_ladder(depth: int):
     return parse_model("\n".join(lines) + "\n"), names
 
 
+def _branch_ladder(depth: int):
+    # level i enters level i+1 through one of two distinct methods, so
+    # every route to the bottom leaves a different set of live methods;
+    # the bottom checks a form-3 permission
+    lines = ["method J0 entry", "method doPriv priv", "method check check"]
+    for i in range(1, depth + 1):
+        lines += [f"method A{i}", f"method B{i}", f"method J{i}"]
+        lines += [
+            f"calledge a{i} J{i - 1} 1 A{i} ctx=any",
+            f"calledge b{i} J{i - 1} 2 B{i} ctx=any",
+            f"calledge ja{i} A{i} 1 J{i} ctx=any",
+            f"calledge jb{i} B{i} 1 J{i} ctx=any",
+        ]
+    lines += [
+        f"calledge z J{depth} 9 check ctx=any",
+        f"depnode a J{depth} 90 kind=alloc form=3 type=P",
+        f"checkarg J{depth}:9 var=p",
+        f"pta p@J{depth} = {{(P, a, {{}})}}",
+    ]
+    return parse_model("\n".join(lines) + "\n")
+
+
 def test_extraction_matches_scan_on_the_bundled_model(example_model):
     _, grants = _grants_match_scan(example_model)
     assert len(grants) == 6
@@ -218,7 +241,12 @@ def test_extraction_matches_scan_on_a_form3_diamond_ladder():
     model, names = _diamond_ladder(6)
     universe, grants = _grants_match_scan(model)
     (perm,) = universe.perms
-    assert len(universe.contexts[perm]) == 2**6
+    # one singleton per call site into the allocating method, where the
+    # route contexts would be all 2^6 routes
+    above = names[-2]
+    assert universe.contexts[perm] == frozenset(
+        {frozenset({S(above, 1)}), frozenset({S(above, 2)})}
+    )
     assert grants == {n: frozenset({perm}) for n in names}
 
 
@@ -393,19 +421,86 @@ def test_generate_policy_decodes_no_digest(example_model, monkeypatch):
 
 
 def test_result_weight_decodes_to_the_reference_solve(example_model):
-    result = generate_policy(example_model, generate_permissions(example_model))
-    reference = movp_by_weights(encode(example_model), {example_model.check_method})
+    universe = generate_permissions(example_model)
+    result = generate_policy(example_model, universe)
+    reference = movp_by_weights(
+        encode(example_model, sites=read_sites(universe)),
+        {example_model.check_method},
+    )
     assert result.weight == reference
     assert result.digests.width() == reference.width() == 8
 
 
 def test_tuple_cap_counts_packed_digests_through_generate_policy():
-    model, _names = _diamond_ladder(8)
+    # the cut keeps all 2^8 digests: they differ in their live methods
+    model = _branch_ladder(8)
     universe = generate_permissions(model)
     with pytest.raises(CapacityError) as capped:
         generate_policy(model, universe, tuple_cap=255)
     assert str(capped.value).startswith("weight grew to 256 digests (cap 255)")
     assert generate_policy(model, universe, tuple_cap=256).digests.width() == 256
+
+
+def _grants_match_route_demand(model):
+    # the exact solve scanned under route-context demand for form 3 gives
+    # the grants of the pipeline's singleton demand on cut histories
+    universe = generate_permissions(model)
+    exact = movp(encode(model), {model.check_method}).decode()
+    expected = grants_by_scan(model, route_universe(model, universe), exact)
+    assert generate_policy(model, universe).policy.grants == expected
+    return universe, expected
+
+
+def test_route_demand_on_the_exact_solve_grants_alike_on_the_bundled_model(
+    example_model, example_policy
+):
+    _, grants = _grants_match_route_demand(example_model)
+    assert grants == example_policy.grants
+
+
+def test_route_demand_on_the_exact_solve_grants_alike_on_ladders():
+    diamond, names = _diamond_ladder(6)
+    _, grants = _grants_match_route_demand(diamond)
+    assert grants == {n: frozenset({Permission("P")}) for n in names}
+    branch = _branch_ladder(5)
+    _, grants = _grants_match_route_demand(branch)
+    assert set(grants) == set(branch.methods) - {"doPriv", "check"}
+
+
+def test_route_demand_on_the_exact_solve_grants_alike_on_random_models():
+    for seed in range(300):
+        _grants_match_route_demand(random_model(seed))
+
+
+def test_a_shared_call_site_into_the_allocator_demands_alike():
+    # c:2 calls both x, which allocates, and y, which does not; a run
+    # through y holds c:2 in its history, and so does every route to x
+    m = build(
+        "method c",
+        "method x",
+        "method y",
+        "calledge 1 main 1 c ctx=any",
+        "calledge 2 c 2 x ctx=any",
+        "calledge 3 c 2 y ctx=any",
+        "calledge 4 c 4 check ctx=any",
+        "calledge 5 y 3 check ctx=any",
+        "depnode a x 7 kind=alloc form=3 type=P",
+        "depnode r c 2 kind=callsite",
+        "depnode k c 4 kind=callsite",
+        "depedge a r inter=return",
+        "depedge r k",
+        "checkarg c:4 var=p",
+        "checkarg y:3 var=q",
+        "pta p@c = {(P, a, {main:1,c:2})}",
+        "pta q@y = {(P, a, {main:1,c:2})}",
+    )
+    universe, grants = _grants_match_route_demand(m)
+    perm = Permission("P")
+    assert universe.contexts[perm] == frozenset({frozenset({S("c", 2)})})
+    assert route_universe(m, universe).contexts[perm] == frozenset(
+        {frozenset({S("main", 1), S("c", 2)})}
+    )
+    assert grants == {m_: frozenset({perm}) for m_ in ("main", "c", "y")}
 
 
 def test_grants_never_name_the_privilege_or_check_primitives(example_policy):
