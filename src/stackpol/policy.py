@@ -265,19 +265,27 @@ def emit_policy(policy: Policy, fmt: str = "table") -> str:
             perms = domains[domain]
             if not perms:
                 continue
-            lines.append(f'grant codeBase "{domain}" {{')
+            lines.append(f"grant codeBase {_java_quote(domain)} {{")
             for perm in sorted(perms):
                 if perm.target is None:
                     lines.append(f"  permission {perm.ptype};")
                 elif perm.action is None:
-                    lines.append(f'  permission {perm.ptype} "{perm.target}";')
+                    lines.append(
+                        f"  permission {perm.ptype} {_java_quote(perm.target)};"
+                    )
                 else:
                     lines.append(
-                        f'  permission {perm.ptype} "{perm.target}", "{perm.action}";'
+                        f"  permission {perm.ptype} {_java_quote(perm.target)},"
+                        f" {_java_quote(perm.action)};"
                     )
             lines.append("};")
         return "\n".join(lines) + ("\n" if lines else "")
     raise PolicyError(f"unknown policy format {fmt!r}")
+
+
+def _java_quote(text: str) -> str:
+    """Quote ``text`` for a Java policy file, whose parser reads backslash escapes."""
+    return '"' + text.replace("\\", "\\\\").replace('"', '\\"') + '"'
 
 
 _TABLE_LINE_RE = re.compile(r"^method\s+(\S+)\s*:\s*(.+)$")

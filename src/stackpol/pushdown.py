@@ -44,11 +44,21 @@ readable algebra would, and nothing on the analyze path calls it.
 Decoding maps distinct packed digests to distinct ``WeightTuple``s, so
 ``tuple_cap`` counts the same digests either way.
 
+The automaton is the textbook one of weighted post* (Reps, Schwoon, Jha
+and Melski, SCP 2005; Schwoon's thesis, 2002): besides the control
+location and the final state, a push opens one state per pushed pair
+``(symbol, sites_below)``, and the state is named by that pair.  So every
+push of one pair shares one frame, and a method called from k sites with
+one annotation has its rules instantiated and saturated once, not k
+times.
+
 Weight bookkeeping follows a tail-weighting discipline: the transition
 created for the *first* symbol of a push carries the semiring unit, and
 the accumulated path weight rides on the transition for the *second*
 symbol.  Reading an accepting run back-to-front therefore reproduces path
-order, and prefix weights from unrelated derivations never cross-multiply.
+order, and prefix weights from unrelated derivations never cross-multiply:
+each caller of a shared frame keeps its own continuation transition out
+of the frame's state.
 """
 
 from __future__ import annotations
@@ -194,12 +204,14 @@ class AnnotatedWPDS:
         return below | {pushed} if pushed in sites else below
 
 
-# automaton states: 0 is the control location, 1 accepts the stack bottom
+# automaton states: 0 is the control location, 1 accepts the stack bottom,
+# and a push opens the state named by the (symbol, sites_below) pair it pushes
 _P = 0
 _QF = 1
+_State = Union[int, tuple[StackSymbol, CtxSet]]
 
 # a transition is keyed by (source state, symbol read, sites below it, target)
-_TransKey = tuple[int, StackSymbol, CtxSet, int]
+_TransKey = tuple[_State, StackSymbol, CtxSet, _State]
 
 
 def movp(
@@ -220,9 +232,8 @@ def movp(
     one = packing.pack(ONE)
     zero: Packed = frozenset()
     trans: dict[_TransKey, Packed] = {}
-    out_of: dict[int, list[_TransKey]] = defaultdict(list)
-    eps: dict[int, Packed] = {}
-    mids: dict[tuple[int, CtxSet], int] = {}
+    out_of: dict[_State, list[_TransKey]] = defaultdict(list)
+    eps: dict[_State, Packed] = {}
     worklist: deque[_TransKey] = deque()
     steps = 0
 
@@ -235,7 +246,7 @@ def movp(
         trans[key] = old | w
         worklist.append(key)
 
-    def update_eps(q: int, w: Packed) -> None:
+    def update_eps(q: _State, w: Packed) -> None:
         old = eps.get(q, zero)
         if w <= old:
             return
@@ -266,19 +277,18 @@ def movp(
                     ((top, top_below),) = rhs
                     update_trans((_P, top, top_below, dst), w)
                 else:
-                    (first, first_below), (second, second_below) = rhs
-                    q_mid = mids.setdefault((rule_idx, ann), 2 + len(mids))
-                    update_trans((_P, first, first_below, q_mid), one)
-                    update_trans((q_mid, second, second_below, dst), w)
+                    opened, (second, second_below) = rhs
+                    update_trans((_P, *opened, opened), one)
+                    update_trans((opened, second, second_below, dst), w)
         else:
             e = eps.get(src)
             if e is not None:
                 update_trans((_P, sym, ann, dst), extend_packed(d, e))
 
     # value of completing the stack below a state, composed bottom-up
-    reach: dict[int, Packed] = defaultdict(frozenset)
+    reach: dict[_State, Packed] = defaultdict(frozenset)
     reach[_QF] = one
-    by_dst: dict[int, list[_TransKey]] = defaultdict(list)
+    by_dst: dict[_State, list[_TransKey]] = defaultdict(list)
     for key in trans:
         if key[0] != _P:
             by_dst[key[3]].append(key)

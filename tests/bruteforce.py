@@ -39,9 +39,13 @@ same way as the automaton construction.
 
 ``movp_by_weights`` is the post* solver as first written, saturating on
 ``Weight`` values directly, over ``GlobalAnnotatedWPDS``, which projects
-every symbol onto ``named_sites``.  It is the reference for ``movp``,
-which runs the same saturation on packed digests over the per-symbol
-projection.
+every symbol onto ``named_sites``.  It is the reference for ``movp``, and
+it explores a different state space on purpose: it opens one state per
+rule instance ``(rule index, caller annotation)``, where ``movp``
+saturates packed digests over the per-symbol projection and opens one
+state per pushed pair, shared by every push of that pair.  The meet over
+all paths is the same either way, so agreement checks the sharing as
+well as the packing and the projection.
 
 ``fold_weights`` composes a rule-weight sequence left to right, giving
 an independent path-digest reference for single runs.

@@ -260,6 +260,36 @@ def test_pop_then_swap_merges_the_excursion():
     assert got == w(gen=["A"], fin=["B"], hist=[za])
 
 
+def test_a_method_pushed_from_many_sites_is_explored_once(monkeypatch):
+    # main calls f from five sites; every push of the pair (f, {}) opens
+    # the one state that pair names, so f's rules are instantiated once
+    # and each caller keeps its own weight on its continuation out of f
+    callers = [site("main", i) for i in range(1, 6)]
+    zf = site("f", 1)
+    rules = [Rule("main", ("f", s), weight=w(gen=["main"], hist=[s])) for s in callers]
+    rules += [
+        Rule("f", ("check", zf), weight=w(gen=["f"], hist=[zf])),
+        Rule("check", (), weight=w(fin=["check"])),
+        Rule(zf, (), weight=w(fin=["f"])),
+    ]
+    rules += [Rule(s, ("after",)) for s in callers]
+    system = ConditionalWPDS(rules, "main")
+    bases = []
+    instances = pushdown.AnnotatedWPDS.instances
+
+    def counted(self, base, below):
+        bases.append(base)
+        return instances(self, base, below)
+
+    monkeypatch.setattr(pushdown.AnnotatedWPDS, "instances", counted)
+    for target in ("check", "after"):
+        bases.clear()
+        got = movp(system, {target}).decode()
+        assert bases.count("f") == 1
+        assert got == movp_by_stepping(system, {target}, depth=8)
+        assert got.width() == len(callers)
+
+
 def test_condition_gates_the_solver_too():
     za, zb = site("A", 1), site("B", 2)
     system = ConditionalWPDS(

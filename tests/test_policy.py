@@ -545,6 +545,28 @@ def test_emit_java_unions_methods_sharing_a_domain():
     )
 
 
+def test_emit_java_escapes_backslashes_and_quotes():
+    # Java's policy parser reads "C:\tmp" as C:<TAB>mp, so a backslash
+    # and a quote are escaped in the codeBase, the target and the action;
+    # the table form stays raw, since parse_policy_table reads it raw
+    perm = Permission("FilePermission", "C:\\tmp\\x", 'say "hi"')
+    policy = Policy(
+        grants={"a": frozenset({perm}), "b": frozenset({Permission("T", "\\")})},
+        method_domains={"a": 'file:/C:\\app "1"'},
+    )
+    assert emit_policy(policy, "java") == (
+        'grant codeBase "b" {\n'
+        '  permission T "\\\\";\n'
+        "};\n"
+        'grant codeBase "file:/C:\\\\app \\"1\\"" {\n'
+        '  permission FilePermission "C:\\\\tmp\\\\x", "say \\"hi\\"";\n'
+        "};\n"
+    )
+    table = Policy(grants={"a": frozenset({Permission("FilePermission", "C:\\tmp")})})
+    assert emit_policy(table, "table") == 'method a: FilePermission("C:\\tmp")\n'
+    assert parse_policy_table(emit_policy(table, "table")).grants == table.grants
+
+
 def test_emit_empty_policy_is_empty_text():
     assert emit_policy(Policy(grants={}), "table") == ""
     assert emit_policy(Policy(grants={}), "java") == ""
