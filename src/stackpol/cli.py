@@ -58,8 +58,9 @@ def _positive_int(text: str) -> int:
 
 
 def _read_text(path: str) -> str:
+    # drop a byte-order mark after decoding, so error offsets still count it
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise StackpolError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"

@@ -229,7 +229,7 @@ def _parse_fact_set(rhs: str, item_re: re.Pattern, lineno: int) -> list:
     items = item_re.findall(body)
     # every parenthesized group must have matched; leftovers mean a typo
     leftover = item_re.sub("", body).replace(";", "").strip()
-    if leftover or body.count("(") != len(items):
+    if leftover:
         raise ModelError(f"malformed fact set: {rhs!r}", lineno)
     if not items:
         raise ModelError("fact set is empty", lineno)

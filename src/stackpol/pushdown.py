@@ -50,7 +50,9 @@ location and the final state, a push opens one state per pushed pair
 ``(symbol, sites_below)``, and the state is named by that pair.  So every
 push of one pair shares one frame, and a method called from k sites with
 one annotation has its rules instantiated and saturated once, not k
-times.
+times.  A pop is an epsilon-transition into the state it uncovers, kept in
+the same relation, and the worklist composes it with every transition out
+of that state, whichever of the two is found first.
 
 Weight bookkeeping follows a tail-weighting discipline: the transition
 created for the *first* symbol of a push carries the semiring unit, and
@@ -210,7 +212,9 @@ _P = 0
 _QF = 1
 _State = Union[int, tuple[StackSymbol, CtxSet]]
 
-# a transition is keyed by (source state, symbol read, sites below it, target)
+# a transition is keyed by (source state, symbol read, sites below it, target);
+# a pop's epsilon-transition (_P, _EPS, {}, q) reads the private symbol _EPS
+_EPS = object()
 _TransKey = tuple[_State, StackSymbol, CtxSet, _State]
 
 
@@ -232,8 +236,8 @@ def movp(
     one = packing.pack(ONE)
     zero: Packed = frozenset()
     trans: dict[_TransKey, Packed] = {}
+    # the transitions out of each frame state, which epsilon folds read
     out_of: dict[_State, list[_TransKey]] = defaultdict(list)
-    eps: dict[_State, Packed] = {}
     worklist: deque[_TransKey] = deque()
     steps = 0
 
@@ -241,23 +245,12 @@ def movp(
         old = trans.get(key, zero)
         if w <= old:
             return
-        if key not in trans:
+        if key[0] != _P and key not in trans:
             out_of[key[0]].append(key)
         trans[key] = old | w
         worklist.append(key)
 
-    def update_eps(q: _State, w: Packed) -> None:
-        old = eps.get(q, zero)
-        if w <= old:
-            return
-        new = eps[q] = old | w
-        # re-fold the excursion value into every continuation recorded under q
-        for src, sym, ann, dst in list(out_of.get(q, ())):
-            update_trans(
-                (_P, sym, ann, dst), extend_packed(trans[(src, sym, ann, dst)], new)
-            )
-
-    update_trans((_P, system.start, frozenset(), _QF), one)
+    update_trans((_P, system.start, _NONE, _QF), one)
 
     while worklist:
         steps += 1
@@ -268,11 +261,19 @@ def movp(
         key = worklist.popleft()
         src, sym, ann, dst = key
         d = trans[key]
-        if src == _P:
+        if sym is _EPS:
+            # (_P, eps, dst) then (dst, sym', q) gives (_P, sym', q)
+            for frame_key in out_of.get(dst, ()):
+                update_trans((_P, *frame_key[1:]), extend_packed(trans[frame_key], d))
+        elif src != _P:
+            e = trans.get((_P, _EPS, _NONE, src))
+            if e is not None:
+                update_trans((_P, sym, ann, dst), extend_packed(d, e))
+        else:
             for rule_idx, rhs in annotated.instances(sym, ann):
                 w = extend_packed(d, rule_weights[rule_idx])
                 if not rhs:
-                    update_eps(dst, w)
+                    update_trans((_P, _EPS, _NONE, dst), w)
                 elif len(rhs) == 1:
                     ((top, top_below),) = rhs
                     update_trans((_P, top, top_below, dst), w)
@@ -280,10 +281,6 @@ def movp(
                     opened, (second, second_below) = rhs
                     update_trans((_P, *opened, opened), one)
                     update_trans((opened, second, second_below, dst), w)
-        else:
-            e = eps.get(src)
-            if e is not None:
-                update_trans((_P, sym, ann, dst), extend_packed(d, e))
 
     # value of completing the stack below a state, composed bottom-up
     reach: dict[_State, Packed] = defaultdict(frozenset)

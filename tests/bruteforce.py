@@ -43,9 +43,12 @@ every symbol onto ``named_sites``.  It is the reference for ``movp``, and
 it explores a different state space on purpose: it opens one state per
 rule instance ``(rule index, caller annotation)``, where ``movp``
 saturates packed digests over the per-symbol projection and opens one
-state per pushed pair, shared by every push of that pair.  The meet over
-all paths is the same either way, so agreement checks the sharing as
-well as the packing and the projection.
+state per pushed pair, shared by every push of that pair.  It also keeps
+pops in a side table ``eps`` that it re-folds eagerly, where ``movp``
+adds each pop as an epsilon-transition and closes it from the worklist.
+The meet over all paths is the same either way, so agreement checks the
+sharing and the epsilon closure as well as the packing and the
+projection.
 
 ``fold_weights`` composes a rule-weight sequence left to right, giving
 an independent path-digest reference for single runs.

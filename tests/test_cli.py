@@ -384,6 +384,29 @@ def test_non_utf8_input_is_a_usage_error(model_file, tmp_path, capsys):
         assert err == f"error: {bad}: not UTF-8 text (invalid start byte at byte 8)\n"
 
 
+def test_a_model_file_may_start_with_a_byte_order_mark(tmp_path, capsys):
+    # editors on Windows often save UTF-8 with a leading BOM
+    model = tmp_path / "bom.model"
+    model.write_text(stackpol.running_example_text(), encoding="utf-8-sig")
+    assert model.read_bytes().startswith(b"\xef\xbb\xbf")
+    assert main(["analyze", str(model)]) == 0
+    assert capsys.readouterr().out == EXPECTED_TABLE
+    # an offset past the mark still counts the mark's three bytes
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"\xef\xbb\xbfmethod m\xff entry\n")
+    assert main(["analyze", str(bad)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: {bad}: not UTF-8 text (invalid start byte at byte 11)\n"
+    )
+
+
+def test_a_policy_file_may_start_with_a_byte_order_mark(model_file, tmp_path, capsys):
+    policy = tmp_path / "bom.policy"
+    policy.write_text(EXPECTED_TABLE, encoding="utf-8-sig")
+    assert main(["check", model_file, "--policy", str(policy)]) == 0
+    assert capsys.readouterr().out == "PASS\n"
+
+
 def test_unknown_subcommand_exits_one(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["frobnicate"])

@@ -290,6 +290,34 @@ def test_a_method_pushed_from_many_sites_is_explored_once(monkeypatch):
         assert got.width() == len(callers)
 
 
+def test_a_pop_found_before_a_deeper_push_of_its_pair_reaches_that_caller():
+    # main pushes f, and f's pop is saturated before g2, two calls deeper,
+    # pushes the same pair (f, {}); the pop then reaches g2's continuation
+    # only through the fold at the frame state when that transition is new
+    zm1, zm2, zg1, zg2, zr = (
+        site("main", 1),
+        site("main", 2),
+        site("g1", 1),
+        site("g2", 1),
+        site("g2'", 1),
+    )
+    system = ConditionalWPDS(
+        [
+            Rule("main", ("f", zm1), weight=w(gen=["main"], hist=[zm1])),
+            Rule("main", ("g1", zm2), weight=w(gen=["main"], hist=[zm2])),
+            Rule("g1", ("g2", zg1), weight=w(gen=["g1"], hist=[zg1])),
+            Rule("g2", ("f", zg2), weight=w(gen=["g2"], hist=[zg2])),
+            Rule("f", (), weight=w(fin=["f"])),
+            Rule(zg2, ("g2'",)),
+            Rule("g2'", ("check", zr), weight=w(gen=["g2'"], hist=[zr])),
+        ],
+        "main",
+    )
+    got = _solvers_agree(system, {"check"})
+    assert got == movp_by_stepping(system, {"check"}, depth=10)
+    assert [t.finished for t in got.tuples] == [frozenset({"f"})]
+
+
 def test_condition_gates_the_solver_too():
     za, zb = site("A", 1), site("B", 2)
     system = ConditionalWPDS(

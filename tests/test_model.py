@@ -20,7 +20,12 @@ from stackpol.model import (
     serialize_model,
 )
 from stackpol.permissions import generate_permissions
-from stackpol.policy import emit_policy, generate_policy
+from stackpol.policy import (
+    check_policy,
+    emit_policy,
+    generate_policy,
+    parse_policy_table,
+)
 from stackpol.sample import running_example_text
 
 MINIMAL = """
@@ -241,6 +246,34 @@ def test_fact_errors():
             'sa v@main = {("x", {main:1})}',
             'sa v@main = {("y", {main:1})}',
         )
+    )
+
+
+def test_an_sa_literal_may_hold_parentheses():
+    # a string constant is any text between quotes, so a "(" inside one
+    # opens no fact; one outside every literal still has to open one
+    text = """
+method main entry
+method worker
+method checkPermission check
+method doPrivileged priv
+calledge 1 main 1 worker ctx=any
+calledge 2 worker 4 checkPermission ctx={main:1}
+depnode n1 worker 3 kind=alloc form=2 type=FilePermission target=t
+depnode n2 worker 4 kind=callsite
+depedge n1 n2
+checkarg worker:4 var=p
+pta p@worker = {(FilePermission, n1, {main:1})}
+sa t@worker = {("C:\\Program Files (x86)\\app", {main:1})}
+"""
+    model = parse_model(text)
+    assert parse_model(serialize_model(model)) == model
+    generated = generate_policy(model, generate_permissions(model)).policy
+    table = emit_policy(generated, "table")
+    assert 'method worker: FilePermission("C:\\Program Files (x86)\\app")\n' in table
+    assert check_policy(parse_policy_table(table), generated).passed
+    assert "line 13: malformed fact set" in err(
+        text.replace('app", {main:1})}', 'app", {main:1}) (}')
     )
 
 

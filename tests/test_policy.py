@@ -567,6 +567,43 @@ def test_emit_java_escapes_backslashes_and_quotes():
     assert parse_policy_table(emit_policy(table, "table")).grants == table.grants
 
 
+def test_emit_java_writes_url_domains_and_qualified_types_verbatim():
+    # the JDK's policy file loads a grant only when its codeBase is a URL
+    # and resolves a permission only by its fully qualified class name; a
+    # model that names both gets a file the JDK applies as it stands
+    model = parse_model(
+        "method main entry domain=file:/opt/app/main.jar\n"
+        "method worker domain=file:/opt/app/lib.jar\n"
+        "method checkPermission check\n"
+        "method doPrivileged priv\n"
+        "calledge 1 main 1 worker ctx=any\n"
+        "calledge 2 worker 4 checkPermission ctx={main:1}\n"
+        "depnode n1 worker 3 kind=alloc form=1 type=java.io.FilePermission "
+        "target=t action=a\n"
+        "depnode n2 worker 4 kind=callsite\n"
+        "depedge n1 n2\n"
+        "checkarg worker:4 var=p\n"
+        "pta p@worker = {(java.io.FilePermission, n1, {main:1})}\n"
+        'sa t@worker = {("/tmp/log", {main:1})}\n'
+        'sa a@worker = {("read", {main:1})}\n'
+    )
+    policy = generate_policy(model, generate_permissions(model)).policy
+    assert emit_policy(policy, "java") == (
+        'grant codeBase "file:/opt/app/lib.jar" {\n'
+        '  permission java.io.FilePermission "/tmp/log", "read";\n'
+        "};\n"
+        'grant codeBase "file:/opt/app/main.jar" {\n'
+        '  permission java.io.FilePermission "/tmp/log", "read";\n'
+        "};\n"
+    )
+    table = emit_policy(policy, "table")
+    assert table == (
+        'method main: java.io.FilePermission("/tmp/log","read")\n'
+        'method worker: java.io.FilePermission("/tmp/log","read")\n'
+    )
+    assert parse_policy_table(table).grants == policy.grants
+
+
 def test_emit_empty_policy_is_empty_text():
     assert emit_policy(Policy(grants={}), "table") == ""
     assert emit_policy(Policy(grants={}), "java") == ""
