@@ -18,7 +18,7 @@ system = encode(model)
 print(system.dump())
 print()
 
-# Rule weights are sets of digests (kill | gen | finished | history).
+# A rule's weight is one digest (kill | gen | finished | history).
 # gen collects methods put on the stack, finished collects methods whose
 # frames already returned, history collects traversed call sites, and a
 # kill of * is the privilege wipe: nothing below the asserting frame is

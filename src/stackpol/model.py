@@ -527,10 +527,10 @@ def parse_model(text: str) -> ProgramModel:
         line = _strip_comment(raw).strip()
         if not line:
             continue
-        word, _, body = line.partition(" ")
+        word, *body = line.split(maxsplit=1)
         if word not in by_kind:
             raise ModelError(f"unknown directive {word!r}", lineno)
-        by_kind[word].append((body.strip(), lineno))
+        by_kind[word].append(("".join(body), lineno))
     for word, handler in handlers.items():
         for body, lineno in by_kind[word]:
             handler(body, lineno)

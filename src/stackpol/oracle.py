@@ -55,7 +55,7 @@ and searches further only when none of those answers a query.
 from __future__ import annotations
 
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterable, Iterator
 
@@ -70,7 +70,7 @@ from .model import (
     ProgramModel,
 )
 from .permissions import Permission, PermissionUniverse, checkpoints
-from .policy import Frame, Policy, _method_domains
+from .policy import Frame, Policy, _policy_frame
 
 DEFAULT_PATH_BOUND = 2
 MAX_ENUMERATED_PATHS = 200_000
@@ -434,19 +434,15 @@ def oracle_policy(
     """Reference policy: enumerate stacks, relate demands, union grants."""
     flow = dep_paths(model, bound)
     cache: dict = {}
-    hidden = frozenset({model.check_method, model.priv_method})
+    frame = _policy_frame(model)
     perms = universe.sorted_perms()
     grants: dict[str, set] = {}
     for sigma in enum_vpaths(model, model.check_method, bound):
         for perm in perms:
             if relates(model, sigma, perm, universe, flow, cache, bound):
-                for method in sigma.methods() - hidden:
+                for method in sigma.methods() - frame.system_methods:
                     grants.setdefault(method, set()).add(perm)
-    return Policy(
-        grants={m: frozenset(ps) for m, ps in grants.items()},
-        method_domains=_method_domains(model),
-        system_methods=hidden,
-    )
+    return replace(frame, grants={m: frozenset(ps) for m, ps in grants.items()})
 
 
 def concrete_stacks(model: ProgramModel, path: CallPath) -> list[tuple[Frame, ...]]:

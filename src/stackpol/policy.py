@@ -38,14 +38,14 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .contexts import CallSite
 from .errors import PolicyError
 from .model import INTER_RETURN, ProgramModel, _strip_comment
 from .permissions import Permission, PermissionUniverse
 from .pushdown import ConditionalWPDS, Rule, movp
-from .weights import DEFAULT_TUPLE_CAP, ONE, PackedWeight, Weight, WeightTuple
+from .weights import DEFAULT_TUPLE_CAP, PackedWeight, Weight, WeightTuple
 
 
 def encode(
@@ -58,20 +58,12 @@ def encode(
     """
     rules: list[Rule] = []
     for e in model.call_edges:
-        w = Weight(
-            frozenset(
-                {
-                    WeightTuple(
-                        kill=e.caller == model.priv_method,
-                        gen=frozenset({e.caller}),
-                        history=(
-                            frozenset({e.site})
-                            if sites is None or e.site in sites
-                            else frozenset()
-                        ),
-                    )
-                }
-            )
+        w = WeightTuple(
+            kill=e.caller == model.priv_method,
+            gen=frozenset({e.caller}),
+            history=(
+                frozenset({e.site}) if sites is None or e.site in sites else frozenset()
+            ),
         )
         rules.append(Rule(lhs=e.caller, rhs=(e.callee, e.site), cond=e.ctx, weight=w))
     seen: set[tuple] = set()
@@ -80,14 +72,9 @@ def encode(
             continue
         src = model.dep_nodes[d.src]
         dst = model.dep_nodes[d.dst]
-        pop = Rule(
-            lhs=src.method,
-            rhs=(),
-            weight=Weight(
-                frozenset({WeightTuple(finished=frozenset({src.method}))})
-            ),
-        )
-        swap = Rule(lhs=dst.site, rhs=(dst.method,), weight=ONE)
+        finished = WeightTuple(finished=frozenset({src.method}))
+        pop = Rule(lhs=src.method, rhs=(), weight=finished)
+        swap = Rule(lhs=dst.site, rhs=(dst.method,))
         for r in (pop, swap):
             key = (r.lhs, r.rhs)
             if key not in seen:
@@ -128,10 +115,14 @@ class PolicyResult:
         return self.digests.decode()
 
 
-def _method_domains(model: ProgramModel) -> dict[str, str]:
-    return {
-        name: (m.domain or name) for name, m in model.methods.items()
-    }
+def _policy_frame(model: ProgramModel) -> Policy:
+    """``model``'s policy before any grant: each method's protection domain,
+    and the check and privilege methods as the system methods."""
+    return Policy(
+        grants={},
+        method_domains={name: (m.domain or name) for name, m in model.methods.items()},
+        system_methods=frozenset({model.check_method, model.priv_method}),
+    )
 
 
 def _read_sites(universe: PermissionUniverse) -> frozenset[CallSite]:
@@ -234,15 +225,10 @@ def generate_policy(
     """
     system = encode(model, sites=_read_sites(universe))
     solved = movp(system, targets={model.check_method}, tuple_cap=tuple_cap)
-    hidden = {model.check_method, model.priv_method}
-    grants = _grants(
-        solved, universe, sum(solved.packing.method_bit.get(m, 0) for m in hidden)
-    )
-    policy = Policy(
-        grants={m: frozenset(ps) for m, ps in grants.items()},
-        method_domains=_method_domains(model),
-        system_methods=frozenset(hidden),
-    )
+    frame = _policy_frame(model)
+    hidden = sum(solved.packing.method_bit.get(m, 0) for m in frame.system_methods)
+    grants = _grants(solved, universe, hidden)
+    policy = replace(frame, grants={m: frozenset(ps) for m, ps in grants.items()})
     return PolicyResult(policy=policy, digests=solved)
 
 

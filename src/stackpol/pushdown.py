@@ -7,7 +7,8 @@ symbol and carries two extras beyond a plain pushdown rule:
 * a *condition* on the stack **below** the top, a context family: the
   rule fires only when some member of the family is contained in the set
   of call sites sitting under the current top (``contexts.holds``);
-* a *weight* from the path-digest semiring, picked up when the rule fires.
+* a *weight*, one digest of the path-digest semiring (a ``WeightTuple``),
+  picked up when the rule fires.
 
 ``movp(system, targets)`` returns the combine over all rule paths from the
 one-symbol start configuration to any configuration whose top matches
@@ -36,7 +37,7 @@ on a ladder whose every level is guarded by the level above, each symbol
 has at most two annotations instead of one per route to it.
 
 The saturation runs on packed digests (see ``weights``): once per solve,
-each rule weight is packed into four-int digests in the one pass that
+each rule's digest is packed once into four ints, in the one pass that
 interns its methods and call sites, and sequencing is a handful of int
 operations.  The final union is returned packed, with the packing that
 names its bits; ``PackedWeight.decode`` gives the ``Weight`` that the
@@ -73,12 +74,11 @@ from .contexts import ANY_FAMILY, CallSite, CtxFamily, CtxSet, format_family, ho
 from .errors import CapacityError
 from .weights import (
     DEFAULT_TUPLE_CAP,
-    ONE,
     Packed,
     PackedDigest,
     PackedWeight,
     Packing,
-    Weight,
+    WeightTuple,
     check_width,
     extend_packed,
 )
@@ -96,7 +96,7 @@ class Rule:
     lhs: StackSymbol
     rhs: tuple[StackSymbol, ...]
     cond: CtxFamily = ANY_FAMILY
-    weight: Weight = ONE
+    weight: WeightTuple = WeightTuple()
 
     def __post_init__(self) -> None:
         if len(self.rhs) > 2:
@@ -108,7 +108,8 @@ class Rule:
 
     def __str__(self) -> str:
         rhs = " ".join(str(s) for s in self.rhs) if self.rhs else "eps"
-        return f"{self.lhs} --[{format_family(self.cond)}]--> {rhs} ; {self.weight}"
+        weight = "1" if self.weight == WeightTuple() else self.weight
+        return f"{self.lhs} --[{format_family(self.cond)}]--> {rhs} ; {weight}"
 
 
 @dataclass(slots=True)
@@ -232,8 +233,8 @@ def movp(
     wanted = set(targets)
     annotated = AnnotatedWPDS(system)
     packing = Packing()
-    rule_weights = [packing.pack(r.weight) for r in system.rules]
-    one = packing.pack(ONE)
+    rule_digests = [(packing.pack(r.weight),) for r in system.rules]
+    one: Packed = frozenset({packing.pack(WeightTuple())})
     zero: Packed = frozenset()
     trans: dict[_TransKey, Packed] = {}
     # the transitions out of each frame state, which epsilon folds read
@@ -271,7 +272,7 @@ def movp(
                 update_trans((_P, sym, ann, dst), extend_packed(d, e))
         else:
             for rule_idx, rhs in annotated.instances(sym, ann):
-                w = extend_packed(d, rule_weights[rule_idx])
+                w = extend_packed(d, rule_digests[rule_idx])
                 if not rhs:
                     update_trans((_P, _EPS, _NONE, dst), w)
                 elif len(rhs) == 1:

@@ -18,16 +18,18 @@ always union.  Stack inspection stops at a privileged frame, so a kill
 never needs to name the frames it cancels.
 
 ``WeightTuple`` and ``Weight`` are the readable specification of this
-algebra and the form in which rules are written.  The solver works on
-*packed* digests: ``Packing.pack`` interns each method and call site the
-first time a packed weight names it, and a digest becomes a ``(kill, gen,
-finished, history)`` tuple of ints: ``kill`` is ``0`` or ``1``, and the
-other fields hold one bit per interned method or site.  A packed weight
-is a frozenset of such tuples, and ``extend_packed`` is ``Weight.extend``
-on them.  A solver result stays packed: ``PackedWeight`` keeps the
-digests with the packing that names their bits, grant extraction reads
-the ints, and ``PackedWeight.decode``, the one place that decodes,
-builds the ``Weight`` only for a caller that asks for it.
+algebra.  A rule's weight is one ``WeightTuple``: each rule of the
+encoding names at most one caller, one call site and one finished
+method.  The solver works on *packed* digests: ``Packing.pack`` interns
+each method and call site the first time a digest names it, and the
+digest becomes a ``(kill, gen, finished, history)`` tuple of ints:
+``kill`` is ``0`` or ``1``, and the other fields hold one bit per
+interned method or site.  A packed weight is a frozenset of such
+tuples, and ``extend_packed`` is ``Weight.extend`` on them.  A solver
+result stays packed: ``PackedWeight`` keeps the digests with the
+packing that names their bits, grant extraction reads the ints, and
+``PackedWeight.decode``, the one place that decodes, builds the
+``Weight`` only for a caller that asks for it.
 
 Weights form a bounded idempotent semiring: ``combine`` is set union (the
 meet), ``extend`` is the pairwise digest product.  ``ZERO`` (no digests) is
@@ -39,7 +41,7 @@ inclusion of digest sets: lower means more digests, i.e. less precise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from typing import Collection, Iterable
 
 from .contexts import CallSite
 from .errors import CapacityError
@@ -169,9 +171,8 @@ class Packing:
     """Bit positions for the methods and call sites of the packed weights.
 
     ``pack`` gives each name the next free bit the first time it meets
-    it, digest by digest and ``gen`` before ``finished``; every digest
-    built from packed ones by ``extend_packed`` and set union stays
-    within the names met so far.
+    it, ``gen`` before ``finished``; every digest built from packed ones
+    by ``extend_packed`` and set union stays within the names met so far.
     """
 
     def __init__(self):
@@ -184,21 +185,18 @@ class Packing:
         """The interned methods whose bits are set in ``bits``."""
         return _members(bits, list(self.method_bit))
 
-    def pack(self, weight: Weight) -> Packed:
-        """``weight``'s digests as ints; a name first met here gets a new bit."""
-        mb, sb = self.method_bit, self.site_bit
-        return frozenset(
-            (
-                int(t.kill),
-                _intern(t.gen, mb),
-                _intern(t.finished, mb),
-                _intern(t.history, sb),
-            )
-            for t in weight.tuples
+    def pack(self, digest: WeightTuple) -> PackedDigest:
+        """``digest`` as ints; a name first met here gets a new bit."""
+        mb = self.method_bit
+        return (
+            int(digest.kill),
+            _intern(digest.gen, mb),
+            _intern(digest.finished, mb),
+            _intern(digest.history, self.site_bit),
         )
 
 
-def extend_packed(left: Packed, right: Packed) -> Packed:
+def extend_packed(left: Packed, right: Collection[PackedDigest]) -> Packed:
     """``Weight.extend`` on packed weights: ``WeightTuple.seq`` per pair."""
     return frozenset(
         (1, rg, lf | rf, lh | rh) if rk else (lk, lg | rg, lf | rf, lh | rh)

@@ -50,8 +50,10 @@ The meet over all paths is the same either way, so agreement checks the
 sharing and the epsilon closure as well as the packing and the
 projection.
 
-``fold_weights`` composes a rule-weight sequence left to right, giving
-an independent path-digest reference for single runs.
+A rule carries one digest; ``one_digest`` makes it the one-digest
+``Weight`` that these references extend by.  ``fold_weights`` composes
+a sequence of rule digests left to right, giving an independent
+path-digest reference for single runs.
 
 ``grants_by_scan`` extracts grants from a solved weight by testing every
 digest against every permission and demand context, the reference for
@@ -116,7 +118,14 @@ from stackpol.pushdown import (
     StackSymbol,
     _TransKey,
 )
-from stackpol.weights import DEFAULT_TUPLE_CAP, ONE, ZERO, Weight, check_width
+from stackpol.weights import (
+    DEFAULT_TUPLE_CAP,
+    ONE,
+    ZERO,
+    Weight,
+    WeightTuple,
+    check_width,
+)
 
 Stack = tuple[StackSymbol, ...]
 # a stack whose every symbol is paired with the call sites strictly below it
@@ -273,10 +282,14 @@ def reduced_successors(
     return [(idx, rhs + rest) for idx, rhs in annotated.instances(top, below)]
 
 
-def fold_weights(weights) -> Weight:
+def one_digest(digest: WeightTuple) -> Weight:
+    return Weight(frozenset({digest}))
+
+
+def fold_weights(digests) -> Weight:
     total = ONE
-    for w in weights:
-        total = total.extend(w)
+    for digest in digests:
+        total = total.extend(one_digest(digest))
     return total
 
 
@@ -303,7 +316,7 @@ def movp_by_stepping(
         level: dict[Stack, Weight] = {}
         for stack, w in frontier.items():
             for rule, succ in successors(system, stack):
-                nw = w.extend(rule.weight)
+                nw = w.extend(one_digest(rule.weight))
                 if succ and succ[0] in wanted:
                     total = total.combine(nw)
                 if succ:
@@ -324,6 +337,7 @@ def movp_by_weights(
     """Meet over all paths from the start stack to any stack topped by a target."""
     wanted = set(targets)
     annotated = GlobalAnnotatedWPDS(system)
+    rule_weights = [one_digest(r.weight) for r in system.rules]
     trans: dict[_TransKey, Weight] = {}
     out_of: dict[int, list[_TransKey]] = defaultdict(list)
     eps: dict[int, Weight] = {}
@@ -369,7 +383,7 @@ def movp_by_weights(
         d = trans[key]
         if src == _P:
             for rule_idx, rhs in annotated.instances(sym, ann):
-                w = d.extend(system.rules[rule_idx].weight)
+                w = d.extend(rule_weights[rule_idx])
                 if not rhs:
                     update_eps(dst, w)
                 elif len(rhs) == 1:

@@ -1,0 +1,127 @@
+"""One sha256 per pipeline output over a fixed set of models.
+
+Usage, from the root of a source checkout:
+
+    python3 tests/output_hashes.py > hashes.txt
+
+The models are ``random_model`` 0-2999 and the seed-0 benchmark models
+of ``bench/workloads.py``.  Each printed line hashes one output over all
+of them, in order: the policy table and java policy, the lint warnings,
+the permission diagnostics, ``encode(model).dump()``, the sorted decoded
+digests of ``generate_policy`` (cut histories) and of the exact solve
+``movp(encode(model), {check})``, and the ``oracle_policy`` table where
+the benchmark consults the oracle.  A model whose step raises
+contributes the exception's type and message to that output instead.
+
+A change meant to keep every output shows the same lines as its parent.
+The random texts depend on string hashing, so the script re-executes
+itself under a fixed ``PYTHONHASHSEED``, as ``bench/run.py`` does.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests"), str(ROOT / "bench")]
+
+import randmodels  # noqa: E402
+import workloads  # noqa: E402
+from stackpol import (  # noqa: E402
+    emit_policy,
+    generate_permissions,
+    generate_policy,
+    lint_model,
+    oracle_policy,
+    parse_model,
+    running_example_text,
+)
+from stackpol.policy import encode  # noqa: E402
+from stackpol.pushdown import movp  # noqa: E402
+
+HASH_SEED = "0"
+RANDOM_MODELS = 3000
+KINDS = ("table", "java", "lint", "diagnostics", "dump", "cut", "exact", "oracle")
+
+
+def models():
+    """``(ident, text, oracle)`` per model, where ``oracle`` asks for the oracle table."""
+    for seed in range(RANDOM_MODELS):
+        yield f"random_model({seed})", randmodels.random_model_text(seed), True
+    for build in workloads.model_sets(randmodels, running_example_text()).values():
+        for case in build(0):
+            yield case.ident, case.text, case.oracle
+
+
+class _Steps(dict):
+    """Each step's value, computed from its function when first read."""
+
+    def __init__(self, functions):
+        super().__init__()
+        self.functions = functions
+
+    def __missing__(self, name):
+        value = self[name] = self.functions[name]()
+        return value
+
+
+def outputs(text: str, oracle: bool) -> dict[str, str]:
+    """Each output's text for one model, or what its step raised."""
+
+    def digests(weight) -> str:
+        return "\n".join(sorted(map(str, weight.tuples)))
+
+    s = _Steps(
+        {
+            "model": lambda: parse_model(text),
+            "universe": lambda: generate_permissions(s["model"]),
+            "result": lambda: generate_policy(s["model"], s["universe"]),
+            "system": lambda: encode(s["model"]),
+            "table": lambda: emit_policy(s["result"].policy, "table"),
+            "java": lambda: emit_policy(s["result"].policy, "java"),
+            "lint": lambda: "\n".join(lint_model(s["model"])),
+            "diagnostics": lambda: "\n".join(s["universe"].diagnostics),
+            "dump": lambda: s["system"].dump(),
+            "cut": lambda: digests(s["result"].weight),
+            "exact": lambda: digests(
+                movp(s["system"], {s["model"].check_method}).decode()
+            ),
+            "oracle": lambda: (
+                emit_policy(oracle_policy(s["model"], s["universe"]), "table")
+                if oracle
+                else ""
+            ),
+        }
+    )
+    out = {}
+    for kind in KINDS:
+        try:
+            out[kind] = s[kind]
+        except Exception as exc:  # a raise is an output to compare
+            out[kind] = f"raised {type(exc).__name__}: {exc}"
+    return out
+
+
+def main() -> None:
+    hashes = {kind: hashlib.sha256() for kind in KINDS}
+    count = 0
+    for ident, text, oracle in models():
+        count += 1
+        for kind, value in outputs(text, oracle).items():
+            hashes[kind].update(f"{ident}\0{value}\0".encode())
+    print(f"models {count}")
+    for kind in KINDS:
+        print(f"{kind} {hashes[kind].hexdigest()}")
+
+
+if __name__ == "__main__":
+    if os.environ.get("PYTHONHASHSEED") != HASH_SEED:
+        os.execve(
+            sys.executable,
+            [sys.executable, *sys.argv],
+            dict(os.environ, PYTHONHASHSEED=HASH_SEED),
+        )
+    main()

@@ -15,6 +15,7 @@ from bruteforce import (
     movp_by_stepping,
     movp_by_weights,
     named_sites,
+    one_digest,
     reduced_successors,
     relevant_sites,
     stack_sites,
@@ -35,19 +36,19 @@ def site(m, l):
     return CallSite(m, l)
 
 
-def w(gen=(), kill=False, fin=(), hist=()):
-    return Weight(
-        frozenset(
-            {
-                WeightTuple(
-                    kill=kill,
-                    gen=frozenset(gen),
-                    finished=frozenset(fin),
-                    history=frozenset(hist),
-                )
-            }
-        )
+def d(gen=(), kill=False, fin=(), hist=()):
+    """One digest, the weight a rule carries."""
+    return WeightTuple(
+        kill=kill,
+        gen=frozenset(gen),
+        finished=frozenset(fin),
+        history=frozenset(hist),
     )
+
+
+def w(gen=(), kill=False, fin=(), hist=()):
+    """The ``Weight`` whose one digest ``d`` builds."""
+    return one_digest(d(gen, kill, fin, hist))
 
 
 def cond(*members):
@@ -74,7 +75,7 @@ def test_rule_arity_is_capped():
 def test_rule_rendering():
     za = site("A", 1)
     assert str(Rule("A", ("B", za))) == "A --[any]--> B A:1 ; 1"
-    assert str(Rule("A", (), weight=w(fin=["A"]))) == "A --[any]--> eps ; ({}|{}|{A}|{})"
+    assert str(Rule("A", (), weight=d(fin=["A"]))) == "A --[any]--> eps ; ({}|{}|{A}|{})"
 
 
 def test_stack_sites_ignores_method_symbols():
@@ -186,7 +187,7 @@ def _random_system(rng: random.Random) -> ConditionalWPDS:
         else:
             c = ANY_FAMILY
         rules.append(
-            Rule(lhs, rhs, cond=c, weight=w(gen=[str(rng.randint(0, 3))]))
+            Rule(lhs, rhs, cond=c, weight=d(gen=[str(rng.randint(0, 3))]))
         )
     return ConditionalWPDS(rules, "A")
 
@@ -225,9 +226,8 @@ def test_conditional_and_reduced_stepping_agree_on_random_walks():
 
 def test_single_push_weight_reaches_the_new_top():
     za = site("A", 1)
-    push_w = w(gen=["A"], hist=[za])
-    system = ConditionalWPDS([Rule("A", ("B", za), weight=push_w)], "A")
-    assert movp(system, {"B"}).decode() == push_w
+    system = ConditionalWPDS([Rule("A", ("B", za), weight=d(gen=["A"], hist=[za]))], "A")
+    assert movp(system, {"B"}).decode() == w(gen=["A"], hist=[za])
     assert movp(system, {"A"}).decode() == ONE
     assert movp(system, {"C"}).decode() == ZERO
 
@@ -236,8 +236,8 @@ def test_movp_combines_over_both_branches():
     za, zb = site("A", 1), site("A", 2)
     system = ConditionalWPDS(
         [
-            Rule("A", ("B", za), weight=w(hist=[za])),
-            Rule("A", ("B", zb), weight=w(hist=[zb])),
+            Rule("A", ("B", za), weight=d(hist=[za])),
+            Rule("A", ("B", zb), weight=d(hist=[zb])),
         ],
         "A",
     )
@@ -250,8 +250,8 @@ def test_pop_then_swap_merges_the_excursion():
     za = site("A", 1)
     system = ConditionalWPDS(
         [
-            Rule("A", ("B", za), weight=w(gen=["A"], hist=[za])),
-            Rule("B", (), weight=w(fin=["B"])),
+            Rule("A", ("B", za), weight=d(gen=["A"], hist=[za])),
+            Rule("B", (), weight=d(fin=["B"])),
             Rule(za, ("A'",)),
         ],
         "A",
@@ -266,11 +266,11 @@ def test_a_method_pushed_from_many_sites_is_explored_once(monkeypatch):
     # and each caller keeps its own weight on its continuation out of f
     callers = [site("main", i) for i in range(1, 6)]
     zf = site("f", 1)
-    rules = [Rule("main", ("f", s), weight=w(gen=["main"], hist=[s])) for s in callers]
+    rules = [Rule("main", ("f", s), weight=d(gen=["main"], hist=[s])) for s in callers]
     rules += [
-        Rule("f", ("check", zf), weight=w(gen=["f"], hist=[zf])),
-        Rule("check", (), weight=w(fin=["check"])),
-        Rule(zf, (), weight=w(fin=["f"])),
+        Rule("f", ("check", zf), weight=d(gen=["f"], hist=[zf])),
+        Rule("check", (), weight=d(fin=["check"])),
+        Rule(zf, (), weight=d(fin=["f"])),
     ]
     rules += [Rule(s, ("after",)) for s in callers]
     system = ConditionalWPDS(rules, "main")
@@ -303,13 +303,13 @@ def test_a_pop_found_before_a_deeper_push_of_its_pair_reaches_that_caller():
     )
     system = ConditionalWPDS(
         [
-            Rule("main", ("f", zm1), weight=w(gen=["main"], hist=[zm1])),
-            Rule("main", ("g1", zm2), weight=w(gen=["main"], hist=[zm2])),
-            Rule("g1", ("g2", zg1), weight=w(gen=["g1"], hist=[zg1])),
-            Rule("g2", ("f", zg2), weight=w(gen=["g2"], hist=[zg2])),
-            Rule("f", (), weight=w(fin=["f"])),
+            Rule("main", ("f", zm1), weight=d(gen=["main"], hist=[zm1])),
+            Rule("main", ("g1", zm2), weight=d(gen=["main"], hist=[zm2])),
+            Rule("g1", ("g2", zg1), weight=d(gen=["g1"], hist=[zg1])),
+            Rule("g2", ("f", zg2), weight=d(gen=["g2"], hist=[zg2])),
+            Rule("f", (), weight=d(fin=["f"])),
             Rule(zg2, ("g2'",)),
-            Rule("g2'", ("check", zr), weight=w(gen=["g2'"], hist=[zr])),
+            Rule("g2'", ("check", zr), weight=d(gen=["g2'"], hist=[zr])),
         ],
         "main",
     )
@@ -322,9 +322,9 @@ def test_condition_gates_the_solver_too():
     za, zb = site("A", 1), site("B", 2)
     system = ConditionalWPDS(
         [
-            Rule("A", ("B", za), weight=w(hist=[za])),
-            Rule("B", ("C", zb), cond=cond([za]), weight=w(hist=[zb])),
-            Rule("B", ("D", zb), cond=cond([site("X", 9)]), weight=w()),
+            Rule("A", ("B", za), weight=d(hist=[za])),
+            Rule("B", ("C", zb), cond=cond([za]), weight=d(hist=[zb])),
+            Rule("B", ("D", zb), cond=cond([site("X", 9)]), weight=d()),
         ],
         "A",
     )
@@ -352,11 +352,11 @@ def test_movp_matches_stepping_on_random_acyclic_systems():
                             m,
                             (callee, callee_site),
                             cond=c,
-                            weight=w(gen=[m], hist=[callee_site]),
+                            weight=d(gen=[m], hist=[callee_site]),
                         )
                     )
             if rng.random() < 0.4:
-                rules.append(Rule(m, (), weight=w(fin=[m])))
+                rules.append(Rule(m, (), weight=d(fin=[m])))
         system = ConditionalWPDS(rules, "A")
         for target in order[1:]:
             assert movp(system, {target}).decode() == movp_by_stepping(
@@ -370,11 +370,11 @@ def test_movp_matches_stepping_on_a_cyclic_system():
     zb, zc = site("B", 1), site("C", 1)
     system = ConditionalWPDS(
         [
-            Rule("A", ("B", site("A", 1)), weight=w(gen=["A"], hist=[site("A", 1)])),
-            Rule("B", ("C", zb), weight=w(gen=["B"], hist=[zb])),
-            Rule("C", ("B", zc), weight=w(gen=["C"], hist=[zc])),
-            Rule("B", (), weight=w(fin=["B"])),
-            Rule("C", (), weight=w(fin=["C"])),
+            Rule("A", ("B", site("A", 1)), weight=d(gen=["A"], hist=[site("A", 1)])),
+            Rule("B", ("C", zb), weight=d(gen=["B"], hist=[zb])),
+            Rule("C", ("B", zc), weight=d(gen=["C"], hist=[zc])),
+            Rule("B", (), weight=d(fin=["B"])),
+            Rule("C", (), weight=d(fin=["C"])),
         ],
         "A",
     )
@@ -413,15 +413,15 @@ def _random_draining_system(rng: random.Random) -> ConditionalWPDS:
             if rng.random() < 0.6:
                 s = site(m, rng.randint(1, 2))
                 rules.append(
-                    Rule(m, (callee, s), cond=maybe_cond(), weight=w(gen=[m], hist=[s]))
+                    Rule(m, (callee, s), cond=maybe_cond(), weight=d(gen=[m], hist=[s]))
                 )
                 pushed.append(s)
         for m_ in (m, m + "'"):
             if rng.random() < 0.5:
-                rules.append(Rule(m_, (), cond=maybe_cond(), weight=w(fin=[m_])))
+                rules.append(Rule(m_, (), cond=maybe_cond(), weight=d(fin=[m_])))
         for l in (1, 2):
             if rng.random() < 0.5:
-                rules.append(Rule(site(m, l), (m + "'",), weight=w(gen=[m + "'"])))
+                rules.append(Rule(site(m, l), (m + "'",), weight=d(gen=[m + "'"])))
     return ConditionalWPDS(rules, "A")
 
 
@@ -509,8 +509,8 @@ def test_a_system_without_conditions_reaches_only_empty_annotations():
 
 def test_weight_fold_along_one_run_matches_rule_order():
     za, zb = site("A", 1), site("B", 1)
-    r1 = Rule("A", ("B", za), weight=w(gen=["A"], hist=[za]))
-    r2 = Rule("B", ("C", zb), weight=w(kill=True, gen=["B"], hist=[zb]))
+    r1 = Rule("A", ("B", za), weight=d(gen=["A"], hist=[za]))
+    r2 = Rule("B", ("C", zb), weight=d(kill=True, gen=["B"], hist=[zb]))
     system = ConditionalWPDS([r1, r2], "A")
     assert movp(system, {"C"}).decode() == fold_weights([r1.weight, r2.weight])
 
@@ -522,7 +522,7 @@ def _diamond_ladder(levels: int) -> ConditionalWPDS:
         top, nxt = f"L{i}", f"L{i + 1}"
         for branch in (1, 2):
             s = site(top, branch)
-            rules.append(Rule(top, (nxt, s), weight=w(hist=[s])))
+            rules.append(Rule(top, (nxt, s), weight=d(hist=[s])))
     return ConditionalWPDS(rules, "L0")
 
 
@@ -537,7 +537,7 @@ def test_step_budget_guards_against_runaway_saturation(monkeypatch):
     za = site("A", 1)
     system = ConditionalWPDS(
         [
-            Rule("A", ("B", za), weight=w(hist=[za])),
+            Rule("A", ("B", za), weight=d(hist=[za])),
             Rule("B", ("A",)),
         ],
         "A",
@@ -605,10 +605,10 @@ def test_packed_solver_matches_the_reference_when_a_privileged_caller_kills_all(
     zm, zw, zp, zr = site("main", 1), site("main", 2), site("priv", 1), site("work", 1)
     system = ConditionalWPDS(
         [
-            Rule("main", ("priv", zm), weight=w(gen=["main"], hist=[zm])),
-            Rule("main", ("work", zw), weight=w(gen=["main"], hist=[zw])),
-            Rule("priv", ("work", zp), weight=w(kill=True, gen=["priv"], hist=[zp])),
-            Rule("work", ("check", zr), weight=w(gen=["work"], hist=[zr])),
+            Rule("main", ("priv", zm), weight=d(gen=["main"], hist=[zm])),
+            Rule("main", ("work", zw), weight=d(gen=["main"], hist=[zw])),
+            Rule("priv", ("work", zp), weight=d(kill=True, gen=["priv"], hist=[zp])),
+            Rule("work", ("check", zr), weight=d(gen=["work"], hist=[zr])),
         ],
         "main",
     )

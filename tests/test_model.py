@@ -317,6 +317,17 @@ def test_unknown_directive_is_rejected():
     assert "unknown directive" in err(MINIMAL + "frobnicate a b c\n")
 
 
+def test_a_tab_may_follow_the_directive_word(example_model):
+    tabbed = "\n".join(
+        line if line.startswith("#") else line.replace(" ", "\t", 1)
+        for line in running_example_text().splitlines()
+    )
+    assert "method\tmain entry" in tabbed
+    assert serialize_model(parse_model(tabbed)) == serialize_model(example_model)
+    assert err(MINIMAL + "method\t\n") == "line 5: method directive needs a name"
+    assert err(MINIMAL + "bogus\tx\n") == "line 5: unknown directive 'bogus'"
+
+
 # ---------------------------------------------------------------------------
 # route contexts
 

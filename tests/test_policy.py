@@ -28,7 +28,7 @@ from stackpol.contexts import ANY_FAMILY, CallSite
 from stackpol.oracle import dep_paths, relates
 from stackpol.policy import encode
 from stackpol.pushdown import movp
-from stackpol.weights import ONE, PackedWeight
+from stackpol.weights import PackedWeight, WeightTuple
 
 S = CallSite
 
@@ -62,7 +62,7 @@ def test_bundled_encoding_rule_inventory(example_model):
     # the intra-method dep edges contribute no rules
     (pop,) = pops
     assert pop.lhs == "mkSocketPerm" and pop.rhs == ()
-    (digest,) = pop.weight.tuples
+    digest = pop.weight
     assert digest.finished == frozenset({"mkSocketPerm"})
     assert digest.gen == frozenset()
     assert digest.kill is False
@@ -70,7 +70,7 @@ def test_bundled_encoding_rule_inventory(example_model):
     (swap,) = swaps
     assert swap.lhs == S("checkConnect", 5)
     assert swap.rhs == ("checkConnect",)
-    assert swap.weight == ONE
+    assert swap.weight == WeightTuple()
 
 
 def test_push_weights_record_caller_and_site(example_model):
@@ -79,17 +79,38 @@ def test_push_weights_record_caller_and_site(example_model):
         r.rhs[1]: r for r in system.rules if r.kind == "push"
     }
     plain = by_site[S("connectFaculty", 30)]
-    (digest,) = plain.weight.tuples
+    digest = plain.weight
     assert digest.gen == frozenset({"connectFaculty"})
     assert digest.history == frozenset({S("connectFaculty", 30)})
     assert digest.kill is False
 
     # a call made by the privilege primitive wipes everything beneath it
     privileged = by_site[S("doPrivileged", 1)]
-    (digest,) = privileged.weight.tuples
+    digest = privileged.weight
     assert digest.kill is True
     assert digest.gen == frozenset({"doPrivileged"})
     assert privileged.cond != ANY_FAMILY
+
+    # every rule's one digest has its kind's shape, exact or cut
+    dropped = 0
+    for seed in range(200):
+        model = random_model(seed)
+        cut = read_sites(generate_permissions(model))
+        for sites in (None, cut):
+            for r in encode(model, sites=sites).rules:
+                if r.kind == "push":
+                    kept = sites is None or r.rhs[1] in sites
+                    dropped += not kept
+                    assert r.weight == WeightTuple(
+                        kill=r.lhs == model.priv_method,
+                        gen=frozenset({r.lhs}),
+                        history=frozenset({r.rhs[1]} if kept else ()),
+                    )
+                elif r.kind == "pop":
+                    assert r.weight == WeightTuple(finished=frozenset({r.lhs}))
+                else:
+                    assert r.weight == WeightTuple()
+    assert dropped
 
 
 def test_push_conditions_mirror_edge_contexts(example_model):
