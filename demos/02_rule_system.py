@@ -31,7 +31,8 @@ print()
 
 # The meet over all paths into the check method folds rule weights along
 # every derivation and combines the results.  The solver keeps digests
-# as packed ints; decode() spells them out with method and site names.
+# as packed ints, with those that share kill, finished and history merged
+# into one; decode() spells them out with method and site names.
 weight = movp(system, targets={model.check_method}).decode()
 print(f"{weight.width()} stack digests reach {model.check_method}:")
 for digest in sorted(weight.tuples, key=lambda d: sorted(map(str, d.history))):

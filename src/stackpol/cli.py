@@ -163,7 +163,7 @@ def _build_parser() -> _Parser:
             "--tuple-cap",
             type=_positive_int,
             default=DEFAULT_TUPLE_CAP,
-            help="abort when the result holds more than this many digests",
+            help="abort when the result holds more than this many (merged) digests",
         )
 
     p = sub.add_parser("analyze", help="generate a policy from a model")

@@ -24,7 +24,9 @@ contexts; the history carries enough of the route to decide both.  It
 solves a system whose push rules record only the sites that some
 checkpoint or demand context names, ``encode(model, sites=...)``, so
 digests that differ only in sites no grant reads are one digest; plain
-``encode(model)`` keeps every site.  It decides the grants on the
+``encode(model)`` keeps every site.  The solver keeps digests that share
+their kill bit, finished methods and history as one digest, whose
+generated methods are the union of theirs.  It decides the grants on the
 solver's packed digests and decodes to method names only the distinct
 live sets of the digests that match, once each; the result's ``weight``
 decodes the whole digest set only when it is read.
@@ -214,8 +216,13 @@ def generate_policy(
     saturation explores the same pairs, since conditions read the
     annotations, not the weights.  Digests that differ only in unread
     sites merge, and each grant is the same as from the exact solve.
+    The solver also merges digests that share ``(kill, finished,
+    history)`` into one whose ``gen`` is the union of theirs.  A method is
+    live in a merged digest exactly when it is live in one of its
+    members, so every grant stays as well (see ``weights``).
     ``tuple_cap``, and the result's ``digests`` and ``weight``, count and
-    hold the cut digests; ``encode(model)`` stays exact.
+    hold the cut, merged digests, one per distinct key, not one per route;
+    ``encode(model)`` keeps every site.
 
     Both clauses are decided for all digests at once, on the solver's
     packed digests, with bitsets of digests indexed by call-site bit.

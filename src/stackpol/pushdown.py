@@ -13,7 +13,8 @@ symbol and carries two extras beyond a plain pushdown rule:
 ``movp(system, targets)`` returns the combine over all rule paths from the
 one-symbol start configuration to any configuration whose top matches
 ``targets``, of the extend-product of the weights along the path, as a
-``PackedWeight``.
+``PackedWeight`` whose digests are merged on ``(kill, finished,
+history)`` (see ``weights``).
 
 Conditions are compiled away rather than interpreted: ``AnnotatedWPDS``
 views the system over pairs ``(symbol, sites_below)``, where the second
@@ -36,14 +37,28 @@ that differ only in sites no later condition reads share their pairs, so
 on a ladder whose every level is guarded by the level above, each symbol
 has at most two annotations instead of one per route to it.
 
-The saturation runs on packed digests (see ``weights``): once per solve,
-each rule's digest is packed once into four ints, in the one pass that
-interns its methods and call sites, and sequencing is a handful of int
-operations.  The final union is returned packed, with the packing that
-names its bits; ``PackedWeight.decode`` gives the ``Weight`` that the
-readable algebra would, and nothing on the analyze path calls it.
-Decoding maps distinct packed digests to distinct ``WeightTuple``s, so
-``tuple_cap`` counts the same digests either way.
+The saturation runs on packed, merged digests (see ``weights``): once
+per solve, each rule's digest is packed once, in the one pass that
+interns its methods and call sites, and only then, with the number of
+methods known, does each become a one-entry merged weight ``{key: gen}``.
+A transition's weight is such a dict.  Digests that share ``(kill,
+finished, history)`` are one entry whose ``gen`` is the union of
+theirs, so a transition keeps one digest per distinct key however many
+routes reach it; ``weights`` proves that the merge changes no grant.
+Sequencing is a handful of int operations per pair, and an update ORs
+into the stored dict in place and re-queues the transition only when a
+key or a ``gen`` bit is new.  The final union is unmerged into packed
+tuples and returned with the packing that names their bits;
+``PackedWeight.decode`` gives the merged ``Weight``, and nothing on the
+analyze path calls it.  ``tuple_cap`` counts merged digests.
+
+The work is bounded, not only the result: a solve spends one unit of
+``WORK_BUDGET`` per worklist pop and one per digest pair it sequences,
+and raises ``CapacityError`` when the budget runs out.  Every digest of
+a weight came from a pair already spent, so a rule's one-digest product
+is checked at the next pop; a fold of two weights can pair far more
+digests than all the work before it, so it is checked before it is
+formed.
 
 The automaton is the textbook one of weighted post* (Reps, Schwoon, Jha
 and Melski, SCP 2005; Schwoon's thesis, 2002): besides the control
@@ -74,19 +89,35 @@ from .contexts import ANY_FAMILY, CallSite, CtxFamily, CtxSet, format_family, ho
 from .errors import CapacityError
 from .weights import (
     DEFAULT_TUPLE_CAP,
-    Packed,
-    PackedDigest,
+    Merged,
     PackedWeight,
     Packing,
     WeightTuple,
+    absorb,
     check_width,
-    extend_packed,
+    extend_merged,
+    merge,
+    unmerge,
 )
 
 StackSymbol = Union[str, CallSite]
 
-# the solver's fixed step budget
-MAX_STEPS = 1_000_000
+# the most work one solve may do: one unit per worklist pop and one per
+# digest pair sequenced.  The largest benchmark model spends about 16,000
+# and the full-bipartite L6xW5 layered model 86,000, 23 times under it;
+# at about 0.3-1 us a unit a blowup exits within about two seconds
+WORK_BUDGET = 2_000_000
+
+
+def _spend(work: int, units: int) -> int:
+    """``work`` plus ``units``; raises ``CapacityError`` past ``WORK_BUDGET``."""
+    work += units
+    if work > WORK_BUDGET:
+        raise CapacityError(
+            f"post* saturation exceeded its work budget of {WORK_BUDGET} steps and "
+            "digest pairs; the model's branching is too rich for exhaustive tracking"
+        )
+    return work
 
 
 @dataclass(frozen=True, slots=True)
@@ -228,51 +259,56 @@ def movp(
     """Meet over all paths from the start stack to any stack topped by a target.
 
     Raises ``CapacityError`` when the result holds more than ``tuple_cap``
-    digests, or when saturation takes more than ``MAX_STEPS`` steps.
+    merged digests, or when the solve's work passes ``WORK_BUDGET``.
     """
     wanted = set(targets)
     annotated = AnnotatedWPDS(system)
     packing = Packing()
-    rule_digests = [(packing.pack(r.weight),) for r in system.rules]
-    one: Packed = frozenset({packing.pack(WeightTuple())})
-    zero: Packed = frozenset()
-    trans: dict[_TransKey, Packed] = {}
+    packed = [packing.pack(r.weight) for r in system.rules]
+    # every method is interned now, so the key layout is fixed
+    shift = 1 + len(packing.method_bit)
+    rule_weights = [merge((digest,), shift) for digest in packed]
+    trans: dict[_TransKey, Merged] = {}
     # the transitions out of each frame state, which epsilon folds read
     out_of: dict[_State, list[_TransKey]] = defaultdict(list)
     worklist: deque[_TransKey] = deque()
-    steps = 0
+    # spent against WORK_BUDGET; see the module docstring
+    work = 0
 
-    def update_trans(key: _TransKey, w: Packed) -> None:
-        old = trans.get(key, zero)
-        if w <= old:
-            return
-        if key[0] != _P and key not in trans:
-            out_of[key[0]].append(key)
-        trans[key] = old | w
-        worklist.append(key)
+    def update_trans(key: _TransKey, w: Merged) -> None:
+        old = trans.get(key)
+        if old is None:
+            if key[0] != _P:
+                out_of[key[0]].append(key)
+            trans[key] = w
+            worklist.append(key)
+        elif absorb(old, w):
+            worklist.append(key)
 
-    update_trans((_P, system.start, _NONE, _QF), one)
+    # the unit is written {0: 0} at each use: a stored weight grows in place
+    update_trans((_P, system.start, _NONE, _QF), {0: 0})
 
     while worklist:
-        steps += 1
-        if steps > MAX_STEPS:
-            raise CapacityError(
-                f"post* saturation did not stabilize within {MAX_STEPS} steps"
-            )
+        work = _spend(work, 1)
         key = worklist.popleft()
         src, sym, ann, dst = key
         d = trans[key]
         if sym is _EPS:
             # (_P, eps, dst) then (dst, sym', q) gives (_P, sym', q)
             for frame_key in out_of.get(dst, ()):
-                update_trans((_P, *frame_key[1:]), extend_packed(trans[frame_key], d))
+                f = trans[frame_key]
+                work = _spend(work, len(f) * len(d))
+                update_trans((_P, *frame_key[1:]), extend_merged(f, d))
         elif src != _P:
             e = trans.get((_P, _EPS, _NONE, src))
             if e is not None:
-                update_trans((_P, sym, ann, dst), extend_packed(d, e))
+                work = _spend(work, len(d) * len(e))
+                update_trans((_P, sym, ann, dst), extend_merged(d, e))
         else:
             for rule_idx, rhs in annotated.instances(sym, ann):
-                w = extend_packed(d, rule_digests[rule_idx])
+                # one pair per digest of d, checked at the next pop
+                work += len(d)
+                w = extend_merged(d, rule_weights[rule_idx])
                 if not rhs:
                     update_trans((_P, _EPS, _NONE, dst), w)
                 elif len(rhs) == 1:
@@ -280,12 +316,12 @@ def movp(
                     update_trans((_P, top, top_below, dst), w)
                 else:
                     opened, (second, second_below) = rhs
-                    update_trans((_P, *opened, opened), one)
+                    update_trans((_P, *opened, opened), {0: 0})
                     update_trans((opened, second, second_below, dst), w)
 
     # value of completing the stack below a state, composed bottom-up
-    reach: dict[_State, Packed] = defaultdict(frozenset)
-    reach[_QF] = one
+    reach: dict[_State, Merged] = defaultdict(dict)
+    reach[_QF] = {0: 0}
     by_dst: dict[_State, list[_TransKey]] = defaultdict(list)
     for key in trans:
         if key[0] != _P:
@@ -293,18 +329,19 @@ def movp(
     pending = deque([_QF])
     while pending:
         q_done = pending.popleft()
+        below = reach[q_done]
         for key in by_dst[q_done]:
-            src = key[0]
-            w = extend_packed(reach[q_done], trans[key])
-            if not w <= reach[src]:
-                reach[src] |= w
-                pending.append(src)
+            w = trans[key]
+            work = _spend(work, len(below) * len(w))
+            if absorb(reach[key[0]], extend_merged(below, w)):
+                pending.append(key[0])
 
-    # accumulate in one set; combining into a frozenset per transition is quadratic
-    digests: set[PackedDigest] = set()
+    result: Merged = {}
     for (src, sym, _ann, dst), w in trans.items():
         if src == _P and sym in wanted:
-            digests |= extend_packed(reach[dst], w)
-    result = PackedWeight(packing, frozenset(digests))
-    check_width(result, tuple_cap)
-    return result
+            below = reach[dst]
+            work = _spend(work, len(below) * len(w))
+            absorb(result, extend_merged(below, w))
+    packed_result = PackedWeight(packing, unmerge(result, shift))
+    check_width(packed_result, tuple_cap)
+    return packed_result

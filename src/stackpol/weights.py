@@ -24,12 +24,40 @@ method.  The solver works on *packed* digests: ``Packing.pack`` interns
 each method and call site the first time a digest names it, and the
 digest becomes a ``(kill, gen, finished, history)`` tuple of ints:
 ``kill`` is ``0`` or ``1``, and the other fields hold one bit per
-interned method or site.  A packed weight is a frozenset of such
-tuples, and ``extend_packed`` is ``Weight.extend`` on them.  A solver
-result stays packed: ``PackedWeight`` keeps the digests with the
-packing that names their bits, grant extraction reads the ints, and
-``PackedWeight.decode``, the one place that decodes, builds the
-``Weight`` only for a caller that asks for it.
+interned method or site.  A solver result stays packed: ``PackedWeight``
+keeps the digests with the packing that names their bits, grant
+extraction reads the ints, and ``PackedWeight.decode``, the one place
+that decodes, builds the ``Weight`` only for a caller that asks for it.
+
+During saturation the solver keeps its weights *merged*: digests that
+share ``(kill, finished, history)`` are one digest whose ``gen`` is the
+union of theirs.  A merged weight is a dict ``{key: gen}`` whose int key
+packs ``kill | finished << 1 | history << shift``, where ``shift`` is
+one more than the number of interned methods, fixed before the first
+key is formed.  Sequencing two merged digests is ``key = lkey | rkey``
+and ``gen = rgen if rkey & 1 else lgen | rgen`` (``extend_merged``), and
+union ORs each gen into its key's (``absorb``).
+
+The merge is exact for what the solver is asked.  Write ``[w]`` for
+``w`` with its digests merged.  The product of two digests has the key
+``lkey | rkey``, a function of the two keys alone, and the gen ``rgen``
+or ``lgen | rgen`` as the right key's kill bit decides: ``seq`` reads
+the left operand's ``gen`` only to union it into the result's, and the
+right one's likewise.  So merging either operand first unions the same
+gens into the same keys: ``[[a] . b] = [a . b] = [a . [b]]``, and
+``[a + b] = [[a] + [b]]``.  The merge is a semiring homomorphism, and a
+solve over merged weights gives the merge of the solve over ``Weight``
+values.  Grant extraction reads a
+digest's history and its live methods, ``gen & ~finished``, one method
+at a time.  Within a class ``finished`` is shared, so a method is live
+in the merged digest exactly when it is live in one of the class's
+members, and every grant is the same as from the unmerged digests.
+The argument needs ``seq`` to compute ``finished`` without reading a
+``gen``: a candidate fix for methods re-entered after they returned,
+``finished = (lfinished & ~rgen) | rfinished``, reads the right
+operand's ``gen``, and with it merging would change the ``finished`` of
+later products.  Such a ``seq`` must re-prove exactness or key on
+``gen`` as well.
 
 Weights form a bounded idempotent semiring: ``combine`` is set union (the
 meet), ``extend`` is the pairwise digest product.  ``ZERO`` (no digests) is
@@ -41,7 +69,7 @@ inclusion of digest sets: lower means more digests, i.e. less precise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable
+from typing import Iterable
 
 from .contexts import CallSite
 from .errors import CapacityError
@@ -128,7 +156,8 @@ ONE = Weight(frozenset({WeightTuple()}))
 def check_width(weight, cap: int = DEFAULT_TUPLE_CAP):
     """Guard against digest-set blowup; raises ``CapacityError`` past the cap.
 
-    ``weight`` is a ``Weight`` or a ``PackedWeight``; both count digests.
+    ``weight`` is a ``Weight`` or a ``PackedWeight``; both count digests,
+    and a solver result's digests are merged ones (see module docstring).
     """
     if weight.width() > cap:
         raise CapacityError(
@@ -172,7 +201,7 @@ class Packing:
 
     ``pack`` gives each name the next free bit the first time it meets
     it, ``gen`` before ``finished``; every digest built from packed ones
-    by ``extend_packed`` and set union stays within the names met so far.
+    by sequencing and union stays within the names met so far.
     """
 
     def __init__(self):
@@ -196,13 +225,59 @@ class Packing:
         )
 
 
-def extend_packed(left: Packed, right: Collection[PackedDigest]) -> Packed:
-    """``Weight.extend`` on packed weights: ``WeightTuple.seq`` per pair."""
+# a merged weight: {kill | finished << 1 | history << shift: gen}
+Merged = dict[int, int]
+
+
+def merge(digests: Iterable[PackedDigest], shift: int) -> Merged:
+    """``digests`` merged on ``(kill, finished, history)``, with ``shift``
+    one more than the number of interned methods."""
+    out: Merged = {}
+    for kill, gen, finished, history in digests:
+        key = kill | finished << 1 | history << shift
+        out[key] = out.get(key, 0) | gen
+    return out
+
+
+def unmerge(weight: Merged, shift: int) -> Packed:
+    """The packed digests of ``weight``, one per key."""
+    fin = (1 << shift) - 2
     return frozenset(
-        (1, rg, lf | rf, lh | rh) if rk else (lk, lg | rg, lf | rf, lh | rh)
-        for lk, lg, lf, lh in left
-        for rk, rg, rf, rh in right
+        (key & 1, gen, (key & fin) >> 1, key >> shift) for key, gen in weight.items()
     )
+
+
+def extend_merged(left: Merged, right: Merged) -> Merged:
+    """``Weight.extend`` on merged weights: ``WeightTuple.seq`` per pair,
+    with the gens of products that share a key unioned."""
+    out: Merged = {}
+    get = out.get
+    for rkey, rgen in right.items():
+        if rkey & 1:
+            # a killing right digest discards every left gen
+            for lkey in left:
+                key = lkey | rkey
+                out[key] = get(key, 0) | rgen
+        else:
+            for lkey, lgen in left.items():
+                key = lkey | rkey
+                out[key] = get(key, 0) | lgen | rgen
+    return out
+
+
+def absorb(into: Merged, weight: Merged) -> bool:
+    """Union ``weight`` into ``into`` in place; whether a key or a gen bit
+    was new."""
+    grew = False
+    for key, gen in weight.items():
+        old = into.get(key)
+        if old is None:
+            into[key] = gen
+            grew = True
+        elif gen & ~old:
+            into[key] = old | gen
+            grew = True
+    return grew
 
 
 @dataclass(frozen=True, slots=True, eq=False)

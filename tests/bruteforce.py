@@ -51,7 +51,11 @@ sharing and the epsilon closure as well as the packing and the
 projection.
 
 A rule carries one digest; ``one_digest`` makes it the one-digest
-``Weight`` that these references extend by.  ``fold_weights`` composes
+``Weight`` that these references extend by.  ``merged`` is the quotient
+that ``movp`` keeps its weights in: digests that share ``(kill,
+finished, history)`` become one with the union of their ``gen``s.  The
+references do not merge, so ``movp``'s result is the ``merged`` of
+theirs.  ``fold_weights`` composes
 a sequence of rule digests left to right, giving an independent
 path-digest reference for single runs.
 
@@ -286,6 +290,22 @@ def one_digest(digest: WeightTuple) -> Weight:
     return Weight(frozenset({digest}))
 
 
+def merged(weight: Weight) -> Weight:
+    """``weight`` with the digests that share ``(kill, finished, history)``
+    made one, whose ``gen`` is the union of theirs: the quotient that
+    ``movp`` saturates in."""
+    gens: dict[tuple, frozenset[str]] = {}
+    for t in weight.tuples:
+        key = (t.kill, t.finished, t.history)
+        gens[key] = gens.get(key, frozenset()) | t.gen
+    return Weight(
+        frozenset(
+            WeightTuple(kill, gen, finished, history)
+            for (kill, finished, history), gen in gens.items()
+        )
+    )
+
+
 def fold_weights(digests) -> Weight:
     total = ONE
     for digest in digests:
@@ -343,7 +363,16 @@ def movp_by_weights(
     eps: dict[int, Weight] = {}
     mids: dict[tuple[int, CtxSet], int] = {}
     worklist: deque[_TransKey] = deque()
-    steps = 0
+    # movp's budget, spent on this solver's own pops and digest pairs
+    work = 0
+
+    def spend(units: int) -> None:
+        nonlocal work
+        work = pushdown._spend(work, units)
+
+    def seq(left: Weight, right: Weight) -> Weight:
+        spend(left.width() * right.width())
+        return left.extend(right)
 
     def mid_state(rule_idx: int, ann: CtxSet) -> int:
         key = (rule_idx, ann)
@@ -368,22 +397,18 @@ def movp_by_weights(
         eps[q] = new
         # re-fold the excursion value into every continuation recorded under q
         for src, sym, ann, dst in list(out_of.get(q, ())):
-            update_trans((_P, sym, ann, dst), trans[(src, sym, ann, dst)].extend(new))
+            update_trans((_P, sym, ann, dst), seq(trans[(src, sym, ann, dst)], new))
 
     update_trans((_P, system.start, frozenset(), _QF), ONE)
 
     while worklist:
-        steps += 1
-        if steps > pushdown.MAX_STEPS:
-            raise CapacityError(
-                f"post* saturation did not stabilize within {pushdown.MAX_STEPS} steps"
-            )
+        spend(1)
         key = worklist.popleft()
         src, sym, ann, dst = key
         d = trans[key]
         if src == _P:
             for rule_idx, rhs in annotated.instances(sym, ann):
-                w = d.extend(rule_weights[rule_idx])
+                w = seq(d, rule_weights[rule_idx])
                 if not rhs:
                     update_eps(dst, w)
                 elif len(rhs) == 1:
@@ -397,7 +422,7 @@ def movp_by_weights(
         else:
             e = eps.get(src)
             if e is not None:
-                update_trans((_P, sym, ann, dst), d.extend(e))
+                update_trans((_P, sym, ann, dst), seq(d, e))
 
     # value of completing the stack below a state, composed bottom-up
     reach: dict[int, Weight] = defaultdict(lambda: ZERO)
@@ -411,7 +436,7 @@ def movp_by_weights(
         q_done = pending.popleft()
         for key in by_dst[q_done]:
             src = key[0]
-            cand = reach[src].combine(reach[q_done].extend(trans[key]))
+            cand = reach[src].combine(seq(reach[q_done], trans[key]))
             if cand != reach[src]:
                 reach[src] = cand
                 pending.append(src)
@@ -420,7 +445,7 @@ def movp_by_weights(
     digests: set = set()
     for (src, sym, _ann, dst), w in trans.items():
         if src == _P and sym in wanted:
-            digests |= reach[dst].extend(w).tuples
+            digests |= seq(reach[dst], w).tuples
     result = Weight(frozenset(digests))
     check_width(result, tuple_cap)
     return result

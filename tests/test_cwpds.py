@@ -533,7 +533,7 @@ def test_tuple_cap_aborts_wide_solves():
     assert movp(system, {"L14"}, tuple_cap=1 << 15).width() == 1 << 14
 
 
-def test_step_budget_guards_against_runaway_saturation(monkeypatch):
+def test_work_budget_guards_against_runaway_saturation(monkeypatch):
     za = site("A", 1)
     system = ConditionalWPDS(
         [
@@ -542,9 +542,53 @@ def test_step_budget_guards_against_runaway_saturation(monkeypatch):
         ],
         "A",
     )
-    monkeypatch.setattr(pushdown, "MAX_STEPS", 2)
-    with pytest.raises(CapacityError, match="within 2 steps"):
+    monkeypatch.setattr(pushdown, "WORK_BUDGET", 2)
+    message = "work budget of 2 steps and digest pairs"
+    with pytest.raises(CapacityError, match=message) as packed:
         movp(system, {"B"})
+    # the reference solver spends the same budget on its own work
+    with pytest.raises(CapacityError) as reference:
+        movp_by_weights(system, {"B"})
+    assert str(packed.value) == str(reference.value)
+
+
+def _wide_fold(levels: int) -> ConditionalWPDS:
+    # X0 swaps down a ladder whose every level has two sites, then pushes
+    # Y0, which swaps down a ladder of its own and pops: the pop's epsilon
+    # weight and the continuation out of Y0's frame hold 2^levels digests
+    # each, and folding them pairs every digest of one with the other's
+    rules = []
+    for frame in ("X", "Y"):
+        for i in range(levels):
+            for branch in (1, 2):
+                s = site(f"{frame}{i}", branch)
+                rules.append(Rule(f"{frame}{i}", (f"{frame}{i + 1}",), weight=d(hist=[s])))
+    ret = site("X", 0)
+    rules += [
+        Rule(f"X{levels}", ("Y0", ret), weight=d(hist=[ret])),
+        Rule(f"Y{levels}", ()),
+        Rule(ret, ("Z",)),
+    ]
+    return ConditionalWPDS(rules, "X0")
+
+
+def test_work_budget_is_checked_before_a_fold_is_formed(monkeypatch):
+    system = _wide_fold(8)
+    assert movp(system, {"Z"}, tuple_cap=4**8).width() == 4**8
+    pairs = []
+    extend = pushdown.extend_merged
+
+    def recorded(left, right):
+        pairs.append(len(left) * len(right))
+        return extend(left, right)
+
+    monkeypatch.setattr(pushdown, "extend_merged", recorded)
+    monkeypatch.setattr(pushdown, "WORK_BUDGET", 4**8 - 1)
+    with pytest.raises(CapacityError, match="work budget"):
+        movp(system, {"Z"}, tuple_cap=4**8)
+    # the ladders cost a few thousand pairs, and the one fold of 4^8 pairs
+    # was refused before it was formed
+    assert sum(pairs) < 4**8 // 4
 
 
 def test_movp_on_the_bundled_model_matches_stepping(example_model):

@@ -3,7 +3,13 @@
 from dataclasses import replace
 
 import pytest
-from bruteforce import grants_by_scan, movp_by_weights, read_sites, route_universe
+from bruteforce import (
+    grants_by_scan,
+    merged,
+    movp_by_weights,
+    read_sites,
+    route_universe,
+)
 from randmodels import random_model
 
 from stackpol import (
@@ -226,10 +232,12 @@ def _diamond_ladder(depth: int):
     return parse_model("\n".join(lines) + "\n"), names
 
 
-def _branch_ladder(depth: int):
+def _branch_ladder(depth: int, name_branches: bool = False):
     # level i enters level i+1 through one of two distinct methods, so
     # every route to the bottom leaves a different set of live methods;
-    # the bottom checks a form-3 permission
+    # the bottom checks a form-3 permission, or with ``name_branches`` a
+    # form-2 one whose string facts name each branch site in a context of
+    # its own, so every route also leaves a different cut history
     lines = ["method J0 entry", "method doPriv priv", "method check check"]
     for i in range(1, depth + 1):
         lines += [f"method A{i}", f"method B{i}", f"method J{i}"]
@@ -239,9 +247,20 @@ def _branch_ladder(depth: int):
             f"calledge ja{i} A{i} 1 J{i} ctx=any",
             f"calledge jb{i} B{i} 1 J{i} ctx=any",
         ]
+    if name_branches:
+        facts = "; ".join(
+            f'("/{branch}{i}", {{J{i - 1}:{line}}})'
+            for i in range(1, depth + 1)
+            for line, branch in ((1, "a"), (2, "b"))
+        )
+        lines += [
+            f"depnode a J{depth} 90 kind=alloc form=2 type=P target=t",
+            f"sa t@J{depth} = {{{facts}}}",
+        ]
+    else:
+        lines.append(f"depnode a J{depth} 90 kind=alloc form=3 type=P")
     lines += [
         f"calledge z J{depth} 9 check ctx=any",
-        f"depnode a J{depth} 90 kind=alloc form=3 type=P",
         f"checkarg J{depth}:9 var=p",
         f"pta p@J{depth} = {{(P, a, {{}})}}",
     ]
@@ -453,13 +472,40 @@ def test_result_weight_decodes_to_the_reference_solve(example_model):
 
 
 def test_tuple_cap_counts_packed_digests_through_generate_policy():
-    # the cut keeps all 2^8 digests: they differ in their live methods
-    model = _branch_ladder(8)
+    # each branch site is named, so the cut keeps a distinct history for
+    # each of the 2^8 routes, and no two digests merge
+    model = _branch_ladder(8, name_branches=True)
     universe = generate_permissions(model)
     with pytest.raises(CapacityError) as capped:
         generate_policy(model, universe, tuple_cap=255)
     assert str(capped.value).startswith("weight grew to 256 digests (cap 255)")
-    assert generate_policy(model, universe, tuple_cap=256).digests.width() == 256
+    result = generate_policy(model, universe, tuple_cap=256)
+    assert result.digests.width() == 256
+    # a permission named at a branch site goes to every method of the
+    # routes through that site, which is every method but the other branch
+    ladder = set(model.methods) - {"doPriv", "check"}
+    expected = {m: set() for m in ladder}
+    for i in range(1, 9):
+        for branch, other in (("a", "B"), ("b", "A")):
+            for m in ladder - {f"{other}{i}"}:
+                expected[m].add(Permission("P", f"/{branch}{i}"))
+    assert result.policy.grants == {m: frozenset(ps) for m, ps in expected.items()}
+
+
+def test_digests_that_differ_only_in_gen_merge_into_one():
+    # the form-3 demand names only the two sites into the bottom, so the
+    # 2^8 live sets leave two cut histories; each is one merged digest
+    # whose gen is the union of its routes', and the grants are theirs
+    model = _branch_ladder(8)
+    universe = generate_permissions(model)
+    result = generate_policy(model, universe, tuple_cap=2)
+    assert result.digests.width() == 2
+    reference = movp_by_weights(
+        encode(model, sites=read_sites(universe)), {model.check_method}
+    )
+    assert reference.width() == 256
+    assert result.weight == merged(reference)
+    assert result.policy.grants == grants_by_scan(model, universe, reference)
 
 
 def _grants_match_route_demand(model):

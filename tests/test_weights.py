@@ -15,9 +15,14 @@ from stackpol.weights import (
     PackedWeight,
     Weight,
     WeightTuple,
+    absorb,
     check_width,
-    extend_packed,
+    extend_merged,
+    merge,
+    unmerge,
 )
+
+from bruteforce import merged
 
 _METHODS = ["f", "g", "h", "p"]
 _SITES = [CallSite("m", i) for i in (1, 2, 3, 4)]
@@ -243,7 +248,28 @@ _DONE = Weight(
 )
 
 
-@settings(max_examples=200, deadline=None)
+# two digests that differ in gen alone, so merging makes them one
+_TWINS = Weight(
+    frozenset({WeightTuple(gen=frozenset({"f"})), WeightTuple(gen=frozenset({"g"}))})
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_any_weights(), _any_weights())
+@example(_TWINS, _LIVE)
+@example(_LIVE, _TWINS)
+@example(_TWINS, _WIPE)
+@example(_WIPE, _TWINS)
+def test_merging_commutes_with_extend_and_combine(a, b):
+    # the quotient map is a semiring homomorphism: merging either operand
+    # first changes neither product nor union once the result is merged
+    product = merged(a.extend(b))
+    assert merged(merged(a).extend(b)) == product
+    assert merged(a.extend(merged(b))) == product
+    assert merged(merged(a).combine(merged(b))) == merged(a.combine(b))
+
+
+@settings(max_examples=300, deadline=None)
 @given(_any_weights(), _any_weights())
 @example(ZERO, ONE)
 @example(ONE, ONE)
@@ -251,16 +277,26 @@ _DONE = Weight(
 @example(_WIPE, _LIVE)
 @example(_WIPE, _DONE)
 @example(_WIPE, _WIPE)
-def test_packed_extend_is_extend(a, b):
+@example(_TWINS, _LIVE)
+@example(_TWINS, _WIPE)
+def test_merged_extend_and_absorb_are_extend_and_combine_merged(a, b):
     # compared packed as well as decoded, so a digest that decodes right
     # but packs another way is caught too
     packing = Packing()
-    packed = extend_packed(_pack(packing, a), _pack(packing, b))
+    pa, pb = _pack(packing, a), _pack(packing, b)
     names = (dict(packing.method_bit), dict(packing.site_bit))
-    assert packed == _pack(packing, a.extend(b))
+    shift = 1 + len(packing.method_bit)
+    ma, mb = merge(pa, shift), merge(pb, shift)
+    product = extend_merged(ma, mb)
+    assert unmerge(product, shift) == _pack(packing, merged(a.extend(b)))
     # the product names nothing its factors did not
     assert (packing.method_bit, packing.site_bit) == names
-    assert PackedWeight(packing, packed).decode() == a.extend(b)
+    decoded = PackedWeight(packing, unmerge(product, shift)).decode()
+    assert decoded == merged(a.extend(b))
+    union = dict(ma)
+    grew = absorb(union, mb)
+    assert grew == (union != ma)
+    assert unmerge(union, shift) == _pack(packing, merged(a.combine(b)))
 
 
 def _first_seen(weights):
