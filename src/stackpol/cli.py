@@ -123,12 +123,16 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
         if engine.grants == reference.grants:
             print("MATCH")
             return EXIT_OK
-        differing = sorted(
-            m
-            for m in set(engine.grants) | set(reference.grants)
-            if engine.granted(m) != reference.granted(m)
-        )
-        print(f"MISMATCH: method {differing[0]}")
+        for method in sorted(set(engine.grants) | set(reference.grants)):
+            ours, theirs = engine.granted(method), reference.granted(method)
+            only = {"engine": ours - theirs, "oracle": theirs - ours}
+            sides = [
+                f"{side} only {', '.join(map(str, sorted(perms)))}"
+                for side, perms in only.items()
+                if perms
+            ]
+            if sides:
+                print(f"MISMATCH: method {method}: {'; '.join(sides)}")
         return EXIT_FAIL
     sys.stdout.write(emit_policy(reference, "table"))
     return EXIT_OK

@@ -18,7 +18,9 @@ Everything here is bounded brute force over the model's graphs:
   when each chosen alternative is, so some member of the family is
   covered exactly when every edge has an alternative covered by the
   path's sites.  That test is linear in the path length; the family
-  itself can grow exponentially with it.
+  itself can grow exponentially with it.  An unconditional edge always
+  has such an alternative, so only conditional edges are tested, and a
+  path with none is valid without collecting its sites.
 * a *flow path* walks the dependency graph from an allocation to a
   checkpoint, tracking how the permission object travels.  Its word is
   the sequence of its ``inter=call|return`` crossings, each with its call
@@ -33,7 +35,9 @@ word is well matched on it, the demand path stays within the methods
 those witnesses put on the stack, and one of the permission's demand
 contexts is covered by the witnessing route.  The reference policy grants the
 permission to every method on each related path, minus the two system
-methods.
+methods.  A permission can only relate to a path whose checkpoint demands
+it, so each path is related only to the permissions demanded at its own
+checkpoint, never to the rest.
 
 Enumeration counts each edge at most ``bound`` times per path, which
 makes every enumeration finite while still letting paths wind through
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field, replace
 from itertools import islice
 from typing import Iterable, Iterator
 
-from .contexts import CallSite, CtxFamily, holds
+from .contexts import ANY_FAMILY, CallSite, CtxFamily, holds
 from .errors import EnumerationLimitError
 from .model import (
     ALLOC,
@@ -233,9 +237,13 @@ def _walks(model: ProgramModel, target: str, bound: int) -> list[tuple[CallEdge,
 
 def _route_valid(edges) -> bool:
     """Is some union of one context alternative per edge covered by the
-    path's own sites?  Decided edge by edge, without building the unions."""
+    path's own sites?  Decided edge by edge, without building the unions.
+    An unconditional edge always holds, so only the others are tested."""
+    conditional = [e.ctx for e in edges if e.ctx != ANY_FAMILY]
+    if not conditional:
+        return True
     sites = frozenset(e.site for e in edges)
-    return all(holds(e.ctx, sites) for e in edges)
+    return all(holds(ctx, sites) for ctx in conditional)
 
 
 def _ident_key(edges) -> tuple[str, ...]:
@@ -431,14 +439,21 @@ def oracle_policy(
     universe: PermissionUniverse,
     bound: int = DEFAULT_PATH_BOUND,
 ) -> Policy:
-    """Reference policy: enumerate stacks, relate demands, union grants."""
+    """Reference policy: enumerate stacks, relate demands, union grants.
+
+    A stack is related only to the permissions demanded at the checkpoint
+    it invokes: ``relates`` is false for every other permission.
+    """
     flow = dep_paths(model, bound)
     cache: dict = {}
     frame = _policy_frame(model)
-    perms = universe.sorted_perms()
+    demanded: dict[CallSite, list[Permission]] = {}
+    for perm in universe.sorted_perms():
+        for site in {site for site, _alloc in universe.sources.get(perm, ())}:
+            demanded.setdefault(site, []).append(perm)
     grants: dict[str, set] = {}
     for sigma in enum_vpaths(model, model.check_method, bound):
-        for perm in perms:
+        for perm in demanded.get(sigma.edges[-1].site, ()):
             if relates(model, sigma, perm, universe, flow, cache, bound):
                 for method in sigma.methods() - frame.system_methods:
                     grants.setdefault(method, set()).add(perm)

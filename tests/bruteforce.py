@@ -75,7 +75,11 @@ of one alternative per edge.  ``route_valid_by_family`` and
 first written: the first builds the whole ``phi_route_along`` family of a
 path, the second rebuilds both stacks' method sets for every pair of
 stacks.  They are the references for ``oracle._route_valid`` and
-``oracle.relates``.  ``match_paths`` lists the valid paths to a flow's
+``oracle.relates``.  ``grants_by_pairs`` is the oracle's grant loop as
+first written: it relates every valid stack to every permission with
+``relates_by_scan``, the reference for ``oracle_policy``, which relates
+each stack only to the permissions demanded at its own checkpoint.
+``match_paths`` lists the valid paths to a flow's
 origin that can host the flow, the reference for the hosting test in
 ``oracle._admissible_methods``.  Both replay a flow's crossings on a
 path's sites with ``replays_on``, which reads the flow's edges directly,
@@ -110,6 +114,7 @@ from stackpol.oracle import (
     CallPath,
     DepPath,
     _route_valid,
+    dep_paths,
     enum_vpaths,
 )
 from stackpol.permissions import Permission, PermissionUniverse
@@ -583,6 +588,23 @@ def relates_by_scan(
                 ):
                     return True
     return False
+
+
+def grants_by_pairs(
+    model: ProgramModel,
+    universe: PermissionUniverse,
+    bound: int = DEFAULT_PATH_BOUND,
+) -> dict[str, frozenset[Permission]]:
+    flows = dep_paths(model, bound)
+    cache: dict[str, list[CallPath]] = {}
+    hidden = {model.check_method, model.priv_method}
+    grants: dict[str, set[Permission]] = {}
+    for sigma in enum_vpaths(model, model.check_method, bound):
+        for perm in universe.sorted_perms():
+            if relates_by_scan(model, sigma, perm, universe, flows, cache, bound):
+                for method in sigma.methods() - hidden:
+                    grants.setdefault(method, set()).add(perm)
+    return {m: frozenset(ps) for m, ps in grants.items()}
 
 
 def _bounded_walks(model: ProgramModel, start: str, target: str, bound: int):

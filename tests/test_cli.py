@@ -1,11 +1,13 @@
 """Command line behavior: output channels, formats, exit codes."""
 
+import dataclasses
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from test_oracle import RANDOM_MODELS
 from test_policy import _diamond_ladder
 
 import stackpol
@@ -242,6 +244,55 @@ def test_oracle_compare_matches_the_engine(model_file, capsys):
     assert main(["oracle", model_file, "--compare"]) == 0
     out, _ = capsys.readouterr()
     assert out == "MATCH\n"
+
+
+@pytest.mark.parametrize(
+    ("seed", "expected"),
+    [
+        (170, 'MISMATCH: method w1: engine only FilePermission("beta","read")\n'),
+        (2309, 'MISMATCH: method w1: engine only NetPermission("alpha","exec")\n'),
+    ],
+)
+def test_oracle_compare_names_what_each_side_grants_alone(
+    seed, expected, tmp_path, capsys
+):
+    # the stored random models on which the engine grants more
+    path = tmp_path / f"random{seed}.model"
+    path.write_text(RANDOM_MODELS[seed], encoding="utf-8")
+    assert main(["oracle", str(path), "--compare"]) == 2
+    out, _ = capsys.readouterr()
+    assert out == expected
+
+
+def test_oracle_compare_lists_every_differing_method(model_file, capsys, monkeypatch):
+    # an oracle that swaps one grant of a method for another, adds two to
+    # another method and grants a method the engine leaves out
+    from stackpol import cli
+
+    real = cli.oracle_policy
+
+    def skewed(model, universe, bound):
+        policy = real(model, universe, bound)
+        grants = dict(policy.grants)
+        faculty, student = sorted(grants["main"])
+        grants["main"] = grants["checkAccess"] | {student}
+        grants["checkAccess"] |= {faculty, student}
+        grants["zeta"] = frozenset({faculty})
+        return dataclasses.replace(policy, grants=grants)
+
+    monkeypatch.setattr(cli, "oracle_policy", skewed)
+    assert main(["oracle", model_file, "--compare"]) == 2
+    out, _ = capsys.readouterr()
+    assert out == (
+        "MISMATCH: method checkAccess: oracle only "
+        'SocketPermission("jaist.ac.jp/faculty:8080","connect"), '
+        'SocketPermission("jaist.ac.jp/student:8080","connect")\n'
+        "MISMATCH: method main: engine only "
+        'SocketPermission("jaist.ac.jp/faculty:8080","connect"); '
+        'oracle only FilePermission("C:/log.txt","write")\n'
+        "MISMATCH: method zeta: oracle only "
+        'SocketPermission("jaist.ac.jp/faculty:8080","connect")\n'
+    )
 
 
 def test_oracle_rejects_a_zero_bound(model_file, capsys):

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 from bruteforce import (
+    grants_by_pairs,
     match_paths,
     phi_route_along,
     relates_by_scan,
@@ -481,7 +482,8 @@ def test_concrete_stacks_of_a_privileged_segment(example_model):
 
 def _matches_references(model, monkeypatch):
     """Relate every stack to every permission with both ``relates`` and its
-    reference, then run the oracle with both references swapped in."""
+    reference, then match the oracle's grants against the all-pairs loop
+    run on the references alone."""
     universe = generate_permissions(model)
     flows = dep_paths(model)
     cache, ref_cache = {}, {}
@@ -493,11 +495,10 @@ def _matches_references(model, monkeypatch):
             assert got == want, (sigma, perm)
     policy = oracle_policy(model, universe)
     with monkeypatch.context() as patched:
-        patched.setattr(oracle, "relates", relates_by_scan)
         patched.setattr(oracle, "_route_valid", route_valid_by_family)
         assert enum_vpaths(model, model.check_method) == sigmas
-        reference = oracle_policy(model, universe)
-    assert policy.grants == reference.grants
+        reference = grants_by_pairs(model, universe)
+    assert policy.grants == reference
     return sigmas, policy
 
 
@@ -622,6 +623,26 @@ def test_rewrite_matches_references_on_a_layered_model(monkeypatch):
     assert Permission("RuntimePermission") in policy.grants["m2_1"]
     # only the flow puts m1_3 on a stack that allocates there
     assert Permission("NetPermission") in policy.grants["m1_3"]
+
+
+def test_oracle_relates_each_stack_only_to_its_checkpoints_demands(monkeypatch):
+    # relates is false unless a source of the permission is the stack's
+    # checkpoint, so the oracle asks about no other permission
+    model = _layered(3, 3)
+    universe = generate_permissions(model)
+    calls = []
+
+    def counted(model, sigma, perm, universe, *rest):
+        calls.append((sigma, perm))
+        return relates(model, sigma, perm, universe, *rest)
+
+    monkeypatch.setattr(oracle, "relates", counted)
+    policy = oracle_policy(model, universe)
+    assert policy.grants
+    for sigma, perm in calls:
+        assert sigma.edges[-1].site in {site for site, _ in universe.sources[perm]}
+    stacks = enum_vpaths(model, model.check_method)
+    assert 0 < len(calls) < len(stacks) * len(universe.perms)
 
 
 _MEMO_MODELS = {
