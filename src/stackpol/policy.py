@@ -26,10 +26,12 @@ checkpoint or demand context names, ``encode(model, sites=...)``, so
 digests that differ only in sites no grant reads are one digest; plain
 ``encode(model)`` keeps every site.  The solver keeps digests that share
 their kill bit, finished methods and history as one digest, whose
-generated methods are the union of theirs.  It decides the grants on the
-solver's packed digests and decodes to method names only the distinct
-live sets of the digests that match, once each; the result's ``weight``
-decodes the whole digest set only when it is read.
+generated methods are the union of theirs.  It decides the grants on
+each digest's packed history and live methods, as
+``PackedWeight.histories_and_lives`` reads them off the solver's result,
+so the key layout stays in ``weights``; it decodes to method names only
+the distinct live sets of the digests that match, once each, and the
+result's ``weight`` decodes the whole digest set only when it is read.
 
 The rest of the module closes the loop: render and parse policies, diff
 a given policy against a generated one, and simulate the runtime
@@ -153,10 +155,10 @@ def _grants(
     permission, and each distinct one is decoded to method names once.
     """
     # a site never interned gets bit 0, which no digest's history holds
-    site_bit = solved.packing.site_bit.get
-    digests = list(solved.digests)
+    site_bit = solved.packing.bit.get
+    digests = solved.histories_and_lives()
     by_site: dict[int, int] = defaultdict(int)
-    for i, (_kill, _gen, _fin, history) in enumerate(digests):
+    for i, (history, _live) in enumerate(digests):
         bit = 1 << i
         while history:
             low = history & -history
@@ -183,8 +185,8 @@ def _grants(
         lives = set()
         while hit:
             low = hit & -hit
-            _kill, gen, fin, _history = digests[low.bit_length() - 1]
-            lives.add(gen & ~fin)
+            _history, live = digests[low.bit_length() - 1]
+            lives.add(live)
             hit ^= low
         for live in lives:
             by_live[live].add(p)
@@ -224,8 +226,9 @@ def generate_policy(
     hold the cut, merged digests, one per distinct key, not one per route;
     ``encode(model)`` keeps every site.
 
-    Both clauses are decided for all digests at once, on the solver's
-    packed digests, with bitsets of digests indexed by call-site bit.
+    Both clauses are decided for all digests at once, on each digest's
+    packed history and live methods, with bitsets of digests indexed by
+    call-site bit.
     The methods live in a matching digest are decoded to names once per
     distinct live set; no digest is decoded whole, and the result's
     ``weight`` decodes them only when read.
@@ -233,7 +236,7 @@ def generate_policy(
     system = encode(model, sites=_read_sites(universe))
     solved = movp(system, targets={model.check_method}, tuple_cap=tuple_cap)
     frame = _policy_frame(model)
-    hidden = sum(solved.packing.method_bit.get(m, 0) for m in frame.system_methods)
+    hidden = sum(solved.packing.bit.get(m, 0) for m in frame.system_methods)
     grants = _grants(solved, universe, hidden)
     policy = replace(frame, grants={m: frozenset(ps) for m, ps in grants.items()})
     return PolicyResult(policy=policy, digests=solved)

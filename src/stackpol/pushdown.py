@@ -38,19 +38,19 @@ on a ladder whose every level is guarded by the level above, each symbol
 has at most two annotations instead of one per route to it.
 
 The saturation runs on packed, merged digests (see ``weights``): once
-per solve, each rule's digest is packed once, in the one pass that
-interns its methods and call sites, and only then, with the number of
-methods known, does each become a one-entry merged weight ``{key: gen}``.
-A transition's weight is such a dict.  Digests that share ``(kill,
+per solve, one ``Packing`` interns the methods of every rule's digest,
+so each ``gen`` stays below the first site bit, and then packs each
+rule's digest once, into a one-entry merged weight ``{key: gen}``.  A
+transition's weight is such a dict.  Digests that share ``(kill,
 finished, history)`` are one entry whose ``gen`` is the union of
 theirs, so a transition keeps one digest per distinct key however many
 routes reach it; ``weights`` proves that the merge changes no grant.
 Sequencing is a handful of int operations per pair, and an update ORs
 into the stored dict in place and re-queues the transition only when a
-key or a ``gen`` bit is new.  The final union is unmerged into packed
-tuples and returned with the packing that names their bits;
-``PackedWeight.decode`` gives the merged ``Weight``, and nothing on the
-analyze path calls it.  ``tuple_cap`` counts merged digests.
+key or a ``gen`` bit is new.  The final union is returned as it is,
+with the packing that names its bits; ``PackedWeight.decode`` gives the
+merged ``Weight``, and nothing on the analyze path calls it.
+``tuple_cap`` counts merged digests.
 
 The work is bounded, not only the result: a solve spends one unit of
 ``WORK_BUDGET`` per worklist pop and one per digest pair it sequences,
@@ -96,8 +96,6 @@ from .weights import (
     absorb,
     check_width,
     extend_merged,
-    merge,
-    unmerge,
 )
 
 StackSymbol = Union[str, CallSite]
@@ -263,11 +261,8 @@ def movp(
     """
     wanted = set(targets)
     annotated = AnnotatedWPDS(system)
-    packing = Packing()
-    packed = [packing.pack(r.weight) for r in system.rules]
-    # every method is interned now, so the key layout is fixed
-    shift = 1 + len(packing.method_bit)
-    rule_weights = [merge((digest,), shift) for digest in packed]
+    packing = Packing(r.weight for r in system.rules)
+    rule_weights = [packing.pack(r.weight) for r in system.rules]
     trans: dict[_TransKey, Merged] = {}
     # the transitions out of each frame state, which epsilon folds read
     out_of: dict[_State, list[_TransKey]] = defaultdict(list)
@@ -342,6 +337,6 @@ def movp(
             below = reach[dst]
             work = _spend(work, len(below) * len(w))
             absorb(result, extend_merged(below, w))
-    packed_result = PackedWeight(packing, unmerge(result, shift))
+    packed_result = PackedWeight(packing, result)
     check_width(packed_result, tuple_cap)
     return packed_result

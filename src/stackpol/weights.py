@@ -20,23 +20,21 @@ never needs to name the frames it cancels.
 ``WeightTuple`` and ``Weight`` are the readable specification of this
 algebra.  A rule's weight is one ``WeightTuple``: each rule of the
 encoding names at most one caller, one call site and one finished
-method.  The solver works on *packed* digests: ``Packing.pack`` interns
-each method and call site the first time a digest names it, and the
-digest becomes a ``(kill, gen, finished, history)`` tuple of ints:
-``kill`` is ``0`` or ``1``, and the other fields hold one bit per
-interned method or site.  A solver result stays packed: ``PackedWeight``
-keeps the digests with the packing that names their bits, grant
-extraction reads the ints, and ``PackedWeight.decode``, the one place
-that decodes, builds the ``Weight`` only for a caller that asks for it.
-
-During saturation the solver keeps its weights *merged*: digests that
-share ``(kill, finished, history)`` are one digest whose ``gen`` is the
-union of theirs.  A merged weight is a dict ``{key: gen}`` whose int key
-packs ``kill | finished << 1 | history << shift``, where ``shift`` is
-one more than the number of interned methods, fixed before the first
-key is formed.  Sequencing two merged digests is ``key = lkey | rkey``
-and ``gen = rgen if rkey & 1 else lgen | rgen`` (``extend_merged``), and
-union ORs each gen into its key's (``absorb``).
+method.  The solver works on *packed, merged* weights, and this module
+alone knows their layout.  A ``Packing`` gives each method and call site
+its own bit, and digests that share ``(kill, finished, history)`` are
+one digest whose ``gen`` is the union of theirs.  A merged weight is a
+dict ``{key: gen}`` whose int key packs ``kill | (finished | history)
+<< 1``: no method shares a bit with a site, so ``finished`` and
+``history`` OR into one field, and ``gen`` holds method bits alone.
+``Packing.pack`` turns a rule's digest into a one-entry merged weight.
+Sequencing two merged digests is ``key = lkey | rkey`` and ``gen = rgen
+if rkey & 1 else lgen | rgen`` (``extend_merged``), and union ORs each
+gen into its key's (``absorb``).  A solver result keeps this form:
+``PackedWeight`` holds the dict with the packing that names its bits,
+grant extraction reads each digest's history and live bits from it, and
+``PackedWeight.decode``, the one place that decodes, builds the
+``Weight`` only for a caller that asks for it.
 
 The merge is exact for what the solver is asked.  Write ``[w]`` for
 ``w`` with its digests merged.  The product of two digests has the key
@@ -168,23 +166,10 @@ def check_width(weight, cap: int = DEFAULT_TUPLE_CAP):
 
 
 # ---------------------------------------------------------------------------
-# packed digests: the solver's working form
+# merged digests: the solver's working form
 
-# (kill, gen, finished, history); kill is 0 or 1, bit i of gen and finished
-# is the i-th interned method, bit j of history the j-th interned call site
-PackedDigest = tuple[int, int, int, int]
-Packed = frozenset[PackedDigest]
-
-
-def _intern(names: Iterable, bit: dict) -> int:
-    """The mask of ``names``; a name not yet in ``bit`` gets the next bit."""
-    out = 0
-    for name in names:
-        b = bit.get(name)
-        if b is None:
-            b = bit[name] = 1 << len(bit)
-        out |= b
-    return out
+# a merged weight: {kill | (finished | history) << 1: gen}
+Merged = dict[int, int]
 
 
 def _members(bits: int, names: list) -> frozenset:
@@ -197,54 +182,48 @@ def _members(bits: int, names: list) -> frozenset:
 
 
 class Packing:
-    """Bit positions for the methods and call sites of the packed weights.
+    """One bit per method and call site, and the mask of the site bits.
 
-    ``pack`` gives each name the next free bit the first time it meets
-    it, ``gen`` before ``finished``; every digest built from packed ones
-    by sequencing and union stays within the names met so far.
+    A method is a ``str`` and a site a ``CallSite``, so one dict holds
+    both and no two names share a bit.  ``Packing(digests)`` interns the
+    methods of ``digests`` first, ``gen`` before ``finished``, so every
+    ``gen`` stays below the first site bit; ``pack`` gives a name it
+    meets for the first time the next free bit.  Every digest built from
+    packed ones by sequencing and union stays within the names met so far.
     """
 
-    def __init__(self):
+    def __init__(self, digests: Iterable[WeightTuple] = ()):
         # the bit of each interned name, in bit order; extraction reads
-        # them directly
-        self.method_bit: dict[str, int] = {}
-        self.site_bit: dict[CallSite, int] = {}
+        # it directly
+        self.bit: dict[str | CallSite, int] = {}
+        self.sites = 0
+        for digest in digests:
+            self._intern(digest.gen)
+            self._intern(digest.finished)
+
+    def _intern(self, names: Iterable) -> int:
+        """The mask of ``names``; a name not yet in ``bit`` gets the next bit."""
+        bit = self.bit
+        out = 0
+        for name in names:
+            b = bit.get(name)
+            if b is None:
+                b = bit[name] = 1 << len(bit)
+            out |= b
+        return out
 
     def methods(self, bits: int) -> frozenset[str]:
         """The interned methods whose bits are set in ``bits``."""
-        return _members(bits, list(self.method_bit))
+        return _members(bits, list(self.bit))
 
-    def pack(self, digest: WeightTuple) -> PackedDigest:
-        """``digest`` as ints; a name first met here gets a new bit."""
-        mb = self.method_bit
-        return (
-            int(digest.kill),
-            _intern(digest.gen, mb),
-            _intern(digest.finished, mb),
-            _intern(digest.history, self.site_bit),
-        )
-
-
-# a merged weight: {kill | finished << 1 | history << shift: gen}
-Merged = dict[int, int]
-
-
-def merge(digests: Iterable[PackedDigest], shift: int) -> Merged:
-    """``digests`` merged on ``(kill, finished, history)``, with ``shift``
-    one more than the number of interned methods."""
-    out: Merged = {}
-    for kill, gen, finished, history in digests:
-        key = kill | finished << 1 | history << shift
-        out[key] = out.get(key, 0) | gen
-    return out
-
-
-def unmerge(weight: Merged, shift: int) -> Packed:
-    """The packed digests of ``weight``, one per key."""
-    fin = (1 << shift) - 2
-    return frozenset(
-        (key & 1, gen, (key & fin) >> 1, key >> shift) for key, gen in weight.items()
-    )
+    def pack(self, digest: WeightTuple) -> Merged:
+        """``digest`` as a one-entry merged weight; a name first met here
+        gets a new bit."""
+        gen = self._intern(digest.gen)
+        finished = self._intern(digest.finished)
+        history = self._intern(digest.history)
+        self.sites |= history
+        return {int(digest.kill) | (finished | history) << 1: gen}
 
 
 def extend_merged(left: Merged, right: Merged) -> Merged:
@@ -282,26 +261,35 @@ def absorb(into: Merged, weight: Merged) -> bool:
 
 @dataclass(frozen=True, slots=True, eq=False)
 class PackedWeight:
-    """A packed solver result: its digests and the packing that names their bits."""
+    """A solver result: its merged digests and the packing that names their bits."""
 
     packing: Packing
-    digests: Packed
+    digests: Merged
 
     def width(self) -> int:
         return len(self.digests)
 
+    def histories_and_lives(self) -> list[tuple[int, int]]:
+        """Per digest, its history bits and its live methods, ``gen & ~finished``."""
+        sites = self.packing.sites
+        # gen holds no site bit, so masking with finished | history
+        # removes the finished methods alone
+        return [
+            ((key >> 1) & sites, gen & ~(key >> 1)) for key, gen in self.digests.items()
+        ]
+
     def decode(self) -> Weight:
         """The same digests as a ``Weight``, built anew on every call."""
         # a dict's insertion order is its bit order
-        methods, sites = list(self.packing.method_bit), list(self.packing.site_bit)
+        names, sites = list(self.packing.bit), self.packing.sites
         return Weight(
             frozenset(
                 WeightTuple(
-                    k == 1,
-                    _members(g, methods),
-                    _members(f, methods),
-                    _members(h, sites),
+                    key & 1 == 1,
+                    _members(gen, names),
+                    _members((key >> 1) & ~sites, names),
+                    _members((key >> 1) & sites, names),
                 )
-                for k, g, f, h in self.digests
+                for key, gen in self.digests.items()
             )
         )

@@ -19,11 +19,13 @@ from pathlib import Path
 import pytest
 
 from stackpol import (
+    CallSite,
     Permission,
     generate_permissions,
     generate_policy,
     parse_model,
     pushdown,
+    running_example_text,
 )
 from stackpol.cli import main
 from stackpol.errors import CapacityError
@@ -154,6 +156,29 @@ def test_wide_form3_l7_w7_exits_zero_through_the_cli(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "PASS\n"
     assert err == ""
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        pytest.param(running_example_text, id="bundled"),
+        pytest.param(
+            lambda: _workloads().layered_text(random.Random(0), 4, 4)[0],
+            id="layered-L4xW4",
+        ),
+    ],
+)
+def test_the_methods_of_a_solve_hold_the_low_bits(text):
+    # every gen then fits under the first site bit, in as few int digits
+    # as the methods allow, however many sites the histories keep
+    model = parse_model(text())
+    solved = generate_policy(model, generate_permissions(model)).digests
+    names = list(solved.packing.bit)
+    methods = sum(isinstance(name, str) for name in names)
+    assert all(isinstance(name, str) for name in names[:methods])
+    sites = names[methods:]
+    assert sites and all(isinstance(name, CallSite) for name in sites)
+    assert all(gen < 1 << methods for gen in solved.digests.values())
 
 
 BUDGET_MESSAGE = (

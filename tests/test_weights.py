@@ -18,8 +18,6 @@ from stackpol.weights import (
     absorb,
     check_width,
     extend_merged,
-    merge,
-    unmerge,
 )
 
 from bruteforce import merged
@@ -230,15 +228,41 @@ def test_descending_chains_stabilize():
 
 
 def _pack(packing, w):
-    # a weight packs digest by digest, as the solver packs each rule's one digest
-    return frozenset(packing.pack(t) for t in w.tuples)
+    # a weight packs digest by digest, as the solver packs each rule's one
+    # digest, into one merged weight
+    out = {}
+    for t in w.tuples:
+        absorb(out, packing.pack(t))
+    return out
+
+
+def _first_seen(weights):
+    # names in the order pack meets them: weight by weight, digest by
+    # digest, and gen, then finished, then history
+    names = {}
+    for w in weights:
+        for t in w.tuples:
+            names.update(dict.fromkeys((*t.gen, *t.finished, *t.history)))
+    return list(names)
+
+
+def _bits(names):
+    # as a list: decoding reads the names back in insertion order
+    return [(name, 1 << i) for i, name in enumerate(names)]
 
 
 @settings(max_examples=200, deadline=None)
 @given(_any_weights())
 def test_packing_round_trips(w):
     packing = Packing()
-    assert PackedWeight(packing, _pack(packing, w)).decode() == w
+    packed = _pack(packing, w)
+    assert list(packing.bit.items()) == _bits(_first_seen([w]))
+    # packing merges: the merged weight packs the same, names nothing
+    # new, and decodes back exactly
+    names = list(packing.bit.items())
+    assert _pack(packing, merged(w)) == packed
+    assert list(packing.bit.items()) == names
+    assert PackedWeight(packing, packed).decode() == merged(w)
 
 
 _WIPE = Weight(frozenset({WeightTuple(kill=True, gen=frozenset({"p"}))}))
@@ -284,30 +308,19 @@ def test_merged_extend_and_absorb_are_extend_and_combine_merged(a, b):
     # but packs another way is caught too
     packing = Packing()
     pa, pb = _pack(packing, a), _pack(packing, b)
-    names = (dict(packing.method_bit), dict(packing.site_bit))
-    shift = 1 + len(packing.method_bit)
-    ma, mb = merge(pa, shift), merge(pb, shift)
-    product = extend_merged(ma, mb)
-    assert unmerge(product, shift) == _pack(packing, merged(a.extend(b)))
+    names = list(packing.bit.items())
+    assert names == _bits(_first_seen([a, b]))
+    product = extend_merged(pa, pb)
+    assert product == _pack(packing, merged(a.extend(b)))
     # the product names nothing its factors did not
-    assert (packing.method_bit, packing.site_bit) == names
-    decoded = PackedWeight(packing, unmerge(product, shift)).decode()
-    assert decoded == merged(a.extend(b))
-    union = dict(ma)
-    grew = absorb(union, mb)
-    assert grew == (union != ma)
-    assert unmerge(union, shift) == _pack(packing, merged(a.combine(b)))
-
-
-def _first_seen(weights):
-    # names in the order pack meets them: weight by weight, digest by
-    # digest, and gen before finished
-    methods, sites = {}, {}
-    for w in weights:
-        for t in w.tuples:
-            methods.update(dict.fromkeys((*t.gen, *t.finished)))
-            sites.update(dict.fromkeys(t.history))
-    return list(methods), list(sites)
+    assert list(packing.bit.items()) == names
+    assert PackedWeight(packing, product).decode() == merged(a.extend(b))
+    union = dict(pa)
+    grew = absorb(union, pb)
+    assert grew == (union != pa)
+    assert union == _pack(packing, merged(a.combine(b)))
+    assert list(packing.bit.items()) == names
+    assert PackedWeight(packing, union).decode() == merged(a.combine(b))
 
 
 @settings(max_examples=200, deadline=None)
@@ -317,14 +330,24 @@ def _first_seen(weights):
 def test_one_packing_interns_each_name_once_in_first_seen_order(weights):
     packing = Packing()
     packed = [_pack(packing, w) for w in weights]
-    methods, sites = _first_seen(weights)
-    # as lists: decoding reads the names back in insertion order
-    assert list(packing.method_bit.items()) == [(m, 1 << i) for i, m in enumerate(methods)]
-    assert list(packing.site_bit.items()) == [(s, 1 << i) for i, s in enumerate(sites)]
+    names = list(packing.bit.items())
+    assert names == _bits(_first_seen(weights))
+    assert packing.sites == sum(b for n, b in names if isinstance(n, CallSite))
     for w, p in zip(weights, packed):
         # names met in a later pack move no bit of an earlier one
         assert _pack(packing, w) == p
-        assert PackedWeight(packing, p).decode() == w
+        assert PackedWeight(packing, p).decode() == merged(w)
+    assert list(packing.bit.items()) == names
+    # built from the digests, a packing interns their methods first, in
+    # the order pack meets them, and their sites after all of them
+    digests = [t for w in weights for t in w.tuples]
+    seeded = Packing(digests)
+    for w in weights:
+        assert PackedWeight(seeded, _pack(seeded, w)).decode() == merged(w)
+    order = _first_seen(weights)
+    methods = [n for n in order if isinstance(n, str)]
+    sites = [n for n in order if isinstance(n, CallSite)]
+    assert list(seeded.bit.items()) == _bits(methods + sites)
 
 
 # ---------------------------------------------------------------------------
