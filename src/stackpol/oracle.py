@@ -52,16 +52,18 @@ dependency chain does not run into Python's recursion limit.
 
 Relating is memoized per run.  Whether an allocating stack can witness a
 demand for a flow path and a permission does not depend on the demand
-stack, so ``relates`` keeps the witnesses' method sets as it finds them
-and searches further only when none of those answers a query.
+stack, so the first query of a (checkpoint, permission) pair builds its
+*allowed* sets, the flow's methods together with a witness's, and every
+query is one subset test per allowed set.  Witnesses that add the same
+methods are hosted once: on a diamond ladder, all 2^n allocating stacks
+share one method set and take one hosting test.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable
 
 from .contexts import ANY_FAMILY, CallSite, CtxFamily, holds
 from .errors import EnumerationLimitError
@@ -93,7 +95,7 @@ class CallPath:
     edges: tuple[CallEdge, ...]
     truncated: bool = False
     extensions: tuple[tuple[CallEdge, ...], ...] = ()
-    # built once: ``relates`` asks for it once per pair of stacks
+    # built once: ``relates`` reads it on every query and allocating stack
     _methods: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -316,58 +318,14 @@ def dep_paths(
     return results
 
 
-@dataclass(slots=True)
-class _Flow:
-    """What ``relates`` reads of one flow path, worked out once per run,
-    and per permission the lazy search for admissible allocating stacks:
-    the distinct method sets found so far and the rest of the stacks."""
-
-    start: str
-    alloc_method: str
-    word: tuple[Crossing, ...]
-    methods: frozenset[str]
-    admissible: dict[Permission, tuple[set[frozenset[str]], Iterator[frozenset[str]]]] = (
-        field(default_factory=dict)
+def _hosts(stack: CallPath, word: tuple[Crossing, ...], contexts: CtxFamily) -> bool:
+    """Can some variant of ``stack`` host a flow with crossing word
+    ``word`` and cover one of ``contexts``?"""
+    return any(
+        well_matched((e.site for e in variant), word)
+        and holds(contexts, frozenset(e.site for e in variant))
+        for variant in stack.full_variants()
     )
-
-
-# memo key of the flow paths indexed by end site; the memo's other keys are
-# allocating methods (their valid paths) and flow paths (their ``_Flow``)
-_BY_END = object()
-
-
-def _flows_by_end(
-    model: ProgramModel, flow_paths: list[DepPath], memo: dict
-) -> dict[CallSite, list[_Flow]]:
-    indexed = memo.get(_BY_END)
-    if indexed is None or indexed[0] is not flow_paths:
-        by_end: dict[CallSite, list[_Flow]] = defaultdict(list)
-        for pi in flow_paths:
-            flow = memo.get(pi)
-            if flow is None:
-                flow = memo[pi] = _Flow(
-                    pi.start,
-                    model.dep_nodes[pi.start].method,
-                    extract(model, pi),
-                    pi.methods(model),
-                )
-            by_end[model.dep_nodes[pi.end].site].append(flow)
-        indexed = memo[_BY_END] = (flow_paths, by_end)
-    return indexed[1]
-
-
-def _admissible_methods(
-    stacks: list[CallPath], word: tuple[Crossing, ...], contexts: CtxFamily
-) -> Iterator[frozenset[str]]:
-    """Method sets of the stacks that can host a flow with crossing word
-    ``word`` and cover one of ``contexts``, in stack order."""
-    for sigma_p in stacks:
-        for variant in sigma_p.full_variants():
-            if not well_matched((e.site for e in variant), word):
-                continue
-            if holds(contexts, frozenset(e.site for e in variant)):
-                yield sigma_p.methods()
-                break
 
 
 def relates(
@@ -387,51 +345,46 @@ def relates(
     admissible for a flow path and a permission when one of its variants
     hosts the flow (the crossing word is well matched on it) and covers
     one of the permission's demand contexts; that does not depend on
-    ``sigma``.
+    ``sigma``.  As ``sigma - F <= S`` exactly when ``sigma <= F | S``,
+    the test is one subset test per *allowed* set: the methods ``F`` of
+    such a flow path together with those ``S`` of an admissible stack.
 
     ``vpath_cache`` is one run's memo, shared by every call for the same
-    model, universe and bound.  It holds the valid paths of each
-    allocating method, the flow paths indexed by end site, and per
-    (flow path, permission) the distinct method sets of the admissible
-    stacks found so far with a cursor into the remaining stacks.  A query
-    tests the sets found so far and only then advances the cursor,
-    stopping at the first stack that answers it.
+    model, universe, flow paths and bound.  It holds the valid paths of
+    each allocating method and the allowed sets of each (checkpoint,
+    permission) pair, each built by the first query that needs it.
     """
-    pairs = universe.sources.get(perm, frozenset())
-    if not pairs or not sigma.edges:
+    if not sigma.edges or perm not in universe.sources:
         return False
     checkpoint = sigma.edges[-1].site
-    sigma_methods = sigma.methods() - {model.check_method}
-    # the flow must deliver the permission to the checkpoint this very
-    # path invokes, not to some other checkpoint of the same method set
-    for flow in _flows_by_end(model, flow_paths, vpath_cache).get(checkpoint, ()):
-        if (checkpoint, flow.start) not in pairs:
-            continue
-        alloc_method = flow.alloc_method
-        if alloc_method not in vpath_cache:
-            paths = enum_vpaths(model, alloc_method, bound)
-            if alloc_method == model.entry_method:
-                # code in the entry method runs on the one-frame stack,
-                # which no edge sequence denotes; synthesize it
-                paths = paths + [CallPath(alloc_method, ())]
-            vpath_cache[alloc_method] = paths
-        state = flow.admissible.get(perm)
-        if state is None:
-            pending = _admissible_methods(
-                vpath_cache[alloc_method], flow.word, universe.contexts[perm]
-            )
-            state = flow.admissible[perm] = (set(), pending)
-        found, pending = state
-        # the demand stack may only hold methods that the flow, the check
-        # or the allocating stack put there
-        need = sigma_methods - flow.methods
-        if any(need <= methods for methods in found):
-            return True
-        for methods in pending:
-            found.add(methods)
-            if need <= methods:
-                return True
-    return False
+    allowed = vpath_cache.get((checkpoint, perm))
+    if allowed is None:
+        allowed = set()
+        pairs, contexts = universe.sources[perm], universe.contexts[perm]
+        for pi in flow_paths:
+            # the flow must deliver the permission to the checkpoint this
+            # very path invokes, not to some other checkpoint
+            end_site = model.dep_nodes[pi.end].site
+            if end_site != checkpoint or (checkpoint, pi.start) not in pairs:
+                continue
+            alloc_method = model.dep_nodes[pi.start].method
+            stacks = vpath_cache.get(alloc_method)
+            if stacks is None:
+                stacks = enum_vpaths(model, alloc_method, bound)
+                if alloc_method == model.entry_method:
+                    # code in the entry method runs on the one-frame stack,
+                    # which no edge sequence denotes; synthesize it
+                    stacks = stacks + [CallPath(alloc_method, ())]
+                vpath_cache[alloc_method] = stacks
+            word, flow_methods = extract(model, pi), pi.methods(model)
+            for stack in stacks:
+                # a union already allowed needs no second host
+                methods = flow_methods | stack.methods()
+                if methods not in allowed and _hosts(stack, word, contexts):
+                    allowed.add(methods)
+        vpath_cache[checkpoint, perm] = allowed
+    need = sigma.methods() - {model.check_method}
+    return any(need <= methods for methods in allowed)
 
 
 def oracle_policy(

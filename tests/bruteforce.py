@@ -81,7 +81,7 @@ first written: it relates every valid stack to every permission with
 each stack only to the permissions demanded at its own checkpoint.
 ``match_paths`` lists the valid paths to a flow's
 origin that can host the flow, the reference for the hosting test in
-``oracle._admissible_methods``.  Both replay a flow's crossings on a
+``oracle._hosts``.  Both replay a flow's crossings on a
 path's sites with ``replays_on``, which reads the flow's edges directly,
 so neither shares ``oracle.extract`` or ``oracle.well_matched``.
 
@@ -101,7 +101,7 @@ from typing import Iterable, Sequence
 
 from stackpol import pushdown
 from stackpol.contexts import CallSite, CtxFamily, CtxSet
-from stackpol.errors import CapacityError, EnumerationLimitError
+from stackpol.errors import EnumerationLimitError
 from stackpol.model import (
     INTER_CALL,
     INTER_RETURN,

@@ -143,3 +143,40 @@ def test_every_library_definition_is_named_in_the_library():
             break
         unnamed = found
     assert [qualname for qualname, _, _ in unnamed] == []
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """Names that a module-level import of ``path`` binds and the module
+    never reads; a name listed in ``__all__`` is read by a star import."""
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    bound: dict[str, int] = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                bound[name] = node.lineno
+    read = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [
+        f"{path.relative_to(path.parents[1])}:{line}: {name}"
+        for name, line in bound.items()
+        if name not in read
+    ]
+
+
+def test_no_module_level_import_goes_unused():
+    paths = [
+        *sorted(SRC.glob("*.py")),
+        *sorted((ROOT / "tests").glob("*.py")),
+        *sorted((ROOT / "demos").glob("*.py")),
+    ]
+    assert [line for path in paths for line in _unused_imports(path)] == []

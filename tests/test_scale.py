@@ -27,6 +27,7 @@ from stackpol import (
     pushdown,
     running_example_text,
 )
+from stackpol import oracle
 from stackpol.cli import main
 from stackpol.errors import CapacityError
 
@@ -179,6 +180,30 @@ def test_the_methods_of_a_solve_hold_the_low_bits(text):
     sites = names[methods:]
     assert sites and all(isinstance(name, CallSite) for name in sites)
     assert all(gen < 1 << methods for gen in solved.digests.values())
+
+
+def test_a_deep_ladder_takes_the_oracle_one_hosting_test(monkeypatch):
+    # all 2^12 routes to the allocation put the same methods on the stack,
+    # so one stack that hosts the flow answers for them all
+    text, expected = _workloads().ladder_text(random.Random(0), 12)
+    model = parse_model(text)
+    universe = generate_permissions(model)
+    hosts, host = [], oracle._hosts
+
+    def counted(*args):
+        hosts.append(args)
+        return host(*args)
+
+    monkeypatch.setattr(oracle, "_hosts", counted)
+    reference = oracle.oracle_policy(model, universe)
+    closed_form = {
+        m: frozenset(map(Permission, ps)) for m, ps in expected.items()
+    }
+    assert generate_policy(model, universe).policy.grants == closed_form
+    assert reference.grants == closed_form
+    alloc = model.dep_nodes["a"].method
+    assert len(oracle.enum_vpaths(model, alloc)) == 2**12
+    assert len(hosts) == 1
 
 
 BUDGET_MESSAGE = (
