@@ -6,21 +6,19 @@ Everything here is bounded brute force over the model's graphs:
 
 * a *call path* is an incident edge sequence; it stands for a call stack,
   so edges that have already returned do not appear on it.  A path is
-  *valid* when some choice of per-edge context alternatives is covered by
-  the sites the path itself traverses (the route can self-support its
-  contexts) and no edge is a call made by the privilege-asserting method.
-  A *truncated* path starts at the privilege asserter instead of the
-  entry: it stands for the stack segment above an asserted privilege.
-  Its ``extensions`` are the route-valid walks from the entry whose last
-  call made by the asserter starts that segment.
-  Validity is decided edge by edge.  The path's context family holds
-  the unions of one alternative per edge.  A union is covered exactly
-  when each chosen alternative is, so some member of the family is
-  covered exactly when every edge has an alternative covered by the
-  path's sites.  That test is linear in the path length; the family
-  itself can grow exponentially with it.  An unconditional edge always
-  has such an alternative, so only conditional edges are tested, and a
-  path with none is valid without collecting its sites.
+  *valid* when each edge's context holds on the sites below the edge,
+  those of the edges before it, as a conditional pushdown rule's
+  condition is read on the stack below its top, and no edge is a call
+  made by the privilege-asserting method.  A *truncated* path starts at
+  the privilege asserter instead of the entry: it stands for the stack
+  segment above an asserted privilege.  Its ``extensions`` are the
+  route-valid walks from the entry whose last call made by the asserter
+  starts that segment.
+  Validity is decided during the walk, when an edge is appended, against
+  a site -> count map of the edges below it.  An edge that fails fails on
+  every extension of its prefix, which keeps the sites below it, so the
+  prefix is pruned with all of them.  An unconditional edge always holds
+  and is not tested.
 * a *flow path* walks the dependency graph from an allocation to a
   checkpoint, tracking how the permission object travels.  Its word is
   the sequence of its ``inter=call|return`` crossings, each with its call
@@ -41,14 +39,15 @@ checkpoint, never to the rest.
 
 Enumeration counts each edge at most ``bound`` times per path, which
 makes every enumeration finite while still letting paths wind through
-cycles; a global cap guards against combinatorial blowups.  Each target
-is enumerated by one walk from the entry, which yields the full paths and
-the extensions of the truncated ones alike, so the cap counts that walk
-alone.  It descends only into callees that can reach the target in the
-call graph.  A walk that leaves them never arrives, so the pruning drops
-no path and leaves the count the cap sees unchanged.  Walks keep their
-own stack of edge iterators instead of recursing, so a deep call or
-dependency chain does not run into Python's recursion limit.
+cycles; a global cap guards against combinatorial blowups.  One walk
+from the entry serves any number of targets: it yields the full paths
+and the extensions of the truncated ones of each, and the cap counts
+the valid walks it yields, summed over all targets.  It descends only
+into callees that can reach a target in the call graph.  A walk that
+leaves them never arrives, so the pruning drops no path and leaves the
+count the cap sees unchanged.  Walks keep their own stack of edge
+iterators instead of recursing, so a deep call or dependency chain does
+not run into Python's recursion limit.
 
 Relating is memoized per run.  Whether an allocating stack can witness a
 demand for a flow path and a permission does not depend on the demand
@@ -57,15 +56,21 @@ stack, so the first query of a (checkpoint, permission) pair builds its
 query is one subset test per allowed set.  Witnesses that add the same
 methods are hosted once: on a diamond ladder, all 2^n allocating stacks
 share one method set and take one hosting test.
+
+``oracle_policy`` makes one walk for the check method and for every
+method that allocates a permission some flow delivers to one of its
+sources, and seeds the memo with the latter's stacks.  ``relates`` reads
+a demand stack only through its checkpoint and its methods, so each
+distinct pair of them is related once, and its grants are unioned once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from itertools import islice
-from typing import Iterable
+from typing import Iterable, Sequence
 
-from .contexts import ANY_FAMILY, CallSite, CtxFamily, holds
+from .contexts import CallSite, CtxFamily, holds
 from .errors import EnumerationLimitError
 from .model import (
     ALLOC,
@@ -167,21 +172,28 @@ def extract(model: ProgramModel, path: DepPath) -> tuple[Crossing, ...]:
 
 
 def _bounded_walks(start, succ: dict, stops, bound: int):
-    """Each walk from ``start`` that ends at a node in ``stops`` and uses
-    each edge at most ``bound`` times, as a tuple of edges, depth first.
+    """Each walk from ``start`` that ends at a node in ``stops``, uses each
+    edge at most ``bound`` times and passes every guard, as a tuple of
+    edges, depth first.
 
-    ``succ`` maps a node to its out-edges as ``(edge, number, next
-    node)`` triples, in the order to try them; the number tells the
-    edges apart for the count.  The empty walk is never yielded.
+    ``succ`` maps a node to its out-edges as ``(edge, number, next node,
+    site, guard)`` tuples, in the order to try them; the number tells the
+    edges apart for the count.  A guard other than ``None`` is a context
+    family that must hold on the sites of the edges before it on the walk,
+    kept as a site -> count map.  An edge that fails its guard fails on
+    every extension too, so it is pruned with all of them.  The empty walk
+    is never yielded.
     """
     counts: dict[int, int] = {}
+    below: dict = {}
     path: list = []
     numbers: list[int] = []
+    sites: list = []
     stack = [iter(succ.get(start, ()))]
     while stack:
-        for edge, number, nxt in stack[-1]:
+        for edge, number, nxt, site, guard in stack[-1]:
             used = counts.get(number, 0)
-            if used < bound:
+            if used < bound and (guard is None or holds(guard, below.keys())):
                 path.append(edge)
                 if nxt in stops:
                     yield tuple(path)
@@ -189,6 +201,8 @@ def _bounded_walks(start, succ: dict, stops, bound: int):
                 if out:
                     counts[number] = used + 1
                     numbers.append(number)
+                    sites.append(site)
+                    below[site] = below.get(site, 0) + 1
                     stack.append(iter(out))
                     break
                 # a dead end: nothing to descend into, so no count to keep
@@ -198,58 +212,94 @@ def _bounded_walks(start, succ: dict, stops, bound: int):
             if path:
                 path.pop()
                 counts[numbers.pop()] -= 1
+                site = sites.pop()
+                if below[site] == 1:
+                    del below[site]
+                else:
+                    below[site] -= 1
 
 
-def _walks(model: ProgramModel, target: str, bound: int) -> list[tuple[CallEdge, ...]]:
-    """All edge sequences from the entry to ``target`` using each edge at
-    most ``bound`` times, none of them empty: no edge enters the entry,
-    and its one-frame stack, which no edge sequence denotes, is built by
-    ``relates`` alone.
+def _walks(
+    model: ProgramModel, targets: Sequence[str], bound: int
+) -> list[tuple[CallEdge, ...]]:
+    """Each valid walk from the entry to one of ``targets`` that uses each
+    edge at most ``bound`` times, as a tuple of edges, from one walk that
+    serves every target.  None is empty: no edge enters the entry, and its
+    one-frame stack, which no edge sequence denotes, is built by
+    ``_allocating_stacks`` alone.
 
-    The walk descends only into callees that can reach ``target``: one
-    that leaves them never arrives, so this drops no sequence.
+    A conditional edge guards the walk with its context family.  The walk
+    descends only into callees that can reach a target: one that leaves
+    them never arrives, so this drops no walk.  The cap counts the walks
+    yielded, summed over all targets, and its error names the first
+    target, the one the walk is for.
     """
     callers: dict[str, list[str]] = {}
     for e in model.call_edges:
         callers.setdefault(e.callee, []).append(e.caller)
-    reach = {target}
-    todo = [target]
+    reach = set(targets)
+    todo = list(reach)
     while todo:
         for caller in callers.get(todo.pop(), ()):
             if caller not in reach:
                 reach.add(caller)
                 todo.append(caller)
-    succ: dict[str, list[tuple[CallEdge, int, str]]] = {}
+    succ: dict[str, list] = {}
     for i, e in enumerate(model.call_edges):
         if e.callee in reach:
-            succ.setdefault(e.caller, []).append((e, i, e.callee))
+            guard = None if e.unconditional else e.ctx
+            succ.setdefault(e.caller, []).append((e, i, e.callee, e.site, guard))
 
     start = model.entry_method
-    if start not in reach:
-        return []
-    walks = _bounded_walks(start, succ, {target}, bound)
+    walks = _bounded_walks(start, succ, frozenset(targets), bound)
     results = list(islice(walks, MAX_ENUMERATED_PATHS + 1))
     if len(results) > MAX_ENUMERATED_PATHS:
         raise EnumerationLimitError(
             f"more than {MAX_ENUMERATED_PATHS} paths from "
-            f"{start} to {target} at bound {bound}"
+            f"{start} to {targets[0]} at bound {bound}"
         )
     return results
 
 
-def _route_valid(edges) -> bool:
-    """Is some union of one context alternative per edge covered by the
-    path's own sites?  Decided edge by edge, without building the unions.
-    An unconditional edge always holds, so only the others are tested."""
-    conditional = [e.ctx for e in edges if e.ctx != ANY_FAMILY]
-    if not conditional:
-        return True
-    sites = frozenset(e.site for e in edges)
-    return all(holds(ctx, sites) for ctx in conditional)
-
-
 def _ident_key(edges) -> tuple[str, ...]:
     return tuple(e.ident for e in edges)
+
+
+def _vpaths(
+    model: ProgramModel, targets: Sequence[str], bound: int = DEFAULT_PATH_BOUND
+) -> dict[str, list[CallPath]]:
+    """The valid call paths ending at each of ``targets``, as
+    ``enum_vpaths`` lists them, from one walk from the entry."""
+    if bound < 1:
+        raise ValueError("path bound must be at least 1")
+    priv = model.priv_method
+    full: dict[str, list[CallPath]] = {t: [] for t in targets}
+    segments: dict[str, dict] = {t: {} for t in targets}
+    for edges in _walks(model, targets, bound):
+        cut = len(edges)
+        while cut and edges[cut - 1].caller != priv:
+            cut -= 1
+        target = edges[-1].callee
+        if not cut:
+            full[target].append(CallPath(model.entry_method, edges))
+            continue
+        segments[target].setdefault(edges[cut - 1 :], []).append(edges)
+
+    return {
+        target: sorted(paths, key=lambda p: _ident_key(p.edges))
+        + [
+            CallPath(
+                priv,
+                segment,
+                truncated=True,
+                extensions=tuple(sorted(extensions, key=_ident_key)),
+            )
+            for segment, extensions in sorted(
+                segments[target].items(), key=lambda s: _ident_key(s[0])
+            )
+        ]
+        for target, paths in full.items()
+    }
 
 
 def enum_vpaths(
@@ -258,37 +308,11 @@ def enum_vpaths(
     """All valid call paths ending at ``target``: the full ones, then the
     truncated ones, each sorted by edge idents.
 
-    Every route-valid walk from the entry is a full path when the
-    privilege asserter makes none of its calls.  Otherwise it extends the
-    truncated path that starts at its last call made by the asserter.
+    Every valid walk from the entry is a full path when the privilege
+    asserter makes none of its calls.  Otherwise it extends the truncated
+    path that starts at its last call made by the asserter.
     """
-    if bound < 1:
-        raise ValueError("path bound must be at least 1")
-    priv = model.priv_method
-    full = []
-    segments: dict[tuple[CallEdge, ...], list[tuple[CallEdge, ...]]] = {}
-    for edges in _walks(model, target, bound):
-        if not _route_valid(edges):
-            continue
-        cut = len(edges)
-        while cut and edges[cut - 1].caller != priv:
-            cut -= 1
-        if not cut:
-            full.append(CallPath(model.entry_method, edges))
-            continue
-        segments.setdefault(edges[cut - 1 :], []).append(edges)
-
-    full.sort(key=lambda p: _ident_key(p.edges))
-    truncated = [
-        CallPath(
-            priv,
-            segment,
-            truncated=True,
-            extensions=tuple(sorted(extensions, key=_ident_key)),
-        )
-        for segment, extensions in sorted(segments.items(), key=lambda s: _ident_key(s[0]))
-    ]
-    return full + truncated
+    return _vpaths(model, (target,), bound)[target]
 
 
 def dep_paths(
@@ -299,9 +323,9 @@ def dep_paths(
     at_checkpoints = {
         ident for ident, n in model.dep_nodes.items() if n.site in targets
     }
-    successors: dict[str, list[tuple[DepEdge, int, str]]] = {}
+    successors: dict[str, list] = {}
     for i, e in enumerate(model.dep_edges):
-        successors.setdefault(e.src, []).append((e, i, e.dst))
+        successors.setdefault(e.src, []).append((e, i, e.dst, None, None))
     allocs = sorted(
         ident for ident, n in model.dep_nodes.items() if n.kind == ALLOC
     )
@@ -350,9 +374,10 @@ def relates(
     such a flow path together with those ``S`` of an admissible stack.
 
     ``vpath_cache`` is one run's memo, shared by every call for the same
-    model, universe, flow paths and bound.  It holds the valid paths of
-    each allocating method and the allowed sets of each (checkpoint,
-    permission) pair, each built by the first query that needs it.
+    model, universe, flow paths and bound.  It holds the stacks of each
+    allocating method and the allowed sets of each (checkpoint,
+    permission) pair, each built by the first query that needs it unless
+    the caller seeded it, as ``oracle_policy`` seeds the stacks.
     """
     if not sigma.edges or perm not in universe.sources:
         return False
@@ -370,12 +395,9 @@ def relates(
             alloc_method = model.dep_nodes[pi.start].method
             stacks = vpath_cache.get(alloc_method)
             if stacks is None:
-                stacks = enum_vpaths(model, alloc_method, bound)
-                if alloc_method == model.entry_method:
-                    # code in the entry method runs on the one-frame stack,
-                    # which no edge sequence denotes; synthesize it
-                    stacks = stacks + [CallPath(alloc_method, ())]
-                vpath_cache[alloc_method] = stacks
+                stacks = vpath_cache[alloc_method] = _allocating_stacks(
+                    model, alloc_method, enum_vpaths(model, alloc_method, bound)
+                )
             word, flow_methods = extract(model, pi), pi.methods(model)
             for stack in stacks:
                 # a union already allowed needs no second host
@@ -387,6 +409,16 @@ def relates(
     return any(need <= methods for methods in allowed)
 
 
+def _allocating_stacks(
+    model: ProgramModel, method: str, paths: list[CallPath]
+) -> list[CallPath]:
+    """The stacks code in ``method`` runs on: its valid paths, and for the
+    entry the one-frame stack, which no edge sequence denotes."""
+    if method == model.entry_method:
+        return paths + [CallPath(method, ())]
+    return paths
+
+
 def oracle_policy(
     model: ProgramModel,
     universe: PermissionUniverse,
@@ -394,22 +426,43 @@ def oracle_policy(
 ) -> Policy:
     """Reference policy: enumerate stacks, relate demands, union grants.
 
-    A stack is related only to the permissions demanded at the checkpoint
-    it invokes: ``relates`` is false for every other permission.
+    One walk serves the check method and the allocating methods, whose
+    stacks seed ``relates``' memo.  Each distinct checkpoint and method
+    set of a demand stack is related once, and only to the permissions
+    demanded at that checkpoint: ``relates`` is false for every other
+    permission.
     """
     flow = dep_paths(model, bound)
-    cache: dict = {}
-    frame = _policy_frame(model)
     demanded: dict[CallSite, list[Permission]] = {}
+    sources: set[tuple[CallSite, str]] = set()
     for perm in universe.sorted_perms():
-        for site in {site for site, _alloc in universe.sources.get(perm, ())}:
+        pairs = universe.sources.get(perm, frozenset())
+        sources |= pairs
+        for site in {site for site, _alloc in pairs}:
             demanded.setdefault(site, []).append(perm)
+    nodes = model.dep_nodes
+    allocating = {
+        nodes[pi.start].method for pi in flow if (nodes[pi.end].site, pi.start) in sources
+    }
+    paths = _vpaths(model, [model.check_method, *allocating], bound)
+    cache: dict = {
+        method: _allocating_stacks(model, method, paths[method])
+        for method in allocating
+    }
+    frame = _policy_frame(model)
+    shapes: dict[tuple[CallSite, frozenset[str]], CallPath] = {}
+    for sigma in paths[model.check_method]:
+        shapes.setdefault((sigma.edges[-1].site, sigma.methods()), sigma)
     grants: dict[str, set] = {}
-    for sigma in enum_vpaths(model, model.check_method, bound):
-        for perm in demanded.get(sigma.edges[-1].site, ()):
-            if relates(model, sigma, perm, universe, flow, cache, bound):
-                for method in sigma.methods() - frame.system_methods:
-                    grants.setdefault(method, set()).add(perm)
+    for (checkpoint, methods), sigma in shapes.items():
+        perms = [
+            perm
+            for perm in demanded.get(checkpoint, ())
+            if relates(model, sigma, perm, universe, flow, cache, bound)
+        ]
+        if perms:
+            for method in methods - frame.system_methods:
+                grants.setdefault(method, set()).update(perms)
     return replace(frame, grants={m: frozenset(ps) for m, ps in grants.items()})
 
 

@@ -70,15 +70,18 @@ singletons; scanning the exact solve under it is the reference that the
 singletons and the cut must reproduce.
 
 ``phi_route_along`` is the context family of one call path: the unions
-of one alternative per edge.  ``route_valid_by_family`` and
-``relates_by_scan`` are the oracle's route validity and relation tests as
-first written: the first builds the whole ``phi_route_along`` family of a
-path, the second rebuilds both stacks' method sets for every pair of
-stacks.  They are the references for ``oracle._route_valid`` and
-``oracle.relates``.  ``grants_by_pairs`` is the oracle's grant loop as
-first written: it relates every valid stack to every permission with
-``relates_by_scan``, the reference for ``oracle_policy``, which relates
-each stack only to the permissions demanded at its own checkpoint.
+of one alternative per edge.  A path is route-valid when each edge's
+context holds on the sites of the edges before it, the sites below the
+edge on the stack.  ``route_valid_by_choices`` decides that by trying
+every choice of one alternative per edge, and ``route_valid_below``
+edge by edge; they are the references for the guards of the oracle's
+walk.  ``relates_by_scan`` is the oracle's relation test as first
+written: it rebuilds both stacks' method sets for every pair of stacks,
+the reference for ``oracle.relates``.  ``grants_by_pairs`` is the
+oracle's grant loop as first written: it relates every valid stack to
+every permission with ``relates_by_scan``, the reference for
+``oracle_policy``, which relates each distinct checkpoint and method set
+once, and only to the permissions demanded at that checkpoint.
 ``match_paths`` lists the valid paths to a flow's
 origin that can host the flow, the reference for the hosting test in
 ``oracle._hosts``.  Both replay a flow's crossings on a
@@ -88,15 +91,16 @@ so neither shares ``oracle.extract`` or ``oracle.well_matched``.
 ``vpaths_by_join`` builds each truncated path as enumeration first did:
 walk from the asserter to the target, then join every walk from the
 entry to the asserter whose edge counts keep the whole within the bound.
-It is the reference for ``enum_vpaths``, which cuts the entry's walks at
-their last asserter call instead.
+It tests validity with ``route_valid_below`` on each whole walk.  It is
+the reference for ``enum_vpaths``, which cuts the entry's walks at their
+last asserter call instead and prunes a walk at its first failing edge.
 """
 
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
 from dataclasses import replace
-from itertools import permutations
+from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from stackpol import pushdown
@@ -113,7 +117,6 @@ from stackpol.oracle import (
     DEFAULT_PATH_BOUND,
     CallPath,
     DepPath,
-    _route_valid,
     dep_paths,
     enum_vpaths,
 )
@@ -510,9 +513,19 @@ def phi_route_along(path: Sequence[CallEdge]) -> CtxFamily:
     return frozenset(family)
 
 
-def route_valid_by_family(edges) -> bool:
-    sites = frozenset(e.site for e in edges)
-    return any(c <= sites for c in phi_route_along(edges))
+def route_valid_by_choices(edges: Sequence[CallEdge]) -> bool:
+    below = [frozenset(e.site for e in edges[:i]) for i in range(len(edges))]
+    return any(
+        all(c <= sites for c, sites in zip(choice, below))
+        for choice in product(*(e.ctx for e in edges))
+    )
+
+
+def route_valid_below(edges: Sequence[CallEdge]) -> bool:
+    return all(
+        any(c <= {e.site for e in edges[:i]} for c in edge.ctx)
+        for i, edge in enumerate(edges)
+    )
 
 
 def replays_on(model: ProgramModel, pi: DepPath, opened: Iterable[CallSite]) -> bool:
@@ -639,7 +652,7 @@ def vpaths_by_join(model: ProgramModel, target: str, bound: int) -> list[CallPat
     full = [
         CallPath(entry, edges)
         for edges in _bounded_walks(model, entry, target, bound)
-        if edges and all(e.caller != priv for e in edges) and _route_valid(edges)
+        if edges and all(e.caller != priv for e in edges) and route_valid_below(edges)
     ]
     prefixes = _bounded_walks(model, entry, priv, bound)
     truncated = []
@@ -651,7 +664,7 @@ def vpaths_by_join(model: ProgramModel, target: str, bound: int) -> list[CallPat
             prefix + segment
             for prefix in prefixes
             if all(counts[i] + n <= bound for i, n in Counter(key(prefix)).items())
-            and _route_valid(prefix + segment)
+            and route_valid_below(prefix + segment)
         ]
         if extensions:
             truncated.append(

@@ -501,7 +501,7 @@ def test_dead_edge_members_are_on_no_bounded_walk():
             ident = warning.split(":")[1].split()[1]
             members = _parse_family(warning.rpartition(" covers ")[2], 0)
             assert members and members <= edges[ident].ctx
-            for walk in _walks(model, edges[ident].caller, 2):
+            for walk in _walks(model, (edges[ident].caller,), 2):
                 sites = {e.site for e in walk}
                 assert not any(member <= sites for member in members), (seed, warning)
             flagged += 1

@@ -9,12 +9,13 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from benchmodels import workloads
 from bruteforce import (
     grants_by_pairs,
     match_paths,
-    phi_route_along,
     relates_by_scan,
-    route_valid_by_family,
+    route_valid_below,
+    route_valid_by_choices,
     vpaths_by_join,
 )
 from hypothesis import example, given, settings
@@ -29,11 +30,13 @@ from stackpol import (
     enum_vpaths,
     generate_permissions,
     generate_policy,
+    lint_model,
     oracle_policy,
     parse_model,
     running_example,
 )
 from stackpol import oracle
+from stackpol.cli import main
 from stackpol.contexts import ANY_FAMILY, CallSite
 from stackpol.model import INTER_CALL, INTER_RETURN, CallEdge
 from stackpol.oracle import (
@@ -216,10 +219,13 @@ _JOIN_MODELS = {
 
 
 def _agrees_with_the_join(model):
-    for target in sorted(model.methods):
-        for bound in (1, 2, 3):
-            want = vpaths_by_join(model, target, bound)
-            assert enum_vpaths(model, target, bound) == want, (target, bound)
+    # each target on its own walk, and all of them on one
+    targets = sorted(model.methods)
+    for bound in (1, 2, 3):
+        want = {target: vpaths_by_join(model, target, bound) for target in targets}
+        for target in targets:
+            assert enum_vpaths(model, target, bound) == want[target], (target, bound)
+        assert oracle._vpaths(model, targets, bound) == want, bound
 
 
 @pytest.mark.parametrize("name", sorted(_JOIN_MODELS))
@@ -481,10 +487,10 @@ def test_concrete_stacks_of_a_privileged_segment(example_model):
 # ----------------------------------------------- the rewrite against references
 
 
-def _matches_references(model, monkeypatch):
+def _matches_references(model):
     """Relate every stack to every permission with both ``relates`` and its
     reference, then match the oracle's grants against the all-pairs loop
-    run on the references alone."""
+    run on the references, which relates every stack on its own."""
     universe = generate_permissions(model)
     flows = dep_paths(model)
     cache, ref_cache = {}, {}
@@ -495,11 +501,7 @@ def _matches_references(model, monkeypatch):
             want = relates_by_scan(model, sigma, perm, universe, flows, ref_cache)
             assert got == want, (sigma, perm)
     policy = oracle_policy(model, universe)
-    with monkeypatch.context() as patched:
-        patched.setattr(oracle, "_route_valid", route_valid_by_family)
-        assert enum_vpaths(model, model.check_method) == sigmas
-        reference = grants_by_pairs(model, universe)
-    assert policy.grants == reference
+    assert policy.grants == grants_by_pairs(model, universe)
     return sigmas, policy
 
 
@@ -594,20 +596,20 @@ def _layered(layers: int, width: int):
     return build(*lines)
 
 
-def test_rewrite_matches_references_on_the_bundled_model(example_model, monkeypatch):
-    sigmas, policy = _matches_references(example_model, monkeypatch)
+def test_rewrite_matches_references_on_the_bundled_model(example_model):
+    sigmas, policy = _matches_references(example_model)
     assert len(sigmas) == 3 and len(policy.grants) == 6
 
 
-def test_rewrite_matches_references_on_random_models(monkeypatch):
+def test_rewrite_matches_references_on_random_models():
     from randmodels import random_model
 
-    for seed in range(200):
-        _matches_references(random_model(seed), monkeypatch)
+    for seed in range(300):
+        _matches_references(random_model(seed))
 
 
-def test_rewrite_matches_references_on_a_guarded_ladder(monkeypatch):
-    sigmas, policy = _matches_references(_guarded_ladder(4), monkeypatch)
+def test_rewrite_matches_references_on_a_guarded_ladder():
+    sigmas, policy = _matches_references(_guarded_ladder(4))
     # the 8 of 16 routes with no two second sites in a row
     assert len([p for p in sigmas if not p.truncated]) == 8
     # the 5 of them that end on L3:1 validate the privileged tail
@@ -617,8 +619,8 @@ def test_rewrite_matches_references_on_a_guarded_ladder(monkeypatch):
     assert Permission("A") in policy.grants["L4"]
 
 
-def test_rewrite_matches_references_on_a_layered_model(monkeypatch):
-    sigmas, policy = _matches_references(_layered(3, 3), monkeypatch)
+def test_rewrite_matches_references_on_a_layered_model():
+    sigmas, policy = _matches_references(_layered(3, 3))
     assert len([p for p in sigmas if not p.truncated]) == 3**3 + 3 + 1
     assert "fac" not in policy.grants
     assert Permission("RuntimePermission") in policy.grants["m2_1"]
@@ -644,6 +646,59 @@ def test_oracle_relates_each_stack_only_to_its_checkpoints_demands(monkeypatch):
         assert sigma.edges[-1].site in {site for site, _ in universe.sources[perm]}
     stacks = enum_vpaths(model, model.check_method)
     assert 0 < len(calls) < len(stacks) * len(universe.perms)
+
+
+@pytest.fixture(scope="module")
+def benchmark_cases():
+    # the seed-0 model sets, each built in a child under a fixed hash seed
+    bench = workloads()
+    return [case for name in bench.NAMES for case in bench.generate(name, 0)]
+
+
+def test_one_walk_serves_every_target_on_the_benchmark_models(benchmark_cases):
+    for case in benchmark_cases:
+        model = parse_model(case.text)
+        targets = sorted(model.methods)
+        separate = {target: enum_vpaths(model, target) for target in targets}
+        assert oracle._vpaths(model, targets) == separate, case.ident
+
+
+def test_relating_each_stack_shape_once_equals_the_all_pairs_loop_on_the_benchmark_models(
+    benchmark_cases,
+):
+    consulted = [case for case in benchmark_cases if case.oracle]
+    assert len(consulted) > 1500
+    for case in consulted:
+        model = parse_model(case.text)
+        universe = generate_permissions(model)
+        grants = oracle_policy(model, universe).grants
+        assert grants == grants_by_pairs(model, universe), case.ident
+
+
+def test_the_oracle_walks_once_and_relates_each_stack_shape_once(monkeypatch):
+    text, _expected = workloads().ladder_text(random.Random(0), 6)
+    model = parse_model(text)
+    universe = generate_permissions(model)
+    walks, related = [], []
+    walk, relate = oracle._walks, oracle.relates
+
+    def counted_walk(model, targets, bound):
+        walks.append(tuple(targets))
+        return walk(model, targets, bound)
+
+    def counted_relates(model, sigma, *rest):
+        related.append(sigma)
+        return relate(model, sigma, *rest)
+
+    monkeypatch.setattr(oracle, "_walks", counted_walk)
+    monkeypatch.setattr(oracle, "relates", counted_relates)
+    policy = oracle_policy(model, universe)
+    assert policy.grants
+    # the allocating method's stacks come from the check method's walk
+    assert walks == [(model.check_method, model.dep_nodes["a"].method)]
+    # all 2^6 demand stacks share their checkpoint and their methods
+    assert len(enum_vpaths(model, model.check_method)) == 2**6
+    assert len(related) == 1
 
 
 _MEMO_MODELS = {
@@ -713,9 +768,16 @@ def _incident_edges(draw):
     ]
 )
 def test_route_validity_edge_by_edge_equals_the_family_test(edges):
-    sites = frozenset(e.site for e in edges)
-    by_family = any(c <= sites for c in phi_route_along(edges))
-    assert oracle._route_valid(edges) == by_family == route_valid_by_family(edges)
+    # the walk over the edges as a chain of positions, which yields the
+    # whole chain exactly when no guard prunes a prefix of it
+    succ = {
+        i: [(e, i, i + 1, e.site, None if e.unconditional else e.ctx)]
+        for i, e in enumerate(edges)
+    }
+    walked = list(oracle._bounded_walks(0, succ, {len(edges)}, 1))
+    assert walked in ([], [tuple(edges)])
+    by_walk = bool(walked) or not edges
+    assert by_walk == route_valid_below(edges) == route_valid_by_choices(edges)
 
 
 # random_model_text(seed) as the benchmark's small-mix set holds it (built
@@ -840,6 +902,40 @@ sa tp1@w2 = {("gamma", {main:1}); ("alpha", {main:1,w1:1})}
 
 _NET = Permission("NetPermission", "alpha", "exec")
 _GAMMA = Permission("RuntimePermission", "gamma")
+
+
+# the condition of main:1 -> a names a:2, a site that only the next edge
+# opens: no stack has it below the edge, so the edge is dead and nothing
+# reaches the check
+ABOVE_EDGE_MODEL = """\
+method main entry
+method a
+method b
+method doPrivileged priv
+method checkPermission check
+calledge 1 main 1 a ctx={a:2}
+calledge 2 a 2 b ctx=any
+calledge 3 b 3 checkPermission ctx=any
+depnode n b 90 kind=alloc form=3 type=P
+depnode c b 3 kind=callsite
+depedge n c
+checkarg b:3 var=p
+pta p@b = {(P, n, {})}
+"""
+
+
+def test_a_condition_is_read_on_the_sites_below_its_edge(tmp_path, capsys):
+    model = parse_model(ABOVE_EDGE_MODEL)
+    universe = generate_permissions(model)
+    assert generate_policy(model, universe).policy.grants == {}
+    assert lint_model(model) == [
+        "dead-edge: calledge 1: no route to main covers {a:2}"
+    ]
+    assert enum_vpaths(model, model.check_method) == []
+    path = tmp_path / "above.model"
+    path.write_text(ABOVE_EDGE_MODEL, encoding="utf-8")
+    assert main(["oracle", str(path), "--compare"]) == 0
+    assert capsys.readouterr().out == "MATCH\n"
 
 
 # what the engine grants beyond the oracle on each model, by cause

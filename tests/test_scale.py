@@ -11,12 +11,10 @@ traceback.
 
 from __future__ import annotations
 
-import importlib.util
 import random
-import sys
-from pathlib import Path
 
 import pytest
+from benchmodels import workloads
 
 from stackpol import (
     CallSite,
@@ -30,22 +28,6 @@ from stackpol import (
 from stackpol import oracle
 from stackpol.cli import main
 from stackpol.errors import CapacityError
-
-ROOT = Path(__file__).resolve().parents[1]
-
-
-def _workloads():
-    # the benchmark's generators, under a name of their own; dataclasses
-    # look the module up in sys.modules while it executes
-    name = "bench_workloads"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(
-            name, ROOT / "bench" / "workloads.py"
-        )
-        module = importlib.util.module_from_spec(spec)
-        sys.modules[name] = module
-        spec.loader.exec_module(module)
-    return sys.modules[name]
 
 
 def _edges():
@@ -127,7 +109,7 @@ def _table(grants: dict[str, set[str]]) -> str:
 
 def test_layered_l6_w5_exits_zero_with_its_closed_form_grants(tmp_path, capsys):
     # 5^6 stacks leave 15,635 digests unmerged; merged, one per cut history
-    text, expected = _workloads().layered_text(random.Random(1), 6, 5)
+    text, expected = workloads().layered_text(random.Random(1), 6, 5)
     path = tmp_path / "layered.model"
     path.write_text(text, encoding="utf-8")
     assert main(["analyze", str(path)]) == 0
@@ -164,7 +146,7 @@ def test_wide_form3_l7_w7_exits_zero_through_the_cli(tmp_path, capsys):
     [
         pytest.param(running_example_text, id="bundled"),
         pytest.param(
-            lambda: _workloads().layered_text(random.Random(0), 4, 4)[0],
+            lambda: workloads().layered_text(random.Random(0), 4, 4)[0],
             id="layered-L4xW4",
         ),
     ],
@@ -185,7 +167,7 @@ def test_the_methods_of_a_solve_hold_the_low_bits(text):
 def test_a_deep_ladder_takes_the_oracle_one_hosting_test(monkeypatch):
     # all 2^12 routes to the allocation put the same methods on the stack,
     # so one stack that hosts the flow answers for them all
-    text, expected = _workloads().ladder_text(random.Random(0), 12)
+    text, expected = workloads().ladder_text(random.Random(0), 12)
     model = parse_model(text)
     universe = generate_permissions(model)
     hosts, host = [], oracle._hosts
