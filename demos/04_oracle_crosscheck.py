@@ -15,19 +15,14 @@ from stackpol.oracle import dep_paths, extract
 model = sp.running_example()
 universe = sp.generate_permissions(model)
 
-# valid call paths into the check method; a path starting at the
-# privilege asserter is truncated and remembers which full stacks
-# validate it
+# valid call paths into the check method, one per stack; stack
+# inspection stops at the privilege asserter, so it reads a path only
+# from its cut, the asserter's last call
 print("paths reaching the check:")
 for path in sp.enum_vpaths(model, model.check_method):
     ids = "".join(f"({e.ident})" for e in path.edges)
-    if path.truncated:
-        exts = ", ".join(
-            "".join(f"({e.ident})" for e in ext) for ext in path.extensions
-        )
-        print(f"  {ids} truncated, stands for: {exts}")
-    else:
-        print(f"  {ids}")
+    inspected = "".join(f"({e.ident})" for e in path.edges[path.cut :])
+    print(f"  {ids} inspects {inspected}")
 print()
 
 # value flows from an allocation to a checkpoint, and their crossing

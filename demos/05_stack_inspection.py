@@ -15,10 +15,12 @@ universe = sp.generate_permissions(model)
 policy = sp.generate_policy(model, universe).policy
 perm_a = next(p for p in universe.sorted_perms() if p.ptype == "FilePermission")
 
-# take the privileged path into the file-permission check and turn it
-# into the runtime stacks it stands for (top frame first)
-privileged_path = sp.enum_vpaths(model, model.check_method)[-1]
-for stack in sp.concrete_stacks(model, privileged_path):
+# take the privileged paths into the file-permission check, those cut at
+# a call the privilege asserter makes, and turn each into the runtime
+# stack it stands for (top frame first)
+privileged_paths = [p for p in sp.enum_vpaths(model, model.check_method) if p.cut]
+for path in privileged_paths:
+    stack = sp.concrete_stack(model, path)
     shown = ", ".join(
         f.method + ("*" if f.privileged else "") for f in stack
     )
@@ -29,7 +31,9 @@ print()
 # the starred frame asserted privilege: the walk stops there, so the
 # user-code frames beneath it never need the file permission.  Watch it
 # fail once the privilege marker is dropped:
-unprivileged = tuple(Frame(f.method) for f in sp.concrete_stacks(model, privileged_path)[1])
+unprivileged = tuple(
+    Frame(f.method) for f in sp.concrete_stack(model, privileged_paths[0])
+)
 verdict = sp.simulate_inspection(unprivileged, perm_a, policy)
 print(f"without the assertion: fails at {verdict.failed_at}")
 print()

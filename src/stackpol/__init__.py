@@ -31,7 +31,7 @@ from .model import (
     parse_model,
     serialize_model,
 )
-from .oracle import CallPath, concrete_stacks, enum_vpaths, oracle_policy
+from .oracle import CallPath, concrete_stack, enum_vpaths, oracle_policy
 from .permissions import (
     Permission,
     PermissionUniverse,
@@ -72,7 +72,7 @@ __all__ = [
     "simulate_inspection",
     "oracle_policy",
     "enum_vpaths",
-    "concrete_stacks",
+    "concrete_stack",
     "running_example",
     "running_example_text",
     # types

@@ -4,16 +4,15 @@ This module recomputes policies without touching the pushdown encoding or
 the weight domain, so the two pipelines can be diffed against each other.
 Everything here is bounded brute force over the model's graphs:
 
-* a *call path* is an incident edge sequence; it stands for a call stack,
-  so edges that have already returned do not appear on it.  A path is
-  *valid* when each edge's context holds on the sites below the edge,
-  those of the edges before it, as a conditional pushdown rule's
-  condition is read on the stack below its top, and no edge is a call
-  made by the privilege-asserting method.  A *truncated* path starts at
-  the privilege asserter instead of the entry: it stands for the stack
-  segment above an asserted privilege.  Its ``extensions`` are the
-  route-valid walks from the entry whose last call made by the asserter
-  starts that segment.
+* a *call path* is an incident edge sequence from the entry; it stands
+  for a call stack, so edges that have already returned do not appear on
+  it.  A path is *valid* when each edge's context holds on the sites
+  below the edge, those of the edges before it, as a conditional
+  pushdown rule's condition is read on the stack below its top.  Its
+  ``cut`` is the index of the last edge that the privilege asserter
+  makes, or 0 when it makes none: stack inspection stops at the asserted
+  privilege, so the path's inspected methods are those of
+  ``edges[cut:]``.
   Validity is decided during the walk, when an edge is appended, against
   a site -> count map of the edges below it.  An edge that fails fails on
   every extension of its prefix, which keeps the sites below it, so the
@@ -29,23 +28,23 @@ Everything here is bounded brute force over the model's graphs:
 A permission relates to a call path reaching the check method when some
 flow path carries it from one of its allocations to the demanding
 checkpoint, some valid path reaches the allocation such that the flow's
-word is well matched on it, the demand path stays within the methods
-those witnesses put on the stack, and one of the permission's demand
-contexts is covered by the witnessing route.  The reference policy grants the
-permission to every method on each related path, minus the two system
-methods.  A permission can only relate to a path whose checkpoint demands
-it, so each path is related only to the permissions demanded at its own
-checkpoint, never to the rest.
+word is well matched on it, the demand path's inspected methods stay
+within the methods those witnesses put on the stack, and one of the
+permission's demand contexts is covered by the witnessing route.  The
+reference policy grants the permission to every inspected method of each
+related path, minus the two system methods.  A permission can only
+relate to a path whose checkpoint demands it, so each path is related
+only to the permissions demanded at its own checkpoint, never to the
+rest.
 
 Enumeration counts each edge at most ``bound`` times per path, which
 makes every enumeration finite while still letting paths wind through
 cycles; a global cap guards against combinatorial blowups.  One walk
-from the entry serves any number of targets: it yields the full paths
-and the extensions of the truncated ones of each, and the cap counts
-the valid walks it yields, summed over all targets.  It descends only
-into callees that can reach a target in the call graph.  A walk that
-leaves them never arrives, so the pruning drops no path and leaves the
-count the cap sees unchanged.  Walks keep their own stack of edge
+from the entry serves any number of targets: it yields the valid paths
+of each, and the cap counts them, summed over all targets.  It descends
+only into callees that can reach a target in the call graph.  A walk
+that leaves them never arrives, so the pruning drops no path and leaves
+the count the cap sees unchanged.  Walks keep their own stack of edge
 iterators instead of recursing, so a deep call or dependency chain does
 not run into Python's recursion limit.
 
@@ -89,35 +88,30 @@ MAX_ENUMERATED_PATHS = 200_000
 
 @dataclass(frozen=True, slots=True)
 class CallPath:
-    """A call stack as an edge sequence from ``start``.
+    """A call stack as an edge sequence from ``start``, the entry.
 
-    ``edges`` may be empty only for the degenerate stack holding just the
-    start method.  For truncated paths, ``extensions`` holds the full
-    entry-rooted sequences that validate this segment.
+    ``edges`` is empty only for the entry's one-frame stack.  ``cut`` is
+    the index of the last edge that the privilege asserter makes, or 0
+    when it makes none; the methods of ``edges[cut:]`` are the ones
+    stack inspection reads.
     """
 
     start: str
     edges: tuple[CallEdge, ...]
-    truncated: bool = False
-    extensions: tuple[tuple[CallEdge, ...], ...] = ()
+    cut: int = 0
     # built once: ``relates`` reads it on every query and allocating stack
     _methods: frozenset[str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        out = {self.start}
-        for e in self.edges:
+        out = set() if self.cut else {self.start}
+        for e in self.edges[self.cut :]:
             out.add(e.caller)
             out.add(e.callee)
         object.__setattr__(self, "_methods", frozenset(out))
 
     def methods(self) -> frozenset[str]:
+        """The inspected methods: those of ``edges[cut:]``."""
         return self._methods
-
-    def full_variants(self) -> tuple[tuple[CallEdge, ...], ...]:
-        """Entry-rooted edge sequences this path stands for."""
-        if self.truncated:
-            return self.extensions
-        return (self.edges,)
 
 
 @dataclass(frozen=True, slots=True)
@@ -182,8 +176,11 @@ def _bounded_walks(start, succ: dict, stops, bound: int):
     family that must hold on the sites of the edges before it on the walk,
     kept as a site -> count map.  An edge that fails its guard fails on
     every extension too, so it is pruned with all of them.  The empty walk
-    is never yielded.
+    is never yielded.  A bound below 1 raises ``ValueError`` when the walk
+    starts.
     """
+    if bound < 1:
+        raise ValueError("path bound must be at least 1")
     counts: dict[int, int] = {}
     below: dict = {}
     path: list = []
@@ -225,8 +222,8 @@ def _walks(
     """Each valid walk from the entry to one of ``targets`` that uses each
     edge at most ``bound`` times, as a tuple of edges, from one walk that
     serves every target.  None is empty: no edge enters the entry, and its
-    one-frame stack, which no edge sequence denotes, is built by
-    ``_allocating_stacks`` alone.
+    one-frame stack, which no edge sequence denotes, is added by
+    ``_vpaths``.
 
     A conditional edge guards the walk with its context family.  The walk
     descends only into callees that can reach a target: one that leaves
@@ -270,47 +267,27 @@ def _vpaths(
 ) -> dict[str, list[CallPath]]:
     """The valid call paths ending at each of ``targets``, as
     ``enum_vpaths`` lists them, from one walk from the entry."""
-    if bound < 1:
-        raise ValueError("path bound must be at least 1")
-    priv = model.priv_method
-    full: dict[str, list[CallPath]] = {t: [] for t in targets}
-    segments: dict[str, dict] = {t: {} for t in targets}
-    for edges in _walks(model, targets, bound):
-        cut = len(edges)
-        while cut and edges[cut - 1].caller != priv:
+    entry, priv = model.entry_method, model.priv_method
+    paths: dict[str, list[CallPath]] = {t: [] for t in targets}
+    if entry in paths:
+        paths[entry].append(CallPath(entry, ()))
+    for edges in sorted(_walks(model, targets, bound), key=_ident_key):
+        cut = len(edges) - 1
+        while cut and edges[cut].caller != priv:
             cut -= 1
-        target = edges[-1].callee
-        if not cut:
-            full[target].append(CallPath(model.entry_method, edges))
-            continue
-        segments[target].setdefault(edges[cut - 1 :], []).append(edges)
-
-    return {
-        target: sorted(paths, key=lambda p: _ident_key(p.edges))
-        + [
-            CallPath(
-                priv,
-                segment,
-                truncated=True,
-                extensions=tuple(sorted(extensions, key=_ident_key)),
-            )
-            for segment, extensions in sorted(
-                segments[target].items(), key=lambda s: _ident_key(s[0])
-            )
-        ]
-        for target, paths in full.items()
-    }
+        paths[edges[-1].callee].append(CallPath(entry, edges, cut))
+    return paths
 
 
 def enum_vpaths(
     model: ProgramModel, target: str, bound: int = DEFAULT_PATH_BOUND
 ) -> list[CallPath]:
-    """All valid call paths ending at ``target``: the full ones, then the
-    truncated ones, each sorted by edge idents.
+    """All valid call paths ending at ``target``, one per stack, sorted by
+    edge idents.
 
-    Every valid walk from the entry is a full path when the privilege
-    asserter makes none of its calls.  Otherwise it extends the truncated
-    path that starts at its last call made by the asserter.
+    Each valid walk from the entry is one path, cut at its last call made
+    by the privilege asserter.  The entry's list starts with its one-frame
+    stack, the stack code in the entry runs on before any call.
     """
     return _vpaths(model, (target,), bound)[target]
 
@@ -343,13 +320,10 @@ def dep_paths(
 
 
 def _hosts(stack: CallPath, word: tuple[Crossing, ...], contexts: CtxFamily) -> bool:
-    """Can some variant of ``stack`` host a flow with crossing word
-    ``word`` and cover one of ``contexts``?"""
-    return any(
-        well_matched((e.site for e in variant), word)
-        and holds(contexts, frozenset(e.site for e in variant))
-        for variant in stack.full_variants()
-    )
+    """Can ``stack`` host a flow with crossing word ``word`` and cover one
+    of ``contexts``?"""
+    sites = [e.site for e in stack.edges]
+    return well_matched(sites, word) and holds(contexts, frozenset(sites))
 
 
 def relates(
@@ -364,14 +338,14 @@ def relates(
     """Does ``perm`` get demanded while ``sigma`` is the inspected stack?
 
     It does when a flow path carries ``perm`` to the checkpoint ``sigma``
-    invokes and some *admissible* allocating stack holds every method of
-    ``sigma`` that the flow and the check do not account for.  A stack is
-    admissible for a flow path and a permission when one of its variants
-    hosts the flow (the crossing word is well matched on it) and covers
-    one of the permission's demand contexts; that does not depend on
-    ``sigma``.  As ``sigma - F <= S`` exactly when ``sigma <= F | S``,
-    the test is one subset test per *allowed* set: the methods ``F`` of
-    such a flow path together with those ``S`` of an admissible stack.
+    invokes and some *admissible* allocating stack holds every inspected
+    method of ``sigma`` that the flow and the check do not account for.
+    A stack is admissible for a flow path and a permission when it hosts
+    the flow (the crossing word is well matched on it) and covers one of
+    the permission's demand contexts; that does not depend on ``sigma``.
+    As ``sigma - F <= S`` exactly when ``sigma <= F | S``, the test is one
+    subset test per *allowed* set: the methods ``F`` of such a flow path
+    together with the inspected methods ``S`` of an admissible stack.
 
     ``vpath_cache`` is one run's memo, shared by every call for the same
     model, universe, flow paths and bound.  It holds the stacks of each
@@ -395,8 +369,8 @@ def relates(
             alloc_method = model.dep_nodes[pi.start].method
             stacks = vpath_cache.get(alloc_method)
             if stacks is None:
-                stacks = vpath_cache[alloc_method] = _allocating_stacks(
-                    model, alloc_method, enum_vpaths(model, alloc_method, bound)
+                stacks = vpath_cache[alloc_method] = enum_vpaths(
+                    model, alloc_method, bound
                 )
             word, flow_methods = extract(model, pi), pi.methods(model)
             for stack in stacks:
@@ -407,16 +381,6 @@ def relates(
         vpath_cache[checkpoint, perm] = allowed
     need = sigma.methods() - {model.check_method}
     return any(need <= methods for methods in allowed)
-
-
-def _allocating_stacks(
-    model: ProgramModel, method: str, paths: list[CallPath]
-) -> list[CallPath]:
-    """The stacks code in ``method`` runs on: its valid paths, and for the
-    entry the one-frame stack, which no edge sequence denotes."""
-    if method == model.entry_method:
-        return paths + [CallPath(method, ())]
-    return paths
 
 
 def oracle_policy(
@@ -445,10 +409,7 @@ def oracle_policy(
         nodes[pi.start].method for pi in flow if (nodes[pi.end].site, pi.start) in sources
     }
     paths = _vpaths(model, [model.check_method, *allocating], bound)
-    cache: dict = {
-        method: _allocating_stacks(model, method, paths[method])
-        for method in allocating
-    }
+    cache: dict = {method: paths[method] for method in allocating}
     frame = _policy_frame(model)
     shapes: dict[tuple[CallSite, frozenset[str]], CallPath] = {}
     for sigma in paths[model.check_method]:
@@ -466,21 +427,12 @@ def oracle_policy(
     return replace(frame, grants={m: frozenset(ps) for m, ps in grants.items()})
 
 
-def concrete_stacks(model: ProgramModel, path: CallPath) -> list[tuple[Frame, ...]]:
-    """Runtime stacks (top first) that ``path`` stands for.
-
-    The frame of a method that called into the privilege asserter carries
-    the privileged flag.  A truncated path yields its bare segment plus
-    one stack per validating extension.
-    """
-
-    def stack_of(edges) -> tuple[Frame, ...]:
-        return tuple(
-            Frame(e.caller, privileged=(e.callee == model.priv_method))
-            for e in reversed(edges)
-        )
-
-    stacks = [stack_of(path.edges)]
-    if path.truncated:
-        stacks.extend(stack_of(ext) for ext in path.extensions)
-    return stacks
+def concrete_stack(model: ProgramModel, path: CallPath) -> tuple[Frame, ...]:
+    """The runtime stack (top first) that ``path`` stands for: one frame
+    per call on it, that of the caller, so the method it ends at is not a
+    frame.  The frame of a method that called into the privilege asserter
+    carries the privileged flag."""
+    return tuple(
+        Frame(e.caller, privileged=(e.callee == model.priv_method))
+        for e in reversed(path.edges)
+    )

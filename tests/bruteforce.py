@@ -88,12 +88,17 @@ origin that can host the flow, the reference for the hosting test in
 path's sites with ``replays_on``, which reads the flow's edges directly,
 so neither shares ``oracle.extract`` or ``oracle.well_matched``.
 
-``vpaths_by_join`` builds each truncated path as enumeration first did:
-walk from the asserter to the target, then join every walk from the
-entry to the asserter whose edge counts keep the whole within the bound.
+``vpaths_by_join`` builds each path through the privilege asserter as
+enumeration first did: walk from the asserter to the target, then join
+every walk from the entry to the asserter whose edge counts keep the
+whole within the bound.  Each joined walk is one path whose ``cut`` is
+the length of its prefix, where the segment's first edge, the last call
+the asserter makes, starts.  A walk on which the asserter makes no call
+is a path with cut 0, and the entry's empty walk is its one-frame stack.
 It tests validity with ``route_valid_below`` on each whole walk.  It is
-the reference for ``enum_vpaths``, which cuts the entry's walks at their
-last asserter call instead and prunes a walk at its first failing edge.
+the reference for ``enum_vpaths``, which cuts each of the entry's walks
+at its last asserter call instead and prunes a walk at its first
+failing edge.
 """
 
 from __future__ import annotations
@@ -553,14 +558,11 @@ def match_paths(
     boundary must return into a frame the path actually opened.
     """
     origin = model.dep_nodes[pi.start].method
-    out = []
-    for sigma in enum_vpaths(model, origin, bound):
-        if any(
-            replays_on(model, pi, (e.site for e in v))
-            for v in sigma.full_variants()
-        ):
-            out.append(sigma)
-    return out
+    return [
+        sigma
+        for sigma in enum_vpaths(model, origin, bound)
+        if replays_on(model, pi, (e.site for e in sigma.edges))
+    ]
 
 
 def relates_by_scan(
@@ -583,23 +585,17 @@ def relates_by_scan(
             continue
         alloc_method = model.dep_nodes[pi.start].method
         if alloc_method not in vpath_cache:
-            paths = enum_vpaths(model, alloc_method, bound)
-            if alloc_method == model.entry_method:
-                paths = paths + [CallPath(alloc_method, ())]
-            vpath_cache[alloc_method] = paths
+            vpath_cache[alloc_method] = enum_vpaths(model, alloc_method, bound)
         pi_methods = pi.methods(model)
         for sigma_p in vpath_cache[alloc_method]:
             allowed = pi_methods | sigma_p.methods() | {model.check_method}
             if not sigma_methods <= allowed:
                 continue
-            for variant in sigma_p.full_variants():
-                if not replays_on(model, pi, (e.site for e in variant)):
-                    continue
-                variant_sites = frozenset(e.site for e in variant)
-                if any(
-                    c <= variant_sites for c in universe.contexts[perm]
-                ):
-                    return True
+            if not replays_on(model, pi, (e.site for e in sigma_p.edges)):
+                continue
+            sites = frozenset(e.site for e in sigma_p.edges)
+            if any(c <= sites for c in universe.contexts[perm]):
+                return True
     return False
 
 
@@ -646,35 +642,26 @@ def _bounded_walks(model: ProgramModel, start: str, target: str, bound: int):
 def vpaths_by_join(model: ProgramModel, target: str, bound: int) -> list[CallPath]:
     entry, priv = model.entry_method, model.priv_method
 
-    def key(edges):
-        return tuple(e.ident for e in edges)
+    def key(path):
+        return tuple(e.ident for e in path.edges)
 
-    full = [
+    paths = [
         CallPath(entry, edges)
         for edges in _bounded_walks(model, entry, target, bound)
-        if edges and all(e.caller != priv for e in edges) and route_valid_below(edges)
+        if all(e.caller != priv for e in edges) and route_valid_below(edges)
     ]
-    prefixes = _bounded_walks(model, entry, priv, bound)
-    truncated = []
+    prefixes = [
+        (prefix, Counter(e.ident for e in prefix))
+        for prefix in _bounded_walks(model, entry, priv, bound)
+    ]
     for segment in _bounded_walks(model, priv, target, bound):
         if not segment or any(e.caller == priv for e in segment[1:]):
             continue
         counts = Counter(e.ident for e in segment)
-        extensions = [
-            prefix + segment
-            for prefix in prefixes
-            if all(counts[i] + n <= bound for i, n in Counter(key(prefix)).items())
+        paths += [
+            CallPath(entry, prefix + segment, len(prefix))
+            for prefix, used in prefixes
+            if all(counts[i] + n <= bound for i, n in used.items())
             and route_valid_below(prefix + segment)
         ]
-        if extensions:
-            truncated.append(
-                CallPath(
-                    priv,
-                    segment,
-                    truncated=True,
-                    extensions=tuple(sorted(extensions, key=key)),
-                )
-            )
-    full.sort(key=lambda p: key(p.edges))
-    truncated.sort(key=lambda p: key(p.edges))
-    return full + truncated
+    return sorted(paths, key=key)

@@ -9,9 +9,11 @@ of ``bench/workloads.py``.  Each printed line hashes one output over all
 of them, in order: the policy table and java policy, the lint warnings,
 the permission diagnostics, ``encode(model).dump()``, the sorted decoded
 digests of ``generate_policy`` (cut histories) and of the exact solve
-``movp(encode(model), {check})``, and the ``oracle_policy`` table where
-the benchmark consults the oracle.  A model whose step raises
-contributes the exception's type and message to that output instead.
+``movp(encode(model), {check})``, the ``oracle_policy`` table where
+the benchmark consults the oracle, and the oracle's stacks
+``enum_vpaths(model, check)``, one line of edge idents and cut per
+stack.  A model whose step raises contributes the exception's type and
+message to that output instead.
 
 A change meant to keep every output shows the same lines as its parent.
 The random texts depend on string hashing, so the script re-executes
@@ -32,6 +34,7 @@ import randmodels  # noqa: E402
 import workloads  # noqa: E402
 from stackpol import (  # noqa: E402
     emit_policy,
+    enum_vpaths,
     generate_permissions,
     generate_policy,
     lint_model,
@@ -44,7 +47,17 @@ from stackpol.pushdown import movp  # noqa: E402
 
 HASH_SEED = "0"
 RANDOM_MODELS = 3000
-KINDS = ("table", "java", "lint", "diagnostics", "dump", "cut", "exact", "oracle")
+KINDS = (
+    "table",
+    "java",
+    "lint",
+    "diagnostics",
+    "dump",
+    "cut",
+    "exact",
+    "oracle",
+    "paths",
+)
 
 
 def models():
@@ -93,6 +106,10 @@ def outputs(text: str, oracle: bool) -> dict[str, str]:
                 emit_policy(oracle_policy(s["model"], s["universe"]), "table")
                 if oracle
                 else ""
+            ),
+            "paths": lambda: "\n".join(
+                " ".join([*(e.ident for e in path.edges), f"cut={path.cut}"])
+                for path in enum_vpaths(s["model"], s["model"].check_method)
             ),
         }
     )

@@ -35,7 +35,7 @@ from stackpol import (
     check_policy,
     checkpoints,
     compute_phi_meth,
-    concrete_stacks,
+    concrete_stack,
     enum_vpaths,
     generate_permissions,
     generate_policy,
@@ -290,13 +290,13 @@ def _soundness_and_minimality(model) -> tuple[int, int]:
             for p in universe.sorted_perms()
             if relates(model, sigma, p, universe, flows, cache)
         ]
-        for stack in concrete_stacks(model, sigma):
-            for perm in demanded:
-                assert simulate_inspection(stack, perm, policy).passed, (
-                    stack,
-                    str(perm),
-                )
-                sims.append((stack, perm))
+        stack = concrete_stack(model, sigma)
+        for perm in demanded:
+            assert simulate_inspection(stack, perm, policy).passed, (
+                stack,
+                str(perm),
+            )
+            sims.append((stack, perm))
     removals = 0
     for method in sorted(policy.grants):
         for perm in sorted(policy.grants[method]):

@@ -22,7 +22,7 @@ PUBLIC = {
     "simulate_inspection",
     "oracle_policy",
     "enum_vpaths",
-    "concrete_stacks",
+    "concrete_stack",
     "running_example",
     "running_example_text",
     # types

@@ -26,7 +26,7 @@ from stackpol import (
     EnumerationLimitError,
     Frame,
     Permission,
-    concrete_stacks,
+    concrete_stack,
     enum_vpaths,
     generate_permissions,
     generate_policy,
@@ -68,35 +68,29 @@ def idents(path: CallPath) -> tuple[str, ...]:
     return tuple(e.ident for e in path.edges)
 
 
-def ext_idents(path: CallPath) -> tuple[tuple[str, ...], ...]:
-    return tuple(tuple(e.ident for e in ext) for ext in path.extensions)
-
-
 # ------------------------------------------------------------ path enumeration
 
 
 def test_bundled_paths_to_the_check_method(example_model):
     paths = enum_vpaths(example_model, "checkPermission")
-    assert [idents(p) for p in paths] == [
-        ("1", "3", "6"),
-        ("2", "4", "6"),
-        ("8", "9", "10"),
+    assert [(idents(p), p.cut) for p in paths] == [
+        (("1", "3", "6"), 0),
+        (("1", "3", "7", "8", "9", "10"), 3),
+        (("2", "4", "6"), 0),
+        (("2", "4", "7", "8", "9", "10"), 3),
     ]
-    full_f, full_s, trunc = paths
-    assert not full_f.truncated and not full_s.truncated
-    assert full_f.full_variants() == (full_f.edges,)
-
-    # the privileged segment stands for two entry-rooted stacks
-    assert trunc.truncated and trunc.start == "doPrivileged"
-    assert ext_idents(trunc) == (
-        ("1", "3", "7", "8", "9", "10"),
-        ("2", "4", "7", "8", "9", "10"),
-    )
+    assert {p.start for p in paths} == {"main"}
+    # a privileged stack is inspected from doPrivileged's call of Priv.run up
+    assert {p.methods() for p in paths if p.cut} == {
+        frozenset({"doPrivileged", "Priv.run", "checkAccess", "checkPermission"})
+    }
 
 
-def test_paths_to_the_entry_method_are_none(example_model):
-    # the one-frame stack of the entry method is not an edge sequence
-    assert enum_vpaths(example_model, "main") == []
+def test_the_entry_method_has_its_one_frame_stack(example_model):
+    # no edge enters the entry, so its one stack is no edge sequence
+    (stack,) = enum_vpaths(example_model, "main")
+    assert stack == CallPath("main", ())
+    assert stack.methods() == frozenset({"main"})
 
 
 def test_path_accessors(example_model):
@@ -149,9 +143,11 @@ def test_bound_lets_paths_wind_through_cycles():
 
 
 def test_bound_below_one_is_rejected(example_model, example_universe):
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="path bound must be at least 1"):
         enum_vpaths(example_model, "checkPermission", bound=0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="path bound must be at least 1"):
+        dep_paths(example_model, bound=0)
+    with pytest.raises(ValueError, match="path bound must be at least 1"):
         oracle_policy(example_model, example_universe, bound=0)
 
 
@@ -196,18 +192,77 @@ REENTRY = (
 )
 
 
-def test_a_truncated_path_starts_at_the_last_asserter_call():
+def test_a_path_is_cut_at_the_last_asserter_call():
     m = build(*REENTRY)
     at2 = enum_vpaths(m, "check", bound=2)
-    assert [(idents(p), p.truncated) for p in at2] == [(("2", "4"), True)]
-    assert ext_idents(at2[0]) == (("1", "2", "3", "2", "4"), ("1", "2", "4"))
-    (at3,) = enum_vpaths(m, "check", bound=3)
-    assert idents(at3) == ("2", "4")
-    assert ext_idents(at3) == (
-        ("1", "2", "3", "2", "3", "2", "4"),
-        ("1", "2", "3", "2", "4"),
-        ("1", "2", "4"),
+    assert [(idents(p), p.cut) for p in at2] == [
+        (("1", "2", "3", "2", "4"), 3),
+        (("1", "2", "4"), 1),
+    ]
+    assert {p.methods() for p in at2} == {frozenset({"doPriv", "a", "check"})}
+    at3 = enum_vpaths(m, "check", bound=3)
+    assert [(idents(p), p.cut) for p in at3] == [
+        (("1", "2", "3", "2", "3", "2", "4"), 5),
+        (("1", "2", "3", "2", "4"), 3),
+        (("1", "2", "4"), 1),
+    ]
+
+
+def _reentry_chain(seed: int):
+    # main calls the first worker, each worker calls the asserter, and the
+    # asserter calls back into every worker, so one stack can enter the
+    # asserter again and again.  A worker may also call the next worker
+    # and the check, and the last one does call the check.  Some edges
+    # need one site below them.
+    rng = random.Random(seed)
+    workers = [f"a{i}" for i in range(1, rng.randint(3, 4))]
+    edges = [("main", 1, workers[0])]
+    for i, worker in enumerate(workers):
+        edges += [(worker, 1, "doPriv"), ("doPriv", i + 1, worker)]
+        if i + 1 < len(workers) and rng.random() < 0.5:
+            edges.append((worker, 2, workers[i + 1]))
+        if i + 1 == len(workers) or rng.random() < 0.6:
+            edges.append((worker, 3, "check"))
+    sites = [f"{caller}:{line}" for caller, line, _ in edges]
+    lines = [f"method {w}" for w in workers]
+    for n, (caller, line, callee) in enumerate(edges, start=1):
+        ctx = "any"
+        if caller != "main" and rng.random() < 0.3:
+            ctx = "{" + rng.choice(sites) + "}"
+        lines.append(f"calledge {n} {caller} {line} {callee} ctx={ctx}")
+    return build(*lines)
+
+
+def _cut_invariant(model, bound: int = oracle.DEFAULT_PATH_BOUND) -> int:
+    """Check every path to the check method; return how many of them the
+    asserter makes more than one call on."""
+    check, priv = model.check_method, model.priv_method
+    reentered = 0
+    for path in enum_vpaths(model, check, bound):
+        made = [i for i, e in enumerate(path.edges) if e.caller == priv]
+        assert path.cut == (made[-1] if made else 0), path
+        reentered += len(made) > 1
+        # inspection walks the stack down to its first privileged frame
+        stack = concrete_stack(model, path)
+        top = next((i for i, f in enumerate(stack) if f.privileged), len(stack))
+        assert path.methods() - {check} == {f.method for f in stack[:top]}, path
+    return reentered
+
+
+def test_a_path_is_inspected_from_its_last_asserter_call():
+    assert _cut_invariant(running_example()) == 0
+    assert [_cut_invariant(build(*REENTRY), bound) for bound in (1, 2, 3)] == [0, 1, 2]
+    from randmodels import random_model
+
+    for seed in range(300):
+        _cut_invariant(random_model(seed))
+    # the generated chains tell the last asserter call from the first
+    reentered = sum(
+        _cut_invariant(_reentry_chain(seed), bound)
+        for seed in range(60)
+        for bound in (1, 2)
     )
+    assert reentered > 100
 
 
 _JOIN_MODELS = {
@@ -345,7 +400,10 @@ def test_match_paths_with_an_empty_word_accepts_every_path(example_model):
     (socket_flow, file_flow) = dep_paths(example_model)
     matches = match_paths(example_model, file_flow)
     assert matches == enum_vpaths(example_model, "checkAccess")
-    assert [idents(p) for p in matches] == [("8", "9")]
+    assert [(idents(p), p.cut) for p in matches] == [
+        (("1", "3", "7", "8", "9"), 3),
+        (("2", "4", "7", "8", "9"), 3),
+    ]
 
 
 def test_match_paths_rejects_a_close_no_path_opened():
@@ -393,7 +451,7 @@ def test_the_hosting_test_in_relates_equals_match_paths():
 def test_relates_is_route_and_checkpoint_specific(example_model, example_universe):
     flows = dep_paths(example_model)
     cache = {}
-    faculty, student, privileged = enum_vpaths(example_model, "checkPermission")
+    faculty, privileged, student, _ = enum_vpaths(example_model, "checkPermission")
 
     def rel(sigma, perm):
         return relates(
@@ -455,24 +513,17 @@ def test_unchecked_model_grants_nothing():
 
 
 def test_concrete_stack_of_a_full_path(example_model):
-    student = enum_vpaths(example_model, "checkPermission")[1]
-    (stack,) = concrete_stacks(example_model, student)
-    assert stack == (
+    student = enum_vpaths(example_model, "checkPermission")[2]
+    assert concrete_stack(example_model, student) == (
         Frame("checkConnect"),
         Frame("connectStudent"),
         Frame("main"),
     )
 
 
-def test_concrete_stacks_of_a_privileged_segment(example_model):
-    trunc = enum_vpaths(example_model, "checkPermission")[2]
-    bare, faculty, student = concrete_stacks(example_model, trunc)
-    assert bare == (
-        Frame("checkAccess"),
-        Frame("Priv.run"),
-        Frame("doPrivileged"),
-    )
-    assert faculty == (
+def test_concrete_stack_of_a_privileged_path(example_model):
+    faculty = enum_vpaths(example_model, "checkPermission")[1]
+    assert concrete_stack(example_model, faculty) == (
         Frame("checkAccess"),
         Frame("Priv.run"),
         Frame("doPrivileged"),
@@ -480,8 +531,10 @@ def test_concrete_stacks_of_a_privileged_segment(example_model):
         Frame("connectFaculty"),
         Frame("main"),
     )
-    assert student[3] == Frame("checkConnect", privileged=True)
-    assert sum(f.privileged for f in student) == 1
+    student = enum_vpaths(example_model, "checkPermission")[3]
+    stack = concrete_stack(example_model, student)
+    assert stack[3] == Frame("checkConnect", privileged=True)
+    assert sum(f.privileged for f in stack) == 1
 
 
 # ----------------------------------------------- the rewrite against references
@@ -598,7 +651,7 @@ def _layered(layers: int, width: int):
 
 def test_rewrite_matches_references_on_the_bundled_model(example_model):
     sigmas, policy = _matches_references(example_model)
-    assert len(sigmas) == 3 and len(policy.grants) == 6
+    assert len(sigmas) == 4 and len(policy.grants) == 6
 
 
 def test_rewrite_matches_references_on_random_models():
@@ -611,17 +664,18 @@ def test_rewrite_matches_references_on_random_models():
 def test_rewrite_matches_references_on_a_guarded_ladder():
     sigmas, policy = _matches_references(_guarded_ladder(4))
     # the 8 of 16 routes with no two second sites in a row
-    assert len([p for p in sigmas if not p.truncated]) == 8
+    assert len([p for p in sigmas if not p.cut]) == 8
     # the 5 of them that end on L3:1 validate the privileged tail
-    (tail,) = [p for p in sigmas if p.truncated]
-    assert len(tail.extensions) == 5
+    tails = [p for p in sigmas if p.cut]
+    assert len(tails) == 5
+    assert {idents(p)[p.cut :] for p in tails} == {("p2", "t")}
     assert policy.grants["tail"] == frozenset({Permission("B")})
     assert Permission("A") in policy.grants["L4"]
 
 
 def test_rewrite_matches_references_on_a_layered_model():
     sigmas, policy = _matches_references(_layered(3, 3))
-    assert len([p for p in sigmas if not p.truncated]) == 3**3 + 3 + 1
+    assert len([p for p in sigmas if not p.cut]) == 3**3 + 3 + 1
     assert "fac" not in policy.grants
     assert Permission("RuntimePermission") in policy.grants["m2_1"]
     # only the flow puts m1_3 on a stack that allocates there
