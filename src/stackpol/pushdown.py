@@ -77,6 +77,20 @@ symbol.  Reading an accepting run back-to-front therefore reproduces path
 order, and prefix weights from unrelated derivations never cross-multiply:
 each caller of a shared frame keeps its own continuation transition out
 of the frame's state.
+
+The result is read off the saturated automaton bottom-up, as the post*
+read-out does: ``reach[q]`` combines, over the paths of frame
+transitions from state ``q`` down to the final state, the products of
+their weights, bottom first, and the result extends ``reach`` of the
+state that each target transition enters by that transition's weight.
+The read-out is semi-naive.  A pending state carries only the digests
+and ``gen`` bits it gained since it was last propagated, and each frame
+transition that enters it extends only that delta into ``reach`` of
+the transition's source.
+This is exact because ``extend_merged`` distributes over the union of
+merged weights, partial ``gen``s included: ``{k: g1 | g2} . r`` is the
+union of ``{k: g1} . r`` and ``{k: g2} . r``, so the deltas' products
+together are the product of the whole.
 """
 
 from __future__ import annotations
@@ -94,6 +108,7 @@ from .weights import (
     Packing,
     WeightTuple,
     absorb,
+    absorb_gain,
     check_width,
     extend_merged,
 )
@@ -314,22 +329,31 @@ def movp(
                     update_trans((_P, *opened, opened), {0: 0})
                     update_trans((opened, second, second_below, dst), w)
 
-    # value of completing the stack below a state, composed bottom-up
+    # value of completing the stack below a state, composed bottom-up; a
+    # pending state carries what it gained since it was last propagated,
+    # and only that is extended (see the module docstring)
     reach: dict[_State, Merged] = defaultdict(dict)
     reach[_QF] = {0: 0}
     by_dst: dict[_State, list[_TransKey]] = defaultdict(list)
     for key in trans:
         if key[0] != _P:
             by_dst[key[3]].append(key)
+    gained: dict[_State, Merged] = {_QF: {0: 0}}
     pending = deque([_QF])
     while pending:
         q_done = pending.popleft()
-        below = reach[q_done]
+        delta = gained.pop(q_done)
         for key in by_dst[q_done]:
             w = trans[key]
-            work = _spend(work, len(below) * len(w))
-            if absorb(reach[key[0]], extend_merged(below, w)):
-                pending.append(key[0])
+            work = _spend(work, len(delta) * len(w))
+            src = key[0]
+            gain = absorb_gain(reach[src], extend_merged(delta, w))
+            if gain:
+                if src in gained:
+                    absorb(gained[src], gain)
+                else:
+                    gained[src] = gain
+                    pending.append(src)
 
     result: Merged = {}
     for (src, sym, _ann, dst), w in trans.items():
