@@ -165,6 +165,12 @@ def extract(model: ProgramModel, path: DepPath) -> tuple[Crossing, ...]:
     return tuple(word)
 
 
+def _check_bound(bound: int) -> None:
+    """Raise ``ValueError`` for a path bound below 1."""
+    if bound < 1:
+        raise ValueError("path bound must be at least 1")
+
+
 def _bounded_walks(start, succ: dict, stops, bound: int):
     """Each walk from ``start`` that ends at a node in ``stops``, uses each
     edge at most ``bound`` times and passes every guard, as a tuple of
@@ -176,11 +182,9 @@ def _bounded_walks(start, succ: dict, stops, bound: int):
     family that must hold on the sites of the edges before it on the walk,
     kept as a site -> count map.  An edge that fails its guard fails on
     every extension too, so it is pruned with all of them.  The empty walk
-    is never yielded.  A bound below 1 raises ``ValueError`` when the walk
-    starts.
+    is never yielded.  Its callers reject a bound below 1 with
+    ``_check_bound`` before any walk starts.
     """
-    if bound < 1:
-        raise ValueError("path bound must be at least 1")
     counts: dict[int, int] = {}
     below: dict = {}
     path: list = []
@@ -231,6 +235,7 @@ def _walks(
     yielded, summed over all targets, and its error names the first
     target, the one the walk is for.
     """
+    _check_bound(bound)
     callers: dict[str, list[str]] = {}
     for e in model.call_edges:
         callers.setdefault(e.callee, []).append(e.caller)
@@ -296,6 +301,7 @@ def dep_paths(
     model: ProgramModel, bound: int = DEFAULT_PATH_BOUND
 ) -> list[DepPath]:
     """All flow paths from an allocation to a checkpoint-co-located node."""
+    _check_bound(bound)
     targets = checkpoints(model)
     at_checkpoints = {
         ident for ident, n in model.dep_nodes.items() if n.site in targets

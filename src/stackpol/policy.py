@@ -129,13 +129,21 @@ def _policy_frame(model: ProgramModel) -> Policy:
     )
 
 
-def _read_sites(universe: PermissionUniverse) -> frozenset[CallSite]:
-    """The call sites that grant extraction reads: the checkpoints that
-    permissions originate from and every site of a demand context."""
-    named = {site for pairs in universe.sources.values() for site, _node in pairs}
-    for ctxs in universe.contexts.values():
-        named.update(*ctxs)
-    return frozenset(named)
+def _read_sites(universe: PermissionUniverse) -> dict[CallSite, set[CallSite]]:
+    """Per checkpoint that permissions originate from, the call sites that
+    a grant there reads: the checkpoint and every site of a demand context
+    of the permissions it sources.  Their union is every site that grant
+    extraction reads."""
+    named: dict[CallSite, set[CallSite]] = {}
+    for p, pairs in universe.sources.items():
+        demanded = set().union(*universe.contexts[p])
+        for site, _node in pairs:
+            sites = named.get(site)
+            if sites is None:
+                named[site] = demanded | {site}
+            else:
+                sites |= demanded
+    return named
 
 
 def _grants(
@@ -226,6 +234,18 @@ def generate_policy(
     hold the cut, merged digests, one per distinct key, not one per route;
     ``encode(model)`` keeps every site.
 
+    The solver is also handed, per checkpoint, the sites that a grant
+    there reads: the checkpoint and the demand-context sites of the
+    permissions it sources (``_read_sites``, whose union is the cut
+    above).  When the check method neither calls nor returns, a stack it
+    tops lies on one checkpoint, the last site pushed.  When, too, no
+    checkpoint site calls another method, that is the only checkpoint in
+    the history, and a grant there reads no site outside its
+    checkpoint's set.  ``movp`` then keeps of each history only those
+    sites, and masks each prefix on the way to the sites that the
+    checkpoints above its frame read, so prefixes that no grant tells
+    apart merge (see ``pushdown``).  Otherwise nothing is cut.
+
     Both clauses are decided for all digests at once, on each digest's
     packed history and live methods, with bitsets of digests indexed by
     call-site bit.
@@ -233,8 +253,11 @@ def generate_policy(
     distinct live set; no digest is decoded whole, and the result's
     ``weight`` decodes them only when read.
     """
-    system = encode(model, sites=_read_sites(universe))
-    solved = movp(system, targets={model.check_method}, tuple_cap=tuple_cap)
+    reads = _read_sites(universe)
+    system = encode(model, sites=frozenset().union(*reads.values()))
+    solved = movp(
+        system, targets={model.check_method}, tuple_cap=tuple_cap, reads=reads
+    )
     frame = _policy_frame(model)
     hidden = sum(solved.packing.bit.get(m, 0) for m in frame.system_methods)
     grants = _grants(solved, universe, hidden)

@@ -91,13 +91,51 @@ This is exact because ``extend_merged`` distributes over the union of
 merged weights, partial ``gen``s included: ``{k: g1 | g2} . r`` is the
 union of ``{k: g1} . r`` and ``{k: g2} . r``, so the deltas' products
 together are the product of the whole.
+
+With ``reads``, the read-out also cuts each prefix to the sites that a
+query can still read above it.  Call the symbol pushed right beneath a
+target its *checkpoint*; ``reads`` maps a checkpoint to the history
+sites that the caller's query reads on a stack where it lies beneath a
+target and no other checkpoint is in the history.  The products over a
+frame transition out of a target's frame state keep the reads of the
+checkpoint that the transition reads, or every site when ``reads`` does
+not name it.  The products over one out of any other frame state keep
+that state's ``need``: the union of the masks of the frame transitions
+that enter it, the reads of every checkpoint that a stack above the
+frame pushes.  ``need`` is a least fixpoint, computed top-down from the
+targets' frame states by a worklist: a state passes its need on to the
+states below it each time it grows, which under a shared frame or
+recursion happens up to once per site it gains.  The mask is
+ANDed into each product's key inside ``extend_merged``, and products
+whose keys then coincide merge their gens.  A frame transition that no
+target's frame lies above is on no accepting path, and the read-out
+skips it.
+
+The cut is exact for such a query.  A run to a stack topped by target t
+with checkpoint s meets the masks of the frame transitions on its
+accepting path.  The mask at t's frame state covers the product of the
+whole run, and every mask below it, which covers a prefix of the run,
+holds ``reads[s]``, because s is pushed above that frame.  So the run's
+digest keeps exactly its history's sites in ``reads[s]``, with its kill
+bit, ``finished`` and ``gen`` as they were; masking is a function of
+the key, so, as in ``weights``, merging after it unions the gens of the
+same runs.  Each result digest is thus the merge of its runs' digests,
+each cut to what the query reads.  That needs the history of a stack
+topped by a target to hold no checkpoint but its own, which holds when a
+push records at most its own site, as ``policy.encode``'s do, and no
+run pushes a checkpoint anywhere else.  So ``movp`` cuts nothing when a
+target has rules of its own (it could push above itself, or return and
+be pushed again), when a target is reached other than by a push (then
+no checkpoint lies beneath it), or when a rule pushes a checkpoint
+beneath a non-target.  Nor does it cut when every checkpoint reads
+every site a history records, since the cut would drop nothing.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Union
+from typing import Iterable, Mapping, Union
 
 from .contexts import ANY_FAMILY, CallSite, CtxFamily, CtxSet, format_family, holds
 from .errors import CapacityError
@@ -116,9 +154,11 @@ from .weights import (
 StackSymbol = Union[str, CallSite]
 
 # the most work one solve may do: one unit per worklist pop and one per
-# digest pair sequenced.  The largest benchmark model spends about 16,000
-# and the full-bipartite L6xW5 layered model 86,000, 23 times under it;
-# at about 0.3-1 us a unit a blowup exits within about two seconds
+# digest pair sequenced.  The largest benchmark model spends about 2,400
+# and the full-bipartite L6xW5 layered model 11,000, 180 times under it.
+# A unit costs more the more bits its keys hold, so a blowup exits after
+# 0.3 s (returning helpers, k=12) to 6 s (a 5000-method call DAG whose
+# checks call returning factories) under Python 3.11 on 2 shared CPUs
 WORK_BUDGET = 2_000_000
 
 
@@ -263,13 +303,85 @@ _EPS = object()
 _TransKey = tuple[_State, StackSymbol, CtxSet, _State]
 
 
+def _cut_frames(
+    system: ConditionalWPDS,
+    annotated: AnnotatedWPDS,
+    wanted: set[StackSymbol],
+    reads: Mapping[StackSymbol, Iterable[CallSite]],
+    packing: Packing,
+    out_of: dict[_State, list[_TransKey]],
+    tops: list[tuple[_TransKey, Merged]],
+) -> dict[_State, list[tuple[_TransKey, int]]] | None:
+    """Per state, the frame transitions below a target's frame that enter
+    it, each with the mask that ``reach`` ANDs into its products' keys;
+    ``None`` when the cut would drop nothing or would not be exact (see
+    the module docstring)."""
+    sites = packing.sites
+    bit = packing.bit.get
+    masks: dict[StackSymbol, int] = {}
+    narrows = False
+    for checkpoint, named in reads.items():
+        mask = 0
+        for site in named:
+            mask |= bit(site, 0)
+        masks[checkpoint] = mask
+        narrows = narrows or sites & ~mask != 0
+    if not narrows:
+        return None
+    # a target with rules of its own, a checkpoint pushed beneath a
+    # non-target, or a target reached other than by a push
+    if not annotated._by_lhs.keys().isdisjoint(wanted):
+        return None
+    for r in system.rules:
+        if len(r.rhs) == 2 and r.rhs[1] in masks and r.rhs[0] not in wanted:
+            return None
+    if any(key[3] != _QF and key[3] != key[1:3] for key, _w in tops):
+        return None
+    # the sites that the stacks above each state read, seeded by the
+    # target frames' transitions, which keep their own checkpoint's reads
+    # (every site for one that ``reads`` does not name); each entry ORs a
+    # mask into a state, and a state that grew passes its need below
+    need: dict[_State, int] = {}
+    by_dst: dict[_State, list[tuple[_TransKey, int]]] = defaultdict(list)
+    pending: list[tuple[_State, int]] = []
+    for top, _w in tops:
+        for key in out_of.get(top[3], ()):
+            mask = masks.get(key[1], -1)
+            by_dst[key[3]].append((key, ~((sites & ~mask) << 1)))
+            pending.append((key[3], mask))
+    while pending:
+        q, mask = pending.pop()
+        old = need.get(q)
+        if old is not None:
+            if not mask & ~old:
+                continue
+            mask |= old
+        need[q] = mask
+        for key in out_of.get(q, ()):
+            pending.append((key[3], mask))
+    for q, mask in need.items():
+        keep = ~((sites & ~mask) << 1)
+        for key in out_of.get(q, ()):
+            by_dst[key[3]].append((key, keep))
+    return by_dst
+
+
 def movp(
     system: ConditionalWPDS,
     targets: Iterable[StackSymbol],
     *,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
+    reads: Mapping[StackSymbol, Iterable[CallSite]] | None = None,
 ) -> PackedWeight:
     """Meet over all paths from the start stack to any stack topped by a target.
+
+    ``reads`` maps a checkpoint, a symbol pushed right beneath a target,
+    to the history sites that a query reads on a stack where it lies
+    beneath a target and no other checkpoint is in the history.  With
+    it, each result digest keeps only those sites of its history, and
+    the read-out cuts each prefix on the way; a checkpoint that ``reads``
+    does not name keeps every site.  Where the cut would not be exact, or
+    would drop nothing, nothing is cut (see the module docstring).
 
     Raises ``CapacityError`` when the result holds more than ``tuple_cap``
     merged digests, or when the solve's work passes ``WORK_BUDGET``.
@@ -329,25 +441,33 @@ def movp(
                     update_trans((_P, *opened, opened), {0: 0})
                     update_trans((opened, second, second_below, dst), w)
 
+    tops = [(key, w) for key, w in trans.items() if key[0] == _P and key[1] in wanted]
+    # the frame transitions that enter each state, each with the key mask
+    # of its reach products; -1 cuts nothing
+    by_dst = None
+    if reads:
+        by_dst = _cut_frames(system, annotated, wanted, reads, packing, out_of, tops)
+    if by_dst is None:
+        by_dst = defaultdict(list)
+        for key in trans:
+            if key[0] != _P:
+                by_dst[key[3]].append((key, -1))
+
     # value of completing the stack below a state, composed bottom-up; a
     # pending state carries what it gained since it was last propagated,
     # and only that is extended (see the module docstring)
     reach: dict[_State, Merged] = defaultdict(dict)
     reach[_QF] = {0: 0}
-    by_dst: dict[_State, list[_TransKey]] = defaultdict(list)
-    for key in trans:
-        if key[0] != _P:
-            by_dst[key[3]].append(key)
     gained: dict[_State, Merged] = {_QF: {0: 0}}
     pending = deque([_QF])
     while pending:
         q_done = pending.popleft()
         delta = gained.pop(q_done)
-        for key in by_dst[q_done]:
+        for key, keep in by_dst[q_done]:
             w = trans[key]
             work = _spend(work, len(delta) * len(w))
             src = key[0]
-            gain = absorb_gain(reach[src], extend_merged(delta, w))
+            gain = absorb_gain(reach[src], extend_merged(delta, w, keep))
             if gain:
                 if src in gained:
                     absorb(gained[src], gain)
@@ -356,11 +476,10 @@ def movp(
                     pending.append(src)
 
     result: Merged = {}
-    for (src, sym, _ann, dst), w in trans.items():
-        if src == _P and sym in wanted:
-            below = reach[dst]
-            work = _spend(work, len(below) * len(w))
-            absorb(result, extend_merged(below, w))
+    for (_src, _sym, _ann, dst), w in tops:
+        below = reach[dst]
+        work = _spend(work, len(below) * len(w))
+        absorb(result, extend_merged(below, w))
     packed_result = PackedWeight(packing, result)
     check_width(packed_result, tuple_cap)
     return packed_result

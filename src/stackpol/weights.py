@@ -29,12 +29,14 @@ dict ``{key: gen}`` whose int key packs ``kill | (finished | history)
 ``history`` OR into one field, and ``gen`` holds method bits alone.
 ``Packing.pack`` turns a rule's digest into a one-entry merged weight.
 Sequencing two merged digests is ``key = lkey | rkey`` and ``gen = rgen
-if rkey & 1 else lgen | rgen`` (``extend_merged``), and union ORs each
-gen into its key's (``absorb``).  A solver result keeps this form:
-``PackedWeight`` holds the dict with the packing that names its bits,
-grant extraction reads each digest's history and live bits from it, and
-``PackedWeight.decode``, the one place that decodes, builds the
-``Weight`` only for a caller that asks for it.
+if rkey & 1 else lgen | rgen`` (``extend_merged``, which can also AND
+each product's key with a mask, as ``pushdown``'s read-out does to cut
+histories), and union ORs each gen into its key's (``absorb``).  A
+solver result keeps this form: ``PackedWeight`` holds the dict with the
+packing that names its bits, grant extraction reads each digest's
+history and live bits from it, and ``PackedWeight.decode``, the one
+place that decodes, builds the ``Weight`` only for a caller that asks
+for it.
 
 The merge is exact for what the solver is asked.  Write ``[w]`` for
 ``w`` with its digests merged.  The product of two digests has the key
@@ -226,20 +228,21 @@ class Packing:
         return {int(digest.kill) | (finished | history) << 1: gen}
 
 
-def extend_merged(left: Merged, right: Merged) -> Merged:
+def extend_merged(left: Merged, right: Merged, keep: int = -1) -> Merged:
     """``Weight.extend`` on merged weights: ``WeightTuple.seq`` per pair,
-    with the gens of products that share a key unioned."""
+    with each product's key ANDed with ``keep`` and the gens of products
+    that share a key unioned."""
     out: Merged = {}
     get = out.get
     for rkey, rgen in right.items():
         if rkey & 1:
             # a killing right digest discards every left gen
             for lkey in left:
-                key = lkey | rkey
+                key = (lkey | rkey) & keep
                 out[key] = get(key, 0) | rgen
         else:
             for lkey, lgen in left.items():
-                key = lkey | rkey
+                key = (lkey | rkey) & keep
                 out[key] = get(key, 0) | lgen | rgen
     return out
 

@@ -61,9 +61,17 @@ path-digest reference for single runs.
 
 ``grants_by_scan`` extracts grants from a solved weight by testing every
 digest against every permission and demand context, the reference for
-``generate_policy``'s indexed extraction.  ``read_sites`` is the set of
-call sites that extraction reads, the checkpoints and the sites of
-every demand context, to which ``generate_policy`` cuts the histories.
+``generate_policy``'s indexed extraction.  ``checkpoint_reads`` maps
+each checkpoint that permissions originate from to what a grant there
+reads: the checkpoint and the sites of the demand contexts of the
+permissions it sources.  ``read_sites``, their union, is the set of
+call sites that extraction reads, to which ``generate_policy`` cuts the
+histories.  ``projected`` cuts each digest's history to the reads of
+the checkpoints it holds and merges the result.  Where each push
+records its own site and a history holds one checkpoint, the one that
+pushed the check method, that is the digest set ``generate_policy``'s
+projected solve must return; it is computed from the unprojected solve,
+digest by digest, with no automaton.
 ``route_universe`` gives each form-3 permission its allocating methods'
 route contexts as the demand family, the family form 3 had before its
 singletons; scanning the exact solve under it is the reference that the
@@ -484,12 +492,31 @@ def grants_by_scan(
     return {m: frozenset(ps) for m, ps in grants.items()}
 
 
+def checkpoint_reads(universe: PermissionUniverse) -> dict[CallSite, CtxSet]:
+    reads: dict[CallSite, set[CallSite]] = {}
+    for p, pairs in universe.sources.items():
+        for site, _node in pairs:
+            sites = reads.setdefault(site, {site})
+            for ctx in universe.contexts[p]:
+                sites |= ctx
+    return {site: frozenset(sites) for site, sites in reads.items()}
+
+
 def read_sites(universe: PermissionUniverse) -> CtxSet:
-    read = {site for pairs in universe.sources.values() for site, _node in pairs}
-    for family in universe.contexts.values():
-        for ctx in family:
-            read |= ctx
-    return frozenset(read)
+    return frozenset().union(*checkpoint_reads(universe).values())
+
+
+def projected(weight: Weight, reads: dict[CallSite, CtxSet]) -> Weight:
+    """``weight`` with each digest's history cut to the sites that the
+    checkpoints in it read, and ``merged``; a history that holds no
+    checkpoint is kept whole."""
+    cut = set()
+    for d in weight.tuples:
+        named = [reads[site] for site in d.history if site in reads]
+        if named:
+            d = replace(d, history=d.history & frozenset().union(*named))
+        cut.add(d)
+    return merged(Weight(frozenset(cut)))
 
 
 def route_universe(

@@ -9,14 +9,15 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import replace
 from itertools import chain, combinations
 
 from bruteforce import (
     abstract_ctx_set,
     annotate_stack,
+    checkpoint_reads,
     concretize,
     family_leq,
+    projected,
     read_sites,
     reduced_successors,
     relevant_sites,
@@ -134,9 +135,14 @@ def test_criterion_3_meet_over_all_paths_digests(
         # checkpoints and demand contexts name: Priv.run:20 is not one
         read = read_sites(example_universe)
         assert Z9 not in read
-        assert example_result.weight.tuples == {
-            replace(d, history=d.history & read) for d in exact.tuples
-        }
+        # and each digest keeps only what a grant at its own checkpoint
+        # reads: checkConnect:5 is named by a demand at checkConnect:6
+        # alone, so the checkAccess:24 digests drop it
+        reads = checkpoint_reads(example_universe)
+        assert frozenset().union(*reads.values()) == read
+        assert Z5 in reads[Z6] and Z5 not in reads[Z10]
+        assert example_result.weight == projected(exact, reads)
+        assert example_result.weight.width() == exact.width() == 8
     _report(3, "four digests with the expected method stacks", t.elapsed, 1.0)
 
 

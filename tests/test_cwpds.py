@@ -12,10 +12,12 @@ from bruteforce import (
     alphabet,
     annotate_stack,
     fold_weights,
+    merged,
     movp_by_stepping,
     movp_by_weights,
     named_sites,
     one_digest,
+    projected,
     reduced_successors,
     relevant_sites,
     stack_sites,
@@ -696,3 +698,110 @@ def test_packed_and_reference_solvers_reach_the_same_final_cap(monkeypatch):
     assert final_widths == [2**8]
     assert str(packed.value) == str(reference.value)
     assert str(packed.value).startswith("weight grew to 256 digests (cap 255)")
+
+
+# ---------------------------------------------------------------------------
+# reach cut to the sites that each checkpoint reads
+
+
+def _checkpointed(rng: random.Random) -> tuple[ConditionalWPDS, dict]:
+    # a draining system whose methods may also push ``check`` at line 100;
+    # each checkpoint reads a random few of the sites, itself among them,
+    # and now and then one is left out of the map and keeps every site
+    system = _random_draining_system(rng)
+    rules = list(system.rules)
+    checkpoints = []
+    for m in "ABCDE":
+        if rng.random() < 0.6:
+            s = site(m, 100)
+            rules.append(Rule(m, ("check", s), weight=d(gen=[m], hist=[s])))
+            checkpoints.append(s)
+    pool = sorted({s for r in rules for s in r.weight.history})
+    reads = {
+        s: frozenset(rng.sample(pool, rng.randint(0, len(pool)))) | {s}
+        for s in checkpoints
+        if rng.random() < 0.85
+    }
+    return ConditionalWPDS(rules, "A"), reads
+
+
+def test_a_cut_solve_keeps_each_history_within_its_checkpoints_reads():
+    rng = random.Random(28)
+    narrowed = 0
+    for _trial in range(80):
+        system, reads = _checkpointed(rng)
+        stepped = movp_by_stepping(system, {"check"}, depth=30)
+        cut = movp(system, {"check"}, reads=reads).decode()
+        assert cut == projected(stepped, reads)
+        narrowed += cut != merged(stepped)
+    assert narrowed > 20
+
+
+def test_a_cut_solve_matches_the_reference_under_recursion():
+    # B and C call each other and both check, so the frames above B's
+    # state reach it again through C's; each checkpoint reads its own site
+    # and the site into its frame, which the other frame does not read
+    za, zb, zc = site("A", 1), site("B", 1), site("C", 1)
+    kb, kc = site("B", 100), site("C", 100)
+    rules = [
+        Rule("A", ("B", za), weight=d(gen=["A"], hist=[za])),
+        Rule("B", ("C", zb), weight=d(gen=["B"], hist=[zb])),
+        Rule("C", ("B", zc), weight=d(gen=["C"], hist=[zc])),
+        Rule("B", ("check", kb), weight=d(gen=["B"], hist=[kb])),
+        Rule("C", ("check", kc), weight=d(gen=["C"], hist=[kc])),
+        Rule("B", (), weight=d(fin=["B"])),
+        Rule("C", (), weight=d(fin=["C"])),
+    ]
+    system = ConditionalWPDS(rules, "A")
+    reads = {kb: frozenset({kb, zc}), kc: frozenset({kc, zb})}
+    whole = movp(system, {"check"}).decode()
+    cut = movp(system, {"check"}, reads=reads).decode()
+    assert cut == projected(whole, reads)
+    assert cut.width() < whole.width()
+
+
+def _uncut_when(system: ConditionalWPDS, reads: dict, dropped: CallSite) -> None:
+    # a cut to the reads of the checkpoint beneath the target would drop
+    # ``dropped`` from some history; the solve keeps every site instead
+    whole = movp(system, {"check"}).decode()
+    assert any(dropped in t.history for t in whole.tuples)
+    assert movp(system, {"check"}, reads=reads).decode() == whole
+
+
+def test_no_cut_when_the_target_has_rules_of_its_own():
+    # check pushes X, so a stack could hold a checkpoint above the one
+    # beneath a check
+    za, zb, kb, kc = site("A", 1), site("A", 2), site("B", 1), site("check", 1)
+    rules = [
+        Rule("A", ("check", za), weight=d(gen=["A"], hist=[za])),
+        Rule("A", ("B", zb), weight=d(gen=["A"], hist=[zb])),
+        Rule("B", ("check", kb), weight=d(gen=["B"], hist=[kb])),
+        Rule("check", ("X", kc), weight=d(gen=["check"], hist=[kc])),
+    ]
+    _uncut_when(ConditionalWPDS(rules, "A"), {za: {za}, kb: {kb}}, zb)
+
+
+def test_no_cut_when_a_checkpoint_is_pushed_beneath_a_non_target():
+    # A:1 pushes both check and B, so B's stacks hold A:1 beneath the
+    # check that B:1 pushes
+    za, kb = site("A", 1), site("B", 1)
+    rules = [
+        Rule("A", ("check", za), weight=d(gen=["A"], hist=[za])),
+        Rule("A", ("B", za), weight=d(gen=["A"], hist=[za])),
+        Rule("B", ("check", kb), weight=d(gen=["B"], hist=[kb])),
+    ]
+    _uncut_when(ConditionalWPDS(rules, "A"), {za: {za}, kb: {kb}}, za)
+
+
+def test_no_cut_when_a_target_is_reached_other_than_by_a_push():
+    # main calls A at main:1; A calls B at A:2, and B's return to A:2
+    # resumes in check, so check lies on main:1 with no checkpoint beneath
+    zm, za, zb = site("main", 1), site("A", 1), site("A", 2)
+    rules = [
+        Rule("main", ("A", zm), weight=d(gen=["main"], hist=[zm])),
+        Rule("A", ("check", za), weight=d(gen=["A"], hist=[za])),
+        Rule("A", ("B", zb), weight=d(gen=["A"], hist=[zb])),
+        Rule("B", (), weight=d(fin=["B"])),
+        Rule(zb, ("check",)),
+    ]
+    _uncut_when(ConditionalWPDS(rules, "main"), {za: {za}}, zm)

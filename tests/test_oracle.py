@@ -149,6 +149,14 @@ def test_bound_below_one_is_rejected(example_model, example_universe):
         dep_paths(example_model, bound=0)
     with pytest.raises(ValueError, match="path bound must be at least 1"):
         oracle_policy(example_model, example_universe, bound=0)
+    # with no allocation node there is no flow to walk from
+    no_alloc = parse_model(
+        "method main entry\nmethod doPriv priv\nmethod check check\n"
+        "calledge 1 main 1 check ctx=any\n"
+    )
+    with pytest.raises(ValueError, match="path bound must be at least 1"):
+        dep_paths(no_alloc, bound=0)
+    assert dep_paths(no_alloc, bound=1) == []
 
 
 def test_enumeration_blowup_is_capped():

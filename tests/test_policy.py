@@ -4,9 +4,11 @@ from dataclasses import replace
 
 import pytest
 from bruteforce import (
+    checkpoint_reads,
     grants_by_scan,
     merged,
     movp_by_weights,
+    projected,
     read_sites,
     route_universe,
 )
@@ -25,6 +27,7 @@ from stackpol import (
     enum_vpaths,
     generate_permissions,
     generate_policy,
+    oracle_policy,
     parse_model,
     parse_permission,
     parse_policy_table,
@@ -403,10 +406,16 @@ def test_extraction_matches_scan_on_a_full_bipartite_layered_model():
     # many digests share one live set and few grant: the 9 routes into
     # the asserting m3_2, each with and without the factory's return,
     # leave only ptail live, and only the one route the tail's demand
-    # names grants there
+    # names grants there.  The tail's checkpoint reads 3 sites of those
+    # routes, main:1, m1_1:2 and m2_2:2, which split the 9 routes into 4
+    # classes, so 8 of the 18 digests are left
     model = _full_bipartite(3, 3)
     universe, grants = _grants_match_scan(model)
     weight = generate_policy(model, universe).weight
+    reference = movp_by_weights(
+        encode(model, sites=read_sites(universe)), {model.check_method}
+    )
+    assert weight == projected(reference, checkpoint_reads(universe))
     hidden = {model.check_method, model.priv_method}
     lives = [(d.gen - d.finished) - hidden for d in weight.tuples]
     granting = [
@@ -414,13 +423,55 @@ def test_extraction_matches_scan_on_a_full_bipartite_layered_model():
         for d in weight.tuples
         if grants_by_scan(model, universe, Weight(frozenset({d})))
     ]
-    assert (len(lives), len(set(lives)), len(granting)) == (45, 28, 7)
-    assert lives.count(frozenset({"ptail"})) == 18
+    counts = (reference.width(), len(lives), len(set(lives)), len(granting))
+    assert counts == (45, 35, 28, 7)
+    assert lives.count(frozenset({"ptail"})) == 8
     assert grants["ptail"] == frozenset({Permission("R", "exit")})
     assert grants["m3_2"] == frozenset(
         {Permission("F", "/2a", "read"), Permission("F", "/2b", "write")}
     )
     assert len(grants["main"]) == 6
+
+
+SHARED_CHECKPOINT_MODEL = """\
+method main entry
+method Z
+method doPriv priv
+method check check
+calledge 1 main 1 check ctx=any
+calledge 2 main 1 Z ctx=any
+calledge 3 Z 1 check ctx=any
+depnode a1 main 50 kind=alloc form=3 type=P1
+depnode c1 main 1 kind=callsite
+depedge a1 c1
+checkarg main:1 var=p
+pta p@main = {(P1, a1, {})}
+depnode a2 Z 50 kind=alloc form=2 type=P2 target=t
+depnode c2 Z 1 kind=callsite
+depedge a2 c2
+checkarg Z:1 var=q
+pta q@Z = {(P2, a2, {})}
+sa t@Z = {("x", {})}
+"""
+
+
+def test_a_checkpoint_site_that_also_calls_a_method_keeps_every_history_site():
+    # main:1 calls both check and Z, so the stack that Z:1 checks holds
+    # main:1 in its history, and extraction reads it as P1's checkpoint
+    # there; a cut to what Z:1 reads would drop it, so the solve cuts
+    # nothing and the grants stay the unprojected solve's.  The oracle,
+    # which tells the two calls at main:1 apart, gives Z no P1
+    model = parse_model(SHARED_CHECKPOINT_MODEL)
+    universe = generate_permissions(model)
+    result = generate_policy(model, universe)
+    reference = movp_by_weights(
+        encode(model, sites=read_sites(universe)), {model.check_method}
+    )
+    assert result.weight == merged(reference)
+    assert projected(reference, checkpoint_reads(universe)) == reference
+    p1, p2 = Permission("P1"), Permission("P2", "x")
+    assert result.policy.grants == {"main": {p1, p2}, "Z": {p1, p2}}
+    assert oracle_policy(model, universe).grants == {"main": {p1, p2}, "Z": {p2}}
 
 
 def test_a_demand_context_naming_a_site_no_rule_pushes_matches_no_digest(
@@ -467,7 +518,7 @@ def test_result_weight_decodes_to_the_reference_solve(example_model):
         encode(example_model, sites=read_sites(universe)),
         {example_model.check_method},
     )
-    assert result.weight == reference
+    assert result.weight == projected(reference, checkpoint_reads(universe))
     assert result.digests.width() == reference.width() == 8
 
 

@@ -4,9 +4,13 @@ The solver merges digests that share ``(kill, finished, history)``, so a
 full-bipartite graph whose W^L routes each leave a distinct ``gen`` set
 keeps one digest per cut history.  These models exit 0 under the default
 ``tuple_cap``; an unmerged solve holds more than 10,000 digests on each.
-A model whose saturation would sequence far more digest pairs than
-``pushdown.WORK_BUDGET`` exits 3 instead, quickly and without a
-traceback.
+On a random call DAG of thousands of methods, each prefix keeps only the
+sites that a check above it reads, and the grants equal a closed form
+found by two graph searches per check.  A model whose saturation would
+sequence far more digest pairs than ``pushdown.WORK_BUDGET`` exits 3
+instead, without a traceback, once the budget is spent: within a second
+for the models here, and within seconds where wide keys make each pair
+dearer.
 """
 
 from __future__ import annotations
@@ -15,10 +19,12 @@ import random
 
 import pytest
 from benchmodels import workloads
+from bruteforce import checkpoint_reads, projected, read_sites
 
 from stackpol import (
     CallSite,
     Permission,
+    emit_policy,
     generate_permissions,
     generate_policy,
     parse_model,
@@ -28,6 +34,8 @@ from stackpol import (
 from stackpol import oracle
 from stackpol.cli import main
 from stackpol.errors import CapacityError
+from stackpol.policy import encode
+from stackpol.pushdown import movp
 
 
 def _edges():
@@ -101,6 +109,73 @@ def returning_helpers_text(helpers: int) -> str:
     return "\n".join(lines + edges + facts) + "\n"
 
 
+def dag_text(n: int, fanout: int, seed: int) -> str:
+    """A random call DAG of ``n`` methods ``f1..fn``.  ``main`` calls
+    ``f1..f5``, and each ``fi`` makes ``fanout`` calls, at lines
+    ``1..fanout``, each to a method drawn from ``f(i+1)..f(i+50)``.
+    Twenty distinct methods drawn from the called ones among ``f(n/2)..fn``
+    each check a form-2 ``FilePermission`` at line 100, whose target fact
+    holds under one site drawn from the call sites into that method."""
+    rng = random.Random(seed)
+    names = [f"f{i}" for i in range(1, n + 1)]
+    lines = ["method main entry"] + [f"method {f}" for f in names]
+    lines += ["method doPrivileged priv", "method checkPermission check"]
+    edges, edge = _edges()
+    into: dict[str, list[str]] = {}
+    for line, callee in enumerate(names[:5], start=1):
+        edge("main", line, callee)
+        into.setdefault(callee, []).append(f"main:{line}")
+    for i in range(1, n):
+        for line in range(1, fanout + 1):
+            callee = f"f{rng.randint(i + 1, min(i + 50, n))}"
+            edge(f"f{i}", line, callee)
+            into.setdefault(callee, []).append(f"f{i}:{line}")
+    called = [f for f in names[n // 2 - 1 :] if f in into]
+    facts = []
+    for b in rng.sample(called, 20):
+        edge(b, 100, "checkPermission")
+        facts += [
+            f"depnode a{b} {b} 90 kind=alloc form=2 type=FilePermission target=t",
+            f"depnode c{b} {b} 100 kind=callsite",
+            f"depedge a{b} c{b}",
+            f"checkarg {b}:100 var=p",
+            f"pta p@{b} = {{(FilePermission, a{b}, {{}})}}",
+            f'sa t@{b} = {{("/{b}", {{{rng.choice(into[b])}}})}}',
+        ]
+    return "\n".join(lines + edges + facts) + "\n"
+
+
+def dag_grants(model) -> dict[str, set[str]]:
+    """The closed-form table of a ``dag_text`` model, by two graph searches
+    per check: nothing on a DAG asserts privilege, so the permission that
+    ``b`` checks under the one-site context ``{s}`` goes to ``b`` and to
+    every method reachable from the entry that reaches ``s``'s method."""
+    callees: dict[str, set[str]] = {}
+    callers: dict[str, set[str]] = {}
+    for e in model.call_edges:
+        callees.setdefault(e.caller, set()).add(e.callee)
+        callers.setdefault(e.callee, set()).add(e.caller)
+
+    def closure(start: str, step: dict[str, set[str]]) -> set[str]:
+        seen, stack = {start}, [start]
+        while stack:
+            for nxt in step.get(stack.pop(), ()):
+                if nxt not in seen:
+                    seen.add(nxt)
+                    stack.append(nxt)
+        return seen
+
+    live = closure(model.entry_method, callees)
+    grants: dict[str, set[str]] = {}
+    for (_var, b), facts in model.sa.items():
+        (fact,) = facts
+        (s,) = fact.ctx
+        if s.method in live:
+            for m in (closure(s.method, callers) & live) | {b}:
+                grants.setdefault(m, set()).add(f'FilePermission("{fact.value}")')
+    return grants
+
+
 def _table(grants: dict[str, set[str]]) -> str:
     return "".join(
         f"method {m}: {p}\n" for m in sorted(grants) for p in sorted(grants[m])
@@ -108,14 +183,39 @@ def _table(grants: dict[str, set[str]]) -> str:
 
 
 def test_layered_l6_w5_exits_zero_with_its_closed_form_grants(tmp_path, capsys):
-    # 5^6 stacks leave 15,635 digests unmerged; merged, one per cut history
+    # 5^6 stacks leave 15,635 digests unmerged; merged, 5812 cut histories,
+    # and 428 once each keeps only what its own checkpoint reads
     text, expected = workloads().layered_text(random.Random(1), 6, 5)
     path = tmp_path / "layered.model"
     path.write_text(text, encoding="utf-8")
     assert main(["analyze", str(path)]) == 0
     out, err = capsys.readouterr()
-    assert "stack digests: 5812" in err.splitlines()
+    assert "stack digests: 428" in err.splitlines()
     assert out == _table(expected)
+    model = parse_model(text)
+    universe = generate_permissions(model)
+    unprojected = movp(
+        encode(model, sites=read_sites(universe)), {model.check_method}
+    ).decode()
+    assert unprojected.width() == 5812
+    reference = projected(unprojected, checkpoint_reads(universe))
+    assert generate_policy(model, universe).weight == reference
+    assert reference.width() == 428
+
+
+@pytest.mark.parametrize(
+    "n, fanout", [(300, 2), (1000, 3), (2000, 2)]
+)
+def test_a_random_call_dag_gets_its_closed_form_grants(n, fanout):
+    # each prefix keeps only the sites that a check above it still reads,
+    # so the routes into the checking methods, exponential in the DAG's
+    # diamonds, leave a few digests; 1000x3 and 2000x2 once exceeded the
+    # work budget
+    model = parse_model(dag_text(n, fanout, 1))
+    result = generate_policy(model, generate_permissions(model))
+    expected = dag_grants(model)
+    assert len(expected) > 20
+    assert emit_policy(result.policy) == _table(expected)
 
 
 def test_wide_form3_l7_w7_exits_zero_through_the_cli(tmp_path, capsys):
