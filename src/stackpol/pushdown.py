@@ -455,10 +455,10 @@ def movp(
 
     # value of completing the stack below a state, composed bottom-up; a
     # pending state carries what it gained since it was last propagated,
-    # and only that is extended (see the module docstring)
-    reach: dict[_State, Merged] = defaultdict(dict)
-    reach[_QF] = {0: 0}
-    gained: dict[_State, Merged] = {_QF: {0: 0}}
+    # and only that is extended (see the module docstring).  A state not
+    # yet propagated has gained all it holds, so the two share one dict
+    reach: dict[_State, Merged] = {_QF: {0: 0}}
+    gained: dict[_State, Merged] = {_QF: reach[_QF]}
     pending = deque([_QF])
     while pending:
         q_done = pending.popleft()
@@ -467,13 +467,20 @@ def movp(
             w = trans[key]
             work = _spend(work, len(delta) * len(w))
             src = key[0]
-            gain = absorb_gain(reach[src], extend_merged(delta, w, keep))
+            product = extend_merged(delta, w, keep)
+            below = reach.get(src)
+            if below is None:
+                reach[src] = gained[src] = product
+                pending.append(src)
+                continue
+            gain = absorb_gain(below, product)
             if gain:
-                if src in gained:
-                    absorb(gained[src], gain)
-                else:
+                fresh = gained.get(src)
+                if fresh is None:
                     gained[src] = gain
                     pending.append(src)
+                elif fresh is not below:
+                    absorb(fresh, gain)
 
     result: Merged = {}
     for (_src, _sym, _ann, dst), w in tops:
