@@ -244,7 +244,8 @@ def generate_policy(
     checkpoint's set.  ``movp`` then keeps of each history only those
     sites, and masks each prefix on the way to the sites that the
     checkpoints above its frame read, so prefixes that no grant tells
-    apart merge (see ``pushdown``).  Otherwise nothing is cut.
+    apart merge (see ``pushdown``).  Otherwise nothing is cut, and
+    neither is it with one checkpoint, whose set is the whole cut above.
 
     Both clauses are decided for all digests at once, on each digest's
     packed history and live methods, with bitsets of digests indexed by
@@ -255,8 +256,12 @@ def generate_policy(
     """
     reads = _read_sites(universe)
     system = encode(model, sites=frozenset().union(*reads.values()))
+    # one checkpoint reads every site the encoding records: nothing to cut
     solved = movp(
-        system, targets={model.check_method}, tuple_cap=tuple_cap, reads=reads
+        system,
+        targets={model.check_method},
+        tuple_cap=tuple_cap,
+        reads=reads if len(reads) > 1 else None,
     )
     frame = _policy_frame(model)
     hidden = sum(solved.packing.bit.get(m, 0) for m in frame.system_methods)

@@ -325,18 +325,17 @@ def _cut_frames(
         for site in named:
             mask |= bit(site, 0)
         masks[checkpoint] = mask
-        narrows = narrows or sites & ~mask != 0
-    if not narrows:
-        return None
-    # a target with rules of its own, a checkpoint pushed beneath a
-    # non-target, or a target reached other than by a push
-    if not annotated._by_lhs.keys().isdisjoint(wanted):
+        if sites & ~mask:
+            narrows = True
+    # nothing to cut, or a target with rules of its own, a checkpoint
+    # pushed beneath a non-target, or (below) a target reached other
+    # than by a push
+    if not narrows or not annotated._by_lhs.keys().isdisjoint(wanted):
         return None
     for r in system.rules:
-        if len(r.rhs) == 2 and r.rhs[1] in masks and r.rhs[0] not in wanted:
+        rhs = r.rhs
+        if len(rhs) == 2 and rhs[1] in masks and rhs[0] not in wanted:
             return None
-    if any(key[3] != _QF and key[3] != key[1:3] for key, _w in tops):
-        return None
     # the sites that the stacks above each state read, seeded by the
     # target frames' transitions, which keep their own checkpoint's reads
     # (every site for one that ``reads`` does not name); each entry ORs a
@@ -345,7 +344,12 @@ def _cut_frames(
     by_dst: dict[_State, list[tuple[_TransKey, int]]] = defaultdict(list)
     pending: list[tuple[_State, int]] = []
     for top, _w in tops:
-        for key in out_of.get(top[3], ()):
+        frame = top[3]
+        if frame == _QF:
+            continue
+        if frame != top[1:3]:
+            return None
+        for key in out_of[frame]:
             mask = masks.get(key[1], -1)
             by_dst[key[3]].append((key, ~((sites & ~mask) << 1)))
             pending.append((key[3], mask))
