@@ -203,13 +203,11 @@ def test_layered_l6_w5_exits_zero_with_its_closed_form_grants(tmp_path, capsys):
     assert reference.width() == 428
 
 
-@pytest.mark.parametrize(
-    "n, fanout", [(300, 2), (1000, 3), (2000, 2)]
-)
+@pytest.mark.parametrize("n, fanout", [(300, 2), (1000, 3), (2000, 2)])
 def test_a_random_call_dag_gets_its_closed_form_grants(n, fanout):
     # each prefix keeps only the sites that a check above it still reads,
     # so the routes into the checking methods, exponential in the DAG's
-    # diamonds, leave a few digests; 1000x3 and 2000x2 once exceeded the
+    # diamonds, leave a few digests; uncut, 1000x3 and 2000x2 exceed the
     # work budget
     model = parse_model(dag_text(n, fanout, 1))
     result = generate_policy(model, generate_permissions(model))
