@@ -140,10 +140,11 @@ def _cmd_oracle(args: argparse.Namespace) -> int:
 
 def _cmd_dump(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
+    # before any output, so that a route budget error leaves stdout empty
+    phi = compute_phi_meth(model)
     system = encode(model)
     print(system.dump())
     print()
-    phi = compute_phi_meth(model)
     print("phi_meth:")
     for method in sorted(phi):
         print(f"  {method}: {format_family(phi[method])}")

@@ -77,6 +77,9 @@ route contexts as the demand family, the family form 3 had before its
 singletons; scanning the exact solve under it is the reference that the
 singletons and the cut must reproduce.
 
+``phi_meth_by_bfs`` is ``compute_phi_meth`` as first written, one
+worklist entry per route.
+
 ``phi_route_along`` is the context family of one call path: the unions
 of one alternative per edge.  A path is route-valid when each edge's
 context holds on the sites of the edges before it, the sites below the
@@ -530,6 +533,28 @@ def route_universe(
             methods = {model.dep_nodes[node].method for _site, node in pairs}
             contexts[p] = frozenset(ctx for m in methods for ctx in phi[m])
     return replace(universe, contexts=contexts)
+
+
+def phi_meth_by_bfs(model: ProgramModel) -> dict[str, CtxFamily]:
+    """Route contexts per method as first computed: a breadth-first search
+    over ``(method, route)`` pairs from ``(entry, {})``, the reference for
+    ``compute_phi_meth``, which extends each method's new routes as one
+    batch and has a route budget."""
+    out_edges: dict[str, list[CallEdge]] = defaultdict(list)
+    for e in model.call_edges:
+        out_edges[e.caller].append(e)
+    fam: dict[str, set[CtxSet]] = {name: set() for name in model.methods}
+    start: CtxSet = frozenset()
+    fam[model.entry_method].add(start)
+    worklist: deque[tuple[str, CtxSet]] = deque([(model.entry_method, start)])
+    while worklist:
+        method, ctx = worklist.popleft()
+        for e in out_edges[method]:
+            grown = ctx | {e.site}
+            if grown not in fam[e.callee]:
+                fam[e.callee].add(grown)
+                worklist.append((e.callee, grown))
+    return {name: frozenset(members) for name, members in fam.items()}
 
 
 def phi_route_along(path: Sequence[CallEdge]) -> CtxFamily:

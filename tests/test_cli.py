@@ -9,9 +9,11 @@ from pathlib import Path
 import pytest
 from test_oracle import RANDOM_MODELS
 from test_policy import _diamond_ladder
+from test_scale import dag_text
 
 import stackpol
 from stackpol.cli import main
+from stackpol.model import ROUTE_BUDGET
 
 EXPECTED_TABLE = (
     'method Priv.run: FilePermission("C:/log.txt","write")\n'
@@ -137,6 +139,21 @@ def test_analyze_solves_a_deep_form3_ladder_on_cut_histories(tmp_path, capsys):
     out, err = capsys.readouterr()
     assert out == "".join(f"method {n}: P\n" for n in sorted(names))
     assert "stack digests: 2" in err.splitlines()
+
+
+@pytest.mark.parametrize("command", ["analyze", "dump"])
+def test_route_enumeration_past_its_budget_exits_three(command, tmp_path, capsys):
+    # lint and dump enumerate the routes of a 2000-method call DAG, which
+    # has far more of them than the budget; the solve alone would finish
+    path = tmp_path / "dag.model"
+    path.write_text(dag_text(2000, 2, 1), encoding="utf-8")
+    assert main([command, str(path)]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        f"error: more than {ROUTE_BUDGET} route contexts; the call graph "
+        "has too many distinct routes to enumerate"
+    ]
 
 
 def test_pta_contexts_are_read_by_neither_pipeline(tmp_path, capsys):

@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from bruteforce import phi_route_along
+from bruteforce import phi_meth_by_bfs, phi_route_along
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stackpol.contexts import ANY_FAMILY, CallSite
-from stackpol.errors import ModelError, StackpolError
+from stackpol import model as model_module
+from stackpol.errors import EnumerationLimitError, ModelError, StackpolError
 from stackpol.model import (
     CallEdge,
     DepNode,
@@ -387,6 +390,63 @@ calledge 1 m1 1 m2 ctx=any
     big = compute_phi_meth(parse_model(extended))
     for method, fam in small.items():
         assert fam <= big[method]
+
+
+def _random_call_graph(rng: random.Random) -> str:
+    # a few methods, edges drawn with replacement from every pair into a
+    # method other than the entry, so self-loops, cycles, a site with two
+    # callees, a method no edge reaches and an entry with no out-edge all
+    # occur
+    names = ["main", "doPriv", "check"] + [f"m{i}" for i in range(rng.randint(0, 4))]
+    lines = [f"method {n}" + {0: " entry", 1: " priv", 2: " check"}.get(i, "")
+             for i, n in enumerate(names)]
+    triples = {
+        (rng.choice(names), rng.randint(1, 3), rng.choice(names[1:]))
+        for _ in range(rng.randint(0, 10))
+    }
+    for ident, (caller, line, callee) in enumerate(sorted(triples)):
+        lines.append(f"calledge {ident} {caller} {line} {callee} ctx=any")
+    return "\n".join(lines) + "\n"
+
+
+def test_route_contexts_match_the_breadth_first_reference_on_cyclic_graphs():
+    rng = random.Random(29)
+    seen = dict.fromkeys(
+        ("self-loop", "mutual", "two callees", "unreached", "silent entry"), 0
+    )
+    for _ in range(400):
+        model = parse_model(_random_call_graph(rng))
+        phi = compute_phi_meth(model)
+        assert phi == phi_meth_by_bfs(model)
+        arcs = {(e.caller, e.callee) for e in model.call_edges}
+        sites = [e.site for e in model.call_edges]
+        seen["self-loop"] += any(a == b for a, b in arcs)
+        seen["mutual"] += any(a != b and (b, a) in arcs for a, b in arcs)
+        seen["two callees"] += len(set(sites)) < len(sites)
+        seen["unreached"] += any(not fam for fam in phi.values())
+        seen["silent entry"] += all(e.caller != "main" for e in model.call_edges)
+    assert min(seen.values()) >= 20, seen
+
+
+def test_route_budget_counts_every_method_route(monkeypatch):
+    # a chain main -> m1 -> m2 with two sites per hop: 1 + 2 + 4 routes
+    model = parse_model(
+        minimal_plus(
+            "method m1",
+            "method m2",
+            "calledge 1 main 1 m1 ctx=any",
+            "calledge 2 main 2 m1 ctx=any",
+            "calledge 3 m1 1 m2 ctx=any",
+            "calledge 4 m1 2 m2 ctx=any",
+        )
+    )
+    monkeypatch.setattr(model_module, "ROUTE_BUDGET", 7)
+    assert sum(len(fam) for fam in compute_phi_meth(model).values()) == 7
+    monkeypatch.setattr(model_module, "ROUTE_BUDGET", 6)
+    with pytest.raises(
+        EnumerationLimitError, match=r"^more than 6 route contexts; "
+    ):
+        compute_phi_meth(model)
 
 
 def test_route_family_of_one_path():

@@ -20,10 +20,12 @@ import random
 import pytest
 from benchmodels import workloads
 from bruteforce import checkpoint_reads, projected, read_sites
+from test_policy import _diamond_ladder
 
 from stackpol import (
     CallSite,
     Permission,
+    compute_phi_meth,
     emit_policy,
     generate_permissions,
     generate_policy,
@@ -216,11 +218,24 @@ def test_a_random_call_dag_gets_its_closed_form_grants(n, fanout):
     assert emit_policy(result.policy) == _table(expected)
 
 
+def test_a_diamond_ladder_has_its_closed_form_route_count():
+    # level i of a depth-n ladder has 2^i routes and the check method 2^n,
+    # 3 * 2^n - 1 in all; the depth-14 ladders hold 49,151
+    rng = random.Random(0)
+    for n in range(1, 15):
+        for model in (
+            _diamond_ladder(n)[0],
+            parse_model(workloads().ladder_text(rng, n)[0]),
+        ):
+            phi = compute_phi_meth(model)
+            assert sum(len(fam) for fam in phi.values()) == 3 * 2**n - 1
+
+
 def test_wide_form3_l7_w7_exits_zero_through_the_cli(tmp_path, capsys):
     # 7^7 = 823,543 stacks reach the checks; each leaves its own gen set,
     # but the form-3 demand reads only the sites into the bottom methods.
-    # ``check`` runs no lint, whose route enumeration is the slow part of
-    # ``analyze`` here; a PASS with no unused grant is the exact table
+    # ``check`` runs no lint, whose 1,784,343 routes here are past the
+    # route budget; a PASS with no unused grant is the exact table
     layers, width = 7, 7
     upper = ["main"] + [
         f"m{i}_{j}" for i in range(1, layers) for j in range(1, width + 1)
