@@ -21,12 +21,12 @@ shadowed by a privilege assertion), and which call sites were traversed
 methods of every digest that both traversed a checkpoint where the
 permission originates and matches one of the permission's demand
 contexts; the history carries enough of the route to decide both.  It
-solves a system whose push rules record only the sites that some
-checkpoint or demand context names, ``encode(model, sites=...)``, so
-digests that differ only in sites no grant reads are one digest; plain
-``encode(model)`` keeps every site.  The solver keeps digests that share
-their kill bit, finished methods and history as one digest, whose
-generated methods are the union of theirs.  It decides the grants on
+hands the solver the sites that a grant at each checkpoint reads, and
+the solver cuts the histories to them, so digests that differ only in
+sites no grant reads are one digest (see ``pushdown``).  The solver
+keeps digests that share their kill bit, finished methods and history
+as one digest, whose generated methods are the union of theirs.  It
+decides the grants on
 each digest's packed history and live methods, as
 ``PackedWeight.histories_and_lives`` reads them off the solver's result,
 so the key layout stays in ``weights``; it decodes to method names only
@@ -52,22 +52,15 @@ from .pushdown import ConditionalWPDS, Rule, movp
 from .weights import DEFAULT_TUPLE_CAP, PackedWeight, Weight, WeightTuple
 
 
-def encode(
-    model: ProgramModel, sites: frozenset[CallSite] | None = None
-) -> ConditionalWPDS:
-    """Build the conditional weighted pushdown system for a model.
-
-    With ``sites``, a push rule records its call site in the history only
-    when ``sites`` holds it; without, every push records its site.
-    """
+def encode(model: ProgramModel) -> ConditionalWPDS:
+    """Build the conditional weighted pushdown system for a model; every
+    push records its call site in the history."""
     rules: list[Rule] = []
     for e in model.call_edges:
         w = WeightTuple(
             kill=e.caller == model.priv_method,
             gen=frozenset({e.caller}),
-            history=(
-                frozenset({e.site}) if sites is None or e.site in sites else frozenset()
-            ),
+            history=frozenset({e.site}),
         )
         rules.append(Rule(lhs=e.caller, rhs=(e.callee, e.site), cond=e.ctx, weight=w))
     seen: set[tuple] = set()
@@ -220,32 +213,18 @@ def generate_policy(
     that boundary; the second keeps context-separated demands apart.
 
     Neither clause reads a site that no checkpoint or demand context
-    names, so the system is encoded with each history cut to the sites
-    that do (``encode(model, sites=...)``).  History is a union along
-    the path, so cutting each rule's history cuts every path's, and the
-    saturation explores the same pairs, since conditions read the
-    annotations, not the weights.  Digests that differ only in unread
-    sites merge, and each grant is the same as from the exact solve.
-    The solver also merges digests that share ``(kill, finished,
-    history)`` into one whose ``gen`` is the union of theirs.  A method is
-    live in a merged digest exactly when it is live in one of its
-    members, so every grant stays as well (see ``weights``).
-    ``tuple_cap``, and the result's ``digests`` and ``weight``, count and
-    hold the cut, merged digests, one per distinct key, not one per route;
-    ``encode(model)`` keeps every site.
-
-    The solver is also handed, per checkpoint, the sites that a grant
-    there reads: the checkpoint and the demand-context sites of the
-    permissions it sources (``_read_sites``, whose union is the cut
-    above).  When the check method neither calls nor returns, a stack it
-    tops lies on one checkpoint, the last site pushed.  When, too, no
-    checkpoint site calls another method, that is the only checkpoint in
-    the history, and a grant there reads no site outside its
-    checkpoint's set.  ``movp`` then keeps of each history only those
-    sites, and masks each prefix on the way to the sites that the
-    checkpoints above its frame read, so prefixes that no grant tells
-    apart merge (see ``pushdown``).  Otherwise nothing is cut, and
-    neither is it with one checkpoint, whose set is the whole cut above.
+    names.  On a history that holds one checkpoint, a grant tests only
+    the permissions it sources, so it reads only the checkpoint and their
+    demand-context sites.  ``movp`` is handed those sites per checkpoint
+    (``_read_sites``) and cuts the histories to them, so each grant is
+    the same as from the exact solve; the ``pushdown`` module docstring
+    says how, and where the cut per checkpoint is exact.  The solver also
+    merges digests that share ``(kill, finished, history)`` into one
+    whose ``gen`` is the union of theirs.  A method is live in a merged
+    digest exactly when it is live in one of its members, so every grant
+    stays as well (see ``weights``).  ``tuple_cap``, and the result's
+    ``digests`` and ``weight``, count and hold the cut, merged digests,
+    one per distinct key, not one per route.
 
     Both clauses are decided for all digests at once, on each digest's
     packed history and live methods, with bitsets of digests indexed by
@@ -254,14 +233,11 @@ def generate_policy(
     distinct live set; no digest is decoded whole, and the result's
     ``weight`` decodes them only when read.
     """
-    reads = _read_sites(universe)
-    system = encode(model, sites=frozenset().union(*reads.values()))
-    # one checkpoint reads every site the encoding records: nothing to cut
     solved = movp(
-        system,
+        encode(model),
         targets={model.check_method},
         tuple_cap=tuple_cap,
-        reads=reads if len(reads) > 1 else None,
+        reads=_read_sites(universe),
     )
     frame = _policy_frame(model)
     hidden = sum(solved.packing.bit.get(m, 0) for m in frame.system_methods)

@@ -92,50 +92,62 @@ merged weights, partial ``gen``s included: ``{k: g1 | g2} . r`` is the
 union of ``{k: g1} . r`` and ``{k: g2} . r``, so the deltas' products
 together are the product of the whole.
 
-With ``reads``, the read-out also cuts each prefix to the sites that a
-query can still read above it.  Call the symbol pushed right beneath a
-target its *checkpoint*; ``reads`` maps a checkpoint to the history
-sites that the caller's query reads on a stack where it lies beneath a
-target and no other checkpoint is in the history.  The products over a
-frame transition out of a target's frame state keep the reads of the
-checkpoint that the transition reads, or every site when ``reads`` does
-not name it.  The products over one out of any other frame state keep
-that state's ``need``: the union of the masks of the frame transitions
-that enter it, the reads of every checkpoint that a stack above the
-frame pushes.  ``need`` is a least fixpoint, computed top-down from the
-targets' frame states by a worklist: a state passes its need on to the
-states below it each time it grows, which under a shared frame or
-recursion happens up to once per site it gains.  The mask is
-ANDed into each product's key inside ``extend_merged``, and products
-whose keys then coincide merge their gens.  A frame transition that no
-target's frame lies above is on no accepting path, and the read-out
-skips it.
+``movp`` is the one place that cuts histories to what a query reads,
+coarsening the weight domain to the query as Reps et al. describe.
+``reads`` maps a *checkpoint*, a symbol pushed right beneath a target,
+to the set of history sites that the caller's query reads on a stack
+where it lies beneath a target and no other checkpoint is in the
+history.  ``reads=None`` cuts nothing, and a map cuts in two steps:
 
-The cut is exact for such a query.  A run to a stack topped by target t
-with checkpoint s meets the masks of the frame transitions on its
-accepting path.  The mask at t's frame state covers the product of the
-whole run, and every mask below it, which covers a prefix of the run,
-holds ``reads[s]``, because s is pushed above that frame.  So the run's
-digest keeps exactly its history's sites in ``reads[s]``, with its kill
-bit, ``finished`` and ``gen`` as they were; masking is a function of
-the key, so, as in ``weights``, merging after it unions the gens of the
-same runs.  Each result digest is thus the merge of its runs' digests,
-each cut to what the query reads.  That needs the history of a stack
+* **The union.**  Each rule's history keeps only the sites in the union
+  of ``reads``' values before it is packed, so ``reads={}`` keeps no
+  site.  History is a union along a path, so every path's history is
+  cut alike, and the saturation explores the same pairs, since
+  conditions read the annotations, not the weights.  A query that reads
+  no site outside the union decides alike on the cut digests, and
+  digests that differ only in unread sites merge.
+* **Per checkpoint.**  Where that is exact, the read-out cuts each
+  product over a frame transition to the sites that a query can still
+  read above it.  Out of a target's frame state, that is the reads of
+  the checkpoint that the transition reads, or the whole union when
+  ``reads`` does not name it.  Out of any other state, it is the
+  state's ``need``: the union of the masks of the frame transitions
+  that enter it, the reads of every checkpoint that a stack above the
+  frame pushes.  The mask is ANDed into each product's key inside
+  ``extend_merged``, and products whose keys then coincide merge their
+  gens.
+
+The read-out's index is built one way, cut or not: top-down from the
+targets' frame states by a worklist, each state passing its ``need`` to
+the states below it each time it grows, which under a shared frame or
+recursion happens up to once per site it gains.  Each frame transition
+below a target's frame enters the index once, with the mask -1 when
+nothing is cut; one that no target's frame lies above is skipped.
+
+The per-checkpoint cut is exact for such a query.  A run to a stack
+topped by target t with checkpoint s meets the masks of the frame
+transitions on its accepting path.  The mask at t's frame state covers
+the product of the whole run, and every mask below it, which covers a
+prefix of the run, holds ``reads[s]``, because s is pushed above that
+frame.  So the run's digest keeps exactly its history's sites in
+``reads[s]``, with its kill bit, ``finished`` and ``gen`` as they were;
+masking is a function of the key, so, as in ``weights``, merging after
+it unions the gens of the same runs.  That needs the history of a stack
 topped by a target to hold no checkpoint but its own, which holds when a
 push records at most its own site, as ``policy.encode``'s do, and no
-run pushes a checkpoint anywhere else.  So ``movp`` cuts nothing when a
-target has rules of its own (it could push above itself, or return and
-be pushed again), when a target is reached other than by a push (then
-no checkpoint lies beneath it), or when a rule pushes a checkpoint
-beneath a non-target.  Nor does it cut when every checkpoint reads
-every site a history records, since the cut would drop nothing.
+run pushes a checkpoint anywhere else.  So ``movp`` keeps the union cut
+alone when a target has rules of its own (it could push above itself,
+or return and be pushed again), when a target is reached other than by
+a push (then no checkpoint lies beneath it), or when a rule pushes a
+checkpoint beneath a non-target.  So it does, too, when no checkpoint
+reads less than the union keeps, as with a single checkpoint.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Mapping, Union
 
 from .contexts import ANY_FAMILY, CallSite, CtxFamily, CtxSet, format_family, holds
 from .errors import CapacityError
@@ -303,53 +315,58 @@ _EPS = object()
 _TransKey = tuple[_State, StackSymbol, CtxSet, _State]
 
 
-def _cut_frames(
-    system: ConditionalWPDS,
-    annotated: AnnotatedWPDS,
+def _cut_masks(
+    rules: list[Rule],
     wanted: set[StackSymbol],
-    reads: Mapping[StackSymbol, Iterable[CallSite]],
+    reads: Mapping[StackSymbol, AbstractSet[CallSite]] | None,
     packing: Packing,
-    out_of: dict[_State, list[_TransKey]],
     tops: list[tuple[_TransKey, Merged]],
-) -> dict[_State, list[tuple[_TransKey, int]]] | None:
-    """Per state, the frame transitions below a target's frame that enter
-    it, each with the mask that ``reach`` ANDs into its products' keys;
-    ``None`` when the cut would drop nothing or would not be exact (see
-    the module docstring)."""
-    sites = packing.sites
+) -> dict[StackSymbol, int]:
+    """Per checkpoint, the mask of the sites it reads; empty unless the
+    per-checkpoint cut drops a site and is exact (see the module docstring)."""
     bit = packing.bit.get
     masks: dict[StackSymbol, int] = {}
     narrows = False
-    for checkpoint, named in reads.items():
+    for checkpoint, named in (reads or {}).items():
         mask = 0
         for site in named:
             mask |= bit(site, 0)
         masks[checkpoint] = mask
-        if sites & ~mask:
+        if packing.sites & ~mask:
             narrows = True
-    # nothing to cut, or a target with rules of its own, a checkpoint
-    # pushed beneath a non-target, or (below) a target reached other
-    # than by a push
-    if not narrows or not annotated._by_lhs.keys().isdisjoint(wanted):
-        return None
-    for r in system.rules:
-        rhs = r.rhs
-        if len(rhs) == 2 and rhs[1] in masks and rhs[0] not in wanted:
-            return None
-    # the sites that the stacks above each state read, seeded by the
-    # target frames' transitions, which keep their own checkpoint's reads
-    # (every site for one that ``reads`` does not name); each entry ORs a
-    # mask into a state, and a state that grew passes its need below
+    if not narrows:
+        return {}
+    # a target with rules of its own, or a checkpoint pushed beneath a
+    # non-target
+    for r in rules:
+        pushed = len(r.rhs) == 2 and r.rhs[1] in masks
+        if r.lhs in wanted or (pushed and r.rhs[0] not in wanted):
+            return {}
+    # a target reached other than by a push
+    for top, _w in tops:
+        if top[3] != _QF and top[3] != top[1:3]:
+            return {}
+    return masks
+
+
+def _read_out_index(
+    masks: dict[StackSymbol, int],
+    sites: int,
+    out_of: dict[_State, list[_TransKey]],
+    tops: list[tuple[_TransKey, Merged]],
+) -> dict[_State, list[tuple[_TransKey, int]]]:
+    """Per state, the frame transitions below a target's frame that enter
+    it, each with the mask that ``reach`` ANDs into its products' keys:
+    -1, which cuts nothing, wherever ``masks`` is empty."""
+    # a target's frame keeps each transition's checkpoint's reads, and a
+    # state below, the union of the masks that enter it; a target's frame
+    # that lies below another's is indexed once, as a target's frame
+    frames = dict.fromkeys(top[3] for top, _w in tops)
     need: dict[_State, int] = {}
     by_dst: dict[_State, list[tuple[_TransKey, int]]] = defaultdict(list)
     pending: list[tuple[_State, int]] = []
-    for top, _w in tops:
-        frame = top[3]
-        if frame == _QF:
-            continue
-        if frame != top[1:3]:
-            return None
-        for key in out_of[frame]:
+    for frame in frames:
+        for key in out_of.get(frame, ()):
             mask = masks.get(key[1], -1)
             by_dst[key[3]].append((key, ~((sites & ~mask) << 1)))
             pending.append((key[3], mask))
@@ -364,9 +381,10 @@ def _cut_frames(
         for key in out_of.get(q, ()):
             pending.append((key[3], mask))
     for q, mask in need.items():
-        keep = ~((sites & ~mask) << 1)
-        for key in out_of.get(q, ()):
-            by_dst[key[3]].append((key, keep))
+        if q not in frames:
+            keep = ~((sites & ~mask) << 1)
+            for key in out_of.get(q, ()):
+                by_dst[key[3]].append((key, keep))
     return by_dst
 
 
@@ -375,25 +393,35 @@ def movp(
     targets: Iterable[StackSymbol],
     *,
     tuple_cap: int = DEFAULT_TUPLE_CAP,
-    reads: Mapping[StackSymbol, Iterable[CallSite]] | None = None,
+    reads: Mapping[StackSymbol, AbstractSet[CallSite]] | None = None,
 ) -> PackedWeight:
     """Meet over all paths from the start stack to any stack topped by a target.
 
     ``reads`` maps a checkpoint, a symbol pushed right beneath a target,
-    to the history sites that a query reads on a stack where it lies
-    beneath a target and no other checkpoint is in the history.  With
-    it, each result digest keeps only those sites of its history, and
-    the read-out cuts each prefix on the way; a checkpoint that ``reads``
-    does not name keeps every site.  Where the cut would not be exact, or
-    would drop nothing, nothing is cut (see the module docstring).
+    to the set of history sites that a query reads there; each value is
+    read twice, so it must be a set, not an iterator.  With it, every
+    history keeps only the sites in the union of the values, ``{}``
+    keeping none, and where that is exact each result digest keeps only
+    its own checkpoint's reads; ``None`` cuts nothing (see the module
+    docstring).
 
     Raises ``CapacityError`` when the result holds more than ``tuple_cap``
     merged digests, or when the solve's work passes ``WORK_BUDGET``.
     """
     wanted = set(targets)
     annotated = AnnotatedWPDS(system)
-    packing = Packing(r.weight for r in system.rules)
-    rule_weights = [packing.pack(r.weight) for r in system.rules]
+    weights = [r.weight for r in system.rules]
+    packing = Packing(weights)
+    if reads is not None:
+        # each rule's history keeps only the sites that ``reads`` names
+        kept = set().union(*reads.values())
+        weights = [
+            w
+            if w.history <= kept
+            else WeightTuple(w.kill, w.gen, w.finished, w.history & kept)
+            for w in weights
+        ]
+    rule_weights = [packing.pack(w) for w in weights]
     trans: dict[_TransKey, Merged] = {}
     # the transitions out of each frame state, which epsilon folds read
     out_of: dict[_State, list[_TransKey]] = defaultdict(list)
@@ -446,16 +474,8 @@ def movp(
                     update_trans((opened, second, second_below, dst), w)
 
     tops = [(key, w) for key, w in trans.items() if key[0] == _P and key[1] in wanted]
-    # the frame transitions that enter each state, each with the key mask
-    # of its reach products; -1 cuts nothing
-    by_dst = None
-    if reads:
-        by_dst = _cut_frames(system, annotated, wanted, reads, packing, out_of, tops)
-    if by_dst is None:
-        by_dst = defaultdict(list)
-        for key in trans:
-            if key[0] != _P:
-                by_dst[key[3]].append((key, -1))
+    masks = _cut_masks(system.rules, wanted, reads, packing, tops)
+    by_dst = _read_out_index(masks, packing.sites, out_of, tops)
 
     # value of completing the stack below a state, composed bottom-up; a
     # pending state carries what it gained since it was last propagated,

@@ -65,13 +65,15 @@ digest against every permission and demand context, the reference for
 each checkpoint that permissions originate from to what a grant there
 reads: the checkpoint and the sites of the demand contexts of the
 permissions it sources.  ``read_sites``, their union, is the set of
-call sites that extraction reads, to which ``generate_policy`` cuts the
-histories.  ``projected`` cuts each digest's history to the reads of
-the checkpoints it holds and merges the result.  Where each push
-records its own site and a history holds one checkpoint, the one that
-pushed the check method, that is the digest set ``generate_policy``'s
-projected solve must return; it is computed from the unprojected solve,
-digest by digest, with no automaton.
+call sites that extraction reads.  ``projected`` is the reference for
+``movp``'s ``reads``: it cuts each digest's history to the union of the
+reads, then to the reads of the checkpoints left in it, and merges the
+result.  Where each push records its own site and a history holds one
+checkpoint, the one that pushed the check method, that is the digest
+set the cut solve must return; it is computed from the exact solve,
+digest by digest, with no automaton.  Where the per-checkpoint cut
+would not be exact, ``movp`` keeps the union cut alone, which is
+``projected`` under a map that gives every checkpoint the union.
 ``route_universe`` gives each form-3 permission its allocating methods'
 route contexts as the demand family, the family form 3 had before its
 singletons; scanning the exact solve under it is the reference that the
@@ -510,15 +512,17 @@ def read_sites(universe: PermissionUniverse) -> CtxSet:
 
 
 def projected(weight: Weight, reads: dict[CallSite, CtxSet]) -> Weight:
-    """``weight`` with each digest's history cut to the sites that the
-    checkpoints in it read, and ``merged``; a history that holds no
-    checkpoint is kept whole."""
+    """``weight`` with each digest's history cut to the union of the
+    reads, then to the reads of the checkpoints left in it, if any, and
+    ``merged``."""
+    union = frozenset().union(*reads.values())
     cut = set()
     for d in weight.tuples:
-        named = [reads[site] for site in d.history if site in reads]
+        history = d.history & union
+        named = [reads[site] for site in history if site in reads]
         if named:
-            d = replace(d, history=d.history & frozenset().union(*named))
-        cut.add(d)
+            history &= frozenset().union(*named)
+        cut.add(replace(d, history=history))
     return merged(Weight(frozenset(cut)))
 
 

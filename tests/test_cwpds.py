@@ -707,7 +707,8 @@ def test_packed_and_reference_solvers_reach_the_same_final_cap(monkeypatch):
 def _checkpointed(rng: random.Random) -> tuple[ConditionalWPDS, dict]:
     # a draining system whose methods may also push ``check`` at line 100;
     # each checkpoint reads a random few of the sites, itself among them,
-    # and now and then one is left out of the map and keeps every site
+    # and now and then one is left out of the map and keeps the union of
+    # the others' reads
     system = _random_draining_system(rng)
     rules = list(system.rules)
     checkpoints = []
@@ -762,15 +763,18 @@ def test_a_cut_solve_matches_the_reference_under_recursion():
 
 def _uncut_when(system: ConditionalWPDS, reads: dict, dropped: CallSite) -> None:
     # a cut to the reads of the checkpoint beneath the target would drop
-    # ``dropped`` from some history; the solve keeps every site instead
-    whole = movp(system, {"check"}).decode()
+    # ``dropped`` from some history; the solve keeps every site of the
+    # union of the reads instead, as ``projected`` does when every
+    # checkpoint reads the union
+    union = frozenset().union(*reads.values())
+    whole = projected(movp(system, {"check"}).decode(), dict.fromkeys(reads, union))
     assert any(dropped in t.history for t in whole.tuples)
     assert movp(system, {"check"}, reads=reads).decode() == whole
 
 
 def test_no_cut_when_the_target_has_rules_of_its_own():
     # check pushes X, so a stack could hold a checkpoint above the one
-    # beneath a check
+    # beneath a check; A:1 reads A:2, which B:1 does not
     za, zb, kb, kc = site("A", 1), site("A", 2), site("B", 1), site("check", 1)
     rules = [
         Rule("A", ("check", za), weight=d(gen=["A"], hist=[za])),
@@ -778,7 +782,7 @@ def test_no_cut_when_the_target_has_rules_of_its_own():
         Rule("B", ("check", kb), weight=d(gen=["B"], hist=[kb])),
         Rule("check", ("X", kc), weight=d(gen=["check"], hist=[kc])),
     ]
-    _uncut_when(ConditionalWPDS(rules, "A"), {za: {za}, kb: {kb}}, zb)
+    _uncut_when(ConditionalWPDS(rules, "A"), {za: {za, zb}, kb: {kb}}, zb)
 
 
 def test_no_cut_when_a_checkpoint_is_pushed_beneath_a_non_target():
@@ -795,13 +799,42 @@ def test_no_cut_when_a_checkpoint_is_pushed_beneath_a_non_target():
 
 def test_no_cut_when_a_target_is_reached_other_than_by_a_push():
     # main calls A at main:1; A calls B at A:2, and B's return to A:2
-    # resumes in check, so check lies on main:1 with no checkpoint beneath
-    zm, za, zb = site("main", 1), site("A", 1), site("A", 2)
+    # resumes in check, so check lies on main:1 with no checkpoint beneath.
+    # main also checks at main:2, where it reads main:1, which A:1 does not
+    zm, zc, za, zb = site("main", 1), site("main", 2), site("A", 1), site("A", 2)
     rules = [
         Rule("main", ("A", zm), weight=d(gen=["main"], hist=[zm])),
+        Rule("main", ("check", zc), weight=d(gen=["main"], hist=[zc])),
         Rule("A", ("check", za), weight=d(gen=["A"], hist=[za])),
         Rule("A", ("B", zb), weight=d(gen=["A"], hist=[zb])),
         Rule("B", (), weight=d(fin=["B"])),
         Rule(zb, ("check",)),
     ]
-    _uncut_when(ConditionalWPDS(rules, "main"), {za: {za}}, zm)
+    _uncut_when(ConditionalWPDS(rules, "main"), {za: {za}, zc: {zc, zm}}, zm)
+
+
+def test_the_uncut_read_out_enters_each_frame_transition_once(monkeypatch):
+    # check pushes X at check:1, and both are targets, so check's frame
+    # lies below X's: the read-out reaches it from its own top and again
+    # from X's.  Entered twice, its transitions would leave every digest
+    # as it is but spend their products twice against the work budget
+    za, zb, kb, kc = site("A", 1), site("A", 2), site("B", 1), site("check", 1)
+    rules = [
+        Rule("A", ("check", za), weight=d(gen=["A"], hist=[za])),
+        Rule("A", ("B", zb), weight=d(gen=["A"], hist=[zb])),
+        Rule("B", ("check", kb), weight=d(gen=["B"], hist=[kb])),
+        Rule("check", ("X", kc), weight=d(gen=["check"], hist=[kc])),
+    ]
+    system, targets = ConditionalWPDS(rules, "A"), {"check", "X"}
+    spent = []
+    spend = pushdown._spend
+
+    def counted(work, units):
+        spent.append(units)
+        return spend(work, units)
+
+    monkeypatch.setattr(pushdown, "_spend", counted)
+    solved = movp(system, targets).decode()
+    assert solved == merged(movp_by_stepping(system, targets, depth=10))
+    assert solved.width() == 4
+    assert sum(spent) == 17

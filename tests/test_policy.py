@@ -6,7 +6,6 @@ import pytest
 from bruteforce import (
     checkpoint_reads,
     grants_by_scan,
-    merged,
     movp_by_weights,
     projected,
     read_sites,
@@ -100,26 +99,26 @@ def test_push_weights_record_caller_and_site(example_model):
     assert digest.gen == frozenset({"doPrivileged"})
     assert privileged.cond != ANY_FAMILY
 
-    # every rule's one digest has its kind's shape, exact or cut
-    dropped = 0
+    # every rule's one digest has its kind's shape, and every push
+    # records its own site, whether or not a grant reads it; the solver
+    # cuts the histories (see test_cwpds.py)
+    unread = 0
     for seed in range(200):
         model = random_model(seed)
-        cut = read_sites(generate_permissions(model))
-        for sites in (None, cut):
-            for r in encode(model, sites=sites).rules:
-                if r.kind == "push":
-                    kept = sites is None or r.rhs[1] in sites
-                    dropped += not kept
-                    assert r.weight == WeightTuple(
-                        kill=r.lhs == model.priv_method,
-                        gen=frozenset({r.lhs}),
-                        history=frozenset({r.rhs[1]} if kept else ()),
-                    )
-                elif r.kind == "pop":
-                    assert r.weight == WeightTuple(finished=frozenset({r.lhs}))
-                else:
-                    assert r.weight == WeightTuple()
-    assert dropped
+        read = read_sites(generate_permissions(model))
+        for r in encode(model).rules:
+            if r.kind == "push":
+                unread += r.rhs[1] not in read
+                assert r.weight == WeightTuple(
+                    kill=r.lhs == model.priv_method,
+                    gen=frozenset({r.lhs}),
+                    history=frozenset({r.rhs[1]}),
+                )
+            elif r.kind == "pop":
+                assert r.weight == WeightTuple(finished=frozenset({r.lhs}))
+            else:
+                assert r.weight == WeightTuple()
+    assert unread
 
 
 def test_push_conditions_mirror_edge_contexts(example_model):
@@ -412,9 +411,7 @@ def test_extraction_matches_scan_on_a_full_bipartite_layered_model():
     model = _full_bipartite(3, 3)
     universe, grants = _grants_match_scan(model)
     weight = generate_policy(model, universe).weight
-    reference = movp_by_weights(
-        encode(model, sites=read_sites(universe)), {model.check_method}
-    )
+    reference = movp_by_weights(encode(model), {model.check_method})
     assert weight == projected(reference, checkpoint_reads(universe))
     hidden = {model.check_method, model.priv_method}
     lives = [(d.gen - d.finished) - hidden for d in weight.tuples]
@@ -455,20 +452,20 @@ sa t@Z = {("x", {})}
 """
 
 
-def test_a_checkpoint_site_that_also_calls_a_method_keeps_every_history_site():
+def test_a_checkpoint_site_that_also_calls_a_method_keeps_every_read_site():
     # main:1 calls both check and Z, so the stack that Z:1 checks holds
     # main:1 in its history, and extraction reads it as P1's checkpoint
-    # there; a cut to what Z:1 reads would drop it, so the solve cuts
-    # nothing and the grants stay the unprojected solve's.  The oracle,
-    # which tells the two calls at main:1 apart, gives Z no P1
+    # there; a cut to what Z:1 reads would drop it, so the solve keeps
+    # every site that some checkpoint reads, and the grants stay the
+    # unprojected solve's.  The oracle, which tells the two calls at
+    # main:1 apart, gives Z no P1
     model = parse_model(SHARED_CHECKPOINT_MODEL)
     universe = generate_permissions(model)
     result = generate_policy(model, universe)
-    reference = movp_by_weights(
-        encode(model, sites=read_sites(universe)), {model.check_method}
-    )
-    assert result.weight == merged(reference)
-    assert projected(reference, checkpoint_reads(universe)) == reference
+    reference = movp_by_weights(encode(model), {model.check_method})
+    reads = checkpoint_reads(universe)
+    union = projected(reference, dict.fromkeys(reads, read_sites(universe)))
+    assert result.weight == union == projected(reference, reads)
     p1, p2 = Permission("P1"), Permission("P2", "x")
     assert result.policy.grants == {"main": {p1, p2}, "Z": {p1, p2}}
     assert oracle_policy(model, universe).grants == {"main": {p1, p2}, "Z": {p2}}
@@ -514,10 +511,7 @@ def test_generate_policy_decodes_no_digest(example_model, monkeypatch):
 def test_result_weight_decodes_to_the_reference_solve(example_model):
     universe = generate_permissions(example_model)
     result = generate_policy(example_model, universe)
-    reference = movp_by_weights(
-        encode(example_model, sites=read_sites(universe)),
-        {example_model.check_method},
-    )
+    reference = movp_by_weights(encode(example_model), {example_model.check_method})
     assert result.weight == projected(reference, checkpoint_reads(universe))
     assert result.digests.width() == reference.width() == 8
 
@@ -551,11 +545,9 @@ def test_digests_that_differ_only_in_gen_merge_into_one():
     universe = generate_permissions(model)
     result = generate_policy(model, universe, tuple_cap=2)
     assert result.digests.width() == 2
-    reference = movp_by_weights(
-        encode(model, sites=read_sites(universe)), {model.check_method}
-    )
+    reference = movp_by_weights(encode(model), {model.check_method})
     assert reference.width() == 256
-    assert result.weight == merged(reference)
+    assert result.weight == projected(reference, checkpoint_reads(universe))
     assert result.policy.grants == grants_by_scan(model, universe, reference)
 
 
@@ -889,3 +881,35 @@ def test_generation_is_deterministic_across_fresh_parses():
         r = generate_policy(m, generate_permissions(m))
         texts.add(emit_policy(r.policy, "table"))
     assert len(texts) == 1
+
+
+def test_an_empty_read_map_keeps_no_history_site():
+    # the check at a:1 sources no permission, since the target and action
+    # facts of its one allocation hold under different contexts, so no
+    # grant reads a site: ``reads={}`` cuts every history to nothing,
+    # where ``None`` would keep them all, and the digests of the routes
+    # through main:1 and main:2 merge into one
+    model = build(
+        "method a",
+        "calledge 1 main 1 a ctx=any",
+        "calledge 2 main 2 a ctx=any",
+        "calledge 3 a 1 check ctx=any",
+        "depnode n1 a 90 kind=alloc form=1 type=P target=t action=x",
+        "depnode c1 a 1 kind=callsite",
+        "depedge n1 c1",
+        "checkarg a:1 var=p",
+        "pta p@a = {(P, n1, {})}",
+        'sa t@a = {("beta", {main:1})}',
+        'sa x@a = {("write", {})}',
+    )
+    universe = generate_permissions(model)
+    assert not universe.sources and universe.diagnostics
+    system, check = encode(model), {model.check_method}
+    exact = movp(system, check).decode()
+    assert exact.width() == 2 and all(d.history for d in exact.tuples)
+    cut = movp(system, check, reads={}).decode()
+    assert cut == projected(exact, {})
+    assert [d.history for d in cut.tuples] == [frozenset()]
+    result = generate_policy(model, universe)
+    assert result.weight == cut
+    assert result.policy.grants == {}

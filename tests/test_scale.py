@@ -185,8 +185,9 @@ def _table(grants: dict[str, set[str]]) -> str:
 
 
 def test_layered_l6_w5_exits_zero_with_its_closed_form_grants(tmp_path, capsys):
-    # 5^6 stacks leave 15,635 digests unmerged; merged, 5812 cut histories,
-    # and 428 once each keeps only what its own checkpoint reads
+    # 5^6 stacks leave 15,635 exact digests; cut to the union of the
+    # reads and merged, 5812, and 428 once each keeps only what its own
+    # checkpoint reads
     text, expected = workloads().layered_text(random.Random(1), 6, 5)
     path = tmp_path / "layered.model"
     path.write_text(text, encoding="utf-8")
@@ -196,11 +197,12 @@ def test_layered_l6_w5_exits_zero_with_its_closed_form_grants(tmp_path, capsys):
     assert out == _table(expected)
     model = parse_model(text)
     universe = generate_permissions(model)
-    unprojected = movp(
-        encode(model, sites=read_sites(universe)), {model.check_method}
-    ).decode()
+    exact = movp(encode(model), {model.check_method}, tuple_cap=20_000).decode()
+    assert exact.width() == 15_635
+    reads = checkpoint_reads(universe)
+    unprojected = projected(exact, dict.fromkeys(reads, read_sites(universe)))
     assert unprojected.width() == 5812
-    reference = projected(unprojected, checkpoint_reads(universe))
+    reference = projected(exact, reads)
     assert generate_policy(model, universe).weight == reference
     assert reference.width() == 428
 
