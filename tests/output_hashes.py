@@ -24,6 +24,8 @@ from __future__ import annotations
 
 import hashlib
 import os
+import random
+import string
 import sys
 from pathlib import Path
 
@@ -41,6 +43,7 @@ from stackpol import (  # noqa: E402
     oracle_policy,
     parse_model,
     running_example_text,
+    serialize_model,
 )
 from stackpol.policy import encode  # noqa: E402
 from stackpol.pushdown import movp  # noqa: E402
@@ -58,15 +61,51 @@ KINDS = (
     "oracle",
     "paths",
 )
+MUTANTS_PER_EDIT = 2000
+EDITS = ("delete", "duplicate", "move", "insert")
+# printable ASCII, a tab and one non-ASCII digit (ARABIC-INDIC DIGIT THREE)
+INSERTED = string.ascii_letters + string.digits + string.punctuation + " \t\u0663"
+
+
+def benchmark_cases():
+    """The seed-0 models of every benchmark workload, in workload order."""
+    for build in workloads.model_sets(randmodels, running_example_text()).values():
+        yield from build(0)
 
 
 def models():
     """``(ident, text, oracle)`` per model, where ``oracle`` asks for the oracle table."""
     for seed in range(RANDOM_MODELS):
         yield f"random_model({seed})", randmodels.random_model_text(seed), True
-    for build in workloads.model_sets(randmodels, running_example_text()).values():
-        for case in build(0):
-            yield case.ident, case.text, case.oracle
+    for case in benchmark_cases():
+        yield case.ident, case.text, case.oracle
+
+
+def mutants(texts: list[str]):
+    """The seeded one-line edits of ``texts``, ``MUTANTS_PER_EDIT`` per edit."""
+    rng = random.Random(0)
+    for edit in EDITS:
+        for _ in range(MUTANTS_PER_EDIT):
+            lines = rng.choice(texts).splitlines()
+            i = rng.randrange(len(lines))
+            if edit == "delete":
+                del lines[i]
+            elif edit == "duplicate":
+                lines.insert(i, lines[i])
+            elif edit == "move":
+                lines.insert(rng.randrange(len(lines)), lines.pop(i))
+            else:
+                k = rng.randrange(len(lines[i]) + 1)
+                lines[i] = lines[i][:k] + rng.choice(INSERTED) + lines[i][k:]
+            yield "\n".join(lines) + "\n"
+
+
+def diagnostic(text: str) -> str:
+    """The model's canonical text, or what the parser raised."""
+    try:
+        return serialize_model(parse_model(text))
+    except Exception as exc:  # a raise is an output to compare
+        return f"raised {type(exc).__name__}: {exc}"
 
 
 class _Steps(dict):
@@ -132,6 +171,10 @@ def main() -> None:
     print(f"models {count}")
     for kind in KINDS:
         print(f"{kind} {hashes[kind].hexdigest()}")
+    parse = hashlib.sha256()
+    for i, text in enumerate(mutants([case.text for case in benchmark_cases()])):
+        parse.update(f"{i}\0{diagnostic(text)}\0".encode())
+    print(f"parse {parse.hexdigest()}")
 
 
 if __name__ == "__main__":
