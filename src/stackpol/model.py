@@ -37,6 +37,13 @@ rejected before anything else, and the roles, then each call edge's
 callee and context sites, are checked once the last call edge is read.
 A file with several faults reports the first one met in that order.
 
+The lines are read in one pass: each is split into tokens once, a
+comment is stripped only from a line that holds ``#``, and the tokens
+are filed under their directive word.  A model holds one ``CallSite``
+per distinct method and line text, and one site set per distinct site
+list text, shared by every call edge, dependency node, context family,
+``checkarg``, ``pta`` and ``sa`` fact that names them.
+
 Semantic queries live here too: route context families, and a lint for
 declared contexts that no route covers.
 """
@@ -182,41 +189,44 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
     return value
 
 
-def _parse_site(text: str, lineno: int) -> CallSite:
-    text = text.strip()
-    if ":" not in text:
-        raise ModelError(f"call site must look like method:line, got {text!r}", lineno)
-    method, _, line = text.rpartition(":")
-    if not method:
-        raise ModelError(f"call site {text!r} has an empty method name", lineno)
-    return CallSite(method, _parse_int(line, "site line", lineno))
+def _fields_setter(cls):
+    """A constructor for the frozen, slotted dataclass ``cls`` that takes
+    every field, ``init=False`` ones included, in declaration order, and
+    runs neither ``__init__`` nor ``__post_init__``.  The parser builds
+    its call edges and dependency nodes with it: it has already
+    normalized each family and holds each shared site, which
+    ``__post_init__`` would build anew, and setting the slots directly
+    takes half the time of a frozen ``__init__``."""
+    setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+    new = object.__new__
+
+    def build(*values):
+        obj = new(cls)
+        for set_field, value in zip(setters, values):
+            set_field(obj, value)
+        return obj
+
+    return build
 
 
-def _parse_sites(text: str, lineno: int) -> CtxSet:
-    text = text.strip()
-    if not text:
-        return frozenset()
-    return frozenset(_parse_site(part, lineno) for part in text.split(","))
+_new_edge = _fields_setter(CallEdge)
+_new_node = _fields_setter(DepNode)
 
 
-def _parse_family(text: str, lineno: int) -> CtxFamily:
-    text = text.strip()
-    if text == "any":
-        return ANY_FAMILY
-    if not (text.startswith("{") and text.endswith("}")):
-        raise ModelError(f"context family must be `any` or braced, got {text!r}", lineno)
-    body = text[1:-1].strip()
-    if not body:
-        raise ModelError(
-            "empty context family; use ctx=any for an unconditional edge", lineno
-        )
-    members = []
-    for member in body.split(";"):
-        sites = _parse_sites(member, lineno)
-        if not sites:
-            raise ModelError("context family member is empty", lineno)
-        members.append(sites)
-    return frozenset(members)
+def _parse_fact_set(rhs: str, item_re: re.Pattern, lineno: int) -> list[list[str]]:
+    """The groups of each ``item_re`` match in a braced fact set."""
+    rhs = rhs.strip()
+    if not (rhs.startswith("{") and rhs.endswith("}")):
+        raise ModelError("fact set must be braced", lineno)
+    # one pass: the text between matches, then each match's groups
+    parts = item_re.split(rhs[1:-1])
+    step = item_re.groups + 1
+    # every parenthesized group must have matched; leftovers mean a typo
+    if "".join(parts[::step]).replace(";", "").strip():
+        raise ModelError(f"malformed fact set: {rhs!r}", lineno)
+    if len(parts) == 1:
+        raise ModelError("fact set is empty", lineno)
+    return [parts[i : i + step - 1] for i in range(1, len(parts), step)]
 
 
 _PTA_TRIPLE_RE = re.compile(
@@ -225,28 +235,14 @@ _PTA_TRIPLE_RE = re.compile(
 _SA_PAIR_RE = re.compile(r'\(\s*"([^"]*)"\s*,\s*\{([^{}]*)\}\s*\)')
 
 
-def _parse_fact_set(rhs: str, item_re: re.Pattern, lineno: int) -> list:
-    rhs = rhs.strip()
-    if not (rhs.startswith("{") and rhs.endswith("}")):
-        raise ModelError("fact set must be braced", lineno)
-    body = rhs[1:-1]
-    items = item_re.findall(body)
-    # every parenthesized group must have matched; leftovers mean a typo
-    leftover = item_re.sub("", body).replace(";", "").strip()
-    if leftover:
-        raise ModelError(f"malformed fact set: {rhs!r}", lineno)
-    if not items:
-        raise ModelError("fact set is empty", lineno)
-    return items
-
-
 class _Parser:
     def __init__(self) -> None:
         self.methods: dict[str, Method] = {}
         self.call_edges: dict[str, CallEdge] = {}
         self.dep_nodes: dict[str, DepNode] = {}
         self.node_lines: dict[str, int] = {}
-        self.dep_edges: set[tuple[str, str, str | None]] = set()
+        # keyed by (src, dst, inter or ""); no inter= value is empty
+        self.dep_edges: dict[tuple[str, str, str], DepEdge] = {}
         self.checkargs: dict[CallSite, str] = {}
         self.pta: dict[tuple[str, str], tuple[PtaTriple, ...]] = {}
         self.sa: dict[tuple[str, str], tuple[StringFact, ...]] = {}
@@ -256,19 +252,71 @@ class _Parser:
         self.entry = self.check = self.priv = ""
         self.sites: frozenset[CallSite] = frozenset()
         self.check_sites: frozenset[CallSite] = frozenset()
+        # one CallSite per distinct (method, line text), and one site set
+        # per distinct text between braces or separators, shared by every
+        # directive that names them
+        self.site_at: dict[tuple[str, str], CallSite] = {}
+        self.site_sets: dict[str, CtxSet] = {}
 
-    def method(self, body: str, lineno: int) -> None:
-        tokens = body.split()
-        if not tokens:
+    def _site_at(self, method: str, line: str, what: str, lineno: int) -> CallSite:
+        site = self.site_at.get((method, line))
+        if site is None:
+            site = CallSite(method, _parse_int(line, what, lineno))
+            self.site_at[method, line] = site
+        return site
+
+    def _site(self, text: str, lineno: int) -> CallSite:
+        text = text.strip()
+        if ":" not in text:
+            raise ModelError(f"call site must look like method:line, got {text!r}", lineno)
+        method, _, line = text.rpartition(":")
+        if not method:
+            raise ModelError(f"call site {text!r} has an empty method name", lineno)
+        return self._site_at(method, line, "site line", lineno)
+
+    def _sites(self, text: str, lineno: int) -> CtxSet:
+        """The sites of a comma-separated list; its text is the key."""
+        sites = self.site_sets.get(text)
+        if sites is None:
+            parts = text.split(",") if text.strip() else ()
+            sites = frozenset([self._site(part, lineno) for part in parts])
+            self.site_sets[text] = sites
+        return sites
+
+    def _family(self, text: str, lineno: int) -> CtxFamily:
+        """A ``ctx=`` value; its members are never empty, so it is normal."""
+        text = text.strip()
+        if text == "any":
+            return ANY_FAMILY
+        if not (text.startswith("{") and text.endswith("}")):
+            raise ModelError(f"context family must be `any` or braced, got {text!r}", lineno)
+        body = text[1:-1].strip()
+        if not body:
+            raise ModelError(
+                "empty context family; use ctx=any for an unconditional edge", lineno
+            )
+        members = []
+        for member in body.split(";"):
+            sites = self._sites(member, lineno)
+            if not sites:
+                raise ModelError("context family member is empty", lineno)
+            members.append(sites)
+        return frozenset(members)
+
+    # each directive's handler takes its line's tokens, directive word
+    # first, the line itself, and its number
+
+    def method(self, tokens: list[str], _line: str, lineno: int) -> None:
+        if len(tokens) < 2:
             raise ModelError("method directive needs a name", lineno)
-        name = tokens[0]
+        name = tokens[1]
         if not _NAME_RE.match(name):
             raise ModelError(f"bad method name {name!r}", lineno)
         if name in self.methods:
             raise ModelError(f"duplicate method {name!r}", lineno)
         seen = set()
         domain = None
-        for tok in tokens[1:]:
+        for tok in tokens[2:]:
             if tok in self.roles:
                 key = tok
             elif tok.startswith("domain="):
@@ -288,13 +336,14 @@ class _Parser:
                 self.roles[key].append(name)
         self.methods[name] = Method(name, domain)
 
-    def calledge(self, body: str, lineno: int) -> None:
-        parts = body.split(None, 4)
-        if len(parts) != 5 or not parts[4].startswith("ctx="):
+    def calledge(self, tokens: list[str], line: str, lineno: int) -> None:
+        if len(tokens) < 6 or not tokens[5].startswith("ctx="):
             raise ModelError(
                 "calledge needs: <id> <caller> <line> <callee> ctx=...", lineno
             )
-        ident, caller, line_txt, callee, ctx_txt = parts
+        _word, ident, caller, line_txt, callee = tokens[:5]
+        # a family may hold blanks; then it is the rest of the line
+        ctx_txt = tokens[5] if len(tokens) == 6 else line.split(None, 5)[5]
         if not _ID_RE.match(ident):
             raise ModelError(f"bad edge id {ident!r}", lineno)
         if ident in self.call_edges:
@@ -302,13 +351,9 @@ class _Parser:
         for name in (caller, callee):
             if name not in self.methods:
                 raise ModelError(f"unknown method {name!r}", lineno)
-        self.call_edges[ident] = CallEdge(
-            ident=ident,
-            caller=caller,
-            line=_parse_int(line_txt, "call line", lineno),
-            callee=callee,
-            ctx=_parse_family(ctx_txt[len("ctx=") :], lineno),
-        )
+        site = self._site_at(caller, line_txt, "call line", lineno)
+        ctx = self._family(ctx_txt[len("ctx=") :], lineno)
+        self.call_edges[ident] = _new_edge(ident, caller, site.line, callee, ctx, site)
 
     def close_call_graph(self, linenos: list[int]) -> None:
         """The checks that need every method and call edge: the three roles,
@@ -330,23 +375,24 @@ class _Parser:
                 raise ModelError(
                     f"entry method has an incoming call edge {e.ident!r}", lineno
                 )
-            if e.ctx != ANY_FAMILY:
+            if e.ctx is not ANY_FAMILY:
                 what = f"edge {e.ident!r}"
                 for member in e.ctx:
                     self._known_sites(member, what, lineno)
 
     def _known_sites(self, ctx: CtxSet, what: str, lineno: int) -> None:
+        if ctx <= self.sites:
+            return
         for s in ctx:
             if s not in self.sites:
                 raise ModelError(f"{what} context mentions unknown site {s}", lineno)
 
-    def depnode(self, body: str, lineno: int) -> None:
-        tokens = body.split()
-        if len(tokens) < 4:
+    def depnode(self, tokens: list[str], _line: str, lineno: int) -> None:
+        if len(tokens) < 5:
             raise ModelError(
                 "depnode needs: <id> <method> <line> kind=... [attrs]", lineno
             )
-        ident, method, line_txt = tokens[0], tokens[1], tokens[2]
+        _word, ident, method, line_txt = tokens[:4]
         if not _ID_RE.match(ident):
             raise ModelError(f"bad node id {ident!r}", lineno)
         if ident in self.dep_nodes:
@@ -354,7 +400,7 @@ class _Parser:
         if method not in self.methods:
             raise ModelError(f"unknown method {method!r}", lineno)
         attrs = {}
-        for tok in tokens[3:]:
+        for tok in tokens[4:]:
             if "=" not in tok:
                 raise ModelError(f"expected key=value, got {tok!r}", lineno)
             key, _, value = tok.partition("=")
@@ -383,37 +429,29 @@ class _Parser:
                 raise ModelError("form-3 alloc takes neither target= nor action=", lineno)
         if attrs:
             raise ModelError(f"unknown depnode attributes {sorted(attrs)}", lineno)
-        node = DepNode(
-            ident=ident,
-            method=method,
-            line=_parse_int(line_txt, "node line", lineno),
-            kind=kind,
-            form=form,
-            perm_type=perm_type,
-            target_var=target_var,
-            action_var=action_var,
-        )
-        if kind == CALLSITE and node.site not in self.sites:
+        site = self._site_at(method, line_txt, "node line", lineno)
+        if kind == CALLSITE and site not in self.sites:
             raise ModelError(f"callsite node {ident!r} is not at a call site", lineno)
-        self.dep_nodes[ident] = node
+        self.dep_nodes[ident] = _new_node(
+            ident, method, site.line, kind, form, perm_type, target_var, action_var, site
+        )
         self.node_lines[ident] = lineno
 
-    def depedge(self, body: str, lineno: int) -> None:
-        tokens = body.split()
-        if len(tokens) not in (2, 3):
+    def depedge(self, tokens: list[str], _line: str, lineno: int) -> None:
+        if len(tokens) not in (3, 4):
             raise ModelError("depedge needs: <from-id> <to-id> [inter=call|return]", lineno)
-        src, dst = tokens[0], tokens[1]
+        src, dst = tokens[1], tokens[2]
         inter = None
-        if len(tokens) == 3:
-            if not tokens[2].startswith("inter="):
-                raise ModelError(f"expected inter=..., got {tokens[2]!r}", lineno)
-            inter = tokens[2][len("inter=") :]
+        if len(tokens) == 4:
+            if not tokens[3].startswith("inter="):
+                raise ModelError(f"expected inter=..., got {tokens[3]!r}", lineno)
+            inter = tokens[3][len("inter=") :]
             if inter not in (INTER_CALL, INTER_RETURN):
                 raise ModelError(f"inter must be call or return, got {inter!r}", lineno)
         for ident in (src, dst):
             if ident not in self.dep_nodes:
                 raise ModelError(f"unknown dep node {ident!r}", lineno)
-        key = (src, dst, inter)
+        key = (src, dst, inter or "")
         if key in self.dep_edges:
             raise ModelError(f"duplicate dep edge {src} -> {dst}", lineno)
         if inter == INTER_RETURN and self.dep_nodes[dst].site not in self.sites:
@@ -424,14 +462,13 @@ class _Parser:
             raise ModelError(
                 f"alloc node {dst!r} has incoming dep edges", self.node_lines[dst]
             )
-        self.dep_edges.add(key)
+        self.dep_edges[key] = DepEdge(src, dst, inter)
 
-    def checkarg(self, body: str, lineno: int) -> None:
-        tokens = body.split()
-        if len(tokens) != 2 or not tokens[1].startswith("var="):
+    def checkarg(self, tokens: list[str], _line: str, lineno: int) -> None:
+        if len(tokens) != 3 or not tokens[2].startswith("var="):
             raise ModelError("checkarg needs: <method>:<line> var=<name>", lineno)
-        site = _parse_site(tokens[0], lineno)
-        var = tokens[1][len("var=") :]
+        site = self._site(tokens[1], lineno)
+        var = tokens[2][len("var=") :]
         if not var:
             raise ModelError("empty checkarg variable", lineno)
         if site in self.checkargs:
@@ -452,13 +489,13 @@ class _Parser:
             raise ModelError(f"duplicate {label} fact for {var}@{method}", lineno)
         return var, method
 
-    def pta_fact(self, body: str, lineno: int) -> None:
-        lhs, eq, rhs = body.partition("=")
+    def pta_fact(self, _tokens: list[str], line: str, lineno: int) -> None:
+        lhs, eq, rhs = line.lstrip()[len("pta") :].partition("=")
         if not eq:
             raise ModelError("pta needs: <var>@<method> = {...}", lineno)
         key = self._fact_key("pta", lhs, self.pta, lineno)
         triples = [
-            PtaTriple(ptype, node, _parse_sites(sites, lineno))
+            PtaTriple(ptype, node, self._sites(sites, lineno))
             for ptype, node, sites in _parse_fact_set(rhs, _PTA_TRIPLE_RE, lineno)
         ]
         for t in triples:
@@ -476,37 +513,34 @@ class _Parser:
                     lineno,
                 )
             self._known_sites(t.ctx, "pta", lineno)
-        self.pta[key] = tuple(
-            sorted(triples, key=lambda t: (t.perm_type, t.node, sorted(t.ctx)))
-        )
+        if len(triples) > 1:
+            triples.sort(key=lambda t: (t.perm_type, t.node, sorted(t.ctx)))
+        self.pta[key] = tuple(triples)
 
-    def sa_fact(self, body: str, lineno: int) -> None:
-        lhs, eq, rhs = body.partition("=")
+    def sa_fact(self, _tokens: list[str], line: str, lineno: int) -> None:
+        lhs, eq, rhs = line.lstrip()[len("sa") :].partition("=")
         if not eq:
             raise ModelError("sa needs: <var>@<method> = {...}", lineno)
         key = self._fact_key("sa", lhs, self.sa, lineno)
         facts = [
-            StringFact(value, _parse_sites(sites, lineno))
+            StringFact(value, self._sites(sites, lineno))
             for value, sites in _parse_fact_set(rhs, _SA_PAIR_RE, lineno)
         ]
         for f in facts:
             self._known_sites(f.ctx, "sa", lineno)
-        self.sa[key] = tuple(sorted(facts, key=lambda f: (f.value, sorted(f.ctx))))
+        if len(facts) > 1:
+            facts.sort(key=lambda f: (f.value, sorted(f.ctx)))
+        self.sa[key] = tuple(facts)
 
     def model(self) -> ProgramModel:
         return ProgramModel(
-            methods={name: self.methods[name] for name in sorted(self.methods)},
-            call_edges=tuple(sorted(self.call_edges.values(), key=lambda e: e.ident)),
-            dep_nodes={ident: self.dep_nodes[ident] for ident in sorted(self.dep_nodes)},
-            dep_edges=tuple(
-                DepEdge(src, dst, inter)
-                for src, dst, inter in sorted(
-                    self.dep_edges, key=lambda t: (t[0], t[1], t[2] or "")
-                )
-            ),
-            checkargs={site: self.checkargs[site] for site in sorted(self.checkargs)},
-            pta={key: self.pta[key] for key in sorted(self.pta)},
-            sa={key: self.sa[key] for key in sorted(self.sa)},
+            methods=dict(sorted(self.methods.items())),
+            call_edges=tuple(dict(sorted(self.call_edges.items())).values()),
+            dep_nodes=dict(sorted(self.dep_nodes.items())),
+            dep_edges=tuple(dict(sorted(self.dep_edges.items())).values()),
+            checkargs=dict(sorted(self.checkargs.items())),
+            pta=dict(sorted(self.pta.items())),
+            sa=dict(sorted(self.sa.items())),
             entry_method=self.entry,
             check_method=self.check,
             priv_method=self.priv,
@@ -526,20 +560,21 @@ def parse_model(text: str) -> ProgramModel:
         "pta": parser.pta_fact,
         "sa": parser.sa_fact,
     }
-    by_kind: dict[str, list[tuple[str, int]]] = {word: [] for word in handlers}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = _strip_comment(raw).strip()
-        if not line:
-            continue
-        word, *body = line.split(maxsplit=1)
-        if word not in by_kind:
-            raise ModelError(f"unknown directive {word!r}", lineno)
-        by_kind[word].append(("".join(body), lineno))
+    by_kind: dict[str, list[tuple[list[str], str, int]]] = {word: [] for word in handlers}
+    for lineno, line in enumerate(text.splitlines(), start=1):
+        if "#" in line:
+            line = _strip_comment(line)
+        tokens = line.split()
+        if tokens:
+            lines = by_kind.get(tokens[0])
+            if lines is None:
+                raise ModelError(f"unknown directive {tokens[0]!r}", lineno)
+            lines.append((tokens, line, lineno))
     for word, handler in handlers.items():
-        for body, lineno in by_kind[word]:
-            handler(body, lineno)
+        for tokens, line, lineno in by_kind[word]:
+            handler(tokens, line, lineno)
         if word == "calledge":
-            parser.close_call_graph([lineno for _, lineno in by_kind[word]])
+            parser.close_call_graph([lineno for _t, _l, lineno in by_kind[word]])
     return parser.model()
 
 

@@ -15,7 +15,7 @@ from stackpol.errors import EnumerationLimitError, ModelError, StackpolError
 from stackpol.model import (
     CallEdge,
     DepNode,
-    _parse_family,
+    _Parser,
     _strip_comment,
     compute_phi_meth,
     lint_model,
@@ -559,7 +559,7 @@ def test_dead_edge_members_are_on_no_bounded_walk():
             if not warning.startswith("dead-edge: "):
                 continue
             ident = warning.split(":")[1].split()[1]
-            members = _parse_family(warning.rpartition(" covers ")[2], 0)
+            members = _Parser()._family(warning.rpartition(" covers ")[2], 0)
             assert members and members <= edges[ident].ctx
             for walk in _walks(model, (edges[ident].caller,), 2):
                 sites = {e.site for e in walk}
