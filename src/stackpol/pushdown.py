@@ -31,11 +31,15 @@ to X, so each projection is computed from X's own pair.  A condition
 only asks whether one of its members is a subset of the sites below, and
 every member lies inside the sites relevant to the rule's left-hand
 side, so the projection decides each condition exactly as the full set
-would.  Rule applicability is then a plain lookup on the pair, and the
-solver is an ordinary weighted post* saturation over such pairs.  Stacks
-that differ only in sites no later condition reads share their pairs, so
-on a ladder whose every level is guarded by the level above, each symbol
-has at most two annotations instead of one per route to it.
+would.  The view numbers the sites that conditions name, once per
+solve, and every one of these sets is an int mask over that numbering:
+a condition holds when ``member & ~below`` is 0 for one of its members,
+and a projection is ``(below | pushed) & relevant``.  Rule
+applicability is then a plain lookup on the pair, and the solver is an
+ordinary weighted post* saturation over such pairs.  Stacks that differ
+only in sites no later condition reads share their pairs, so on a
+ladder whose every level is guarded by the level above, each symbol has
+at most two annotations instead of one per route to it.
 
 The saturation runs on packed, merged digests (see ``weights``): once
 per solve, one ``Packing`` interns the methods of every rule's digest,
@@ -100,7 +104,8 @@ where it lies beneath a target and no other checkpoint is in the
 history.  ``reads=None`` cuts nothing, and a map cuts in two steps:
 
 * **The union.**  Each rule's history keeps only the sites in the union
-  of ``reads``' values before it is packed, so ``reads={}`` keeps no
+  of ``reads``' values: its packed key is ANDed with that union's mask,
+  and ``Packing.sites`` narrows to it alike, so ``reads={}`` keeps no
   site.  History is a union along a path, so every path's history is
   cut alike, and the saturation explores the same pairs, since
   conditions read the annotations, not the weights.  A query that reads
@@ -149,7 +154,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping, Union
 
-from .contexts import ANY_FAMILY, CallSite, CtxFamily, CtxSet, format_family, holds
+from .contexts import ANY_FAMILY, EMPTY_CTX, CallSite, CtxFamily, CtxSet, format_family
 from .errors import CapacityError
 from .weights import (
     DEFAULT_TUPLE_CAP,
@@ -233,11 +238,10 @@ class ConditionalWPDS:
         return "\n".join(lines)
 
 
-_NONE: CtxSet = frozenset()
-
 # one rule instance: (index of the conditional rule, and the
-# (symbol, sites_below) pairs it leaves on top of the stack)
-Instance = tuple[int, tuple[tuple[StackSymbol, CtxSet], ...]]
+# (symbol, sites_below) pairs it leaves on top of the stack, each
+# sites_below a mask over ``AnnotatedWPDS.site_bit``)
+Instance = tuple[int, tuple[tuple[StackSymbol, int], ...]]
 
 
 class AnnotatedWPDS:
@@ -249,18 +253,34 @@ class AnnotatedWPDS:
     are relevant to it.  The relevant sets are the least ones in which
     each symbol's holds the sites named by the conditions of its own rules
     and the relevant set of every symbol on their right-hand sides; a
-    worklist fixpoint computes them once.  A system without conditions
-    pairs every symbol with the empty set.
+    worklist fixpoint computes them once.
+
+    Every set is an int mask over ``site_bit``, which numbers the sites
+    that conditions name, in the order the rules first name them: the
+    conditions' members, the relevant sets and each ``sites_below``.  A
+    member lies within ``below`` when ``member & ~below`` is 0, and each
+    right-hand symbol's annotation is ``(below | pushed) & relevant``,
+    where ``pushed`` is the bit of the site a push records, 0 for a site
+    no condition names.  A system without conditions pairs every symbol
+    with 0, the empty set.
     """
 
     def __init__(self, system: ConditionalWPDS):
-        self._by_lhs: dict[StackSymbol, list[tuple[int, Rule]]] = defaultdict(list)
-        relevant: dict[StackSymbol, CtxSet] = {}
+        self.site_bit: dict[CallSite, int] = {}
+        # per left-hand symbol, each rule's index, the masks of its
+        # condition's members, or None when an empty member makes it hold
+        # below every stack, and its right-hand side
+        self._by_lhs: dict[
+            StackSymbol, list[tuple[int, tuple[int, ...] | None, tuple]]
+        ] = defaultdict(list)
+        relevant: dict[StackSymbol, int] = {}
         for idx, r in enumerate(system.rules):
-            self._by_lhs[r.lhs].append((idx, r))
-            for member in r.cond:
-                if member:
-                    relevant[r.lhs] = relevant.get(r.lhs, _NONE) | member
+            members = None
+            if EMPTY_CTX not in r.cond:
+                members = tuple([self._mask(member) for member in r.cond])
+                for mask in members:
+                    relevant[r.lhs] = relevant.get(r.lhs, 0) | mask
+            self._by_lhs[r.lhs].append((idx, members, r.rhs))
         if relevant:
             lhs_of: dict[StackSymbol, list[StackSymbol]] = defaultdict(list)
             for r in system.rules:
@@ -270,49 +290,56 @@ class AnnotatedWPDS:
             while pending:
                 sym = pending.pop()
                 for lhs in lhs_of[sym]:
-                    old = relevant.get(lhs, _NONE)
-                    if not relevant[sym] <= old:
+                    old = relevant.get(lhs, 0)
+                    if relevant[sym] & ~old:
                         relevant[lhs] = old | relevant[sym]
                         pending.append(lhs)
         self._relevant = relevant
 
-    def instances(self, base: StackSymbol, below: CtxSet) -> list[Instance]:
-        """All rules applicable at top symbol ``base`` with ``below`` sites."""
-        out = []
-        for idx, r in self._by_lhs.get(base, ()):
-            if not holds(r.cond, below):
-                continue
-            if len(r.rhs) == 2:
-                first, second = r.rhs
-                rhs = (
-                    (first, self._project(first, below, second)),
-                    (second, self._project(second, below)),
-                )
-            else:
-                rhs = tuple((sym, self._project(sym, below)) for sym in r.rhs)
-            out.append((idx, rhs))
+    def _mask(self, sites: CtxSet) -> int:
+        """The mask of ``sites``; a site not yet numbered gets the next bit."""
+        bit = self.site_bit
+        out = 0
+        for site in sites:
+            b = bit.get(site)
+            if b is None:
+                b = bit[site] = 1 << len(bit)
+            out |= b
         return out
 
-    def _project(
-        self, sym: StackSymbol, below: CtxSet, pushed: CallSite | None = None
-    ) -> CtxSet:
-        """``below`` plus ``pushed``, cut to the sites relevant to ``sym``."""
-        sites = self._relevant.get(sym, _NONE)
-        if not below <= sites:
-            below = below & sites
-        return below | {pushed} if pushed in sites else below
+    def instances(self, base: StackSymbol, below: int) -> list[Instance]:
+        """All rules applicable at top symbol ``base`` with ``below`` sites."""
+        out = []
+        keep, bit = self._relevant.get, self.site_bit.get
+        for idx, members, rhs in self._by_lhs.get(base, ()):
+            if members is not None:
+                for member in members:
+                    if not member & ~below:
+                        break
+                else:
+                    continue
+            if len(rhs) == 2:
+                first, second = rhs
+                pairs = (
+                    (first, (below | bit(second, 0)) & keep(first, 0)),
+                    (second, below & keep(second, 0)),
+                )
+            else:
+                pairs = tuple([(sym, below & keep(sym, 0)) for sym in rhs])
+            out.append((idx, pairs))
+        return out
 
 
 # automaton states: 0 is the control location, 1 accepts the stack bottom,
 # and a push opens the state named by the (symbol, sites_below) pair it pushes
 _P = 0
 _QF = 1
-_State = Union[int, tuple[StackSymbol, CtxSet]]
+_State = Union[int, tuple[StackSymbol, int]]
 
 # a transition is keyed by (source state, symbol read, sites below it, target);
-# a pop's epsilon-transition (_P, _EPS, {}, q) reads the private symbol _EPS
+# a pop's epsilon-transition (_P, _EPS, 0, q) reads the private symbol _EPS
 _EPS = object()
-_TransKey = tuple[_State, StackSymbol, CtxSet, _State]
+_TransKey = tuple[_State, StackSymbol, int, _State]
 
 
 def _cut_masks(
@@ -412,16 +439,20 @@ def movp(
     annotated = AnnotatedWPDS(system)
     weights = [r.weight for r in system.rules]
     packing = Packing(weights)
-    if reads is not None:
-        # each rule's history keeps only the sites that ``reads`` names
-        kept = set().union(*reads.values())
-        weights = [
-            w
-            if w.history <= kept
-            else WeightTuple(w.kill, w.gen, w.finished, w.history & kept)
-            for w in weights
-        ]
     rule_weights = [packing.pack(w) for w in weights]
+    if reads is not None:
+        # each rule's history keeps only the sites that ``reads`` names,
+        # and so does ``packing.sites``
+        bit = packing.bit.get
+        kept = 0
+        for named in reads.values():
+            for site in named:
+                kept |= bit(site, 0)
+        cut = packing.sites & ~kept
+        if cut:
+            packing.sites ^= cut
+            keep = ~(cut << 1)
+            rule_weights = [{key & keep: gen for key, gen in w.items()} for w in rule_weights]
     trans: dict[_TransKey, Merged] = {}
     # the transitions out of each frame state, which epsilon folds read
     out_of: dict[_State, list[_TransKey]] = defaultdict(list)
@@ -440,7 +471,7 @@ def movp(
             worklist.append(key)
 
     # the unit is written {0: 0} at each use: a stored weight grows in place
-    update_trans((_P, system.start, _NONE, _QF), {0: 0})
+    update_trans((_P, system.start, 0, _QF), {0: 0})
 
     while worklist:
         work = _spend(work, 1)
@@ -454,7 +485,7 @@ def movp(
                 work = _spend(work, len(f) * len(d))
                 update_trans((_P, *frame_key[1:]), extend_merged(f, d))
         elif src != _P:
-            e = trans.get((_P, _EPS, _NONE, src))
+            e = trans.get((_P, _EPS, 0, src))
             if e is not None:
                 work = _spend(work, len(d) * len(e))
                 update_trans((_P, sym, ann, dst), extend_merged(d, e))
@@ -464,7 +495,7 @@ def movp(
                 work += len(d)
                 w = extend_merged(d, rule_weights[rule_idx])
                 if not rhs:
-                    update_trans((_P, _EPS, _NONE, dst), w)
+                    update_trans((_P, _EPS, 0, dst), w)
                 elif len(rhs) == 1:
                     ((top, top_below),) = rhs
                     update_trans((_P, top, top_below, dst), w)

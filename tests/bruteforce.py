@@ -23,7 +23,9 @@ The pipeline never builds these; it relies on the connection through
 ``successors`` interprets a conditional system on one concrete stack,
 testing each rule's condition against the call sites below the top.
 ``reduced_successors`` steps the same stack through the engine's
-``AnnotatedWPDS`` view instead, so tests can check that the two agree.
+``AnnotatedWPDS`` view instead, so tests can check that the two agree;
+``instances_by_sets`` translates between the sets of sites that the
+pair stacks hold and the view's int masks.
 ``relevant_sites`` maps each symbol to the condition sites of every
 symbol its rules' right-hand sides lead to, found by a plain graph walk
 per symbol; ``annotate_stack`` pairs each symbol of a concrete stack
@@ -301,6 +303,25 @@ class GlobalAnnotatedWPDS:
         return out
 
 
+def instances_by_sets(
+    annotated: AnnotatedWPDS, base: StackSymbol, below: CtxSet
+) -> list[tuple[int, PairStack]]:
+    """``annotated.instances`` with each sites-below set given and returned
+    as a set of call sites, through the view's ``site_bit``; a site the
+    view does not number is a ``KeyError``."""
+    bit = annotated.site_bit
+    names = list(bit)
+
+    def sites(mask: int) -> CtxSet:
+        return frozenset(names[i] for i in range(mask.bit_length()) if mask >> i & 1)
+
+    mask = sum(bit[site] for site in below)
+    return [
+        (idx, tuple((sym, sites(m)) for sym, m in rhs))
+        for idx, rhs in annotated.instances(base, mask)
+    ]
+
+
 def reduced_successors(
     annotated: AnnotatedWPDS, stack: PairStack
 ) -> list[tuple[int, PairStack]]:
@@ -309,7 +330,7 @@ def reduced_successors(
     if not stack:
         return []
     (top, below), rest = stack[0], stack[1:]
-    return [(idx, rhs + rest) for idx, rhs in annotated.instances(top, below)]
+    return [(idx, rhs + rest) for idx, rhs in instances_by_sets(annotated, top, below)]
 
 
 def one_digest(digest: WeightTuple) -> Weight:

@@ -11,6 +11,7 @@ from bruteforce import (
     GlobalAnnotatedWPDS,
     alphabet,
     annotate_stack,
+    instances_by_sets,
     fold_weights,
     merged,
     movp_by_stepping,
@@ -149,21 +150,21 @@ def test_annotation_math_push_swap_pop():
     ]
     ann = AnnotatedWPDS(ConditionalWPDS(rules, "A"))
     below, none = frozenset({zb}), frozenset()
-    assert ann.instances("A", below) == [
+    assert instances_by_sets(ann, "A", below) == [
         (0, (("B", below | {za}), (za, below))),
         (1, (("B", below), (zc, none))),
     ]
-    assert ann.instances("B", below | {za}) == [(2, (("X", none),))]
-    assert ann.instances(za, below) == [(4, (("X", none),))]
-    assert ann.instances("X", none) == [(3, ())]
+    assert instances_by_sets(ann, "B", below | {za}) == [(2, (("X", none),))]
+    assert instances_by_sets(ann, za, below) == [(4, (("X", none),))]
+    assert instances_by_sets(ann, "X", none) == [(3, ())]
 
 
 def test_annotated_instances_respect_conditions():
     za = site("A", 1)
     rules = [Rule("B", ("C", site("B", 2)), cond=cond([za]))]
     ann = AnnotatedWPDS(ConditionalWPDS(rules, "B"))
-    assert ann.instances("B", frozenset()) == []
-    assert len(ann.instances("B", frozenset({za}))) == 1
+    assert instances_by_sets(ann, "B", frozenset()) == []
+    assert len(instances_by_sets(ann, "B", frozenset({za}))) == 1
 
 
 def _random_system(rng: random.Random) -> ConditionalWPDS:
@@ -456,10 +457,11 @@ def test_movp_matches_stepping_on_a_ladder_whose_conditions_name_some_sites():
     assert movp(system, check).decode() == movp_by_stepping(system, check, depth=12)
 
 
-def _reachable_pairs(view, start) -> set:
+def _reachable_pairs(view, start, empty) -> set:
     # every (symbol, sites_below) pair that some rule instance leaves on
-    # the stack, from the start symbol with nothing below it
-    seen = {(start, frozenset())}
+    # the stack, from the start symbol with ``empty``, the view's form of
+    # the empty set, below it
+    seen = {(start, empty)}
     todo = list(seen)
     while todo:
         for _idx, rhs in view.instances(*todo.pop()):
@@ -478,7 +480,7 @@ def test_a_guarded_ladder_reaches_linearly_many_annotated_symbols(levels):
     # keep any of 2^k site sets
     model, _names = guarded_diamond_ladder(levels)
     system = encode(model)
-    pairs = _reachable_pairs(AnnotatedWPDS(system), system.start)
+    pairs = _reachable_pairs(AnnotatedWPDS(system), system.start, 0)
     assert len(pairs) == 4 * levels + 2
 
 
@@ -487,8 +489,8 @@ def test_per_symbol_and_global_projections_give_the_same_weights():
     # every condition-named site
     model, _names = guarded_diamond_ladder(6)
     system = encode(model)
-    assert len(_reachable_pairs(AnnotatedWPDS(system), system.start)) < len(
-        _reachable_pairs(GlobalAnnotatedWPDS(system), system.start)
+    assert len(_reachable_pairs(AnnotatedWPDS(system), system.start, 0)) < len(
+        _reachable_pairs(GlobalAnnotatedWPDS(system), system.start, frozenset())
     )
     for m in [model] + [random_model(seed) for seed in range(300)]:
         system, check = encode(m), {m.check_method}
