@@ -65,7 +65,7 @@ distinct pair of them is related once, and its grants are unioned once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from itertools import islice
 from typing import Iterable, Sequence
 
@@ -80,7 +80,7 @@ from .model import (
     ProgramModel,
 )
 from .permissions import Permission, PermissionUniverse, checkpoints
-from .policy import Frame, Policy, _policy_frame
+from .policy import Frame, Policy, _model_policy
 
 DEFAULT_PATH_BOUND = 2
 MAX_ENUMERATED_PATHS = 200_000
@@ -416,7 +416,7 @@ def oracle_policy(
     }
     paths = _vpaths(model, [model.check_method, *allocating], bound)
     cache: dict = {method: paths[method] for method in allocating}
-    frame = _policy_frame(model)
+    system = frozenset({model.check_method, model.priv_method})
     shapes: dict[tuple[CallSite, frozenset[str]], CallPath] = {}
     for sigma in paths[model.check_method]:
         shapes.setdefault((sigma.edges[-1].site, sigma.methods()), sigma)
@@ -428,9 +428,9 @@ def oracle_policy(
             if relates(model, sigma, perm, universe, flow, cache, bound)
         ]
         if perms:
-            for method in methods - frame.system_methods:
+            for method in methods - system:
                 grants.setdefault(method, set()).update(perms)
-    return replace(frame, grants={m: frozenset(ps) for m, ps in grants.items()})
+    return _model_policy(model, grants)
 
 
 def concrete_stack(model: ProgramModel, path: CallPath) -> tuple[Frame, ...]:

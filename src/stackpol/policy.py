@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .contexts import CallSite
 from .errors import PolicyError
@@ -112,11 +112,11 @@ class PolicyResult:
         return self.digests.decode()
 
 
-def _policy_frame(model: ProgramModel) -> Policy:
-    """``model``'s policy before any grant: each method's protection domain,
-    and the check and privilege methods as the system methods."""
+def _model_policy(model: ProgramModel, grants: dict[str, set[Permission]]) -> Policy:
+    """``grants`` as ``model``'s policy: with each method's protection
+    domain, and the check and privilege methods as the system methods."""
     return Policy(
-        grants={},
+        grants={m: frozenset(ps) for m, ps in grants.items()},
         method_domains={name: (m.domain or name) for name, m in model.methods.items()},
         system_methods=frozenset({model.check_method, model.priv_method}),
     )
@@ -239,11 +239,10 @@ def generate_policy(
         tuple_cap=tuple_cap,
         reads=_read_sites(universe),
     )
-    frame = _policy_frame(model)
-    hidden = sum(solved.packing.bit.get(m, 0) for m in frame.system_methods)
+    bit = solved.packing.bit
+    hidden = bit.get(model.check_method, 0) | bit.get(model.priv_method, 0)
     grants = _grants(solved, universe, hidden)
-    policy = replace(frame, grants={m: frozenset(ps) for m, ps in grants.items()})
-    return PolicyResult(policy=policy, digests=solved)
+    return PolicyResult(policy=_model_policy(model, grants), digests=solved)
 
 
 # ---------------------------------------------------------------------------
