@@ -180,13 +180,14 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_int(text: str, what: str, lineno: int) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise ModelError(f"{what} must be an integer, got {text!r}", lineno)
-    if value < 0:
-        raise ModelError(f"{what} must be non-negative, got {value}", lineno)
-    return value
+    # int() would also take a sign, underscores and other scripts'
+    # digits, and serialize_model would write them back as another text
+    if not (text.isascii() and text.isdigit()):
+        raise ModelError(
+            f"{what} must be a non-negative integer in the digits 0-9, got {text!r}",
+            lineno,
+        )
+    return int(text)
 
 
 def _fields_setter(cls):

@@ -119,6 +119,28 @@ def test_parse_errors_carry_line_numbers():
     assert "line 5" in msg and "integer" in msg
 
 
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ["calledge 1 main 1_0 doPriv ctx=any"],
+        ["calledge 1 main +3 doPriv ctx=any"],
+        ["calledge 1 main \u0663 doPriv ctx=any"],
+        ["calledge 1 main 3 doPriv ctx={main:+3}"],
+        ["calledge 1 main 3 doPriv ctx=any", "depnode n main \u0663 kind=plain"],
+        ["calledge 1 main 3 doPriv ctx=any", "depnode n main 3 kind=alloc form=+3 type=P"],
+        ["calledge 1 main 3 check ctx=any", "checkarg main:1_0 var=p"],
+    ],
+)
+def test_line_numbers_are_decimal_digits(lines):
+    # int() takes each of these, and serialize_model wrote them back as
+    # plain digits, so main:+3 named the site main:3
+    msg = err(minimal_plus(*lines))
+    assert f"line {4 + len(lines)}: " in msg
+    assert "must be a non-negative integer in the digits 0-9" in msg
+    # leading zeros stay digits
+    assert parse_model(minimal_plus("calledge 1 main 03 doPriv ctx=any")).call_edges[0].line == 3
+
+
 def test_role_errors():
     assert "exactly one entry" in err("method a\nmethod p priv\nmethod c check\n")
     assert "exactly one check" in err("method a entry\nmethod p priv\n")
