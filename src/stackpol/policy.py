@@ -56,13 +56,13 @@ def encode(model: ProgramModel) -> ConditionalWPDS:
     """Build the conditional weighted pushdown system for a model; every
     push records its call site in the history."""
     rules: list[Rule] = []
+    none: frozenset[str] = frozenset()
     for e in model.call_edges:
+        # kill, gen, finished, history
         w = WeightTuple(
-            kill=e.caller == model.priv_method,
-            gen=frozenset({e.caller}),
-            history=frozenset({e.site}),
+            e.caller == model.priv_method, frozenset((e.caller,)), none, frozenset((e.site,))
         )
-        rules.append(Rule(lhs=e.caller, rhs=(e.callee, e.site), cond=e.ctx, weight=w))
+        rules.append(Rule(e.caller, (e.callee, e.site), e.ctx, w))
     seen: set[tuple] = set()
     for d in model.dep_edges:
         if d.inter != INTER_RETURN:
