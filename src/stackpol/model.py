@@ -260,10 +260,10 @@ class _Parser:
         self.site_sets: dict[str, CtxSet] = {}
 
     def _site_at(self, method: str, line: str, what: str, lineno: int) -> CallSite:
-        site = self.site_at.get((method, line))
+        key = (method, line)
+        site = self.site_at.get(key)
         if site is None:
-            site = CallSite(method, _parse_int(line, what, lineno))
-            self.site_at[method, line] = site
+            site = self.site_at[key] = CallSite(method, _parse_int(line, what, lineno))
         return site
 
     def _site(self, text: str, lineno: int) -> CallSite:

@@ -56,11 +56,11 @@ def encode(model: ProgramModel) -> ConditionalWPDS:
     """Build the conditional weighted pushdown system for a model; every
     push records its call site in the history."""
     rules: list[Rule] = []
-    none: frozenset[str] = frozenset()
+    empty: frozenset[str] = frozenset()
     for e in model.call_edges:
         # kill, gen, finished, history
         w = WeightTuple(
-            e.caller == model.priv_method, frozenset((e.caller,)), none, frozenset((e.site,))
+            e.caller == model.priv_method, frozenset((e.caller,)), empty, frozenset((e.site,))
         )
         rules.append(Rule(e.caller, (e.callee, e.site), e.ctx, w))
     seen: set[tuple] = set()

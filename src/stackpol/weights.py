@@ -200,8 +200,11 @@ class Packing:
         self.bit: dict[str | CallSite, int] = {}
         self.sites = 0
         for digest in digests:
-            self._intern(digest.gen)
-            self._intern(digest.finished)
+            # most rule digests leave one of the two empty; skip its call
+            if digest.gen:
+                self._intern(digest.gen)
+            if digest.finished:
+                self._intern(digest.finished)
 
     def _intern(self, names: Iterable) -> int:
         """The mask of ``names``; a name not yet in ``bit`` gets the next bit."""
@@ -221,9 +224,9 @@ class Packing:
     def pack(self, digest: WeightTuple) -> Merged:
         """``digest`` as a one-entry merged weight; a name first met here
         gets a new bit."""
-        gen = self._intern(digest.gen)
-        finished = self._intern(digest.finished)
-        history = self._intern(digest.history)
+        gen = self._intern(digest.gen) if digest.gen else 0
+        finished = self._intern(digest.finished) if digest.finished else 0
+        history = self._intern(digest.history) if digest.history else 0
         self.sites |= history
         return {int(digest.kill) | (finished | history) << 1: gen}
 
