@@ -190,28 +190,44 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
     return int(text)
 
 
-def _fields_setter(cls):
-    """A constructor for the frozen, slotted dataclass ``cls`` that takes
-    every field, ``init=False`` ones included, in declaration order, and
-    runs neither ``__init__`` nor ``__post_init__``.  The parser builds
-    its call edges and dependency nodes with it: it has already
-    normalized each family and holds each shared site, which
-    ``__post_init__`` would build anew, and setting the slots directly
-    takes half the time of a frozen ``__init__``."""
-    setters = tuple(getattr(cls, name).__set__ for name in cls.__slots__)
-    new = object.__new__
-
-    def build(*values):
-        obj = new(cls)
-        for set_field, value in zip(setters, values):
-            set_field(obj, value)
-        return obj
-
-    return build
+# The parser builds its call edges and dependency nodes by setting their
+# slots directly, past ``__init__`` and ``__post_init__``: it has already
+# normalized each family and holds each shared site, which
+# ``__post_init__`` would build anew, and a frozen ``__init__`` costs an
+# ``object.__setattr__`` call per field.  Each ``__set__`` below is a
+# slot's, in field order.
+_EDGE_SLOTS = tuple(getattr(CallEdge, name).__set__ for name in CallEdge.__slots__)
+_NODE_SLOTS = tuple(getattr(DepNode, name).__set__ for name in DepNode.__slots__)
 
 
-_new_edge = _fields_setter(CallEdge)
-_new_node = _fields_setter(DepNode)
+def _new_edge(ident, caller, line, callee, ctx, site) -> CallEdge:
+    edge = object.__new__(CallEdge)
+    set_ident, set_caller, set_line, set_callee, set_ctx, set_site = _EDGE_SLOTS
+    set_ident(edge, ident)
+    set_caller(edge, caller)
+    set_line(edge, line)
+    set_callee(edge, callee)
+    set_ctx(edge, ctx)
+    set_site(edge, site)
+    return edge
+
+
+def _new_node(
+    ident, method, line, kind, form, perm_type, target_var, action_var, site
+) -> DepNode:
+    node = object.__new__(DepNode)
+    (set_ident, set_method, set_line, set_kind, set_form) = _NODE_SLOTS[:5]
+    (set_type, set_target, set_action, set_site) = _NODE_SLOTS[5:]
+    set_ident(node, ident)
+    set_method(node, method)
+    set_line(node, line)
+    set_kind(node, kind)
+    set_form(node, form)
+    set_type(node, perm_type)
+    set_target(node, target_var)
+    set_action(node, action_var)
+    set_site(node, site)
+    return node
 
 
 def _parse_fact_set(rhs: str, item_re: re.Pattern, lineno: int) -> list[list[str]]:

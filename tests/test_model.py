@@ -97,6 +97,24 @@ def test_sites_are_stored_but_not_compared():
     assert hash(node) == hash(DepNode("n", "main", 3, "plain"))
 
 
+def test_parsed_edges_and_nodes_hold_each_field_in_its_slot():
+    # the parser sets their slots directly, past __init__
+    m = parse_model(
+        minimal_plus(
+            "calledge 7 main 3 doPriv ctx=any",
+            "calledge 8 doPriv 4 check ctx={main:3}",
+            "depnode n1 doPriv 5 kind=alloc form=1 type=P target=t action=a",
+        )
+    )
+    edge = m.call_edges[1]
+    assert edge == CallEdge("8", "doPriv", 4, "check", [[CallSite("main", 3)]])
+    assert edge.site == CallSite("doPriv", 4)
+    assert m.call_edges[0].ctx is ANY_FAMILY
+    node = m.dep_nodes["n1"]
+    assert node == DepNode("n1", "doPriv", 5, "alloc", 1, "P", "t", "a")
+    assert node.site == CallSite("doPriv", 5)
+
+
 def test_edge_context_parsing_and_normalization():
     m = parse_model(
         minimal_plus(
