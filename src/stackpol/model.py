@@ -216,8 +216,8 @@ def _new_node(
     ident, method, line, kind, form, perm_type, target_var, action_var, site
 ) -> DepNode:
     node = object.__new__(DepNode)
-    (set_ident, set_method, set_line, set_kind, set_form) = _NODE_SLOTS[:5]
-    (set_type, set_target, set_action, set_site) = _NODE_SLOTS[5:]
+    set_ident, set_method, set_line, set_kind, set_form = _NODE_SLOTS[:5]
+    set_type, set_target, set_action, set_site = _NODE_SLOTS[5:]
     set_ident(node, ident)
     set_method(node, method)
     set_line(node, line)
@@ -228,6 +228,12 @@ def _new_node(
     set_action(node, action_var)
     set_site(node, site)
     return node
+
+
+_PTA_TRIPLE_RE = re.compile(
+    r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*,\s*\{([^{}]*)\}\s*\)"
+)
+_SA_PAIR_RE = re.compile(r'\(\s*"([^"]*)"\s*,\s*\{([^{}]*)\}\s*\)')
 
 
 def _parse_fact_set(rhs: str, item_re: re.Pattern, lineno: int) -> list[list[str]]:
@@ -244,12 +250,6 @@ def _parse_fact_set(rhs: str, item_re: re.Pattern, lineno: int) -> list[list[str
     if len(parts) == 1:
         raise ModelError("fact set is empty", lineno)
     return [parts[i : i + step - 1] for i in range(1, len(parts), step)]
-
-
-_PTA_TRIPLE_RE = re.compile(
-    r"\(\s*([^\s,()]+)\s*,\s*([^\s,()]+)\s*,\s*\{([^{}]*)\}\s*\)"
-)
-_SA_PAIR_RE = re.compile(r'\(\s*"([^"]*)"\s*,\s*\{([^{}]*)\}\s*\)')
 
 
 class _Parser:
