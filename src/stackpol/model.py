@@ -180,11 +180,12 @@ def _strip_comment(line: str) -> str:
 
 
 def _parse_int(text: str, what: str, lineno: int) -> int:
-    # int() would also take a sign, underscores and other scripts'
-    # digits, and serialize_model would write them back as another text
-    if not (text.isascii() and text.isdigit()):
+    # int() would also take a sign, underscores, other scripts' digits and
+    # leading zeros, and serialize_model would write them back as another text
+    if not (text.isascii() and text.isdigit()) or text.startswith("0") and text != "0":
         raise ModelError(
-            f"{what} must be a non-negative integer in the digits 0-9, got {text!r}",
+            f"{what} must be a non-negative integer in the digits 0-9, "
+            f"with no leading zero, got {text!r}",
             lineno,
         )
     return int(text)

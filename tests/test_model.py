@@ -147,16 +147,19 @@ def test_parse_errors_carry_line_numbers():
         ["calledge 1 main 3 doPriv ctx=any", "depnode n main \u0663 kind=plain"],
         ["calledge 1 main 3 doPriv ctx=any", "depnode n main 3 kind=alloc form=+3 type=P"],
         ["calledge 1 main 3 check ctx=any", "checkarg main:1_0 var=p"],
+        ["calledge 1 main 03 doPriv ctx=any"],
+        ["calledge 1 main 3 doPriv ctx={main:00}"],
+        ["calledge 1 main 3 doPriv ctx=any", "depnode n main 3 kind=alloc form=02 type=P"],
     ],
 )
 def test_line_numbers_are_decimal_digits(lines):
     # int() takes each of these, and serialize_model wrote them back as
-    # plain digits, so main:+3 named the site main:3
+    # plain digits, so main:+3 and main:03 named the site main:3
     msg = err(minimal_plus(*lines))
     assert f"line {4 + len(lines)}: " in msg
-    assert "must be a non-negative integer in the digits 0-9" in msg
-    # leading zeros stay digits
-    assert parse_model(minimal_plus("calledge 1 main 03 doPriv ctx=any")).call_edges[0].line == 3
+    assert "must be a non-negative integer in the digits 0-9, with no leading zero" in msg
+    # a lone zero is no leading zero
+    assert parse_model(minimal_plus("calledge 1 main 0 doPriv ctx=any")).call_edges[0].line == 0
 
 
 def test_role_errors():
