@@ -87,14 +87,17 @@ read-out does: ``reach[q]`` combines, over the paths of frame
 transitions from state ``q`` down to the final state, the products of
 their weights, bottom first, and the result extends ``reach`` of the
 state that each target transition enters by that transition's weight.
-The read-out is semi-naive.  A pending state carries only the digests
-and ``gen`` bits it gained since it was last propagated, and each frame
-transition that enters it extends only that delta into ``reach`` of
-the transition's source.
-This is exact because ``extend_merged`` distributes over the union of
-merged weights, partial ``gen``s included: ``{k: g1 | g2} . r`` is the
-union of ``{k: g1} . r`` and ``{k: g2} . r``, so the deltas' products
-together are the product of the whole.
+The read-out follows one condensation order: one iterative pass of
+Tarjan's algorithm (SIAM J. Comput. 1972) lists the strongly connected
+components of the states below the targets' frames, each after every
+component below it.  ``reach`` is the least solution of a monotone
+system of equations, one per state, and no equation reads a state of a
+component above its own, so solving the components in this order gives
+the same least solution as solving all at once.  A state is computed
+once, from the complete ``reach`` of the states below it, and a cyclic
+component, which recursion makes, is folded until none of its states
+grows.  The masks are fixed before ``reach`` starts, so they do not
+depend on the order.
 
 ``movp`` is the one place that cuts histories to what a query reads,
 coarsening the weight domain to the query as Reps et al. describe.
@@ -117,17 +120,20 @@ history.  ``reads=None`` cuts nothing, and a map cuts in two steps:
   the checkpoint that the transition reads, or the whole union when
   ``reads`` does not name it.  Out of any other state, it is the
   state's ``need``: the union of the masks of the frame transitions
-  that enter it, the reads of every checkpoint that a stack above the
-  frame pushes.  The mask is ANDed into each product's key inside
-  ``extend_merged``, and products whose keys then coincide merge their
-  gens.
+  that enter its component, the reads of every checkpoint that a stack
+  above the frame pushes.  The mask is ANDed into each product's key
+  inside ``extend_merged``, and products whose keys then coincide merge
+  their gens.
 
-The read-out's index is built one way, cut or not: top-down from the
-targets' frame states by a worklist, each state passing its ``need`` to
-the states below it each time it grows, which under a shared frame or
-recursion happens up to once per site it gains.  Each frame transition
-below a target's frame enters the index once, with the mask -1 when
-nothing is cut; one that no target's frame lies above is skipped.
+The masks are set in one pass, cut or not, top-down in the reverse
+order.  A transition that reads a checkpoint takes its mask, and any
+other its source's ``need``: -1 at a target's frame, and elsewhere the
+union of the masks that enter the source's component.  When the cut is
+on, only a target's frame reads a checkpoint, since one pushed beneath
+a non-target turns the cut off, and no target's frame is entered, since
+no target has rules, so no frame lies on a cycle.  With nothing cut,
+every mask is -1.  A transition that no target's frame lies above is
+never visited.
 
 The per-checkpoint cut is exact for such a query.  A run to a stack
 topped by target t with checkpoint s meets the masks of the frame
@@ -163,7 +169,6 @@ from .weights import (
     Packing,
     WeightTuple,
     absorb,
-    absorb_gain,
     check_width,
     extend_merged,
 )
@@ -171,10 +176,10 @@ from .weights import (
 StackSymbol = Union[str, CallSite]
 
 # the most work one solve may do: one unit per worklist pop and one per
-# digest pair sequenced.  The largest benchmark model spends about 2,400
+# digest pair sequenced.  The largest benchmark model spends about 2,300
 # and the full-bipartite L6xW5 layered model 11,000, 180 times under it.
 # A unit costs more the more bits its keys hold, so a blowup exits after
-# 0.3 s (returning helpers, k=12) to 6 s (a 5000-method call DAG whose
+# 1 s (returning helpers, k=12) to 13 s (a 5000-method call DAG whose
 # checks call returning factories) under Python 3.11 on 2 shared CPUs
 WORK_BUDGET = 2_000_000
 
@@ -349,19 +354,16 @@ def _cut_masks(
     packing: Packing,
     tops: list[tuple[_TransKey, Merged]],
 ) -> dict[StackSymbol, int]:
-    """Per checkpoint, the mask of the sites it reads; empty unless the
-    per-checkpoint cut drops a site and is exact (see the module docstring)."""
+    """Per checkpoint, the key mask keeping the sites it reads; empty unless
+    the per-checkpoint cut drops a site and is exact (module docstring)."""
     bit = packing.bit.get
     masks: dict[StackSymbol, int] = {}
-    narrows = False
     for checkpoint, named in (reads or {}).items():
         mask = 0
         for site in named:
             mask |= bit(site, 0)
-        masks[checkpoint] = mask
-        if packing.sites & ~mask:
-            narrows = True
-    if not narrows:
+        masks[checkpoint] = ~((packing.sites & ~mask) << 1)
+    if {-1}.issuperset(masks.values()):
         return {}
     # a target with rules of its own, or a checkpoint pushed beneath a
     # non-target
@@ -376,43 +378,48 @@ def _cut_masks(
     return masks
 
 
-def _read_out_index(
-    masks: dict[StackSymbol, int],
-    sites: int,
-    out_of: dict[_State, list[_TransKey]],
-    tops: list[tuple[_TransKey, Merged]],
-) -> dict[_State, list[tuple[_TransKey, int]]]:
-    """Per state, the frame transitions below a target's frame that enter
-    it, each with the mask that ``reach`` ANDs into its products' keys:
-    -1, which cuts nothing, wherever ``masks`` is empty."""
-    # a target's frame keeps each transition's checkpoint's reads, and a
-    # state below, the union of the masks that enter it; a target's frame
-    # that lies below another's is indexed once, as a target's frame
-    frames = dict.fromkeys(top[3] for top, _w in tops)
-    need: dict[_State, int] = {}
-    by_dst: dict[_State, list[tuple[_TransKey, int]]] = defaultdict(list)
-    pending: list[tuple[_State, int]] = []
-    for frame in frames:
-        for key in out_of.get(frame, ()):
-            mask = masks.get(key[1], -1)
-            by_dst[key[3]].append((key, ~((sites & ~mask) << 1)))
-            pending.append((key[3], mask))
-    while pending:
-        q, mask = pending.pop()
-        old = need.get(q)
-        if old is not None:
-            if not mask & ~old:
-                continue
-            mask |= old
-        need[q] = mask
-        for key in out_of.get(q, ()):
-            pending.append((key[3], mask))
-    for q, mask in need.items():
-        if q not in frames:
-            keep = ~((sites & ~mask) << 1)
-            for key in out_of.get(q, ()):
-                by_dst[key[3]].append((key, keep))
-    return by_dst
+def _components(
+    roots: Iterable[_State], out_of: dict[_State, list[_TransKey]]
+) -> tuple[list[list[_State]], dict[_State, list[_State]]]:
+    """The strongly connected components of the states below ``roots``,
+    each after every component below it, and each state's component, by
+    one iterative pass of Tarjan's algorithm."""
+    index: dict[_State, int] = {}
+    low: dict[_State, int] = {}
+    comps: list[list[_State]] = []
+    comp_of: dict[_State, list[_State]] = {}
+    stack: list[_State] = []
+    for root in roots:
+        if root in index:
+            continue
+        # the depth-first path: a state, its unread transitions, and its
+        # place on the stack
+        index[root] = low[root] = len(index)
+        path = [(root, iter(out_of.get(root, ())), len(stack))]
+        stack.append(root)
+        while path:
+            q, keys, at = path[-1]
+            for key in keys:
+                nxt = key[3]
+                if nxt not in index:
+                    index[nxt] = low[nxt] = len(index)
+                    path.append((nxt, iter(out_of.get(nxt, ())), len(stack)))
+                    stack.append(nxt)
+                    break
+                # a state on the stack, not yet in a component
+                if nxt not in comp_of and index[nxt] < low[q]:
+                    low[q] = index[nxt]
+            else:
+                path.pop()
+                if low[q] == index[q]:
+                    comp = stack[at:]
+                    del stack[at:]
+                    comps.append(comp)
+                    for done in comp:
+                        comp_of[done] = comp
+                elif low[q] < low[path[-1][0]]:
+                    low[path[-1][0]] = low[q]
+    return comps, comp_of
 
 
 def movp(
@@ -506,36 +513,40 @@ def movp(
 
     tops = [(key, w) for key, w in trans.items() if key[0] == _P and key[1] in wanted]
     masks = _cut_masks(system.rules, wanted, reads, packing, tops)
-    by_dst = _read_out_index(masks, packing.sites, out_of, tops)
+    frames = dict.fromkeys(top[3] for top, _w in tops)
+    comps, comp_of = _components(frames, out_of)
 
-    # value of completing the stack below a state, composed bottom-up; a
-    # pending state carries what it gained since it was last propagated,
-    # and only that is extended (see the module docstring).  A state not
-    # yet propagated has gained all it holds, so the two share one dict
+    # the masks, top-down: the reads of the checkpoint a transition reads,
+    # or else its source's ``need`` (see the module docstring)
+    need = dict.fromkeys(frames, -1)
+    for comp in reversed(comps):
+        entering = 0
+        for q in comp:
+            entering |= need.get(q, 0)
+        for q in comp:
+            need[q] = entering
+            for key in out_of.get(q, ()):
+                need[key[3]] = need.get(key[3], 0) | masks.get(key[1], entering)
+
+    # value of completing the stack below a state, bottom up, one
+    # component at a time, each folded until none of its states grows
     reach: dict[_State, Merged] = {_QF: {0: 0}}
-    gained: dict[_State, Merged] = {_QF: reach[_QF]}
-    pending = deque([_QF])
-    while pending:
-        q_done = pending.popleft()
-        delta = gained.pop(q_done)
-        for key, keep in by_dst[q_done]:
-            w = trans[key]
-            work = _spend(work, len(delta) * len(w))
-            src = key[0]
-            product = extend_merged(delta, w, keep)
-            below = reach.get(src)
-            if below is None:
-                reach[src] = gained[src] = product
-                pending.append(src)
-                continue
-            gain = absorb_gain(below, product)
-            if gain:
-                fresh = gained.get(src)
-                if fresh is None:
-                    gained[src] = gain
-                    pending.append(src)
-                elif fresh is not below:
-                    absorb(fresh, gain)
+    for comp in comps:
+        todo = []
+        for q in comp:
+            reach.setdefault(q, {})
+            todo += out_of.get(q, ())
+        while todo:
+            grew, inside = False, []
+            for key in todo:
+                src, sym, _ann, dst = key
+                below, w = reach[dst], trans[key]
+                work = _spend(work, len(below) * len(w))
+                if absorb(reach[src], extend_merged(below, w, masks.get(sym, need[src]))):
+                    grew = True
+                if comp_of[dst] is comp:
+                    inside.append(key)
+            todo = inside if grew else ()
 
     result: Merged = {}
     for (_src, _sym, _ann, dst), w in tops:

@@ -265,20 +265,6 @@ def absorb(into: Merged, weight: Merged) -> bool:
     return grew
 
 
-def absorb_gain(into: Merged, weight: Merged) -> Merged:
-    """Union ``weight`` into ``into`` in place; the keys and gen bits that
-    were new, as a merged weight of their own."""
-    gain: Merged = {}
-    for key, gen in weight.items():
-        old = into.get(key)
-        if old is None:
-            into[key] = gain[key] = gen
-        elif gen & ~old:
-            into[key] = old | gen
-            gain[key] = gen & ~old
-    return gain
-
-
 @dataclass(frozen=True, slots=True, eq=False)
 class PackedWeight:
     """A solver result: its merged digests and the packing that names their bits."""
