@@ -125,15 +125,15 @@ history.  ``reads=None`` cuts nothing, and a map cuts in two steps:
   inside ``extend_merged``, and products whose keys then coincide merge
   their gens.
 
-The masks are set in one pass, cut or not, top-down in the reverse
-order.  A transition that reads a checkpoint takes its mask, and any
-other its source's ``need``: -1 at a target's frame, and elsewhere the
-union of the masks that enter the source's component.  When the cut is
-on, only a target's frame reads a checkpoint, since one pushed beneath
-a non-target turns the cut off, and no target's frame is entered, since
-no target has rules, so no frame lies on a cycle.  With nothing cut,
-every mask is -1.  A transition that no target's frame lies above is
-never visited.
+The masks are set in one pass, cut or not, top-down in the reverse of
+that order.  A transition that reads a checkpoint takes its mask, and
+any other its source's ``need``: -1 at a target's frame, and elsewhere
+the union of the masks that enter the source's component.  When the
+cut is on, only a target's frame reads a checkpoint, since one pushed
+beneath a non-target turns the cut off, and no target's frame is
+entered, since no target has rules, so no frame lies on a cycle.  With
+nothing cut, every mask is -1.  A transition that no target's frame
+lies above is never visited.
 
 The per-checkpoint cut is exact for such a query.  A run to a stack
 topped by target t with checkpoint s meets the masks of the frame
