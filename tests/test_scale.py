@@ -295,7 +295,7 @@ def test_a_privileged_call_dag_gets_its_closed_form_grants(n, seed, count):
     assert emit_policy(result.policy) == _table(expected)
 
 
-def _read_out_work(monkeypatch, text: str) -> int:
+def _solve_work(monkeypatch, text: str) -> int:
     """The ``pushdown._spend`` units of one ``generate_policy`` solve."""
     model = parse_model(text)
     universe = generate_permissions(model)
@@ -313,16 +313,14 @@ def _read_out_work(monkeypatch, text: str) -> int:
 
 def test_the_read_out_forms_each_product_once_on_a_call_dag(monkeypatch):
     # acyclic, so each state's reach is formed once from the complete reach
-    # below it, and the figure does not depend on the order of visits; the
-    # semi-naive read-out, which extended each delta a state gained, spent
-    # 15,633
-    assert _read_out_work(monkeypatch, dag_text(2000, 2, 1)) == 7433
+    # below it, and the figure does not depend on the order of visits
+    assert _solve_work(monkeypatch, dag_text(2000, 2, 1)) == 7433
 
 
 def test_the_read_out_folds_the_recursion_through_a_shared_privilege(monkeypatch):
     # 621 states that recurse through doPrivileged form one component,
-    # folded in 16 rounds; the semi-naive read-out spent 49,028
-    assert _read_out_work(monkeypatch, priv_dag_text(2000, 2, 1)) == 42009
+    # folded in 16 rounds
+    assert _solve_work(monkeypatch, priv_dag_text(2000, 2, 1)) == 42009
 
 
 def test_a_diamond_ladder_has_its_closed_form_route_count():
