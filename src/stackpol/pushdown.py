@@ -94,10 +94,13 @@ component below it.  ``reach`` is the least solution of a monotone
 system of equations, one per state, and no equation reads a state of a
 component above its own, so solving the components in this order gives
 the same least solution as solving all at once.  A state is computed
-once, from the complete ``reach`` of the states below it, and a cyclic
+once, from the complete ``reach`` of the states below it.  A cyclic
 component, which recursion makes, is folded until none of its states
-grows.  The masks are fixed before ``reach`` starts, so they do not
-depend on the order.
+grows, each round visiting them in the order Tarjan's search finished
+them: only the search's back edges lead to a state the round has not
+visited yet, so a ring of n frames settles in 4 rounds of n products.
+The masks are fixed before ``reach`` starts, so they do not depend on
+the order.
 
 ``movp`` is the one place that cuts histories to what a query reads,
 coarsening the weight domain to the query as Reps et al. describe.
@@ -382,41 +385,40 @@ def _components(
     roots: Iterable[_State], out_of: dict[_State, list[_TransKey]]
 ) -> tuple[list[list[_State]], dict[_State, list[_State]]]:
     """The strongly connected components of the states below ``roots``,
-    each after every component below it, and each state's component, by
-    one iterative pass of Tarjan's algorithm."""
+    each after those below it and in the order its states finished, and
+    each state's component, by one iterative pass of Tarjan's algorithm."""
     index: dict[_State, int] = {}
     low: dict[_State, int] = {}
     comps: list[list[_State]] = []
     comp_of: dict[_State, list[_State]] = {}
-    stack: list[_State] = []
+    # the finished states not yet in a component, in the order they finish
+    done: list[_State] = []
     for root in roots:
         if root in index:
             continue
-        # the depth-first path: a state, its unread transitions, and its
-        # place on the stack
+        # the depth-first path: a state, its unread transitions, len(done)
         index[root] = low[root] = len(index)
-        path = [(root, iter(out_of.get(root, ())), len(stack))]
-        stack.append(root)
+        path = [(root, iter(out_of.get(root, ())), len(done))]
         while path:
             q, keys, at = path[-1]
             for key in keys:
                 nxt = key[3]
                 if nxt not in index:
                     index[nxt] = low[nxt] = len(index)
-                    path.append((nxt, iter(out_of.get(nxt, ())), len(stack)))
-                    stack.append(nxt)
+                    path.append((nxt, iter(out_of.get(nxt, ())), len(done)))
                     break
-                # a state on the stack, not yet in a component
+                # a state found but not yet in a component
                 if nxt not in comp_of and index[nxt] < low[q]:
                     low[q] = index[nxt]
             else:
                 path.pop()
+                done.append(q)
                 if low[q] == index[q]:
-                    comp = stack[at:]
-                    del stack[at:]
+                    comp = done[at:]
+                    del done[at:]
                     comps.append(comp)
-                    for done in comp:
-                        comp_of[done] = comp
+                    for member in comp:
+                        comp_of[member] = comp
                 elif low[q] < low[path[-1][0]]:
                     low[path[-1][0]] = low[q]
     return comps, comp_of
@@ -517,9 +519,9 @@ def movp(
     comps, comp_of = _components(frames, out_of)
 
     # the masks, top-down: the reads of the checkpoint a transition reads,
-    # or else its source's ``need`` (see the module docstring)
-    need = dict.fromkeys(frames, -1)
-    for comp in reversed(comps):
+    # or else its source's ``need``, -1 where nothing is cut
+    need = dict.fromkeys(frames if masks else comp_of, -1)
+    for comp in reversed(comps) if masks else ():
         entering = 0
         for q in comp:
             entering |= need.get(q, 0)
@@ -532,17 +534,16 @@ def movp(
     # component at a time, each folded until none of its states grows
     reach: dict[_State, Merged] = {_QF: {0: 0}}
     for comp in comps:
-        todo = []
-        for q in comp:
-            reach.setdefault(q, {})
-            todo += out_of.get(q, ())
+        todo = [key for q in comp for key in out_of.get(q, ())]
         while todo:
             grew, inside = False, []
             for key in todo:
                 src, sym, _ann, dst = key
-                below, w = reach[dst], trans[key]
+                below, w = reach.get(dst, {}), trans[key]
                 work = _spend(work, len(below) * len(w))
-                if absorb(reach[src], extend_merged(below, w, masks.get(sym, need[src]))):
+                product = extend_merged(below, w, masks.get(sym, need[src]))
+                old = reach.setdefault(src, product)
+                if old is product or absorb(old, product):
                     grew = True
                 if comp_of[dst] is comp:
                     inside.append(key)

@@ -164,6 +164,29 @@ def priv_dag_text(n: int, fanout: int, seed: int) -> str:
     return dag_text(n, fanout, seed) + "\n".join(lines) + "\n"
 
 
+def ring_text(n: int) -> str:
+    """``main`` calls ``f1``, each ``fi`` calls ``f(i+1)``, and ``fn`` calls
+    ``f1``, so the frames of ``f1..fn`` recurse through one ring; ``f1``
+    checks a form-2 ``FilePermission`` whose target fact holds under
+    ``{main:1}``, which lies beneath every stack of the ring."""
+    lines = ["method main entry"] + [f"method f{i}" for i in range(1, n + 1)]
+    lines += ["method doPrivileged priv", "method checkPermission check"]
+    edges, edge = _edges()
+    edge("main", 1, "f1")
+    for i in range(1, n + 1):
+        edge(f"f{i}", 1, f"f{i % n + 1}")
+    edge("f1", 100, "checkPermission")
+    facts = [
+        "depnode af1 f1 90 kind=alloc form=2 type=FilePermission target=t",
+        "depnode cf1 f1 100 kind=callsite",
+        "depedge af1 cf1",
+        "checkarg f1:100 var=p",
+        "pta p@f1 = {(FilePermission, af1, {})}",
+        'sa t@f1 = {("/f1", {main:1})}',
+    ]
+    return "\n".join(lines + edges + facts) + "\n"
+
+
 def _search(start, step) -> set:
     """Every node that ``step``, which gives a node's successors, reaches
     from ``start``, ``start`` included."""
@@ -319,8 +342,22 @@ def test_the_read_out_forms_each_product_once_on_a_call_dag(monkeypatch):
 
 def test_the_read_out_folds_the_recursion_through_a_shared_privilege(monkeypatch):
     # 621 states that recurse through doPrivileged form one component,
-    # folded in 16 rounds
-    assert _solve_work(monkeypatch, priv_dag_text(2000, 2, 1)) == 42009
+    # folded in 3 rounds
+    assert _solve_work(monkeypatch, priv_dag_text(2000, 2, 1)) == 13833
+
+
+@pytest.mark.parametrize("n, units", [(300, 1507), (600, 3007)])
+def test_the_read_out_folds_a_recursive_ring_in_linear_work(monkeypatch, n, units):
+    # the ring's n frames form one component, visited in the order the
+    # depth-first search finished them, so a round carries each value
+    # around the ring and 4 rounds settle it; visited in the order the
+    # search found them, a value moved one frame per round, n^2/2 products
+    assert _solve_work(monkeypatch, ring_text(n)) == units
+    model = parse_model(ring_text(n))
+    result = generate_policy(model, generate_permissions(model))
+    grant = {'FilePermission("/f1")'}
+    expected = {m: grant for m in ["main"] + [f"f{i}" for i in range(1, n + 1)]}
+    assert emit_policy(result.policy) == _table(expected)
 
 
 def test_a_diamond_ladder_has_its_closed_form_route_count():
