@@ -349,9 +349,9 @@ def test_the_read_out_folds_the_recursion_through_a_shared_privilege(monkeypatch
 @pytest.mark.parametrize("n, units", [(300, 1507), (600, 3007)])
 def test_the_read_out_folds_a_recursive_ring_in_linear_work(monkeypatch, n, units):
     # the ring's n frames form one component, visited in the order the
-    # depth-first search finished them, so a round carries each value
-    # around the ring and 4 rounds settle it; visited in the order the
-    # search found them, a value moved one frame per round, n^2/2 products
+    # depth-first search finished them, so 4 rounds settle it; in the
+    # order it found them, a value would move one frame per round, and
+    # the fold would form about n^2/2 products
     assert _solve_work(monkeypatch, ring_text(n)) == units
     model = parse_model(ring_text(n))
     result = generate_policy(model, generate_permissions(model))
