@@ -188,7 +188,10 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
             f"with no leading zero, got {text!r}",
             lineno,
         )
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:  # longer than sys.get_int_max_str_digits() allows
+        raise ModelError(f"{what} has {len(text)} digits, too many to read", lineno) from None
 
 
 # The parser builds its call edges and dependency nodes by setting their

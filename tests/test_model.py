@@ -162,6 +162,19 @@ def test_line_numbers_are_decimal_digits(lines):
     assert parse_model(minimal_plus("calledge 1 main 0 doPriv ctx=any")).call_edges[0].line == 0
 
 
+@pytest.mark.parametrize(
+    "line, what",
+    [
+        ("calledge 1 main {} doPriv ctx=any", "call line"),
+        ("calledge 1 main 3 doPriv ctx={{main:{}}}", "site line"),
+    ],
+)
+def test_an_over_long_line_number_is_a_model_error(line, what):
+    # int() refuses more digits than sys.get_int_max_str_digits(), 4300 by default
+    msg = err(minimal_plus(line.format("9" * 5001)))
+    assert msg.startswith(f"line 5: {what} has 5001 digits, too many to read")
+
+
 def test_role_errors():
     assert "exactly one entry" in err("method a\nmethod p priv\nmethod c check\n")
     assert "exactly one check" in err("method a entry\nmethod p priv\n")
