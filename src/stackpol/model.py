@@ -51,6 +51,7 @@ declared contexts that no route covers.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 
 from .contexts import (
@@ -650,7 +651,51 @@ def serialize_model(model: ProgramModel) -> str:
 # semantic queries
 
 
-def compute_phi_meth(model: ProgramModel) -> dict[str, CtxFamily]:
+class RouteFamilies(Mapping[str, CtxFamily]):
+    """Each method's route contexts, as ``compute_phi_meth`` returns them.
+
+    A route is an int mask over the model's call sites: ``bit[s]`` is site
+    ``s``'s bit, and ``sites`` lists the sites by bit, in call-edge order.
+    ``masks[m]`` holds ``m``'s routes in the order they were found, a dict
+    used as an ordered set.  Reading ``self[m]`` decodes ``m``'s family
+    once and keeps it; lint tests contexts against the masks and decodes
+    nothing.
+    """
+
+    __slots__ = ("masks", "bit", "sites", "_decoded")
+
+    def __init__(self, masks: dict[str, dict[int, None]], bit: dict[CallSite, int]):
+        self.masks = masks
+        self.bit = bit
+        self.sites = tuple(bit)
+        self._decoded: dict[str, CtxFamily] = {}
+
+    def __getitem__(self, method: str) -> CtxFamily:
+        family = self._decoded.get(method)
+        if family is None:
+            sites = self.sites
+            # added one by one, then frozen: iteration, which
+            # tests/randmodels.py reads, then meets the members in the order
+            # that the frozenset of a set grown in discovery order has
+            members = set()
+            for mask in self.masks[method]:
+                route = []
+                while mask:
+                    low = mask & -mask
+                    route.append(sites[low.bit_length() - 1])
+                    mask ^= low
+                members.add(frozenset(route))
+            family = self._decoded[method] = frozenset(members)
+        return family
+
+    def __iter__(self):
+        return iter(self.masks)
+
+    def __len__(self) -> int:
+        return len(self.masks)
+
+
+def compute_phi_meth(model: ProgramModel) -> RouteFamilies:
     """Abstract route contexts per method: least fixpoint over the call graph.
 
     Starts from the empty context at the entry and pushes each edge's site
@@ -659,21 +704,21 @@ def compute_phi_meth(model: ProgramModel) -> dict[str, CtxFamily]:
 
     Each method keeps the routes it gained since it was last taken, and
     methods are taken oldest first.  A taken batch is extended through
-    each out-edge by one union with the edge's site, so every (route,
+    each out-edge by one OR with the edge's site bit, so every (route,
     out-edge) pair is extended once; a self-loop's new routes wait in a
     fresh batch.  Past ``ROUTE_BUDGET`` routes, counted over all methods,
-    raises ``EnumerationLimitError``.
+    raises ``EnumerationLimitError``.  The routes are int masks, so the
+    enumeration builds no object per route; see ``RouteFamilies``.
     """
-    out_edges: dict[str, list[tuple[str, CtxSet]]] = {name: [] for name in model.methods}
+    bit: dict[CallSite, int] = {}
+    out_edges: dict[str, list[tuple[str, int]]] = {name: [] for name in model.methods}
     for e in model.call_edges:
-        out_edges[e.caller].append((e.callee, frozenset((e.site,))))
-    fam: dict[str, set[CtxSet]] = {name: set() for name in model.methods}
-    start: CtxSet = frozenset()
-    fam[model.entry_method].add(start)
+        out_edges[e.caller].append((e.callee, bit.setdefault(e.site, 1 << len(bit))))
+    fam: dict[str, dict[int, None]] = {name: {} for name in model.methods}
+    fam[model.entry_method][0] = None
     # oldest first: a dict keeps the order in which each method last
-    # became pending, and that order fixes the routes' insertion order,
-    # which set iteration, and so tests/randmodels.py, reads
-    pending: dict[str, list[CtxSet]] = {model.entry_method: [start]}
+    # became pending, and that order fixes the routes' discovery order
+    pending: dict[str, list[int]] = {model.entry_method: [0]}
     routes = 1
     while pending:
         method = next(iter(pending))
@@ -685,7 +730,7 @@ def compute_phi_meth(model: ProgramModel) -> dict[str, CtxFamily]:
             for ctx in batch:
                 grown = ctx | site
                 if grown not in members:
-                    members.add(grown)
+                    members[grown] = None
                     gained.append(grown)
             if not gained:
                 del pending[callee]
@@ -695,10 +740,10 @@ def compute_phi_meth(model: ProgramModel) -> dict[str, CtxFamily]:
                     f"more than {ROUTE_BUDGET} route contexts; the call graph "
                     "has too many distinct routes to enumerate"
                 )
-    return {name: frozenset(members) for name, members in fam.items()}
+    return RouteFamilies(fam, bit)
 
 
-def lint_model(model: ProgramModel, phi: dict[str, CtxFamily] | None = None) -> list[str]:
+def lint_model(model: ProgramModel, phi: RouteFamilies | None = None) -> list[str]:
     """Warnings about declared contexts that can never hold.
 
     A context holds when it is a subset of the sites below the stack top,
@@ -706,14 +751,23 @@ def lint_model(model: ProgramModel, phi: dict[str, CtxFamily] | None = None) -> 
     contains is dead.  ``dead-edge`` lists a conditional edge's dead members
     (``ctx=any`` holds below every stack, so it is never flagged);
     ``dead-fact`` flags a points-to or string fact whose context is dead.
+    ``phi`` is what ``compute_phi_meth(model)`` returns, computed here when
+    it is not given; a context is tested as a mask against the routes'
+    masks, so no route is decoded.
     """
     if phi is None:
         phi = compute_phi_meth(model)
+    bit, masks = phi.bit, phi.masks
 
     def covered(ctx: CtxSet, method: str) -> bool:
+        c = 0
+        for site in ctx:
+            if site not in bit:
+                return False  # no route holds a site that no call edge has
+            c |= bit[site]
         # a whole route is the usual cover, and one hash lookup finds it
-        routes = phi[method]
-        return ctx in routes or any(ctx <= r for r in routes)
+        routes = masks[method]
+        return c in routes or any(not c & ~r for r in routes)
 
     warnings: list[str] = []
     for e in model.call_edges:

@@ -82,7 +82,10 @@ singletons; scanning the exact solve under it is the reference that the
 singletons and the cut must reproduce.
 
 ``phi_meth_by_bfs`` is ``compute_phi_meth`` as first written, one
-worklist entry per route.
+worklist entry per route.  ``phi_meth_by_sets`` is it as it was before
+its routes became int masks, one frozenset per route in the same
+discovery order, and ``lint_by_subsets`` is ``lint_model`` testing
+contexts against those frozensets by inclusion.
 
 ``phi_route_along`` is the context family of one call path: the unions
 of one alternative per edge.  A path is route-valid when each edge's
@@ -124,7 +127,14 @@ from itertools import permutations, product
 from typing import Iterable, Sequence
 
 from stackpol import pushdown
-from stackpol.contexts import CallSite, CtxFamily, CtxSet
+from stackpol.contexts import (
+    ANY_FAMILY,
+    CallSite,
+    CtxFamily,
+    CtxSet,
+    format_ctx,
+    format_family,
+)
 from stackpol.errors import EnumerationLimitError
 from stackpol.model import (
     INTER_CALL,
@@ -580,6 +590,63 @@ def phi_meth_by_bfs(model: ProgramModel) -> dict[str, CtxFamily]:
                 fam[e.callee].add(grown)
                 worklist.append((e.callee, grown))
     return {name: frozenset(members) for name, members in fam.items()}
+
+
+def phi_meth_by_sets(model: ProgramModel) -> dict[str, CtxFamily]:
+    """Route contexts per method as ``compute_phi_meth`` built them before
+    its routes were int masks: the same oldest-first batches and out-edge
+    order, one frozenset per route and no route budget.  It is the
+    reference for the decoded families and for their iteration order."""
+    out_edges: dict[str, list[tuple[str, CtxSet]]] = {name: [] for name in model.methods}
+    for e in model.call_edges:
+        out_edges[e.caller].append((e.callee, frozenset((e.site,))))
+    fam: dict[str, set[CtxSet]] = {name: set() for name in model.methods}
+    start: CtxSet = frozenset()
+    fam[model.entry_method].add(start)
+    pending: dict[str, list[CtxSet]] = {model.entry_method: [start]}
+    while pending:
+        method = next(iter(pending))
+        batch = pending.pop(method)
+        for callee, site in out_edges[method]:
+            members = fam[callee]
+            gained = pending.setdefault(callee, [])
+            for ctx in batch:
+                grown = ctx | site
+                if grown not in members:
+                    members.add(grown)
+                    gained.append(grown)
+            if not gained:
+                del pending[callee]
+    return {name: frozenset(members) for name, members in fam.items()}
+
+
+def lint_by_subsets(model: ProgramModel) -> list[str]:
+    """``lint_model`` with its cover test on frozensets: a context is
+    covered when it is a subset of one of ``phi_meth_by_sets``' routes."""
+    phi = phi_meth_by_sets(model)
+
+    def covered(ctx: CtxSet, method: str) -> bool:
+        return any(ctx <= r for r in phi[method])
+
+    warnings = []
+    for e in model.call_edges:
+        if e.ctx == ANY_FAMILY:
+            continue
+        dead = [c for c in e.ctx if not covered(c, e.caller)]
+        if dead:
+            warnings.append(
+                f"dead-edge: calledge {e.ident}: no route to {e.caller} covers "
+                f"{format_family(frozenset(dead))}"
+            )
+    for label, facts in (("pta", model.pta), ("sa", model.sa)):
+        for (var, method), entries in facts.items():
+            for entry in entries:
+                if not covered(entry.ctx, method):
+                    warnings.append(
+                        f"dead-fact: {label} {var}@{method}: no route to {method} "
+                        f"covers {{{format_ctx(entry.ctx)}}}"
+                    )
+    return warnings
 
 
 def phi_route_along(path: Sequence[CallEdge]) -> CtxFamily:

@@ -5,11 +5,11 @@ from __future__ import annotations
 import random
 
 import pytest
-from bruteforce import phi_meth_by_bfs, phi_route_along
+from bruteforce import lint_by_subsets, phi_meth_by_bfs, phi_meth_by_sets, phi_route_along
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from stackpol.contexts import ANY_FAMILY, CallSite
+from stackpol.contexts import ANY_FAMILY, CallSite, format_ctx
 from stackpol import model as model_module
 from stackpol.errors import EnumerationLimitError, ModelError, StackpolError
 from stackpol.model import (
@@ -448,11 +448,12 @@ calledge 1 m1 1 m2 ctx=any
         assert fam <= big[method]
 
 
-def _random_call_graph(rng: random.Random) -> str:
+def _random_call_graph(rng: random.Random, contexts: bool = False) -> str:
     # a few methods, edges drawn with replacement from every pair into a
     # method other than the entry, so self-loops, cycles, a site with two
     # callees, a method no edge reaches and an entry with no out-edge all
-    # occur
+    # occur; with ``contexts``, edge contexts and ``sa`` facts are drawn
+    # over the graph's sites as well
     names = ["main", "doPriv", "check"] + [f"m{i}" for i in range(rng.randint(0, 4))]
     lines = [f"method {n}" + {0: " entry", 1: " priv", 2: " check"}.get(i, "")
              for i, n in enumerate(names)]
@@ -460,8 +461,20 @@ def _random_call_graph(rng: random.Random) -> str:
         (rng.choice(names), rng.randint(1, 3), rng.choice(names[1:]))
         for _ in range(rng.randint(0, 10))
     }
+    sites = sorted({CallSite(caller, line) for caller, line, _callee in triples})
+
+    def drawn_ctx(least: int) -> str:
+        return format_ctx(frozenset(rng.sample(sites, rng.randint(least, min(3, len(sites))))))
+
     for ident, (caller, line, callee) in enumerate(sorted(triples)):
-        lines.append(f"calledge {ident} {caller} {line} {callee} ctx=any")
+        ctx = "any"
+        if contexts and rng.random() < 0.5:
+            ctx = "{" + ";".join(drawn_ctx(1) for _ in range(rng.randint(1, 2))) + "}"
+        lines.append(f"calledge {ident} {caller} {line} {callee} ctx={ctx}")
+    if contexts and sites:
+        for i, method in enumerate(rng.sample(names, rng.randint(0, 3))):
+            facts = "; ".join(f'("v{k}", {{{drawn_ctx(0)}}})' for k in range(rng.randint(1, 2)))
+            lines.append(f"sa x{i}@{method} = {{{facts}}}")
     return "\n".join(lines) + "\n"
 
 
@@ -482,6 +495,78 @@ def test_route_contexts_match_the_breadth_first_reference_on_cyclic_graphs():
         seen["unreached"] += any(not fam for fam in phi.values())
         seen["silent entry"] += all(e.caller != "main" for e in model.call_edges)
     assert min(seen.values()) >= 20, seen
+
+
+def test_route_families_decode_to_the_frozenset_reference_in_its_order():
+    # tests/randmodels.py draws from phi[caller] by iteration order, so the
+    # random model texts, and the bench fingerprints, depend on that order
+    from randmodels import random_model_text
+
+    rng = random.Random(33)
+    models = [parse_model(random_model_text(seed)) for seed in range(200)]
+    models += [parse_model(_random_call_graph(rng)) for _ in range(300)]
+    for model in models:
+        phi, reference = compute_phi_meth(model), phi_meth_by_sets(model)
+        assert list(phi) == list(reference)
+        for method, family in reference.items():
+            assert phi[method] == family
+            assert list(phi[method]) == list(family)
+
+
+def _sites_on_cycles(model) -> set[CallSite]:
+    """The sites of the call edges whose callee can reach their caller."""
+    callees: dict[str, set[str]] = {}
+    for e in model.call_edges:
+        callees.setdefault(e.caller, set()).add(e.callee)
+
+    def reaches(start: str, goal: str) -> bool:
+        seen, todo = set(), [start]
+        while todo:
+            method = todo.pop()
+            if method == goal:
+                return True
+            if method not in seen:
+                seen.add(method)
+                todo.extend(callees.get(method, ()))
+        return False
+
+    return {e.site for e in model.call_edges if reaches(e.callee, e.caller)}
+
+
+def test_lint_masks_match_the_subset_reference_on_cyclic_graphs():
+    rng = random.Random(33)
+    seen = dict.fromkeys(("dead edge", "dead fact", "kept", "cyclic dead", "cyclic kept"), 0)
+    for _ in range(400):
+        model = parse_model(_random_call_graph(rng, contexts=True))
+        warnings = lint_model(model)
+        assert warnings == lint_by_subsets(model)
+        assert lint_model(model, compute_phi_meth(model)) == warnings
+        seen["dead edge"] += any(w.startswith("dead-edge: ") for w in warnings)
+        seen["dead fact"] += any(w.startswith("dead-fact: ") for w in warnings)
+        # a context naming a site that a recursive route passes more than once
+        cyclic = _sites_on_cycles(model)
+        contexts = [(c, e.caller) for e in model.call_edges if not e.unconditional for c in e.ctx]
+        contexts += [(f.ctx, method) for (_v, method), fs in model.sa.items() for f in fs]
+        for ctx, method in contexts:
+            kept = any(ctx <= route for route in phi_meth_by_sets(model)[method])
+            seen["kept"] += kept
+            if ctx & cyclic:
+                seen["cyclic kept" if kept else "cyclic dead"] += 1
+    assert min(seen.values()) >= 20, seen
+
+
+def test_lint_flags_a_context_naming_a_site_that_no_call_edge_has():
+    # the parser rejects such a site; a model built by hand can hold one
+    from dataclasses import replace
+
+    from stackpol.model import StringFact
+
+    model = parse_model(minimal_plus("calledge 1 main 1 doPriv ctx=any"))
+    ghost = frozenset({CallSite("main", 9)})
+    model = replace(model, sa={("v", "doPriv"): (StringFact("x", ghost),)})
+    assert lint_model(model) == lint_by_subsets(model) == [
+        "dead-fact: sa v@doPriv: no route to doPriv covers {main:9}"
+    ]
 
 
 def test_route_budget_counts_every_method_route(monkeypatch):
