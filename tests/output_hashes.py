@@ -13,7 +13,12 @@ digests of ``generate_policy`` (cut histories) and of the exact solve
 the benchmark consults the oracle, and the oracle's stacks
 ``enum_vpaths(model, check)``, one line of edge idents and cut per
 stack.  A model whose step raises contributes the exception's type and
-message to that output instead.
+message to that output instead.  The last line, ``parse``, hashes the
+parser's diagnostic, the canonical text or what it raised, on 10,001
+seeded edits of the benchmark texts: 2000 each of deleted, duplicated
+and moved lines, of inserted characters, and of line numbers given a
+sign, an underscore, another script's digit or a leading zero, then one
+line number longer than ``int`` reads.
 
 A change meant to keep every output shows the same lines as its parent.
 The random texts depend on string hashing, so the script re-executes
@@ -25,6 +30,7 @@ from __future__ import annotations
 import hashlib
 import os
 import random
+import re
 import string
 import sys
 from pathlib import Path
@@ -62,9 +68,16 @@ KINDS = (
     "paths",
 )
 MUTANTS_PER_EDIT = 2000
-EDITS = ("delete", "duplicate", "move", "insert")
+EDITS = ("delete", "duplicate", "move", "insert", "number")
 # printable ASCII, a tab and one non-ASCII digit (ARABIC-INDIC DIGIT THREE)
 INSERTED = string.ascii_letters + string.digits + string.punctuation + " \t\u0663"
+# the line field of a call edge or a dependency node, and the line of a site
+_LINE_FIELD_RE = re.compile(r"^\s*(?:calledge|depnode)\s+\S+\s+\S+\s+(\d+)")
+_SITE_LINE_RE = re.compile(r"(?<=:)\d+")
+# the zeros of ARABIC-INDIC, DEVANAGARI and FULLWIDTH digits
+OTHER_ZEROS = (0x0660, 0x0966, 0xFF10)
+# more digits than int() reads under the default sys.get_int_max_str_digits()
+OVER_LONG = "9" * 5001
 
 
 def benchmark_cases():
@@ -81,12 +94,43 @@ def models():
         yield case.ident, case.text, case.oracle
 
 
+def number_places(lines: list[str]) -> list[tuple[int, int, int]]:
+    """``(line index, start, end)`` of each line number the lines write."""
+    places = []
+    for i, line in enumerate(lines):
+        field = _LINE_FIELD_RE.match(line)
+        if field:
+            places.append((i, *field.span(1)))
+        places += [(i, *m.span()) for m in _SITE_LINE_RE.finditer(line)]
+    return places
+
+
+def misnumbered(digits: str, rng: random.Random) -> str:
+    """``digits`` with a sign, an underscore, another script's digit or a
+    leading zero: each a text that ``int`` reads as a number."""
+    kind = rng.choice(("sign", "underscore", "script", "zero"))
+    if kind == "sign":
+        return rng.choice("+-") + digits
+    if kind == "underscore":
+        return digits[:1] + "_" + (digits[1:] or "0")
+    if kind == "script":
+        k = rng.randrange(len(digits))
+        return digits[:k] + chr(rng.choice(OTHER_ZEROS) + int(digits[k])) + digits[k + 1 :]
+    return "0" + digits
+
+
 def mutants(texts: list[str]):
-    """The seeded one-line edits of ``texts``, ``MUTANTS_PER_EDIT`` per edit."""
+    """The seeded one-line edits of ``texts``, ``MUTANTS_PER_EDIT`` per edit,
+    then one text whose first line number is ``OVER_LONG``."""
     rng = random.Random(0)
     for edit in EDITS:
         for _ in range(MUTANTS_PER_EDIT):
             lines = rng.choice(texts).splitlines()
+            if edit == "number":
+                i, start, end = rng.choice(number_places(lines))
+                lines[i] = lines[i][:start] + misnumbered(lines[i][start:end], rng) + lines[i][end:]
+                yield "\n".join(lines) + "\n"
+                continue
             i = rng.randrange(len(lines))
             if edit == "delete":
                 del lines[i]
@@ -98,6 +142,10 @@ def mutants(texts: list[str]):
                 k = rng.randrange(len(lines[i]) + 1)
                 lines[i] = lines[i][:k] + rng.choice(INSERTED) + lines[i][k:]
             yield "\n".join(lines) + "\n"
+    lines = texts[0].splitlines()
+    i, start, end = number_places(lines)[0]
+    lines[i] = lines[i][:start] + OVER_LONG + lines[i][end:]
+    yield "\n".join(lines) + "\n"
 
 
 def diagnostic(text: str) -> str:
