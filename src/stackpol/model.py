@@ -45,7 +45,9 @@ list text, shared by every call edge, dependency node, context family,
 ``checkarg``, ``pta`` and ``sa`` fact that names them.
 
 Semantic queries live here too: route context families, and a lint for
-declared contexts that no route covers.
+declared contexts that no route covers.  The routes are enumerated as int
+masks over the model's call sites; a method's family is decoded to site
+sets only when it is read, and the lint tests masks, so it decodes none.
 """
 
 from __future__ import annotations
@@ -75,7 +77,8 @@ INTER_RETURN = "return"
 
 # the most route contexts compute_phi_meth keeps over all methods.  A
 # depth-16 diamond ladder has 196,607; a random call DAG of 2000 methods
-# passes it after about 0.5 s at 250 MiB under Python 3.11 on 2 shared CPUs
+# passes it after about 0.25 s, at 172 MiB peak for the whole process,
+# under Python 3.11 on 2 shared CPUs
 ROUTE_BUDGET = 250_000
 
 _NAME_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$.]*$")
@@ -674,9 +677,9 @@ class RouteFamilies(Mapping[str, CtxFamily]):
         family = self._decoded.get(method)
         if family is None:
             sites = self.sites
-            # added one by one, then frozen: iteration, which
-            # tests/randmodels.py reads, then meets the members in the order
-            # that the frozenset of a set grown in discovery order has
+            # a set grown in discovery order, then frozen: tests/randmodels.py
+            # draws routes in this iteration order, which
+            # tests/bruteforce.py::phi_meth_by_sets pins
             members = set()
             for mask in self.masks[method]:
                 route = []
