@@ -544,11 +544,11 @@ def test_lint_masks_match_the_subset_reference_on_cyclic_graphs():
         seen["dead edge"] += any(w.startswith("dead-edge: ") for w in warnings)
         seen["dead fact"] += any(w.startswith("dead-fact: ") for w in warnings)
         # a context naming a site that a recursive route passes more than once
-        cyclic = _sites_on_cycles(model)
+        cyclic, reference = _sites_on_cycles(model), phi_meth_by_sets(model)
         contexts = [(c, e.caller) for e in model.call_edges if not e.unconditional for c in e.ctx]
         contexts += [(f.ctx, method) for (_v, method), fs in model.sa.items() for f in fs]
         for ctx, method in contexts:
-            kept = any(ctx <= route for route in phi_meth_by_sets(model)[method])
+            kept = any(ctx <= route for route in reference[method])
             seen["kept"] += kept
             if ctx & cyclic:
                 seen["cyclic kept" if kept else "cyclic dead"] += 1
