@@ -54,8 +54,9 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
+from ._record import Record
 from .contexts import (
     ANY_FAMILY,
     CallSite,
@@ -85,57 +86,70 @@ _NAME_RE = re.compile(r"^[A-Za-z_$][A-Za-z0-9_$.]*$")
 _ID_RE = re.compile(r"^[A-Za-z0-9_.-]+$")
 
 
-@dataclass(frozen=True, slots=True)
-class Method:
+class Method(NamedTuple):
     name: str
     domain: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class CallEdge:
-    ident: str
-    caller: str
-    line: int
-    callee: str
-    ctx: CtxFamily = ANY_FAMILY
-    # built once rather than on each read: the oracle reads it for every
-    # edge of every path it enumerates
-    site: CallSite = field(init=False, repr=False, compare=False)
+class CallEdge(Record):
+    # site is built once rather than on each read: the oracle reads it for
+    # every edge of every path it enumerates
+    __slots__ = ("ident", "caller", "line", "callee", "ctx", "site")
+    _fields = ("ident", "caller", "line", "callee", "ctx")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "ctx", normalize_family(self.ctx))
-        object.__setattr__(self, "site", CallSite(self.caller, self.line))
+    def __init__(
+        self, ident: str, caller: str, line: int, callee: str, ctx: CtxFamily = ANY_FAMILY
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "ident", ident)
+        set_field(self, "caller", caller)
+        set_field(self, "line", line)
+        set_field(self, "callee", callee)
+        set_field(self, "ctx", normalize_family(ctx))
+        set_field(self, "site", CallSite(caller, line))
 
     @property
     def unconditional(self) -> bool:
         return self.ctx == ANY_FAMILY
 
 
-@dataclass(frozen=True, slots=True)
-class DepNode:
-    ident: str
-    method: str
-    line: int
-    kind: str
-    form: int | None = None
-    perm_type: str | None = None
-    target_var: str | None = None
-    action_var: str | None = None
-    site: CallSite = field(init=False, repr=False, compare=False)
+class DepNode(Record):
+    __slots__ = (
+        "ident", "method", "line", "kind", "form", "perm_type", "target_var", "action_var",
+        "site",
+    )
+    _fields = __slots__[:-1]
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "site", CallSite(self.method, self.line))
+    def __init__(
+        self,
+        ident: str,
+        method: str,
+        line: int,
+        kind: str,
+        form: int | None = None,
+        perm_type: str | None = None,
+        target_var: str | None = None,
+        action_var: str | None = None,
+    ) -> None:
+        set_field = object.__setattr__
+        set_field(self, "ident", ident)
+        set_field(self, "method", method)
+        set_field(self, "line", line)
+        set_field(self, "kind", kind)
+        set_field(self, "form", form)
+        set_field(self, "perm_type", perm_type)
+        set_field(self, "target_var", target_var)
+        set_field(self, "action_var", action_var)
+        set_field(self, "site", CallSite(method, line))
 
 
-@dataclass(frozen=True, slots=True)
-class DepEdge:
+class DepEdge(NamedTuple):
     src: str
     dst: str
     inter: str | None = None
 
 
-@dataclass(frozen=True, slots=True)
-class PtaTriple:
+class PtaTriple(NamedTuple):
     """One points-to alternative: type, allocation node, calling context."""
 
     perm_type: str
@@ -143,16 +157,14 @@ class PtaTriple:
     ctx: CtxSet
 
 
-@dataclass(frozen=True, slots=True)
-class StringFact:
+class StringFact(NamedTuple):
     """One string-analysis alternative: literal value, calling context."""
 
     value: str
     ctx: CtxSet
 
 
-@dataclass(frozen=True)
-class ProgramModel:
+class ProgramModel(NamedTuple):
     methods: dict[str, Method]
     call_edges: tuple[CallEdge, ...]
     dep_nodes: dict[str, DepNode]
@@ -199,11 +211,10 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
 
 
 # The parser builds its call edges and dependency nodes by setting their
-# slots directly, past ``__init__`` and ``__post_init__``: it has already
-# normalized each family and holds each shared site, which
-# ``__post_init__`` would build anew, and a frozen ``__init__`` costs an
-# ``object.__setattr__`` call per field.  Each ``__set__`` below is a
-# slot's, in field order.
+# slots directly, past ``__init__``: it has already normalized each family
+# and holds each shared site, which ``__init__`` would build anew, and a
+# frozen record's ``__init__`` costs an ``object.__setattr__`` call per
+# field.  Each ``__set__`` below is a slot's, in ``__slots__`` order.
 _EDGE_SLOTS = tuple(getattr(CallEdge, name).__set__ for name in CallEdge.__slots__)
 _NODE_SLOTS = tuple(getattr(DepNode, name).__set__ for name in DepNode.__slots__)
 
@@ -768,9 +779,10 @@ def lint_model(model: ProgramModel, phi: RouteFamilies | None = None) -> list[st
             if site not in bit:
                 return False  # no route holds a site that no call edge has
             c |= bit[site]
-        # a whole route is the usual cover, and one hash lookup finds it
+        # a whole route is the usual cover, and one hash lookup finds it;
+        # c & r == c builds no ~r, a negative int per route
         routes = masks[method]
-        return c in routes or any(not c & ~r for r in routes)
+        return c in routes or any(c & r == c for r in routes)
 
     warnings: list[str] = []
     for e in model.call_edges:

@@ -65,10 +65,10 @@ distinct pair of them is related once, and its grants are unioned once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import islice
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
+from ._record import Record
 from .contexts import CallSite, CtxFamily, holds
 from .errors import EnumerationLimitError
 from .model import (
@@ -86,8 +86,7 @@ DEFAULT_PATH_BOUND = 2
 MAX_ENUMERATED_PATHS = 200_000
 
 
-@dataclass(frozen=True, slots=True)
-class CallPath:
+class CallPath(Record):
     """A call stack as an edge sequence from ``start``, the entry.
 
     ``edges`` is empty only for the entry's one-frame stack.  ``cut`` is
@@ -96,26 +95,28 @@ class CallPath:
     stack inspection reads.
     """
 
-    start: str
-    edges: tuple[CallEdge, ...]
-    cut: int = 0
-    # built once: ``relates`` reads it on every query and allocating stack
-    _methods: frozenset[str] = field(init=False, repr=False, compare=False)
+    # _methods is built once: ``relates`` reads it on every query and
+    # allocating stack
+    __slots__ = ("start", "edges", "cut", "_methods")
+    _fields = ("start", "edges", "cut")
 
-    def __post_init__(self) -> None:
-        out = set() if self.cut else {self.start}
-        for e in self.edges[self.cut :]:
+    def __init__(self, start: str, edges: tuple[CallEdge, ...], cut: int = 0) -> None:
+        out = set() if cut else {start}
+        for e in edges[cut:]:
             out.add(e.caller)
             out.add(e.callee)
-        object.__setattr__(self, "_methods", frozenset(out))
+        set_field = object.__setattr__
+        set_field(self, "start", start)
+        set_field(self, "edges", edges)
+        set_field(self, "cut", cut)
+        set_field(self, "_methods", frozenset(out))
 
     def methods(self) -> frozenset[str]:
         """The inspected methods: those of ``edges[cut:]``."""
         return self._methods
 
 
-@dataclass(frozen=True, slots=True)
-class DepPath:
+class DepPath(NamedTuple):
     """A dependency-graph walk; never empty."""
 
     edges: tuple[DepEdge, ...]

@@ -50,16 +50,19 @@ extraction) and the checkpoint sites it originated from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .contexts import CallSite, CtxFamily, CtxSet, format_ctx
 from .errors import ModelError
 from .model import ProgramModel
 
 
-@dataclass(frozen=True, slots=True)
-class Permission:
-    """A permission demand: type name plus optional target and action."""
+class Permission(NamedTuple):
+    """A permission demand: type name plus optional target and action.
+
+    Permissions order by ``_key``, not as tuples: an absent target or
+    action is ``None``, which does not compare with a string.
+    """
 
     ptype: str
     target: str | None = None
@@ -78,6 +81,15 @@ class Permission:
     def __lt__(self, other: "Permission") -> bool:
         return self._key() < other._key()
 
+    def __le__(self, other: "Permission") -> bool:
+        return self._key() <= other._key()
+
+    def __gt__(self, other: "Permission") -> bool:
+        return self._key() > other._key()
+
+    def __ge__(self, other: "Permission") -> bool:
+        return self._key() >= other._key()
+
     def __str__(self) -> str:
         if self.target is None:
             return self.ptype
@@ -86,8 +98,7 @@ class Permission:
         return f'{self.ptype}("{self.target}","{self.action}")'
 
 
-@dataclass(frozen=True, slots=True)
-class PermissionUniverse:
+class PermissionUniverse(NamedTuple):
     """Generated permissions with their demand contexts and provenance.
 
     ``sources`` maps each permission to the (checkpoint site, allocation

@@ -42,7 +42,9 @@ from __future__ import annotations
 
 import re
 from collections import defaultdict
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .contexts import CallSite
 from .errors import PolicyError
@@ -80,12 +82,16 @@ def encode(model: ProgramModel) -> ConditionalWPDS:
     return ConditionalWPDS(rules=rules, start=model.entry_method)
 
 
-@dataclass(frozen=True, slots=True)
-class Policy:
+# no protection domains: each method is its own.  Read-only, so no two
+# policies share a mutable default
+_NO_DOMAINS: Mapping[str, str] = MappingProxyType({})
+
+
+class Policy(NamedTuple):
     """Per-method permission grants, plus enough model context to use them."""
 
     grants: dict[str, frozenset[Permission]]
-    method_domains: dict[str, str] = field(default_factory=dict)
+    method_domains: Mapping[str, str] = _NO_DOMAINS
     system_methods: frozenset[str] = frozenset()
 
     def granted(self, method: str) -> frozenset[Permission]:
@@ -99,8 +105,7 @@ class Policy:
         return {d: frozenset(ps) for d, ps in out.items()}
 
 
-@dataclass(frozen=True, slots=True)
-class PolicyResult:
+class PolicyResult(NamedTuple):
     """A generated policy and the packed digests it was read from."""
 
     policy: Policy
@@ -309,7 +314,7 @@ def parse_policy_table(text: str) -> Policy:
     neither ``method_domains`` nor ``system_methods``.  ``check_policy``
     needs only the grants, but ``simulate_inspection`` under a read-back
     table fails at the first system frame; restore those first, with
-    ``dataclasses.replace(given, system_methods=generated.system_methods)``.
+    ``given._replace(system_methods=generated.system_methods)``.
     """
     grants: dict[str, set[Permission]] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -332,8 +337,7 @@ def parse_policy_table(text: str) -> Policy:
 # checking
 
 
-@dataclass(frozen=True, slots=True)
-class CheckReport:
+class CheckReport(NamedTuple):
     """Outcome of comparing a given policy against a generated one."""
 
     passed: bool
@@ -374,8 +378,7 @@ def check_policy(given: Policy, generated: Policy) -> CheckReport:
 # stack-inspection simulation
 
 
-@dataclass(frozen=True, slots=True)
-class Frame:
+class Frame(NamedTuple):
     """One stack frame: the executing method, and whether it asserted
     privilege for the call it made."""
 
@@ -383,8 +386,7 @@ class Frame:
     privileged: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class InspectionResult:
+class InspectionResult(NamedTuple):
     passed: bool
     failed_at: str | None = None
 

@@ -160,9 +160,9 @@ reads less than the union keeps, as with a single checkpoint.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
 from typing import AbstractSet, Iterable, Mapping, Union
 
+from ._record import Record
 from .contexts import ANY_FAMILY, EMPTY_CTX, CallSite, CtxFamily, CtxSet, format_family
 from .errors import CapacityError
 from .weights import (
@@ -198,18 +198,25 @@ def _spend(work: int, units: int) -> int:
     return work
 
 
-@dataclass(frozen=True, slots=True)
-class Rule:
+class Rule(Record):
     """One rewrite of the stack top; ``rhs`` has length 0 (pop), 1, or 2."""
 
-    lhs: StackSymbol
-    rhs: tuple[StackSymbol, ...]
-    cond: CtxFamily = ANY_FAMILY
-    weight: WeightTuple = WeightTuple()
+    __slots__ = _fields = ("lhs", "rhs", "cond", "weight")
 
-    def __post_init__(self) -> None:
-        if len(self.rhs) > 2:
+    def __init__(
+        self,
+        lhs: StackSymbol,
+        rhs: tuple[StackSymbol, ...],
+        cond: CtxFamily = ANY_FAMILY,
+        weight: WeightTuple = WeightTuple(),
+    ) -> None:
+        if len(rhs) > 2:
             raise ValueError("a pushdown rule may push at most two symbols")
+        set_field = object.__setattr__
+        set_field(self, "lhs", lhs)
+        set_field(self, "rhs", rhs)
+        set_field(self, "cond", cond)
+        set_field(self, "weight", weight)
 
     @property
     def kind(self) -> str:
@@ -221,12 +228,18 @@ class Rule:
         return f"{self.lhs} --[{format_family(self.cond)}]--> {rhs} ; {weight}"
 
 
-@dataclass(slots=True)
-class ConditionalWPDS:
-    """A rule set plus start symbol."""
+class ConditionalWPDS(Record):
+    """A rule set plus start symbol; unlike other records, mutable, and so
+    unhashable."""
 
-    rules: list[Rule] = field(default_factory=list)
-    start: StackSymbol = ""
+    __slots__ = _fields = ("rules", "start")
+    __setattr__ = object.__setattr__
+    __delattr__ = object.__delattr__
+    __hash__ = None
+
+    def __init__(self, rules: list[Rule] | None = None, start: StackSymbol = "") -> None:
+        self.rules = [] if rules is None else rules
+        self.start = start
 
     def dump(self) -> str:
         """Deterministic listing: pushes, then swaps, then pops."""

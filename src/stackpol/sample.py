@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
-from importlib import resources
-
 from .model import ProgramModel, parse_model
 
 
 def running_example_text() -> str:
     """Text of the bundled sample model."""
+    # imported here, not with the package: under Python 3.11,
+    # importlib.resources loads pathlib, tempfile, shutil and random,
+    # which no other call needs
+    from importlib import resources
+
     return (
         resources.files("stackpol")
         .joinpath("data/running_example.model")

@@ -68,9 +68,9 @@ inclusion of digest sets: lower means more digests, i.e. less precise.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
+from ._record import Record
 from .contexts import CallSite
 from .errors import CapacityError
 
@@ -78,8 +78,7 @@ from .errors import CapacityError
 DEFAULT_TUPLE_CAP = 10_000
 
 
-@dataclass(frozen=True, slots=True)
-class WeightTuple:
+class WeightTuple(NamedTuple):
     """One path digest; see module docstring for field meaning."""
 
     kill: bool = False
@@ -120,8 +119,7 @@ class WeightTuple:
         )
 
 
-@dataclass(frozen=True, slots=True)
-class Weight:
+class Weight(NamedTuple):
     """A set of path digests; the semiring element."""
 
     tuples: frozenset[WeightTuple] = frozenset()
@@ -265,12 +263,17 @@ def absorb(into: Merged, weight: Merged) -> bool:
     return grew
 
 
-@dataclass(frozen=True, slots=True, eq=False)
-class PackedWeight:
-    """A solver result: its merged digests and the packing that names their bits."""
+class PackedWeight(Record):
+    """A solver result: its merged digests and the packing that names
+    their bits.  Compared by identity, as the digests are a mutable dict."""
 
-    packing: Packing
-    digests: Merged
+    __slots__ = _fields = ("packing", "digests")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(self, packing: Packing, digests: Merged) -> None:
+        object.__setattr__(self, "packing", packing)
+        object.__setattr__(self, "digests", digests)
 
     def width(self) -> int:
         return len(self.digests)

@@ -122,7 +122,6 @@ failing edge.
 from __future__ import annotations
 
 from collections import Counter, defaultdict, deque
-from dataclasses import replace
 from itertools import permutations, product
 from typing import Iterable, Sequence
 
@@ -553,7 +552,7 @@ def projected(weight: Weight, reads: dict[CallSite, CtxSet]) -> Weight:
         named = [reads[site] for site in history if site in reads]
         if named:
             history &= frozenset().union(*named)
-        cut.add(replace(d, history=history))
+        cut.add(d._replace(history=history))
     return merged(Weight(frozenset(cut)))
 
 
@@ -567,7 +566,7 @@ def route_universe(
         if p.target is None:
             methods = {model.dep_nodes[node].method for _site, node in pairs}
             contexts[p] = frozenset(ctx for m in methods for ctx in phi[m])
-    return replace(universe, contexts=contexts)
+    return universe._replace(contexts=contexts)
 
 
 def phi_meth_by_bfs(model: ProgramModel) -> dict[str, CtxFamily]:

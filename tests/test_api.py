@@ -2,6 +2,9 @@
 and no library definition that the library itself never names."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import stackpol
@@ -180,3 +183,20 @@ def test_no_module_level_import_goes_unused():
         *sorted((ROOT / "demos").glob("*.py")),
     ]
     assert [line for path in paths for line in _unused_imports(path)] == []
+
+
+def test_importing_the_package_loads_no_heavy_standard_module():
+    # every CLI run pays for what the import loads: dataclasses pulls in
+    # inspect, ast, dis and tokenize, and importlib.resources pathlib and
+    # tempfile.  -S keeps site's .pth files from loading them first
+    code = (
+        "import sys; before = set(sys.modules); import stackpol; "
+        "print(*sorted(set(sys.modules) - before))"
+    )
+    env = {**os.environ, "PYTHONPATH": str(SRC.parent)}
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    loaded = set(run.stdout.split())
+    assert "stackpol.model" in loaded
+    assert loaded & {"dataclasses", "inspect", "importlib.resources"} == set()

@@ -1,6 +1,5 @@
 """Command line behavior: output channels, formats, exit codes."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -295,7 +294,7 @@ def test_oracle_compare_lists_every_differing_method(model_file, capsys, monkeyp
         grants["main"] = grants["checkAccess"] | {student}
         grants["checkAccess"] |= {faculty, student}
         grants["zeta"] = frozenset({faculty})
-        return dataclasses.replace(policy, grants=grants)
+        return policy._replace(grants=grants)
 
     monkeypatch.setattr(cli, "oracle_policy", skewed)
     assert main(["oracle", model_file, "--compare"]) == 2

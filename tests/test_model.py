@@ -557,13 +557,11 @@ def test_lint_masks_match_the_subset_reference_on_cyclic_graphs():
 
 def test_lint_flags_a_context_naming_a_site_that_no_call_edge_has():
     # the parser rejects such a site; a model built by hand can hold one
-    from dataclasses import replace
-
     from stackpol.model import StringFact
 
     model = parse_model(minimal_plus("calledge 1 main 1 doPriv ctx=any"))
     ghost = frozenset({CallSite("main", 9)})
-    model = replace(model, sa={("v", "doPriv"): (StringFact("x", ghost),)})
+    model = model._replace(sa={("v", "doPriv"): (StringFact("x", ghost),)})
     assert lint_model(model) == lint_by_subsets(model) == [
         "dead-fact: sa v@doPriv: no route to doPriv covers {main:9}"
     ]

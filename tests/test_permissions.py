@@ -48,6 +48,9 @@ def test_permission_ordering_treats_missing_fields_as_empty():
         Permission("A", "z"),
         Permission("B"),
     ]
+    # max() compares with >, and a tuple's > would compare None with a string
+    assert max([bare, full, target_only]) == full
+    assert bare < target_only <= full and full > target_only >= bare >= bare
 
 
 def test_an_absent_value_sorts_before_the_empty_string():

@@ -1,7 +1,5 @@
 """System encoding, policy extraction, rendering, checking, simulation."""
 
-from dataclasses import replace
-
 import pytest
 from bruteforce import (
     checkpoint_reads,
@@ -476,8 +474,7 @@ def test_a_demand_context_naming_a_site_no_rule_pushes_matches_no_digest(
 ):
     # no parsed model names such a site; a hand-built universe can
     ghost = frozenset({S("nowhere", 1)})
-    universe = replace(
-        example_universe,
+    universe = example_universe._replace(
         contexts={
             p: ctxs | {ghost} if p == PERM_F else frozenset({ghost})
             for p, ctxs in example_universe.contexts.items()
@@ -749,7 +746,7 @@ def test_a_read_back_table_replays_once_system_methods_are_restored(
     failed = [simulate_inspection(s, p, given).failed_at for s, p in related]
     # one failure per privileged stack, faculty's and student's
     assert sorted(filter(None, failed)) == ["doPrivileged"] * 2
-    fixed = replace(given, system_methods=example_policy.system_methods)
+    fixed = given._replace(system_methods=example_policy.system_methods)
     assert all(simulate_inspection(s, p, fixed).passed for s, p in related)
 
 
