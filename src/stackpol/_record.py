@@ -16,7 +16,8 @@ class Record:
     ``_fields`` leaves out, such as one derived from the fields, is neither
     compared nor shown.  A record is frozen: ``__init__`` sets each slot
     with ``object.__setattr__``, and assigning to one afterwards raises
-    ``AttributeError``.
+    ``AttributeError``.  ``__init__`` takes the fields in ``_fields``
+    order, so ``copy`` and ``pickle`` rebuild a record through it.
     """
 
     __slots__ = ()
@@ -36,6 +37,9 @@ class Record:
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r} of a frozen record")

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 
 import pytest
@@ -95,6 +97,14 @@ def test_sites_are_stored_but_not_compared():
     assert node.site == edge.site
     assert edge == CallEdge("1", "main", 3, "a") and "site" not in repr(edge)
     assert hash(node) == hash(DepNode("n", "main", 3, "plain"))
+
+
+def test_edges_are_frozen_and_copy_through_their_constructor():
+    edge = CallEdge("1", "main", 3, "a", [[CallSite("main", 1)]])
+    with pytest.raises(AttributeError):
+        edge.line = 4
+    for clone in (copy.copy(edge), copy.deepcopy(edge), pickle.loads(pickle.dumps(edge))):
+        assert clone == edge and clone.site == edge.site
 
 
 def test_parsed_edges_and_nodes_hold_each_field_in_its_slot():
