@@ -50,17 +50,17 @@ not run into Python's recursion limit.
 
 Relating is memoized per run.  Whether an allocating stack can witness a
 demand for a flow path and a permission does not depend on the demand
-stack, so the first query of a (checkpoint, permission) pair builds its
-*allowed* sets, the flow's methods together with a witness's, and every
-query is one subset test per allowed set.  Witnesses that add the same
-methods are hosted once: on a diamond ladder, all 2^n allocating stacks
-share one method set and take one hosting test.
+stack, so each (checkpoint, permission) pair has *allowed* sets, the
+flow's methods together with a witness's, and every query is one subset
+test per allowed set.  A witness whose set is already allowed takes no
+hosting test: all 2^n allocating stacks of a diamond ladder take one.
 
 ``oracle_policy`` makes one walk for the check method and for every
 method that allocates a permission some flow delivers to one of its
-sources, and seeds the memo with the latter's stacks.  ``relates`` reads
-a demand stack only through its checkpoint and its methods, so each
-distinct pair of them is related once, and its grants are unioned once.
+sources, and consumes it as it yields.  It hosts each allocating stack
+at once into the allowed sets that seed the memo, and keeps a demand
+stack only for a new checkpoint and method set, all ``relates`` reads of
+it.  So each such pair is related once, and no stack is kept per route.
 """
 
 from __future__ import annotations
@@ -69,16 +69,9 @@ from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
 from ._record import Record
-from .contexts import CallSite, CtxFamily, holds
+from .contexts import CallSite, holds
 from .errors import EnumerationLimitError
-from .model import (
-    ALLOC,
-    INTER_CALL,
-    INTER_RETURN,
-    CallEdge,
-    DepEdge,
-    ProgramModel,
-)
+from .model import ALLOC, INTER_CALL, INTER_RETURN, CallEdge, DepEdge, ProgramModel
 from .permissions import Permission, PermissionUniverse, checkpoints
 from .policy import Frame, Policy, _model_policy
 
@@ -101,15 +94,11 @@ class CallPath(Record):
     _fields = ("start", "edges", "cut")
 
     def __init__(self, start: str, edges: tuple[CallEdge, ...], cut: int = 0) -> None:
-        out = set() if cut else {start}
-        for e in edges[cut:]:
-            out.add(e.caller)
-            out.add(e.callee)
         set_field = object.__setattr__
         set_field(self, "start", start)
         set_field(self, "edges", edges)
         set_field(self, "cut", cut)
-        set_field(self, "_methods", frozenset(out))
+        set_field(self, "_methods", _inspected(start, edges, cut))
 
     def methods(self) -> frozenset[str]:
         """The inspected methods: those of ``edges[cut:]``."""
@@ -130,11 +119,8 @@ class DepPath(NamedTuple):
         return self.edges[-1].dst
 
     def methods(self, model: ProgramModel) -> frozenset[str]:
-        out = set()
-        for e in self.edges:
-            out.add(model.dep_nodes[e.src].method)
-            out.add(model.dep_nodes[e.dst].method)
-        return frozenset(out)
+        nodes = model.dep_nodes
+        return frozenset(nodes[n].method for e in self.edges for n in (e.src, e.dst))
 
 
 # a flow path's interprocedural crossing: ``inter`` and its call site
@@ -221,14 +207,11 @@ def _bounded_walks(start, succ: dict, stops, bound: int):
                     below[site] -= 1
 
 
-def _walks(
-    model: ProgramModel, targets: Sequence[str], bound: int
-) -> list[tuple[CallEdge, ...]]:
+def _walks(model: ProgramModel, targets: Sequence[str], bound: int):
     """Each valid walk from the entry to one of ``targets`` that uses each
-    edge at most ``bound`` times, as a tuple of edges, from one walk that
-    serves every target.  None is empty: no edge enters the entry, and its
-    one-frame stack, which no edge sequence denotes, is added by
-    ``_vpaths``.
+    edge at most ``bound`` times, as a tuple of edges, yielded by one walk
+    that serves every target.  None is empty: no edge enters the entry,
+    and its one-frame stack is left to the caller.
 
     A conditional edge guards the walk with its context family.  The walk
     descends only into callees that can reach a target: one that leaves
@@ -255,34 +238,26 @@ def _walks(
 
     start = model.entry_method
     walks = _bounded_walks(start, succ, frozenset(targets), bound)
-    results = list(islice(walks, MAX_ENUMERATED_PATHS + 1))
-    if len(results) > MAX_ENUMERATED_PATHS:
+    yield from islice(walks, MAX_ENUMERATED_PATHS)
+    if next(walks, None) is not None:
         raise EnumerationLimitError(
             f"more than {MAX_ENUMERATED_PATHS} paths from "
             f"{start} to {targets[0]} at bound {bound}"
         )
-    return results
 
 
-def _ident_key(edges) -> tuple[str, ...]:
-    return tuple(e.ident for e in edges)
+def _cut(edges: tuple[CallEdge, ...], priv: str) -> int:
+    """The index of the last edge that ``priv`` makes, or 0."""
+    callers = [e.caller for e in edges]
+    return len(callers) - 1 - callers[::-1].index(priv) if priv in callers else 0
 
 
-def _vpaths(
-    model: ProgramModel, targets: Sequence[str], bound: int = DEFAULT_PATH_BOUND
-) -> dict[str, list[CallPath]]:
-    """The valid call paths ending at each of ``targets``, as
-    ``enum_vpaths`` lists them, from one walk from the entry."""
-    entry, priv = model.entry_method, model.priv_method
-    paths: dict[str, list[CallPath]] = {t: [] for t in targets}
-    if entry in paths:
-        paths[entry].append(CallPath(entry, ()))
-    for edges in sorted(_walks(model, targets, bound), key=_ident_key):
-        cut = len(edges) - 1
-        while cut and edges[cut].caller != priv:
-            cut -= 1
-        paths[edges[-1].callee].append(CallPath(entry, edges, cut))
-    return paths
+def _inspected(start: str, edges: tuple[CallEdge, ...], cut: int) -> frozenset[str]:
+    """The methods of ``edges[cut:]``, a chain of calls from ``start``, or
+    ``start`` alone when there are no edges."""
+    if not edges:
+        return frozenset((start,))
+    return frozenset([*[e.caller for e in edges[cut:]], edges[-1].callee])
 
 
 def enum_vpaths(
@@ -295,7 +270,10 @@ def enum_vpaths(
     by the privilege asserter.  The entry's list starts with its one-frame
     stack, the stack code in the entry runs on before any call.
     """
-    return _vpaths(model, (target,), bound)[target]
+    entry, priv = model.entry_method, model.priv_method
+    walks = sorted(_walks(model, (target,), bound), key=lambda w: [e.ident for e in w])
+    paths = [CallPath(entry, edges, _cut(edges, priv)) for edges in walks]
+    return [CallPath(entry, ()), *paths] if target == entry else paths
 
 
 def dep_paths(
@@ -326,11 +304,45 @@ def dep_paths(
     return results
 
 
-def _hosts(stack: CallPath, word: tuple[Crossing, ...], contexts: CtxFamily) -> bool:
-    """Can ``stack`` host a flow with crossing word ``word`` and cover one
-    of ``contexts``?"""
-    sites = [e.site for e in stack.edges]
-    return well_matched(sites, word) and holds(contexts, frozenset(sites))
+def _deliveries(
+    model: ProgramModel, universe: PermissionUniverse, flow_paths: list, memo, demanded
+) -> dict[str, list]:
+    """Seed ``memo`` with an empty allowed set for each checkpoint and each
+    permission ``demanded`` there, and map each allocating method to the
+    flow paths that carry one of them to that checkpoint, as (allowed set,
+    crossing word, flow methods, demand contexts) tuples for ``_host``."""
+    for checkpoint, perms in demanded.items():
+        for perm in perms:
+            memo[checkpoint, perm] = set()
+    nodes = model.dep_nodes
+    out: dict[str, list] = {}
+    for pi in flow_paths:
+        checkpoint = nodes[pi.end].site
+        perms = [
+            perm
+            for perm in demanded.get(checkpoint, ())
+            if (checkpoint, pi.start) in universe.sources[perm]
+        ]
+        if perms:
+            word, flow_methods = extract(model, pi), pi.methods(model)
+            out.setdefault(nodes[pi.start].method, []).extend(
+                (memo[checkpoint, perm], word, flow_methods, universe.contexts[perm])
+                for perm in perms
+            )
+    return out
+
+
+def _host(deliveries: list, edges: tuple[CallEdge, ...], methods: frozenset[str]) -> None:
+    """Add the flow's methods together with ``methods``, those the
+    allocating stack ``edges`` inspects, to each delivery's allowed set if
+    the stack hosts the flow and covers one of the demand contexts."""
+    sites = [e.site for e in edges]
+    for allowed, word, flow_methods, contexts in deliveries:
+        union = flow_methods | methods
+        # a union already allowed needs no second host
+        if union not in allowed and well_matched(sites, word):
+            if holds(contexts, frozenset(sites)):
+                allowed.add(union)
 
 
 def relates(
@@ -355,37 +367,23 @@ def relates(
     together with the inspected methods ``S`` of an admissible stack.
 
     ``vpath_cache`` is one run's memo, shared by every call for the same
-    model, universe, flow paths and bound.  It holds the stacks of each
-    allocating method and the allowed sets of each (checkpoint,
-    permission) pair, each built by the first query that needs it unless
-    the caller seeded it, as ``oracle_policy`` seeds the stacks.
+    model, universe, flow paths and bound.  It holds the allowed sets of
+    each (checkpoint, permission) pair.  The first query of a pair builds
+    them from the stacks of its allocating methods, which it keeps there
+    too, unless the caller seeded them, as ``oracle_policy`` seeds all.
     """
     if not sigma.edges or perm not in universe.sources:
         return False
     checkpoint = sigma.edges[-1].site
     allowed = vpath_cache.get((checkpoint, perm))
     if allowed is None:
-        allowed = set()
-        pairs, contexts = universe.sources[perm], universe.contexts[perm]
-        for pi in flow_paths:
-            # the flow must deliver the permission to the checkpoint this
-            # very path invokes, not to some other checkpoint
-            end_site = model.dep_nodes[pi.end].site
-            if end_site != checkpoint or (checkpoint, pi.start) not in pairs:
-                continue
-            alloc_method = model.dep_nodes[pi.start].method
-            stacks = vpath_cache.get(alloc_method)
-            if stacks is None:
-                stacks = vpath_cache[alloc_method] = enum_vpaths(
-                    model, alloc_method, bound
-                )
-            word, flow_methods = extract(model, pi), pi.methods(model)
-            for stack in stacks:
-                # a union already allowed needs no second host
-                methods = flow_methods | stack.methods()
-                if methods not in allowed and _hosts(stack, word, contexts):
-                    allowed.add(methods)
-        vpath_cache[checkpoint, perm] = allowed
+        hosts = _deliveries(model, universe, flow_paths, vpath_cache, {checkpoint: [perm]})
+        for method, hosted in hosts.items():
+            if method not in vpath_cache:
+                vpath_cache[method] = enum_vpaths(model, method, bound)
+            for stack in vpath_cache[method]:
+                _host(hosted, stack.edges, stack.methods())
+        allowed = vpath_cache[checkpoint, perm]
     need = sigma.methods() - {model.check_method}
     return any(need <= methods for methods in allowed)
 
@@ -398,29 +396,31 @@ def oracle_policy(
     """Reference policy: enumerate stacks, relate demands, union grants.
 
     One walk serves the check method and the allocating methods, whose
-    stacks seed ``relates``' memo.  Each distinct checkpoint and method
-    set of a demand stack is related once, and only to the permissions
-    demanded at that checkpoint: ``relates`` is false for every other
-    permission.
+    stacks are hosted as they arrive into the sets that seed ``relates``'
+    memo.  Each distinct checkpoint and method set of a demand stack is
+    related once, and only to the permissions demanded at that
+    checkpoint: ``relates`` is false for every other permission.
     """
     flow = dep_paths(model, bound)
     demanded: dict[CallSite, list[Permission]] = {}
-    sources: set[tuple[CallSite, str]] = set()
     for perm in universe.sorted_perms():
-        pairs = universe.sources.get(perm, frozenset())
-        sources |= pairs
-        for site in {site for site, _alloc in pairs}:
+        for site in {site for site, _alloc in universe.sources.get(perm, ())}:
             demanded.setdefault(site, []).append(perm)
-    nodes = model.dep_nodes
-    allocating = {
-        nodes[pi.start].method for pi in flow if (nodes[pi.end].site, pi.start) in sources
-    }
-    paths = _vpaths(model, [model.check_method, *allocating], bound)
-    cache: dict = {method: paths[method] for method in allocating}
-    system = frozenset({model.check_method, model.priv_method})
+    cache: dict = {}
+    deliveries = _deliveries(model, universe, flow, cache, demanded)
+    entry, check, priv = model.entry_method, model.check_method, model.priv_method
+    if entry in deliveries:
+        _host(deliveries[entry], (), frozenset({entry}))
     shapes: dict[tuple[CallSite, frozenset[str]], CallPath] = {}
-    for sigma in paths[model.check_method]:
-        shapes.setdefault((sigma.edges[-1].site, sigma.methods()), sigma)
+    for edges in _walks(model, [check, *deliveries], bound):
+        cut = _cut(edges, priv)
+        methods = _inspected(entry, edges, cut)
+        end = edges[-1]
+        if end.callee == check and (end.site, methods) not in shapes:
+            sigma = CallPath(entry, edges, cut)  # keyed by its own copy of methods
+            shapes[end.site, sigma.methods()] = sigma
+        if end.callee in deliveries:
+            _host(deliveries[end.callee], edges, methods)
     grants: dict[str, set] = {}
     for (checkpoint, methods), sigma in shapes.items():
         perms = [
@@ -429,7 +429,7 @@ def oracle_policy(
             if relates(model, sigma, perm, universe, flow, cache, bound)
         ]
         if perms:
-            for method in methods - system:
+            for method in methods - {check, priv}:
                 grants.setdefault(method, set()).update(perms)
     return _model_policy(model, grants)
 

@@ -102,7 +102,7 @@ every permission with ``relates_by_scan``, the reference for
 once, and only to the permissions demanded at that checkpoint.
 ``match_paths`` lists the valid paths to a flow's
 origin that can host the flow, the reference for the hosting test in
-``oracle._hosts``.  Both replay a flow's crossings on a
+``oracle._host``.  Both replay a flow's crossings on a
 path's sites with ``replays_on``, which reads the flow's edges directly,
 so neither shares ``oracle.extract`` or ``oracle.well_matched``.
 

@@ -6,6 +6,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -281,6 +282,18 @@ _JOIN_MODELS = {
 }
 
 
+def _one_walk(model, targets, bound=2):
+    # the paths of each target in the stream of one walk that serves them
+    # all, the stream oracle_policy reads, listed as enum_vpaths lists them
+    entry = model.entry_method
+    paths = {target: [CallPath(entry, ())] if target == entry else [] for target in targets}
+    walks = oracle._walks(model, targets, bound)
+    for edges in sorted(walks, key=lambda w: [e.ident for e in w]):
+        cut = oracle._cut(edges, model.priv_method)
+        paths[edges[-1].callee].append(CallPath(entry, edges, cut))
+    return paths
+
+
 def _agrees_with_the_join(model):
     # each target on its own walk, and all of them on one
     targets = sorted(model.methods)
@@ -288,7 +301,7 @@ def _agrees_with_the_join(model):
         want = {target: vpaths_by_join(model, target, bound) for target in targets}
         for target in targets:
             assert enum_vpaths(model, target, bound) == want[target], (target, bound)
-        assert oracle._vpaths(model, targets, bound) == want, bound
+        assert _one_walk(model, targets, bound) == want, bound
 
 
 @pytest.mark.parametrize("name", sorted(_JOIN_MODELS))
@@ -441,7 +454,13 @@ def _hosts_alike(model):
     for pi in dep_paths(model):
         stacks = enum_vpaths(model, model.dep_nodes[pi.start].method)
         word = extract(model, pi)
-        got = [s.methods() for s in stacks if oracle._hosts(s, word, ANY_FAMILY)]
+        got = []
+        for s in stacks:
+            # a fresh allowed set grows exactly when the stack hosts the flow
+            allowed = set()
+            oracle._host([(allowed, word, frozenset(), ANY_FAMILY)], s.edges, s.methods())
+            if allowed:
+                got.append(s.methods())
         assert got == [sigma.methods() for sigma in match_paths(model, pi)], pi
 
 
@@ -722,7 +741,7 @@ def test_one_walk_serves_every_target_on_the_benchmark_models(benchmark_cases):
         model = parse_model(case.text)
         targets = sorted(model.methods)
         separate = {target: enum_vpaths(model, target) for target in targets}
-        assert oracle._vpaths(model, targets) == separate, case.ident
+        assert _one_walk(model, targets) == separate, case.ident
 
 
 def test_relating_each_stack_shape_once_equals_the_all_pairs_loop_on_the_benchmark_models(
@@ -761,6 +780,87 @@ def test_the_oracle_walks_once_and_relates_each_stack_shape_once(monkeypatch):
     # all 2^6 demand stacks share their checkpoint and their methods
     assert len(enum_vpaths(model, model.check_method)) == 2**6
     assert len(related) == 1
+
+
+def test_the_oracle_keeps_no_path_per_stack_on_a_deep_ladder():
+    # 2^10 demand stacks share one shape and 2^10 allocating stacks one
+    # method set, so the oracle keeps one path and one allowed set; one
+    # path per stack peaks near 2 MiB here
+    text, expected = workloads().ladder_text(random.Random(0), 10)
+    model = parse_model(text)
+    universe = generate_permissions(model)
+    tracemalloc.start()
+    try:
+        policy = oracle_policy(model, universe)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert policy.grants == {
+        method: frozenset(map(Permission, perms)) for method, perms in expected.items()
+    }
+    assert peak < 256 * 1024
+
+
+def test_the_oracle_stops_at_the_cap_while_it_hosts(monkeypatch):
+    # 2^6 walks reach the check and 2^6 the allocating method; the cap
+    # counts both, and fires after the first allocating stacks are hosted
+    text, _expected = workloads().ladder_text(random.Random(0), 6)
+    model = parse_model(text)
+    universe = generate_permissions(model)
+    entry, check = model.entry_method, model.check_method
+    hosted, host = [], oracle._host
+
+    def counted(*args):
+        hosted.append(args)
+        return host(*args)
+
+    monkeypatch.setattr(oracle, "_host", counted)
+    monkeypatch.setattr(oracle, "MAX_ENUMERATED_PATHS", 2**7 - 1)
+    assert len(enum_vpaths(model, check)) == 2**6
+    message = f"^more than {2**7 - 1} paths from {entry} to {check} at bound 2$"
+    with pytest.raises(EnumerationLimitError, match=message):
+        oracle_policy(model, universe)
+    assert hosted
+    monkeypatch.setattr(oracle, "MAX_ENUMERATED_PATHS", 2**6 - 1)
+    with pytest.raises(EnumerationLimitError) as streamed:
+        oracle_policy(model, universe)
+    with pytest.raises(EnumerationLimitError) as listed:
+        enum_vpaths(model, check)
+    assert str(streamed.value) == str(listed.value)
+    monkeypatch.setattr(oracle, "MAX_ENUMERATED_PATHS", 2**7)
+    assert oracle_policy(model, universe).grants
+
+
+def _seeds_the_lazy_sets(model):
+    # every allowed set that oracle_policy seeds is the one relates builds
+    # from an empty memo, for a stack that ends at the same checkpoint
+    universe = generate_permissions(model)
+    flows = dep_paths(model)
+    seeded = []
+    deliveries = oracle._deliveries
+
+    def captured(model, universe, flow_paths, memo, demanded):
+        seeded.append(memo)
+        return deliveries(model, universe, flow_paths, memo, demanded)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "_deliveries", captured)
+        oracle_policy(model, universe)
+    (memo,) = seeded
+    into_check = {e.site: e for e in model.call_edges if e.callee == model.check_method}
+    for (checkpoint, perm), allowed in memo.items():
+        fresh = {}
+        sigma = CallPath(model.entry_method, (into_check[checkpoint],))
+        relates(model, sigma, perm, universe, flows, fresh)
+        assert fresh[checkpoint, perm] == allowed, (checkpoint, perm)
+    return sum(map(bool, memo.values()))
+
+
+def test_the_oracle_seeds_the_sets_that_relates_builds():
+    from randmodels import random_model
+
+    assert _seeds_the_lazy_sets(running_example())
+    assert sum(_seeds_the_lazy_sets(random_model(seed)) for seed in range(300)) > 300
 
 
 _MEMO_MODELS = {

@@ -425,13 +425,14 @@ def test_a_deep_ladder_takes_the_oracle_one_hosting_test(monkeypatch):
     text, expected = workloads().ladder_text(random.Random(0), 12)
     model = parse_model(text)
     universe = generate_permissions(model)
-    hosts, host = [], oracle._hosts
+    hosts, host = [], oracle.well_matched
 
     def counted(*args):
         hosts.append(args)
         return host(*args)
 
-    monkeypatch.setattr(oracle, "_hosts", counted)
+    # each hosting test replays the flow's word on the stack first
+    monkeypatch.setattr(oracle, "well_matched", counted)
     reference = oracle.oracle_policy(model, universe)
     closed_form = {
         m: frozenset(map(Permission, ps)) for m, ps in expected.items()
