@@ -10,7 +10,8 @@ Subcommands:
 
 Exit codes: 0 success (and check/compare agreement), 1 usage or input
 problem, 2 a failed check or a comparison difference, 3 a resource cap
-was exceeded.  Warnings and progress notes go to stderr; results go to
+was exceeded, running out of memory included, with one ``error:`` line
+on stderr.  Warnings and progress notes go to stderr; results go to
 stdout.
 """
 
@@ -216,6 +217,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (CapacityError, EnumerationLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CAPACITY
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return EXIT_CAPACITY
     except (StackpolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

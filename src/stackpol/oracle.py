@@ -48,19 +48,21 @@ the count the cap sees unchanged.  Walks keep their own stack of edge
 iterators instead of recursing, so a deep call or dependency chain does
 not run into Python's recursion limit.
 
-Relating is memoized per run.  Whether an allocating stack can witness a
-demand for a flow path and a permission does not depend on the demand
-stack, so each (checkpoint, permission) pair has *allowed* sets, the
-flow's methods together with a witness's, and every query is one subset
-test per allowed set.  A witness whose set is already allowed takes no
-hosting test: all 2^n allocating stacks of a diamond ladder take one.
+Relating reads sets built once per run.  Whether an allocating stack
+can witness a demand for a flow path and a permission does not depend on
+the demand stack, so each (checkpoint, permission) pair has *allowed*
+sets, the flow's methods together with a witness's, and ``relates`` is
+one subset test per allowed set.  A witness whose set is already allowed
+takes no hosting test: all 2^n allocating stacks of a diamond ladder
+take one.
 
-``oracle_policy`` makes one walk for the check method and for every
-method that allocates a permission some flow delivers to one of its
-sources, and consumes it as it yields.  It hosts each allocating stack
-at once into the allowed sets that seed the memo, and keeps a demand
-stack only for a new checkpoint and method set, all ``relates`` reads of
-it.  So each such pair is related once, and no stack is kept per route.
+``oracle_policy`` builds those sets in one walk, for the check method and
+for every method that allocates a permission some flow delivers to one
+of its sources, and consumes it as it yields.  It hosts each allocating
+stack at once into the allowed sets and drops it, and keeps a demand
+stack only as its shape, its checkpoint and inspected methods, all that
+``relates`` reads of it.  So each shape is related once, and no stack is
+kept per route.
 """
 
 from __future__ import annotations
@@ -88,8 +90,8 @@ class CallPath(Record):
     stack inspection reads.
     """
 
-    # _methods is built once: ``relates`` reads it on every query and
-    # allocating stack
+    # _methods is built once: code that relates stacks one by one reads it
+    # once per pair of stacks
     __slots__ = ("start", "edges", "cut", "_methods")
     _fields = ("start", "edges", "cut")
 
@@ -125,6 +127,10 @@ class DepPath(NamedTuple):
 
 # a flow path's interprocedural crossing: ``inter`` and its call site
 Crossing = tuple[str, CallSite]
+# a demand stack's shape: its checkpoint and its inspected methods
+Shape = tuple[CallSite, frozenset[str]]
+# per checkpoint, per permission demanded there, its allowed sets
+Allowed = dict[CallSite, dict[Permission, set[frozenset[str]]]]
 
 
 def well_matched(opened: Iterable[CallSite], word: Iterable[Crossing]) -> bool:
@@ -305,31 +311,28 @@ def dep_paths(
 
 
 def _deliveries(
-    model: ProgramModel, universe: PermissionUniverse, flow_paths: list, memo, demanded
-) -> dict[str, list]:
-    """Seed ``memo`` with an empty allowed set for each checkpoint and each
-    permission ``demanded`` there, and map each allocating method to the
-    flow paths that carry one of them to that checkpoint, as (allowed set,
-    crossing word, flow methods, demand contexts) tuples for ``_host``."""
-    for checkpoint, perms in demanded.items():
-        for perm in perms:
-            memo[checkpoint, perm] = set()
+    model: ProgramModel, universe: PermissionUniverse, flow_paths: list[DepPath]
+) -> tuple[Allowed, dict[str, list]]:
+    """An empty allowed set for each checkpoint and each permission
+    demanded there, and, per allocating method, the flow paths that carry
+    one of those permissions to that checkpoint, as (allowed set, crossing
+    word, flow methods, demand contexts) tuples for ``_host``."""
+    allowed: Allowed = {}
+    for perm in universe.sorted_perms():
+        for site, _alloc in universe.sources.get(perm, ()):
+            allowed.setdefault(site, {}).setdefault(perm, set())
     nodes = model.dep_nodes
     out: dict[str, list] = {}
     for pi in flow_paths:
         checkpoint = nodes[pi.end].site
-        perms = [
-            perm
-            for perm in demanded.get(checkpoint, ())
-            if (checkpoint, pi.start) in universe.sources[perm]
-        ]
+        sets = allowed.get(checkpoint, {})
+        perms = [perm for perm in sets if (checkpoint, pi.start) in universe.sources[perm]]
         if perms:
             word, flow_methods = extract(model, pi), pi.methods(model)
             out.setdefault(nodes[pi.start].method, []).extend(
-                (memo[checkpoint, perm], word, flow_methods, universe.contexts[perm])
-                for perm in perms
+                (sets[perm], word, flow_methods, universe.contexts[perm]) for perm in perms
             )
-    return out
+    return allowed, out
 
 
 def _host(deliveries: list, edges: tuple[CallEdge, ...], methods: frozenset[str]) -> None:
@@ -345,47 +348,54 @@ def _host(deliveries: list, edges: tuple[CallEdge, ...], methods: frozenset[str]
                 allowed.add(union)
 
 
-def relates(
-    model: ProgramModel,
-    sigma: CallPath,
-    perm,
-    universe: PermissionUniverse,
-    flow_paths: list[DepPath],
-    vpath_cache: dict,
-    bound: int = DEFAULT_PATH_BOUND,
-) -> bool:
-    """Does ``perm`` get demanded while ``sigma`` is the inspected stack?
+def _shapes_and_allowed(
+    model: ProgramModel, universe: PermissionUniverse, bound: int = DEFAULT_PATH_BOUND
+) -> tuple[set[Shape], Allowed]:
+    """The shape of every demand stack, and the allowed sets of every
+    checkpoint and permission demanded there, from one walk.
 
-    It does when a flow path carries ``perm`` to the checkpoint ``sigma``
-    invokes and some *admissible* allocating stack holds every inspected
-    method of ``sigma`` that the flow and the check do not account for.
-    A stack is admissible for a flow path and a permission when it hosts
-    the flow (the crossing word is well matched on it) and covers one of
-    the permission's demand contexts; that does not depend on ``sigma``.
-    As ``sigma - F <= S`` exactly when ``sigma <= F | S``, the test is one
+    The walk serves the check method and every method that allocates a
+    permission some flow delivers, and is consumed as it yields.  A stack
+    that ends at the check method is kept as its shape, its checkpoint
+    and inspected methods; one that ends at an allocating method is hosted
+    at once into the allowed sets of the flows that deliver from it, and
+    then dropped.
+    """
+    allowed, deliveries = _deliveries(model, universe, dep_paths(model, bound))
+    entry, check, priv = model.entry_method, model.check_method, model.priv_method
+    if entry in deliveries:
+        _host(deliveries[entry], (), frozenset({entry}))
+    shapes: set[Shape] = set()
+    for edges in _walks(model, [check, *deliveries], bound):
+        methods = _inspected(entry, edges, _cut(edges, priv))
+        end = edges[-1]
+        if end.callee == check:
+            shapes.add((end.site, methods))
+        if end.callee in deliveries:
+            _host(deliveries[end.callee], edges, methods)
+    return shapes, allowed
+
+
+def relates(model: ProgramModel, shape: Shape, perm, allowed: Allowed) -> bool:
+    """Does ``perm`` get demanded on a stack of ``shape``?
+
+    ``shape`` is a demand stack's checkpoint and its inspected methods
+    ``M``.  ``perm`` is demanded when a flow path carries it to the
+    checkpoint and some *admissible* allocating stack holds every method
+    of ``M`` that the flow and the check do not account for.  A stack is
+    admissible for a flow path and a permission when it hosts the flow
+    (the crossing word is well matched on it) and covers one of the
+    permission's demand contexts; that does not depend on the demand
+    stack.  As ``M - F <= S`` exactly when ``M <= F | S``, the test is one
     subset test per *allowed* set: the methods ``F`` of such a flow path
     together with the inspected methods ``S`` of an admissible stack.
-
-    ``vpath_cache`` is one run's memo, shared by every call for the same
-    model, universe, flow paths and bound.  It holds the allowed sets of
-    each (checkpoint, permission) pair.  The first query of a pair builds
-    them from the stacks of its allocating methods, which it keeps there
-    too, unless the caller seeded them, as ``oracle_policy`` seeds all.
+    ``allowed`` maps each checkpoint and each permission demanded there to
+    those sets, as ``oracle_policy``'s walk builds them; a pair it lacks
+    relates to nothing.
     """
-    if not sigma.edges or perm not in universe.sources:
-        return False
-    checkpoint = sigma.edges[-1].site
-    allowed = vpath_cache.get((checkpoint, perm))
-    if allowed is None:
-        hosts = _deliveries(model, universe, flow_paths, vpath_cache, {checkpoint: [perm]})
-        for method, hosted in hosts.items():
-            if method not in vpath_cache:
-                vpath_cache[method] = enum_vpaths(model, method, bound)
-            for stack in vpath_cache[method]:
-                _host(hosted, stack.edges, stack.methods())
-        allowed = vpath_cache[checkpoint, perm]
-    need = sigma.methods() - {model.check_method}
-    return any(need <= methods for methods in allowed)
+    checkpoint, methods = shape
+    need = methods - {model.check_method}
+    return any(need <= union for union in allowed.get(checkpoint, {}).get(perm, ()))
 
 
 def oracle_policy(
@@ -395,41 +405,24 @@ def oracle_policy(
 ) -> Policy:
     """Reference policy: enumerate stacks, relate demands, union grants.
 
-    One walk serves the check method and the allocating methods, whose
-    stacks are hosted as they arrive into the sets that seed ``relates``'
-    memo.  Each distinct checkpoint and method set of a demand stack is
-    related once, and only to the permissions demanded at that
-    checkpoint: ``relates`` is false for every other permission.
+    One walk gives the demand shapes and the allowed sets.  Each shape is
+    related once, and only to the permissions demanded at its checkpoint:
+    ``relates`` is false for every other permission.  A related shape
+    grants its permissions to its inspected methods but the check method
+    and the privilege asserter.
     """
-    flow = dep_paths(model, bound)
-    demanded: dict[CallSite, list[Permission]] = {}
-    for perm in universe.sorted_perms():
-        for site in {site for site, _alloc in universe.sources.get(perm, ())}:
-            demanded.setdefault(site, []).append(perm)
-    cache: dict = {}
-    deliveries = _deliveries(model, universe, flow, cache, demanded)
-    entry, check, priv = model.entry_method, model.check_method, model.priv_method
-    if entry in deliveries:
-        _host(deliveries[entry], (), frozenset({entry}))
-    shapes: dict[tuple[CallSite, frozenset[str]], CallPath] = {}
-    for edges in _walks(model, [check, *deliveries], bound):
-        cut = _cut(edges, priv)
-        methods = _inspected(entry, edges, cut)
-        end = edges[-1]
-        if end.callee == check and (end.site, methods) not in shapes:
-            sigma = CallPath(entry, edges, cut)  # keyed by its own copy of methods
-            shapes[end.site, sigma.methods()] = sigma
-        if end.callee in deliveries:
-            _host(deliveries[end.callee], edges, methods)
+    shapes, allowed = _shapes_and_allowed(model, universe, bound)
+    hidden = {model.check_method, model.priv_method}
     grants: dict[str, set] = {}
-    for (checkpoint, methods), sigma in shapes.items():
+    for shape in shapes:
+        checkpoint, methods = shape
         perms = [
             perm
-            for perm in demanded.get(checkpoint, ())
-            if relates(model, sigma, perm, universe, flow, cache, bound)
+            for perm in allowed.get(checkpoint, ())
+            if relates(model, shape, perm, allowed)
         ]
         if perms:
-            for method in methods - {check, priv}:
+            for method in methods - hidden:
                 grants.setdefault(method, set()).update(perms)
     return _model_policy(model, grants)
 

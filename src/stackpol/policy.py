@@ -51,7 +51,7 @@ from .errors import PolicyError
 from .model import INTER_RETURN, ProgramModel, _strip_comment
 from .permissions import Permission, PermissionUniverse
 from .pushdown import ConditionalWPDS, Rule, movp
-from .weights import DEFAULT_TUPLE_CAP, PackedWeight, Weight, WeightTuple
+from .weights import DEFAULT_TUPLE_CAP, PackedWeight, Weight, WeightTuple, _members
 
 
 def encode(model: ProgramModel) -> ConditionalWPDS:
@@ -158,7 +158,8 @@ def _grants(
     so the empty context (``ANY_FAMILY``) keeps every origin digest, and
     a context naming a site the packing never interned keeps none.  The
     matching digests' live masks, ``gen & ~finished``, are collected per
-    permission, and each distinct one is decoded to method names once.
+    permission, and each distinct one is decoded to method names once,
+    against one list of the packing's names.
     """
     # a site never interned gets bit 0, which no digest's history holds
     site_bit = solved.packing.bit.get
@@ -197,9 +198,12 @@ def _grants(
         for live in lives:
             by_live[live].add(p)
     grants: dict[str, set[Permission]] = {}
-    for live, perms in by_live.items():
-        for method in solved.packing.methods(live & ~hidden):
-            grants.setdefault(method, set()).update(perms)
+    if by_live:
+        # the interned names in bit order, listed once for every mask
+        names = list(solved.packing.bit)
+        for live, perms in by_live.items():
+            for method in _members(live & ~hidden, names):
+                grants.setdefault(method, set()).update(perms)
     return grants
 
 

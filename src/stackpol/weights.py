@@ -215,10 +215,6 @@ class Packing:
             out |= b
         return out
 
-    def methods(self, bits: int) -> frozenset[str]:
-        """The interned methods whose bits are set in ``bits``."""
-        return _members(bits, list(self.bit))
-
     def pack(self, digest: WeightTuple) -> Merged:
         """``digest`` as a one-entry merged weight; a name first met here
         gets a new bit."""

@@ -44,7 +44,7 @@ from stackpol import (
     simulate_inspection,
 )
 from stackpol.contexts import CallSite
-from stackpol.oracle import dep_paths, relates
+from stackpol.oracle import _shapes_and_allowed, relates
 from stackpol.policy import encode
 from stackpol.pushdown import AnnotatedWPDS, movp
 from stackpol.weights import ONE, ZERO
@@ -287,14 +287,12 @@ def _soundness_and_minimality(model) -> tuple[int, int]:
     grant is needed by at least one of them."""
     universe = generate_permissions(model)
     policy = generate_policy(model, universe).policy
-    flows = dep_paths(model)
-    cache: dict = {}
+    _shapes, allowed = _shapes_and_allowed(model, universe)
     sims = []
     for sigma in enum_vpaths(model, model.check_method):
+        shape = (sigma.edges[-1].site, sigma.methods())
         demanded = [
-            p
-            for p in universe.sorted_perms()
-            if relates(model, sigma, p, universe, flows, cache)
+            p for p in universe.sorted_perms() if relates(model, shape, p, allowed)
         ]
         stack = concrete_stack(model, sigma)
         for perm in demanded:

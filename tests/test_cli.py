@@ -127,6 +127,21 @@ def test_analyze_tiny_tuple_cap_exits_three(model_file, capsys):
     assert "cap 1" in err
 
 
+def test_running_out_of_memory_exits_three_with_one_error_line(
+    model_file, monkeypatch, capsys
+):
+    def exhausted(*_args, **_kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(stackpol.cli, "generate_policy", exhausted)
+    assert main(["analyze", model_file]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    # the bundled model's pairing notes come first; the error ends stderr
+    errors = [line for line in err.splitlines() if line.startswith("error:")]
+    assert errors == ["error: out of memory"] == err.splitlines()[-1:]
+
+
 def test_analyze_solves_a_deep_form3_ladder_on_cut_histories(tmp_path, capsys):
     # 2^14 routes reach the bottom, more than the default cap of 10,000
     # digests; the histories keep only the checkpoint and the two sites

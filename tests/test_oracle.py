@@ -65,6 +65,11 @@ def build(*lines: str):
     return parse_model(MINIMAL + "\n".join(lines) + "\n")
 
 
+def shape(sigma: CallPath):
+    # the demand shape relates reads: the stack's checkpoint and methods
+    return sigma.edges[-1].site, sigma.methods()
+
+
 def idents(path: CallPath) -> tuple[str, ...]:
     return tuple(e.ident for e in path.edges)
 
@@ -464,7 +469,7 @@ def _hosts_alike(model):
         assert got == [sigma.methods() for sigma in match_paths(model, pi)], pi
 
 
-def test_the_hosting_test_in_relates_equals_match_paths():
+def test_the_hosting_test_equals_match_paths():
     from randmodels import random_model
 
     _hosts_alike(running_example())
@@ -476,14 +481,11 @@ def test_the_hosting_test_in_relates_equals_match_paths():
 
 
 def test_relates_is_route_and_checkpoint_specific(example_model, example_universe):
-    flows = dep_paths(example_model)
-    cache = {}
+    _shapes, allowed = oracle._shapes_and_allowed(example_model, example_universe)
     faculty, privileged, student, _ = enum_vpaths(example_model, "checkPermission")
 
     def rel(sigma, perm):
-        return relates(
-            example_model, sigma, perm, example_universe, flows, cache
-        )
+        return relates(example_model, shape(sigma), perm, allowed)
 
     assert rel(faculty, PERM_F) and not rel(faculty, PERM_S)
     assert rel(student, PERM_S) and not rel(student, PERM_F)
@@ -495,11 +497,20 @@ def test_relates_is_route_and_checkpoint_specific(example_model, example_univers
 
 
 def test_relates_needs_a_real_checkpoint_invocation(example_model, example_universe):
-    flows = dep_paths(example_model)
-    degenerate = CallPath("main", ())
-    assert not relates(
-        example_model, degenerate, PERM_F, example_universe, flows, {}
-    )
+    # the entry's one-frame stack invokes no checkpoint, so no shape stands
+    # for it; a shape's checkpoint is the site of a call into the check
+    model, perms = example_model, example_universe.sorted_perms()
+    shapes, allowed = oracle._shapes_and_allowed(model, example_universe)
+    check = model.check_method
+    into_check = {e.site for e in model.call_edges if e.callee == check}
+    assert shapes and {checkpoint for checkpoint, _ in shapes} <= into_check
+    # the entry alone is inspected below some checkpoint, but at a site
+    # that invokes no check it relates to no permission
+    entry = frozenset({model.entry_method})
+    assert any(relates(model, (site, entry), p, allowed) for site in into_check for p in perms)
+    for e in model.call_edges:
+        if e.callee != check:
+            assert not any(relates(model, (e.site, entry), p, allowed) for p in perms)
 
 
 # -------------------------------------------------------------- whole pipeline
@@ -573,11 +584,13 @@ def _matches_references(model):
     run on the references, which relates every stack on its own."""
     universe = generate_permissions(model)
     flows = dep_paths(model)
-    cache, ref_cache = {}, {}
+    shapes, allowed = oracle._shapes_and_allowed(model, universe)
+    ref_cache = {}
     sigmas = enum_vpaths(model, model.check_method)
+    assert shapes == set(map(shape, sigmas))
     for sigma in sigmas:
         for perm in universe.sorted_perms():
-            got = relates(model, sigma, perm, universe, flows, cache)
+            got = relates(model, shape(sigma), perm, allowed)
             want = relates_by_scan(model, sigma, perm, universe, flows, ref_cache)
             assert got == want, (sigma, perm)
     policy = oracle_policy(model, universe)
@@ -716,15 +729,16 @@ def test_oracle_relates_each_stack_only_to_its_checkpoints_demands(monkeypatch):
     universe = generate_permissions(model)
     calls = []
 
-    def counted(model, sigma, perm, universe, *rest):
-        calls.append((sigma, perm))
-        return relates(model, sigma, perm, universe, *rest)
+    def counted(model, shape, perm, allowed):
+        calls.append((shape, perm))
+        return relates(model, shape, perm, allowed)
 
     monkeypatch.setattr(oracle, "relates", counted)
     policy = oracle_policy(model, universe)
     assert policy.grants
-    for sigma, perm in calls:
-        assert sigma.edges[-1].site in {site for site, _ in universe.sources[perm]}
+    assert len(set(calls)) == len(calls)
+    for (checkpoint, _methods), perm in calls:
+        assert checkpoint in {site for site, _ in universe.sources[perm]}
     stacks = enum_vpaths(model, model.check_method)
     assert 0 < len(calls) < len(stacks) * len(universe.perms)
 
@@ -767,9 +781,9 @@ def test_the_oracle_walks_once_and_relates_each_stack_shape_once(monkeypatch):
         walks.append(tuple(targets))
         return walk(model, targets, bound)
 
-    def counted_relates(model, sigma, *rest):
-        related.append(sigma)
-        return relate(model, sigma, *rest)
+    def counted_relates(model, shape, perm, allowed):
+        related.append(shape)
+        return relate(model, shape, perm, allowed)
 
     monkeypatch.setattr(oracle, "_walks", counted_walk)
     monkeypatch.setattr(oracle, "relates", counted_relates)
@@ -778,8 +792,9 @@ def test_the_oracle_walks_once_and_relates_each_stack_shape_once(monkeypatch):
     # the allocating method's stacks come from the check method's walk
     assert walks == [(model.check_method, model.dep_nodes["a"].method)]
     # all 2^6 demand stacks share their checkpoint and their methods
-    assert len(enum_vpaths(model, model.check_method)) == 2**6
-    assert len(related) == 1
+    sigmas = enum_vpaths(model, model.check_method)
+    assert len(sigmas) == 2**6
+    assert related == [shape(sigmas[0])]
 
 
 def test_the_oracle_keeps_no_path_per_stack_on_a_deep_ladder():
@@ -829,75 +844,6 @@ def test_the_oracle_stops_at_the_cap_while_it_hosts(monkeypatch):
     assert str(streamed.value) == str(listed.value)
     monkeypatch.setattr(oracle, "MAX_ENUMERATED_PATHS", 2**7)
     assert oracle_policy(model, universe).grants
-
-
-def _seeds_the_lazy_sets(model):
-    # every allowed set that oracle_policy seeds is the one relates builds
-    # from an empty memo, for a stack that ends at the same checkpoint
-    universe = generate_permissions(model)
-    flows = dep_paths(model)
-    seeded = []
-    deliveries = oracle._deliveries
-
-    def captured(model, universe, flow_paths, memo, demanded):
-        seeded.append(memo)
-        return deliveries(model, universe, flow_paths, memo, demanded)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(oracle, "_deliveries", captured)
-        oracle_policy(model, universe)
-    (memo,) = seeded
-    into_check = {e.site: e for e in model.call_edges if e.callee == model.check_method}
-    for (checkpoint, perm), allowed in memo.items():
-        fresh = {}
-        sigma = CallPath(model.entry_method, (into_check[checkpoint],))
-        relates(model, sigma, perm, universe, flows, fresh)
-        assert fresh[checkpoint, perm] == allowed, (checkpoint, perm)
-    return sum(map(bool, memo.values()))
-
-
-def test_the_oracle_seeds_the_sets_that_relates_builds():
-    from randmodels import random_model
-
-    assert _seeds_the_lazy_sets(running_example())
-    assert sum(_seeds_the_lazy_sets(random_model(seed)) for seed in range(300)) > 300
-
-
-_MEMO_MODELS = {
-    "bundled": running_example,
-    "layered": lambda: _layered(3, 3),
-    "ladder": lambda: _guarded_ladder(4),
-}
-
-
-@pytest.mark.parametrize("name", sorted(_MEMO_MODELS))
-def test_relates_answers_alike_from_a_shared_and_a_fresh_memo(name):
-    # a shared memo holds the allowed sets that earlier queries built, so
-    # its answers must not depend on the query order
-    model = _MEMO_MODELS[name]()
-    universe = generate_permissions(model)
-    flows = dep_paths(model)
-    pairs = [
-        (sigma, perm)
-        for sigma in enum_vpaths(model, model.check_method)
-        for perm in universe.sorted_perms()
-    ]
-    ref_cache = {}
-    want = [
-        relates_by_scan(model, sigma, perm, universe, flows, ref_cache)
-        for sigma, perm in pairs
-    ]
-    assert any(want) and not all(want)
-
-    order = list(reversed(range(len(pairs))))
-    shuffled = order[:]
-    random.Random(0).shuffle(shuffled)
-    shared = {}
-    for i in order + shuffled:
-        sigma, perm = pairs[i]
-        assert relates(model, sigma, perm, universe, flows, shared) == want[i]
-    for i, (sigma, perm) in enumerate(pairs):
-        assert relates(model, sigma, perm, universe, flows, {}) == want[i]
 
 
 _SITES = [S(m, line) for m in "abc" for line in (1, 2)]

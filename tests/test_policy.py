@@ -31,7 +31,7 @@ from stackpol import (
     simulate_inspection,
 )
 from stackpol.contexts import ANY_FAMILY, CallSite
-from stackpol.oracle import dep_paths, relates
+from stackpol.oracle import _shapes_and_allowed, relates
 from stackpol.policy import encode
 from stackpol.pushdown import movp
 from stackpol.weights import PackedWeight, WeightTuple
@@ -733,13 +733,12 @@ def test_a_read_back_table_replays_once_system_methods_are_restored(
     # the generated one but does not know doPrivileged is a system method
     given = parse_policy_table(emit_policy(example_policy, "table"))
     assert check_policy(given, example_policy).passed
-    flows = dep_paths(example_model)
-    cache: dict = {}
+    _shapes, allowed = _shapes_and_allowed(example_model, example_universe)
     related = [
         (concrete_stack(example_model, sigma), perm)
         for sigma in enum_vpaths(example_model, example_model.check_method)
         for perm in example_universe.sorted_perms()
-        if relates(example_model, sigma, perm, example_universe, flows, cache)
+        if relates(example_model, (sigma.edges[-1].site, sigma.methods()), perm, allowed)
     ]
     assert related
     assert all(simulate_inspection(s, p, example_policy).passed for s, p in related)
