@@ -67,6 +67,7 @@ from .contexts import (
     normalize_family,
 )
 from .errors import EnumerationLimitError, ModelError
+from .weights import _members
 
 ALLOC = "alloc"
 PLAIN = "plain"
@@ -687,18 +688,10 @@ class RouteFamilies(Mapping[str, CtxFamily]):
     def __getitem__(self, method: str) -> CtxFamily:
         family = self._decoded.get(method)
         if family is None:
-            sites = self.sites
             # a set grown in discovery order, then frozen: tests/randmodels.py
             # draws routes in this iteration order, which
             # tests/bruteforce.py::phi_meth_by_sets pins
-            members = set()
-            for mask in self.masks[method]:
-                route = []
-                while mask:
-                    low = mask & -mask
-                    route.append(sites[low.bit_length() - 1])
-                    mask ^= low
-                members.add(frozenset(route))
+            members = {_members(mask, self.sites) for mask in self.masks[method]}
             family = self._decoded[method] = frozenset(members)
         return family
 

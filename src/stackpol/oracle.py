@@ -70,7 +70,6 @@ from __future__ import annotations
 from itertools import islice
 from typing import Iterable, NamedTuple, Sequence
 
-from ._record import Record
 from .contexts import CallSite, holds
 from .errors import EnumerationLimitError
 from .model import ALLOC, INTER_CALL, INTER_RETURN, CallEdge, DepEdge, ProgramModel
@@ -81,7 +80,7 @@ DEFAULT_PATH_BOUND = 2
 MAX_ENUMERATED_PATHS = 200_000
 
 
-class CallPath(Record):
+class CallPath(NamedTuple):
     """A call stack as an edge sequence from ``start``, the entry.
 
     ``edges`` is empty only for the entry's one-frame stack.  ``cut`` is
@@ -90,21 +89,14 @@ class CallPath(Record):
     stack inspection reads.
     """
 
-    # _methods is built once: code that relates stacks one by one reads it
-    # once per pair of stacks
-    __slots__ = ("start", "edges", "cut", "_methods")
-    _fields = ("start", "edges", "cut")
-
-    def __init__(self, start: str, edges: tuple[CallEdge, ...], cut: int = 0) -> None:
-        set_field = object.__setattr__
-        set_field(self, "start", start)
-        set_field(self, "edges", edges)
-        set_field(self, "cut", cut)
-        set_field(self, "_methods", _inspected(start, edges, cut))
+    start: str
+    edges: tuple[CallEdge, ...]
+    cut: int = 0
 
     def methods(self) -> frozenset[str]:
-        """The inspected methods: those of ``edges[cut:]``."""
-        return self._methods
+        """The inspected methods: those of ``edges[cut:]``, built anew on
+        every call."""
+        return _inspected(self.start, self.edges, self.cut)
 
 
 class DepPath(NamedTuple):

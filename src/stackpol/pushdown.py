@@ -110,13 +110,14 @@ where it lies beneath a target and no other checkpoint is in the
 history.  ``reads=None`` cuts nothing, and a map cuts in two steps:
 
 * **The union.**  Each rule's history keeps only the sites in the union
-  of ``reads``' values: its packed key is ANDed with that union's mask,
-  and ``Packing.sites`` narrows to it alike, so ``reads={}`` keeps no
-  site.  History is a union along a path, so every path's history is
-  cut alike, and the saturation explores the same pairs, since
-  conditions read the annotations, not the weights.  A query that reads
-  no site outside the union decides alike on the cut digests, and
-  digests that differ only in unread sites merge.
+  of ``reads``' values, cut before ``Packing`` sees it, so no site
+  outside the union gets a bit, ``Packing.sites`` is never narrowed
+  afterwards, and ``reads={}`` keeps no site.  History is a union along
+  a path, so every path's history is cut alike, and the saturation
+  explores the same pairs, since conditions read the annotations, not
+  the weights.  A query that reads no site outside the union decides
+  alike on the cut digests, and digests that differ only in unread
+  sites merge.
 * **Per checkpoint.**  Where that is exact, the read-out cuts each
   product over a frame transition to the sites that a query can still
   read above it.  Out of a target's frame state, that is the reads of
@@ -124,7 +125,8 @@ history.  ``reads=None`` cuts nothing, and a map cuts in two steps:
   ``reads`` does not name it.  Out of any other state, it is the
   state's ``need``: the union of the masks of the frame transitions
   that enter its component, the reads of every checkpoint that a stack
-  above the frame pushes.  The mask is ANDed into each product's key
+  above the frame pushes.  Each checkpoint's key mask is
+  ``Packing.keep`` of its reads; it is ANDed into each product's key
   inside ``extend_merged``, and products whose keys then coincide merge
   their gens.
 
@@ -163,7 +165,7 @@ from collections import defaultdict, deque
 from typing import AbstractSet, Iterable, Mapping, Union
 
 from ._record import Record
-from .contexts import ANY_FAMILY, EMPTY_CTX, CallSite, CtxFamily, CtxSet, format_family
+from .contexts import ANY_FAMILY, EMPTY_CTX, CallSite, CtxFamily, format_family
 from .errors import CapacityError
 from .weights import (
     DEFAULT_TUPLE_CAP,
@@ -171,6 +173,7 @@ from .weights import (
     PackedWeight,
     Packing,
     WeightTuple,
+    _intern,
     absorb,
     check_width,
     extend_merged,
@@ -277,13 +280,13 @@ class AnnotatedWPDS:
     worklist fixpoint computes them once.
 
     Every set is an int mask over ``site_bit``, which numbers the sites
-    that conditions name, in the order the rules first name them: the
-    conditions' members, the relevant sets and each ``sites_below``.  A
-    member lies within ``below`` when ``member & ~below`` is 0, and each
-    right-hand symbol's annotation is ``(below | pushed) & relevant``,
-    where ``pushed`` is the bit of the site a push records, 0 for a site
-    no condition names.  A system without conditions pairs every symbol
-    with 0, the empty set.
+    that conditions name, in the order the rules first name them, as
+    ``Packing`` numbers names: the conditions' members, the relevant
+    sets and each ``sites_below``.  A member lies within ``below`` when
+    ``member & ~below`` is 0, and each right-hand symbol's annotation is
+    ``(below | pushed) & relevant``, where ``pushed`` is the bit of the
+    site a push records, 0 for a site no condition names.  A system
+    without conditions pairs every symbol with 0, the empty set.
     """
 
     def __init__(self, system: ConditionalWPDS):
@@ -298,7 +301,7 @@ class AnnotatedWPDS:
         for idx, r in enumerate(system.rules):
             members = None
             if EMPTY_CTX not in r.cond:
-                members = tuple([self._mask(member) for member in r.cond])
+                members = tuple([_intern(self.site_bit, member) for member in r.cond])
                 for mask in members:
                     relevant[r.lhs] = relevant.get(r.lhs, 0) | mask
             self._by_lhs[r.lhs].append((idx, members, r.rhs))
@@ -316,17 +319,6 @@ class AnnotatedWPDS:
                         relevant[lhs] = old | relevant[sym]
                         pending.append(lhs)
         self._relevant = relevant
-
-    def _mask(self, sites: CtxSet) -> int:
-        """The mask of ``sites``; a site not yet numbered gets the next bit."""
-        bit = self.site_bit
-        out = 0
-        for site in sites:
-            b = bit.get(site)
-            if b is None:
-                b = bit[site] = 1 << len(bit)
-            out |= b
-        return out
 
     def instances(self, base: StackSymbol, below: int) -> list[Instance]:
         """All rules applicable at top symbol ``base`` with ``below`` sites."""
@@ -372,13 +364,7 @@ def _cut_masks(
 ) -> dict[StackSymbol, int]:
     """Per checkpoint, the key mask keeping the sites it reads; empty unless
     the per-checkpoint cut drops a site and is exact (module docstring)."""
-    bit = packing.bit.get
-    masks: dict[StackSymbol, int] = {}
-    for checkpoint, named in (reads or {}).items():
-        mask = 0
-        for site in named:
-            mask |= bit(site, 0)
-        masks[checkpoint] = ~((packing.sites & ~mask) << 1)
+    masks = {checkpoint: packing.keep(named) for checkpoint, named in (reads or {}).items()}
     if {-1}.issuperset(masks.values()):
         return {}
     # a target with rules of its own, or a checkpoint pushed beneath a
@@ -460,21 +446,14 @@ def movp(
     wanted = set(targets)
     annotated = AnnotatedWPDS(system)
     weights = [r.weight for r in system.rules]
+    # interns the methods only, which the cut below leaves alone
     packing = Packing(weights)
-    rule_weights = [packing.pack(w) for w in weights]
     if reads is not None:
         # each rule's history keeps only the sites that ``reads`` names,
-        # and so does ``packing.sites``
-        bit = packing.bit.get
-        kept = 0
-        for named in reads.values():
-            for site in named:
-                kept |= bit(site, 0)
-        cut = packing.sites & ~kept
-        if cut:
-            packing.sites ^= cut
-            keep = ~(cut << 1)
-            rule_weights = [{key & keep: gen for key, gen in w.items()} for w in rule_weights]
+        # cut before it is packed, so no other site gets a bit
+        kept = set().union(*reads.values())
+        weights = (w._replace(history=w.history & kept) if w.history else w for w in weights)
+    rule_weights = [packing.pack(w) for w in weights]
     trans: dict[_TransKey, Merged] = {}
     # the transitions out of each frame state, which epsilon folds read
     out_of: dict[_State, list[_TransKey]] = defaultdict(list)

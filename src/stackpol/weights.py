@@ -22,18 +22,21 @@ algebra.  A rule's weight is one ``WeightTuple``: each rule of the
 encoding names at most one caller, one call site and one finished
 method.  The solver works on *packed, merged* weights, and this module
 alone knows their layout.  A ``Packing`` gives each method and call site
-its own bit, and digests that share ``(kill, finished, history)`` are
-one digest whose ``gen`` is the union of theirs.  A merged weight is a
-dict ``{key: gen}`` whose int key packs ``kill | (finished | history)
-<< 1``: no method shares a bit with a site, so ``finished`` and
-``history`` OR into one field, and ``gen`` holds method bits alone.
-``Packing.pack`` turns a rule's digest into a one-entry merged weight.
-Sequencing two merged digests is ``key = lkey | rkey`` and ``gen = rgen
-if rkey & 1 else lgen | rgen`` (``extend_merged``, which can also AND
-each product's key with a mask, as ``pushdown``'s read-out does to cut
-histories), and union ORs each gen into its key's (``absorb``).  A
-solver result keeps this form: ``PackedWeight`` holds the dict with the
-packing that names its bits, grant extraction reads each digest's
+its own bit when a packed digest first names it, so a site that no
+packed history holds has no bit, and a caller that cuts histories before
+packing them decides which sites get one.  Digests that share ``(kill,
+finished, history)`` are one digest whose ``gen`` is the union of
+theirs.  A merged weight is a dict ``{key: gen}`` whose int key packs
+``kill | (finished | history) << 1``: no method shares a bit with a
+site, so ``finished`` and ``history`` OR into one field, and ``gen``
+holds method bits alone.  ``Packing.pack`` turns a rule's digest into a
+one-entry merged weight.  Sequencing two merged digests is
+``key = lkey | rkey`` and ``gen = rgen if rkey & 1 else lgen | rgen``
+(``extend_merged``, which can also AND each product's key with a mask;
+``pushdown``'s read-out cuts histories with the masks of
+``Packing.keep``), and union ORs each gen into its key's (``absorb``).
+A solver result keeps this form: ``PackedWeight`` holds the dict with
+the packing that names its bits, grant extraction reads each digest's
 history and live bits from it, and ``PackedWeight.decode``, the one
 place that decodes, builds the ``Weight`` only for a caller that asks
 for it.
@@ -68,7 +71,7 @@ inclusion of digest sets: lower means more digests, i.e. less precise.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import Iterable, NamedTuple, Sequence
 
 from ._record import Record
 from .contexts import CallSite
@@ -172,7 +175,21 @@ def check_width(weight, cap: int = DEFAULT_TUPLE_CAP):
 Merged = dict[int, int]
 
 
-def _members(bits: int, names: list) -> frozenset:
+def _intern(bit: dict, names: Iterable) -> int:
+    """The mask of ``names`` in ``bit``; a name not yet in it gets the next
+    bit.  ``Packing`` and ``pushdown``'s condition sites both number names
+    with it."""
+    out = 0
+    for name in names:
+        b = bit.get(name)
+        if b is None:
+            b = bit[name] = 1 << len(bit)
+        out |= b
+    return out
+
+
+def _members(bits: int, names: Sequence) -> frozenset:
+    """The names of ``bits``, ``names`` listing them in bit order."""
     out = []
     while bits:
         low = bits & -bits
@@ -188,8 +205,11 @@ class Packing:
     both and no two names share a bit.  ``Packing(digests)`` interns the
     methods of ``digests`` first, ``gen`` before ``finished``, so every
     ``gen`` stays below the first site bit; ``pack`` gives a name it
-    meets for the first time the next free bit.  Every digest built from
-    packed ones by sequencing and union stays within the names met so far.
+    meets for the first time the next free bit.  So a site has a bit only
+    if a packed history holds it, and ``sites``, the mask of those bits,
+    only grows.  Every digest built from packed ones by sequencing and
+    union stays within the names met so far.  ``keep`` interns nothing:
+    its key mask clears the interned sites that a caller's set leaves out.
     """
 
     def __init__(self, digests: Iterable[WeightTuple] = ()):
@@ -200,29 +220,28 @@ class Packing:
         for digest in digests:
             # most rule digests leave one of the two empty; skip its call
             if digest.gen:
-                self._intern(digest.gen)
+                _intern(self.bit, digest.gen)
             if digest.finished:
-                self._intern(digest.finished)
-
-    def _intern(self, names: Iterable) -> int:
-        """The mask of ``names``; a name not yet in ``bit`` gets the next bit."""
-        bit = self.bit
-        out = 0
-        for name in names:
-            b = bit.get(name)
-            if b is None:
-                b = bit[name] = 1 << len(bit)
-            out |= b
-        return out
+                _intern(self.bit, digest.finished)
 
     def pack(self, digest: WeightTuple) -> Merged:
         """``digest`` as a one-entry merged weight; a name first met here
         gets a new bit."""
-        gen = self._intern(digest.gen) if digest.gen else 0
-        finished = self._intern(digest.finished) if digest.finished else 0
-        history = self._intern(digest.history) if digest.history else 0
+        bit = self.bit
+        gen = _intern(bit, digest.gen) if digest.gen else 0
+        finished = _intern(bit, digest.finished) if digest.finished else 0
+        history = _intern(bit, digest.history) if digest.history else 0
         self.sites |= history
         return {int(digest.kill) | (finished | history) << 1: gen}
+
+    def keep(self, sites: Iterable[CallSite]) -> int:
+        """The key mask that clears the bit of every interned site outside
+        ``sites``; -1 when ``sites`` names every one."""
+        bit = self.bit.get
+        named = 0
+        for site in sites:
+            named |= bit(site, 0)
+        return ~((self.sites & ~named) << 1)
 
 
 def extend_merged(left: Merged, right: Merged, keep: int = -1) -> Merged:

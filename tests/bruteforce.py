@@ -714,9 +714,12 @@ def relates_by_scan(
     perm,
     universe: PermissionUniverse,
     flow_paths: list[DepPath],
-    vpath_cache: dict[str, list[CallPath]],
+    vpath_cache: dict[str, list[tuple[CallPath, frozenset[str]]]],
     bound: int = DEFAULT_PATH_BOUND,
 ) -> bool:
+    """Whether ``sigma`` relates to ``perm``, scanning every allocating
+    stack; ``vpath_cache`` keeps each allocating method's stacks, each with
+    its inspected methods, across calls."""
     pairs = universe.sources.get(perm, frozenset())
     if not pairs or not sigma.edges:
         return False
@@ -728,10 +731,12 @@ def relates_by_scan(
             continue
         alloc_method = model.dep_nodes[pi.start].method
         if alloc_method not in vpath_cache:
-            vpath_cache[alloc_method] = enum_vpaths(model, alloc_method, bound)
+            vpath_cache[alloc_method] = [
+                (p, p.methods()) for p in enum_vpaths(model, alloc_method, bound)
+            ]
         pi_methods = pi.methods(model)
-        for sigma_p in vpath_cache[alloc_method]:
-            allowed = pi_methods | sigma_p.methods() | {model.check_method}
+        for sigma_p, sigma_p_methods in vpath_cache[alloc_method]:
+            allowed = pi_methods | sigma_p_methods | {model.check_method}
             if not sigma_methods <= allowed:
                 continue
             if not replays_on(model, pi, (e.site for e in sigma_p.edges)):
@@ -748,13 +753,14 @@ def grants_by_pairs(
     bound: int = DEFAULT_PATH_BOUND,
 ) -> dict[str, frozenset[Permission]]:
     flows = dep_paths(model, bound)
-    cache: dict[str, list[CallPath]] = {}
+    cache: dict[str, list[tuple[CallPath, frozenset[str]]]] = {}
     hidden = {model.check_method, model.priv_method}
     grants: dict[str, set[Permission]] = {}
     for sigma in enum_vpaths(model, model.check_method, bound):
+        granted = sigma.methods() - hidden
         for perm in universe.sorted_perms():
             if relates_by_scan(model, sigma, perm, universe, flows, cache, bound):
-                for method in sigma.methods() - hidden:
+                for method in granted:
                     grants.setdefault(method, set()).add(perm)
     return {m: frozenset(ps) for m, ps in grants.items()}
 

@@ -462,10 +462,10 @@ def _hosts_alike(model):
         got = []
         for s in stacks:
             # a fresh allowed set grows exactly when the stack hosts the flow
-            allowed = set()
-            oracle._host([(allowed, word, frozenset(), ANY_FAMILY)], s.edges, s.methods())
+            allowed, methods = set(), s.methods()
+            oracle._host([(allowed, word, frozenset(), ANY_FAMILY)], s.edges, methods)
             if allowed:
-                got.append(s.methods())
+                got.append(methods)
         assert got == [sigma.methods() for sigma in match_paths(model, pi)], pi
 
 
@@ -589,8 +589,9 @@ def _matches_references(model):
     sigmas = enum_vpaths(model, model.check_method)
     assert shapes == set(map(shape, sigmas))
     for sigma in sigmas:
+        sigma_shape = shape(sigma)
         for perm in universe.sorted_perms():
-            got = relates(model, shape(sigma), perm, allowed)
+            got = relates(model, sigma_shape, perm, allowed)
             want = relates_by_scan(model, sigma, perm, universe, flows, ref_cache)
             assert got == want, (sigma, perm)
     policy = oracle_policy(model, universe)

@@ -38,7 +38,7 @@ from stackpol import (
 from stackpol import oracle
 from stackpol.cli import main
 from stackpol.errors import CapacityError
-from stackpol.policy import encode
+from stackpol.policy import _read_sites, encode
 from stackpol.pushdown import movp
 
 
@@ -404,19 +404,23 @@ def test_wide_form3_l7_w7_exits_zero_through_the_cli(tmp_path, capsys):
             lambda: workloads().layered_text(random.Random(0), 4, 4)[0],
             id="layered-L4xW4",
         ),
+        pytest.param(lambda: dag_text(1000, 2, 1), id="dag-1000x2"),
     ],
 )
 def test_the_methods_of_a_solve_hold_the_low_bits(text):
     # every gen then fits under the first site bit, in as few int digits
-    # as the methods allow, however many sites the histories keep
+    # as the methods allow, however many sites the histories keep; and
+    # only a site that a grant reads gets a bit
     model = parse_model(text())
-    solved = generate_policy(model, generate_permissions(model)).digests
+    universe = generate_permissions(model)
+    solved = generate_policy(model, universe).digests
     names = list(solved.packing.bit)
     methods = sum(isinstance(name, str) for name in names)
     assert all(isinstance(name, str) for name in names[:methods])
     sites = names[methods:]
     assert sites and all(isinstance(name, CallSite) for name in sites)
     assert all(gen < 1 << methods for gen in solved.digests.values())
+    assert set(sites) <= set().union(*_read_sites(universe).values())
 
 
 def test_a_deep_ladder_takes_the_oracle_one_hosting_test(monkeypatch):
