@@ -56,7 +56,6 @@ import re
 from collections.abc import Mapping
 from typing import NamedTuple
 
-from ._record import Record
 from .contexts import (
     ANY_FAMILY,
     CallSite,
@@ -92,56 +91,90 @@ class Method(NamedTuple):
     domain: str | None = None
 
 
-class CallEdge(Record):
-    # site is built once rather than on each read: the oracle reads it for
-    # every edge of every path it enumerates
+class CallEdge:
+    """One call edge: ``caller`` calls ``callee`` at ``line`` when its
+    context family ``ctx`` holds.
+
+    The library's one hand-written slotted record; every other value type
+    is a named tuple.  The oracle reads ``caller`` and ``site`` on every
+    edge of every walk, and a named-tuple field costs about 11 ns more
+    per read than a slot (Python 3.11.7: 4,000,000 reads take 0.024 s
+    from a slot and 0.068 s from a named-tuple field).  As a named tuple,
+    the edge raised the oracle's CPU time per pass over the ``ctx-ladder``
+    benchmark from 7.7-8.4 ms to 8.4-11.1 ms (min of 15, three
+    alternating processes, 2 shared CPUs).  So the edge keeps slots; it
+    compares, hashes, shows and pickles as the tuple of its five fields,
+    and is frozen.  ``site``, ``CallSite(caller, line)``, is built once
+    rather than on each read, and is stored but neither compared nor
+    shown.
+    """
+
     __slots__ = ("ident", "caller", "line", "callee", "ctx", "site")
-    _fields = ("ident", "caller", "line", "callee", "ctx")
 
     def __init__(
         self, ident: str, caller: str, line: int, callee: str, ctx: CtxFamily = ANY_FAMILY
     ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "ident", ident)
-        set_field(self, "caller", caller)
-        set_field(self, "line", line)
-        set_field(self, "callee", callee)
-        set_field(self, "ctx", normalize_family(ctx))
-        set_field(self, "site", CallSite(caller, line))
+        _set_edge(self, ident, caller, line, callee, normalize_family(ctx), CallSite(caller, line))
+
+    def _key(self) -> tuple:
+        return (self.ident, self.caller, self.line, self.callee, self.ctx)
+
+    def __eq__(self, other):
+        if other.__class__ is not CallEdge:
+            return NotImplemented
+        return self._key() == other._key()
+
+    def __hash__(self) -> int:
+        return hash(self._key())
+
+    def __repr__(self) -> str:
+        return "CallEdge(ident=%r, caller=%r, line=%r, callee=%r, ctx=%r)" % self._key()
+
+    def __reduce__(self):
+        return CallEdge, self._key()
+
+    def __setattr__(self, name: str, value) -> None:
+        raise AttributeError(f"cannot assign to field {name!r} of a frozen call edge")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r} of a frozen call edge")
 
     @property
     def unconditional(self) -> bool:
         return self.ctx == ANY_FAMILY
 
 
-class DepNode(Record):
-    __slots__ = (
-        "ident", "method", "line", "kind", "form", "perm_type", "target_var", "action_var",
-        "site",
-    )
-    _fields = __slots__[:-1]
+# each slot's ``__set__``, in ``__slots__`` order: past the frozen
+# ``__setattr__``, for ``__init__`` and for the parser, which has already
+# normalized each family and holds each shared site
+_EDGE_SLOTS = tuple(getattr(CallEdge, name).__set__ for name in CallEdge.__slots__)
 
-    def __init__(
-        self,
-        ident: str,
-        method: str,
-        line: int,
-        kind: str,
-        form: int | None = None,
-        perm_type: str | None = None,
-        target_var: str | None = None,
-        action_var: str | None = None,
-    ) -> None:
-        set_field = object.__setattr__
-        set_field(self, "ident", ident)
-        set_field(self, "method", method)
-        set_field(self, "line", line)
-        set_field(self, "kind", kind)
-        set_field(self, "form", form)
-        set_field(self, "perm_type", perm_type)
-        set_field(self, "target_var", target_var)
-        set_field(self, "action_var", action_var)
-        set_field(self, "site", CallSite(method, line))
+
+def _set_edge(edge: CallEdge, ident, caller, line, callee, ctx, site) -> CallEdge:
+    """``edge`` with each of its slots set."""
+    set_ident, set_caller, set_line, set_callee, set_ctx, set_site = _EDGE_SLOTS
+    set_ident(edge, ident)
+    set_caller(edge, caller)
+    set_line(edge, line)
+    set_callee(edge, callee)
+    set_ctx(edge, ctx)
+    set_site(edge, site)
+    return edge
+
+
+class DepNode(NamedTuple):
+    """One dependency node; ``site`` is ``CallSite(method, line)``, which
+    the parser shares with every directive that names it."""
+
+    ident: str
+    method: str
+    line: int
+    kind: str
+    form: int | None
+    perm_type: str | None
+    target_var: str | None
+    action_var: str | None
+    site: CallSite
 
 
 class DepEdge(NamedTuple):
@@ -209,45 +242,6 @@ def _parse_int(text: str, what: str, lineno: int) -> int:
         return int(text)
     except ValueError:  # longer than sys.get_int_max_str_digits() allows
         raise ModelError(f"{what} has {len(text)} digits, too many to read", lineno) from None
-
-
-# The parser builds its call edges and dependency nodes by setting their
-# slots directly, past ``__init__``: it has already normalized each family
-# and holds each shared site, which ``__init__`` would build anew, and a
-# frozen record's ``__init__`` costs an ``object.__setattr__`` call per
-# field.  Each ``__set__`` below is a slot's, in ``__slots__`` order.
-_EDGE_SLOTS = tuple(getattr(CallEdge, name).__set__ for name in CallEdge.__slots__)
-_NODE_SLOTS = tuple(getattr(DepNode, name).__set__ for name in DepNode.__slots__)
-
-
-def _new_edge(ident, caller, line, callee, ctx, site) -> CallEdge:
-    edge = object.__new__(CallEdge)
-    set_ident, set_caller, set_line, set_callee, set_ctx, set_site = _EDGE_SLOTS
-    set_ident(edge, ident)
-    set_caller(edge, caller)
-    set_line(edge, line)
-    set_callee(edge, callee)
-    set_ctx(edge, ctx)
-    set_site(edge, site)
-    return edge
-
-
-def _new_node(
-    ident, method, line, kind, form, perm_type, target_var, action_var, site
-) -> DepNode:
-    node = object.__new__(DepNode)
-    set_ident, set_method, set_line, set_kind, set_form = _NODE_SLOTS[:5]
-    set_type, set_target, set_action, set_site = _NODE_SLOTS[5:]
-    set_ident(node, ident)
-    set_method(node, method)
-    set_line(node, line)
-    set_kind(node, kind)
-    set_form(node, form)
-    set_type(node, perm_type)
-    set_target(node, target_var)
-    set_action(node, action_var)
-    set_site(node, site)
-    return node
 
 
 _PTA_TRIPLE_RE = re.compile(
@@ -390,7 +384,8 @@ class _Parser:
                 raise ModelError(f"unknown method {name!r}", lineno)
         site = self._site_at(caller, line_txt, "call line", lineno)
         ctx = self._family(ctx_txt[len("ctx=") :], lineno)
-        self.call_edges[ident] = _new_edge(ident, caller, site.line, callee, ctx, site)
+        edge = object.__new__(CallEdge)
+        self.call_edges[ident] = _set_edge(edge, ident, caller, site.line, callee, ctx, site)
 
     def close_call_graph(self, linenos: list[int]) -> None:
         """The checks that need every method and call edge: the three roles,
@@ -469,7 +464,7 @@ class _Parser:
         site = self._site_at(method, line_txt, "node line", lineno)
         if kind == CALLSITE and site not in self.sites:
             raise ModelError(f"callsite node {ident!r} is not at a call site", lineno)
-        self.dep_nodes[ident] = _new_node(
+        self.dep_nodes[ident] = DepNode(
             ident, method, site.line, kind, form, perm_type, target_var, action_var, site
         )
         self.node_lines[ident] = lineno

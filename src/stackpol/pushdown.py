@@ -83,24 +83,26 @@ each caller of a shared frame keeps its own continuation transition out
 of the frame's state.
 
 The result is read off the saturated automaton bottom-up, as the post*
-read-out does: ``reach[q]`` combines, over the paths of frame
-transitions from state ``q`` down to the final state, the products of
-their weights, bottom first, and the result extends ``reach`` of the
-state that each target transition enters by that transition's weight.
-The read-out follows one condensation order: one iterative pass of
+read-out of Reps et al. does, from the control location: ``reach[q]``
+combines, over the paths of transitions from state ``q`` down to the
+final state, the products of their weights, bottom first, and the
+paths from the control location start with a transition that reads a
+target.  The result is ``reach`` of the control location.  The
+read-out follows one condensation order: one iterative pass of
 Tarjan's algorithm (SIAM J. Comput. 1972) lists the strongly connected
-components of the states below the targets' frames, each after every
-component below it.  ``reach`` is the least solution of a monotone
-system of equations, one per state, and no equation reads a state of a
-component above its own, so solving the components in this order gives
-the same least solution as solving all at once.  A state is computed
-once, from the complete ``reach`` of the states below it.  A cyclic
-component, which recursion makes, is folded until none of its states
-grows, each round visiting them in the order Tarjan's search finished
-them: only the search's back edges lead to a state the round has not
-visited yet, so a ring of n frames settles in 4 rounds of n products.
-The masks are fixed before ``reach`` starts, so they do not depend on
-the order.
+components of the states below the control location, each after every
+component below it, and the control location's own component, which no
+transition enters, last.  ``reach`` is the least solution of a
+monotone system of equations, one per state, and no equation reads a
+state of a component above its own, so solving the components in
+this order gives the same least solution as solving all at once.  A
+state is computed once, from the complete ``reach`` of the states
+below it.  A cyclic component, which recursion makes, is folded until
+none of its states grows, each round visiting them in the order
+Tarjan's search finished them: only the search's back edges lead to a
+state the round has not visited yet, so a ring of n frames settles in
+4 rounds of n products.  The masks are fixed before ``reach`` starts,
+so they do not depend on the order.
 
 ``movp`` is the one place that cuts histories to what a query reads,
 coarsening the weight domain to the query as Reps et al. describe.
@@ -109,18 +111,17 @@ to the set of history sites that the caller's query reads on a stack
 where it lies beneath a target and no other checkpoint is in the
 history.  ``reads=None`` cuts nothing, and a map cuts in two steps:
 
-* **The union.**  Each rule's history keeps only the sites in the union
-  of ``reads``' values, cut before ``Packing`` sees it, so no site
-  outside the union gets a bit, ``Packing.sites`` is never narrowed
-  afterwards, and ``reads={}`` keeps no site.  History is a union along
-  a path, so every path's history is cut alike, and the saturation
-  explores the same pairs, since conditions read the annotations, not
-  the weights.  A query that reads no site outside the union decides
-  alike on the cut digests, and digests that differ only in unread
-  sites merge.
+* **The union.**  ``Packing`` interns only the history sites in the
+  union of ``reads``' values and drops every other from a rule's
+  history as it packs it, so no site outside the union gets a bit, and
+  ``reads={}`` keeps no site.  History is a union along a path, so
+  every path's history is cut alike, and the saturation explores the
+  same pairs, since conditions read the annotations, not the weights.
+  A query that reads no site outside the union decides alike on the
+  cut digests, and digests that differ only in unread sites merge.
 * **Per checkpoint.**  Where that is exact, the read-out cuts each
-  product over a frame transition to the sites that a query can still
-  read above it.  Out of a target's frame state, that is the reads of
+  product over a transition to the sites that a query can still read
+  above it.  Out of a target's frame state, that is the reads of
   the checkpoint that the transition reads, or the whole union when
   ``reads`` does not name it.  Out of any other state, it is the
   state's ``need``: the union of the masks of the frame transitions
@@ -132,13 +133,14 @@ history.  ``reads=None`` cuts nothing, and a map cuts in two steps:
 
 The masks are set in one pass, cut or not, top-down in the reverse of
 that order.  A transition that reads a checkpoint takes its mask, and
-any other its source's ``need``: -1 at a target's frame, and elsewhere
-the union of the masks that enter the source's component.  When the
-cut is on, only a target's frame reads a checkpoint, since one pushed
-beneath a non-target turns the cut off, and no target's frame is
-entered, since no target has rules, so no frame lies on a cycle.  With
-nothing cut, every mask is -1.  A transition that no target's frame
-lies above is never visited.
+any other its source's ``need``: -1 at the control location, so also
+at a target's frame, and elsewhere the union of the masks that enter
+the source's component.  When the cut is on, only a target's frame
+reads a checkpoint, since one pushed beneath a non-target turns the
+cut off, no target is a checkpoint, and a target's frame is entered
+from the control location alone, since no target has rules, so no
+frame lies on a cycle.  With nothing cut, every mask is -1.  A
+transition that no target's frame lies above is never visited.
 
 The per-checkpoint cut is exact for such a query.  A run to a stack
 topped by target t with checkpoint s meets the masks of the frame
@@ -154,17 +156,18 @@ push records at most its own site, as ``policy.encode``'s do, and no
 run pushes a checkpoint anywhere else.  So ``movp`` keeps the union cut
 alone when a target has rules of its own (it could push above itself,
 or return and be pushed again), when a target is reached other than by
-a push (then no checkpoint lies beneath it), or when a rule pushes a
-checkpoint beneath a non-target.  So it does, too, when no checkpoint
-reads less than the union keeps, as with a single checkpoint.
+a push (then no checkpoint lies beneath it), when a target is also a
+checkpoint (its mask would cut the product read at the top), or when a
+rule pushes a checkpoint beneath a non-target.  So it does, too, when
+no checkpoint reads less than the union keeps, as with a single
+checkpoint.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from typing import AbstractSet, Iterable, Mapping, Union
+from typing import AbstractSet, Iterable, Mapping, NamedTuple, Union
 
-from ._record import Record
 from .contexts import ANY_FAMILY, EMPTY_CTX, CallSite, CtxFamily, format_family
 from .errors import CapacityError
 from .weights import (
@@ -201,25 +204,14 @@ def _spend(work: int, units: int) -> int:
     return work
 
 
-class Rule(Record):
-    """One rewrite of the stack top; ``rhs`` has length 0 (pop), 1, or 2."""
+class Rule(NamedTuple):
+    """One rewrite of the stack top; ``rhs`` has length 0 (pop), 1, or 2,
+    which ``AnnotatedWPDS`` checks."""
 
-    __slots__ = _fields = ("lhs", "rhs", "cond", "weight")
-
-    def __init__(
-        self,
-        lhs: StackSymbol,
-        rhs: tuple[StackSymbol, ...],
-        cond: CtxFamily = ANY_FAMILY,
-        weight: WeightTuple = WeightTuple(),
-    ) -> None:
-        if len(rhs) > 2:
-            raise ValueError("a pushdown rule may push at most two symbols")
-        set_field = object.__setattr__
-        set_field(self, "lhs", lhs)
-        set_field(self, "rhs", rhs)
-        set_field(self, "cond", cond)
-        set_field(self, "weight", weight)
+    lhs: StackSymbol
+    rhs: tuple[StackSymbol, ...]
+    cond: CtxFamily = ANY_FAMILY
+    weight: WeightTuple = WeightTuple()
 
     @property
     def kind(self) -> str:
@@ -231,18 +223,11 @@ class Rule(Record):
         return f"{self.lhs} --[{format_family(self.cond)}]--> {rhs} ; {weight}"
 
 
-class ConditionalWPDS(Record):
-    """A rule set plus start symbol; unlike other records, mutable, and so
-    unhashable."""
+class ConditionalWPDS(NamedTuple):
+    """A rule set plus start symbol; its ``rules`` list makes it unhashable."""
 
-    __slots__ = _fields = ("rules", "start")
-    __setattr__ = object.__setattr__
-    __delattr__ = object.__delattr__
-    __hash__ = None
-
-    def __init__(self, rules: list[Rule] | None = None, start: StackSymbol = "") -> None:
-        self.rules = [] if rules is None else rules
-        self.start = start
+    rules: list[Rule]
+    start: StackSymbol
 
     def dump(self) -> str:
         """Deterministic listing: pushes, then swaps, then pops."""
@@ -286,7 +271,8 @@ class AnnotatedWPDS:
     ``member & ~below`` is 0, and each right-hand symbol's annotation is
     ``(below | pushed) & relevant``, where ``pushed`` is the bit of the
     site a push records, 0 for a site no condition names.  A system
-    without conditions pairs every symbol with 0, the empty set.
+    without conditions pairs every symbol with 0, the empty set.  A rule
+    that pushes more than two symbols raises ``ValueError``.
     """
 
     def __init__(self, system: ConditionalWPDS):
@@ -299,6 +285,8 @@ class AnnotatedWPDS:
         ] = defaultdict(list)
         relevant: dict[StackSymbol, int] = {}
         for idx, r in enumerate(system.rules):
+            if len(r.rhs) > 2:
+                raise ValueError("a pushdown rule may push at most two symbols")
             members = None
             if EMPTY_CTX not in r.cond:
                 members = tuple([_intern(self.site_bit, member) for member in r.cond])
@@ -360,12 +348,12 @@ def _cut_masks(
     wanted: set[StackSymbol],
     reads: Mapping[StackSymbol, AbstractSet[CallSite]] | None,
     packing: Packing,
-    tops: list[tuple[_TransKey, Merged]],
+    tops: list[_TransKey],
 ) -> dict[StackSymbol, int]:
     """Per checkpoint, the key mask keeping the sites it reads; empty unless
     the per-checkpoint cut drops a site and is exact (module docstring)."""
     masks = {checkpoint: packing.keep(named) for checkpoint, named in (reads or {}).items()}
-    if {-1}.issuperset(masks.values()):
+    if {-1}.issuperset(masks.values()) or not wanted.isdisjoint(masks):
         return {}
     # a target with rules of its own, or a checkpoint pushed beneath a
     # non-target
@@ -374,7 +362,7 @@ def _cut_masks(
         if r.lhs in wanted or (pushed and r.rhs[0] not in wanted):
             return {}
     # a target reached other than by a push
-    for top, _w in tops:
+    for top in tops:
         if top[3] != _QF and top[3] != top[1:3]:
             return {}
     return masks
@@ -446,13 +434,8 @@ def movp(
     wanted = set(targets)
     annotated = AnnotatedWPDS(system)
     weights = [r.weight for r in system.rules]
-    # interns the methods only, which the cut below leaves alone
-    packing = Packing(weights)
-    if reads is not None:
-        # each rule's history keeps only the sites that ``reads`` names,
-        # cut before it is packed, so no other site gets a bit
-        kept = set().union(*reads.values())
-        weights = (w._replace(history=w.history & kept) if w.history else w for w in weights)
+    # no site outside the union of ``reads`` gets a bit
+    packing = Packing(weights, None if reads is None else set().union(*reads.values()))
     rule_weights = [packing.pack(w) for w in weights]
     trans: dict[_TransKey, Merged] = {}
     # the transitions out of each frame state, which epsilon folds read
@@ -505,14 +488,14 @@ def movp(
                     update_trans((_P, *opened, opened), {0: 0})
                     update_trans((opened, second, second_below, dst), w)
 
-    tops = [(key, w) for key, w in trans.items() if key[0] == _P and key[1] in wanted]
-    masks = _cut_masks(system.rules, wanted, reads, packing, tops)
-    frames = dict.fromkeys(top[3] for top, _w in tops)
-    comps, comp_of = _components(frames, out_of)
+    # the read-out's root: the control location, read through the targets
+    out_of[_P] = [key for key in trans if key[0] == _P and key[1] in wanted]
+    masks = _cut_masks(system.rules, wanted, reads, packing, out_of[_P])
+    comps, comp_of = _components((_P,), out_of)
 
     # the masks, top-down: the reads of the checkpoint a transition reads,
     # or else its source's ``need``, -1 where nothing is cut
-    need = dict.fromkeys(frames if masks else comp_of, -1)
+    need = {_P: -1} if masks else dict.fromkeys(comp_of, -1)
     for comp in reversed(comps) if masks else ():
         entering = 0
         for q in comp:
@@ -541,11 +524,6 @@ def movp(
                     inside.append(key)
             todo = inside if grew else ()
 
-    result: Merged = {}
-    for (_src, _sym, _ann, dst), w in tops:
-        below = reach[dst]
-        work = _spend(work, len(below) * len(w))
-        absorb(result, extend_merged(below, w))
-    packed_result = PackedWeight(packing, result)
+    packed_result = PackedWeight(packing, reach.get(_P, {}))
     check_width(packed_result, tuple_cap)
     return packed_result

@@ -23,10 +23,10 @@ encoding names at most one caller, one call site and one finished
 method.  The solver works on *packed, merged* weights, and this module
 alone knows their layout.  A ``Packing`` gives each method and call site
 its own bit when a packed digest first names it, so a site that no
-packed history holds has no bit, and a caller that cuts histories before
-packing them decides which sites get one.  Digests that share ``(kill,
-finished, history)`` are one digest whose ``gen`` is the union of
-theirs.  A merged weight is a dict ``{key: gen}`` whose int key packs
+packed history holds has no bit, and a ``Packing`` told which sites to
+keep drops every other from the histories it packs.  Digests that share
+``(kill, finished, history)`` are one digest whose ``gen`` is the union
+of theirs.  A merged weight is a dict ``{key: gen}`` whose int key packs
 ``kill | (finished | history) << 1``: no method shares a bit with a
 site, so ``finished`` and ``history`` OR into one field, and ``gen``
 holds method bits alone.  ``Packing.pack`` turns a rule's digest into a
@@ -71,9 +71,8 @@ inclusion of digest sets: lower means more digests, i.e. less precise.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Sequence
+from typing import AbstractSet, Iterable, NamedTuple, Sequence
 
-from ._record import Record
 from .contexts import CallSite
 from .errors import CapacityError
 
@@ -205,18 +204,24 @@ class Packing:
     both and no two names share a bit.  ``Packing(digests)`` interns the
     methods of ``digests`` first, ``gen`` before ``finished``, so every
     ``gen`` stays below the first site bit; ``pack`` gives a name it
-    meets for the first time the next free bit.  So a site has a bit only
-    if a packed history holds it, and ``sites``, the mask of those bits,
-    only grows.  Every digest built from packed ones by sequencing and
-    union stays within the names met so far.  ``keep`` interns nothing:
+    meets for the first time the next free bit.  Given ``kept``, a set of
+    sites, ``pack`` drops every other site from a history.  So a site has
+    a bit only if it is kept and a packed history holds it, and
+    ``sites``, the mask of those bits, only grows.  Every digest built
+    from packed ones by sequencing and union stays within the names met
+    so far.  ``keep`` interns nothing:
     its key mask clears the interned sites that a caller's set leaves out.
     """
 
-    def __init__(self, digests: Iterable[WeightTuple] = ()):
+    def __init__(
+        self, digests: Iterable[WeightTuple] = (), kept: AbstractSet[CallSite] | None = None
+    ):
         # the bit of each interned name, in bit order; extraction reads
         # it directly
         self.bit: dict[str | CallSite, int] = {}
         self.sites = 0
+        # None keeps every site
+        self.kept = kept
         for digest in digests:
             # most rule digests leave one of the two empty; skip its call
             if digest.gen:
@@ -225,12 +230,14 @@ class Packing:
                 _intern(self.bit, digest.finished)
 
     def pack(self, digest: WeightTuple) -> Merged:
-        """``digest`` as a one-entry merged weight; a name first met here
-        gets a new bit."""
-        bit = self.bit
+        """``digest`` as a one-entry merged weight, its history cut to
+        ``kept``; a name first met here gets a new bit."""
+        bit, history = self.bit, digest.history
         gen = _intern(bit, digest.gen) if digest.gen else 0
         finished = _intern(bit, digest.finished) if digest.finished else 0
-        history = _intern(bit, digest.history) if digest.history else 0
+        if history and self.kept is not None:
+            history = history & self.kept
+        history = _intern(bit, history) if history else 0
         self.sites |= history
         return {int(digest.kill) | (finished | history) << 1: gen}
 
@@ -278,17 +285,15 @@ def absorb(into: Merged, weight: Merged) -> bool:
     return grew
 
 
-class PackedWeight(Record):
+class PackedWeight:
     """A solver result: its merged digests and the packing that names
     their bits.  Compared by identity, as the digests are a mutable dict."""
 
-    __slots__ = _fields = ("packing", "digests")
-    __eq__ = object.__eq__
-    __hash__ = object.__hash__
+    __slots__ = ("packing", "digests")
 
     def __init__(self, packing: Packing, digests: Merged) -> None:
-        object.__setattr__(self, "packing", packing)
-        object.__setattr__(self, "digests", digests)
+        self.packing = packing
+        self.digests = digests
 
     def width(self) -> int:
         return len(self.digests)

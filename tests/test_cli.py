@@ -334,6 +334,17 @@ def test_oracle_rejects_a_zero_bound(model_file, capsys):
     assert "must be at least 1" in err
 
 
+def test_oracle_past_its_flow_path_cap_exits_three(model_file, capsys, monkeypatch):
+    # the bundled model has two flow paths from an allocation to a checkpoint
+    from stackpol import oracle
+
+    monkeypatch.setattr(oracle, "MAX_ENUMERATED_PATHS", 1)
+    assert main(["oracle", model_file]) == 3
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == ["error: more than 1 flow paths at bound 2"]
+
+
 def test_oracle_enumeration_blowup_exits_three(tmp_path, capsys):
     # four call sites each way between a and b: at the default bound the
     # paths that wind through them to the check method pass the

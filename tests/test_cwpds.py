@@ -70,9 +70,14 @@ def test_rule_kinds_follow_arity():
 
 
 def test_rule_arity_is_capped():
+    # a rule is a plain record; the solver's view of the system rejects it
     za = site("A", 1)
-    with pytest.raises(ValueError):
-        Rule("A", ("B", za, za))
+    system = ConditionalWPDS([Rule("A", ("B", za, za))], "A")
+    message = "^a pushdown rule may push at most two symbols$"
+    with pytest.raises(ValueError, match=message):
+        AnnotatedWPDS(system)
+    with pytest.raises(ValueError, match=message):
+        movp(system, {"B"})
 
 
 def test_rule_rendering():
@@ -845,6 +850,18 @@ def test_no_cut_when_a_target_is_reached_other_than_by_a_push():
         Rule(zb, ("check",)),
     ]
     _uncut_when(ConditionalWPDS(rules, "main"), {za: {za}, zc: {zc, zm}}, zm)
+
+
+def test_no_cut_when_a_target_is_also_a_checkpoint():
+    # reads names check itself; the read-out reads check at the top of the
+    # stack, where check's mask would cut A:1 and A:2 from every product
+    za, zb, kb = site("A", 1), site("A", 2), site("B", 1)
+    rules = [
+        Rule("A", ("check", za), weight=d(gen=["A"], hist=[za])),
+        Rule("A", ("B", zb), weight=d(gen=["A"], hist=[zb])),
+        Rule("B", ("check", kb), weight=d(gen=["B"], hist=[kb])),
+    ]
+    _uncut_when(ConditionalWPDS(rules, "A"), {za: {za, zb}, kb: {kb}, "check": {kb}}, zb)
 
 
 def test_the_uncut_read_out_enters_each_frame_transition_once(monkeypatch):

@@ -92,11 +92,13 @@ def test_strip_comment_keeps_quoted_hashes():
 
 def test_sites_are_stored_but_not_compared():
     edge = CallEdge("1", "main", 3, "a")
-    node = DepNode("n", "main", 3, "plain")
     assert edge.site is edge.site and edge.site == CallSite("main", 3)
-    assert node.site == edge.site
     assert edge == CallEdge("1", "main", 3, "a") and "site" not in repr(edge)
-    assert hash(node) == hash(DepNode("n", "main", 3, "plain"))
+    # a node's site is a field, a function of its method and line
+    node = DepNode("n", "main", 3, "plain", None, None, None, None, CallSite("main", 3))
+    assert node.site == CallSite(node.method, node.line) == edge.site
+    twin = DepNode("n", "main", 3, "plain", None, None, None, None, CallSite("main", 3))
+    assert node == twin and hash(node) == hash(twin)
 
 
 def test_edges_are_frozen_and_copy_through_their_constructor():
@@ -108,12 +110,13 @@ def test_edges_are_frozen_and_copy_through_their_constructor():
 
 
 def test_parsed_edges_and_nodes_hold_each_field_in_its_slot():
-    # the parser sets their slots directly, past __init__
+    # the parser sets an edge's slots directly, past __init__
     m = parse_model(
         minimal_plus(
             "calledge 7 main 3 doPriv ctx=any",
             "calledge 8 doPriv 4 check ctx={main:3}",
             "depnode n1 doPriv 5 kind=alloc form=1 type=P target=t action=a",
+            "depnode n2 doPriv 4 kind=callsite",
         )
     )
     edge = m.call_edges[1]
@@ -121,8 +124,10 @@ def test_parsed_edges_and_nodes_hold_each_field_in_its_slot():
     assert edge.site == CallSite("doPriv", 4)
     assert m.call_edges[0].ctx is ANY_FAMILY
     node = m.dep_nodes["n1"]
-    assert node == DepNode("n1", "doPriv", 5, "alloc", 1, "P", "t", "a")
+    assert node == DepNode("n1", "doPriv", 5, "alloc", 1, "P", "t", "a", CallSite("doPriv", 5))
     assert node.site == CallSite("doPriv", 5)
+    # one CallSite per method:line, shared by the edge and the node there
+    assert m.dep_nodes["n2"].site is edge.site
 
 
 def test_edge_context_parsing_and_normalization():
@@ -316,6 +321,39 @@ def test_fact_errors():
             'sa v@main = {("y", {main:1})}',
         )
     )
+
+
+@pytest.mark.parametrize(
+    "lines, message",
+    [
+        (["pta p@main = {}"], "line 5: fact set is empty"),
+        (["checkarg :3 var=p"], "line 5: call site ':3' has an empty method name"),
+        (
+            ["calledge 1 main 3 check ctx={}"],
+            "line 5: empty context family; use ctx=any for an unconditional edge",
+        ),
+        (["calledge 1 main 3 check ctx={main:3;}"], "line 5: context family member is empty"),
+        (["method m domain="], "line 5: empty domain name"),
+        (["depnode n main 3"], "line 5: depnode needs: <id> <method> <line> kind=... [attrs]"),
+        (["depnode n main 3 kind=plain kind=plain"], "line 5: duplicate attribute 'kind'"),
+        (
+            ["depnode n main 3 kind=alloc form=4 type=P"],
+            "line 5: alloc form must be 1, 2 or 3, got 4",
+        ),
+        (
+            ["depnode n main 3 kind=plain colour=red"],
+            "line 5: unknown depnode attributes ['colour']",
+        ),
+        (["checkarg main:3 var="], "line 5: empty checkarg variable"),
+        (
+            ["pta vmain = {(P, n, {})}"],
+            "line 5: fact key must look like var@method, got 'vmain'",
+        ),
+        (["pta p@main"], "line 5: pta needs: <var>@<method> = {...}"),
+    ],
+)
+def test_each_input_check_names_its_fault_and_line(lines, message):
+    assert err(minimal_plus(*lines)) == message
 
 
 def test_an_sa_literal_may_hold_parentheses():
