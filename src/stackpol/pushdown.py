@@ -42,13 +42,12 @@ ladder whose every level is guarded by the level above, each symbol has
 at most two annotations instead of one per route to it.
 
 The saturation runs on packed, merged digests (see ``weights``): once
-per solve, one ``Packing`` interns the methods of every rule's digest,
-so each ``gen`` stays below the first site bit, and then packs each
-rule's digest once, into a one-entry merged weight ``{key: gen}``.  A
-transition's weight is such a dict.  Digests that share ``(kill,
-finished, history)`` are one entry whose ``gen`` is the union of
-theirs, so a transition keeps one digest per distinct key however many
-routes reach it; ``weights`` proves that the merge changes no grant.
+per solve, one ``Packing`` packs each rule's digest into a one-entry
+merged weight ``{key: gen}``, and names get bits in the order the rules
+first name them.  A transition's weight is such a dict.  Digests that
+share ``(kill, finished, history)`` are one entry whose ``gen`` is the
+union of theirs, so a transition keeps one digest per distinct key
+however many routes reach it; ``weights`` proves that the merge changes no grant.
 Sequencing is a handful of int operations per pair, and an update ORs
 into the stored dict in place and re-queues the transition only when a
 key or a ``gen`` bit is new.  The final union is returned as it is,
@@ -433,10 +432,9 @@ def movp(
     """
     wanted = set(targets)
     annotated = AnnotatedWPDS(system)
-    weights = [r.weight for r in system.rules]
     # no site outside the union of ``reads`` gets a bit
-    packing = Packing(weights, None if reads is None else set().union(*reads.values()))
-    rule_weights = [packing.pack(w) for w in weights]
+    packing = Packing(None if reads is None else set().union(*reads.values()))
+    rule_weights = [packing.pack(r.weight) for r in system.rules]
     trans: dict[_TransKey, Merged] = {}
     # the transitions out of each frame state, which epsilon folds read
     out_of: dict[_State, list[_TransKey]] = defaultdict(list)

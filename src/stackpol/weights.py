@@ -201,33 +201,25 @@ class Packing:
     """One bit per method and call site, and the mask of the site bits.
 
     A method is a ``str`` and a site a ``CallSite``, so one dict holds
-    both and no two names share a bit.  ``Packing(digests)`` interns the
-    methods of ``digests`` first, ``gen`` before ``finished``, so every
-    ``gen`` stays below the first site bit; ``pack`` gives a name it
-    meets for the first time the next free bit.  Given ``kept``, a set of
-    sites, ``pack`` drops every other site from a history.  So a site has
-    a bit only if it is kept and a packed history holds it, and
-    ``sites``, the mask of those bits, only grows.  Every digest built
-    from packed ones by sequencing and union stays within the names met
-    so far.  ``keep`` interns nothing:
-    its key mask clears the interned sites that a caller's set leaves out.
+    both and no two names share a bit.  ``pack`` gives a name it meets
+    for the first time the next free bit, so names hold bits in the
+    order they are first met, methods and sites interleaved, and
+    ``sites`` tells the two apart.  Given ``kept``, a set of sites,
+    ``pack`` drops every other site from a history.  So a site has a
+    bit only if it is kept and a packed history holds it, and ``sites``,
+    the mask of those bits, only grows.  Every digest built from packed
+    ones by sequencing and union stays within the names met so far.
+    ``keep`` interns nothing: its key mask clears the interned sites
+    that a caller's set leaves out.
     """
 
-    def __init__(
-        self, digests: Iterable[WeightTuple] = (), kept: AbstractSet[CallSite] | None = None
-    ):
+    def __init__(self, kept: AbstractSet[CallSite] | None = None):
         # the bit of each interned name, in bit order; extraction reads
         # it directly
         self.bit: dict[str | CallSite, int] = {}
         self.sites = 0
         # None keeps every site
         self.kept = kept
-        for digest in digests:
-            # most rule digests leave one of the two empty; skip its call
-            if digest.gen:
-                _intern(self.bit, digest.gen)
-            if digest.finished:
-                _intern(self.bit, digest.finished)
 
     def pack(self, digest: WeightTuple) -> Merged:
         """``digest`` as a one-entry merged weight, its history cut to

@@ -407,19 +407,12 @@ def test_wide_form3_l7_w7_exits_zero_through_the_cli(tmp_path, capsys):
         pytest.param(lambda: dag_text(1000, 2, 1), id="dag-1000x2"),
     ],
 )
-def test_the_methods_of_a_solve_hold_the_low_bits(text):
-    # every gen then fits under the first site bit, in as few int digits
-    # as the methods allow, however many sites the histories keep; and
-    # only a site that a grant reads gets a bit
+def test_a_solve_interns_only_the_sites_that_grants_read(text):
     model = parse_model(text())
     universe = generate_permissions(model)
     solved = generate_policy(model, universe).digests
-    names = list(solved.packing.bit)
-    methods = sum(isinstance(name, str) for name in names)
-    assert all(isinstance(name, str) for name in names[:methods])
-    sites = names[methods:]
-    assert sites and all(isinstance(name, CallSite) for name in sites)
-    assert all(gen < 1 << methods for gen in solved.digests.values())
+    sites = [name for name in solved.packing.bit if isinstance(name, CallSite)]
+    assert sites
     assert set(sites) <= set().union(*_read_sites(universe).values())
 
 

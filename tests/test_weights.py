@@ -338,16 +338,6 @@ def test_one_packing_interns_each_name_once_in_first_seen_order(weights):
         assert _pack(packing, w) == p
         assert PackedWeight(packing, p).decode() == merged(w)
     assert list(packing.bit.items()) == names
-    # built from the digests, a packing interns their methods first, in
-    # the order pack meets them, and their sites after all of them
-    digests = [t for w in weights for t in w.tuples]
-    seeded = Packing(digests)
-    for w in weights:
-        assert PackedWeight(seeded, _pack(seeded, w)).decode() == merged(w)
-    order = _first_seen(weights)
-    methods = [n for n in order if isinstance(n, str)]
-    sites = [n for n in order if isinstance(n, CallSite)]
-    assert list(seeded.bit.items()) == _bits(methods + sites)
 
 
 # ---------------------------------------------------------------------------
