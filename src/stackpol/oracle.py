@@ -32,7 +32,8 @@ word is well matched on it, the demand path's inspected methods stay
 within the methods those witnesses put on the stack, and one of the
 permission's demand contexts is covered by the witnessing route.  The
 reference policy grants the permission to every inspected method of each
-related path, minus the two system methods.  A permission can only
+related path, and ``policy._model_policy`` withholds it from the two
+system methods, as it does for the engine's policy.  A permission can only
 relate to a path whose checkpoint demands it, so each path is related
 only to the permissions demanded at its own checkpoint, never to the
 rest.
@@ -400,11 +401,10 @@ def oracle_policy(
     One walk gives the demand shapes and the allowed sets.  Each shape is
     related once, and only to the permissions demanded at its checkpoint:
     ``relates`` is false for every other permission.  A related shape
-    grants its permissions to its inspected methods but the check method
-    and the privilege asserter.
+    grants its permissions to its inspected methods, and ``_model_policy``
+    withholds them from the check method and the privilege asserter.
     """
     shapes, allowed = _shapes_and_allowed(model, universe, bound)
-    hidden = {model.check_method, model.priv_method}
     grants: dict[str, set] = {}
     for shape in shapes:
         checkpoint, methods = shape
@@ -414,7 +414,7 @@ def oracle_policy(
             if relates(model, shape, perm, allowed)
         ]
         if perms:
-            for method in methods - hidden:
+            for method in methods:
                 grants.setdefault(method, set()).update(perms)
     return _model_policy(model, grants)
 

@@ -119,11 +119,13 @@ class PolicyResult(NamedTuple):
 
 def _model_policy(model: ProgramModel, grants: dict[str, set[Permission]]) -> Policy:
     """``grants`` as ``model``'s policy: with each method's protection
-    domain, and the check and privilege methods as the system methods."""
+    domain, and the check and privilege methods as the system methods,
+    which are granted nothing."""
+    system = frozenset({model.check_method, model.priv_method})
     return Policy(
-        grants={m: frozenset(ps) for m, ps in grants.items()},
+        grants={m: frozenset(ps) for m, ps in grants.items() if m not in system},
         method_domains={name: (m.domain or name) for name, m in model.methods.items()},
-        system_methods=frozenset({model.check_method, model.priv_method}),
+        system_methods=system,
     )
 
 
@@ -136,19 +138,13 @@ def _read_sites(universe: PermissionUniverse) -> dict[CallSite, set[CallSite]]:
     for p, pairs in universe.sources.items():
         demanded = set().union(*universe.contexts[p])
         for site, _node in pairs:
-            sites = named.get(site)
-            if sites is None:
-                named[site] = demanded | {site}
-            else:
-                sites |= demanded
+            named.setdefault(site, {site}).update(demanded)
     return named
 
 
-def _grants(
-    solved: PackedWeight, universe: PermissionUniverse, hidden: int
-) -> dict[str, set[Permission]]:
+def _grants(solved: PackedWeight, universe: PermissionUniverse) -> dict[str, set[Permission]]:
     """Per method, the permissions that some digest of ``solved`` requires
-    while the method is live; ``hidden`` masks methods never granted.
+    while the method is live.
 
     Each call-site bit of a history maps to the bitset of digests (bit i
     for the i-th) whose history holds it; the histories hold only the
@@ -202,7 +198,7 @@ def _grants(
         # the interned names in bit order, listed once for every mask
         names = list(solved.packing.bit)
         for live, perms in by_live.items():
-            for method in _members(live & ~hidden, names):
+            for method in _members(live, names):
                 grants.setdefault(method, set()).update(perms)
     return grants
 
@@ -248,10 +244,7 @@ def generate_policy(
         tuple_cap=tuple_cap,
         reads=_read_sites(universe),
     )
-    bit = solved.packing.bit
-    hidden = bit.get(model.check_method, 0) | bit.get(model.priv_method, 0)
-    grants = _grants(solved, universe, hidden)
-    return PolicyResult(policy=_model_policy(model, grants), digests=solved)
+    return PolicyResult(policy=_model_policy(model, _grants(solved, universe)), digests=solved)
 
 
 # ---------------------------------------------------------------------------
