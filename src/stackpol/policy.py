@@ -65,20 +65,18 @@ def encode(model: ProgramModel) -> ConditionalWPDS:
             e.caller == model.priv_method, frozenset((e.caller,)), empty, frozenset((e.site,))
         )
         rules.append(Rule(e.caller, (e.callee, e.site), e.ctx, w))
-    seen: set[tuple] = set()
+    # one pop per returning method and one swap per return site, in the
+    # order first met: a dict used as an ordered set of rules
+    returns: dict[Rule, None] = {}
     for d in model.dep_edges:
         if d.inter != INTER_RETURN:
             continue
         src = model.dep_nodes[d.src]
         dst = model.dep_nodes[d.dst]
         finished = WeightTuple(finished=frozenset({src.method}))
-        pop = Rule(lhs=src.method, rhs=(), weight=finished)
-        swap = Rule(lhs=dst.site, rhs=(dst.method,))
-        for r in (pop, swap):
-            key = (r.lhs, r.rhs)
-            if key not in seen:
-                seen.add(key)
-                rules.append(r)
+        returns[Rule(lhs=src.method, rhs=(), weight=finished)] = None
+        returns[Rule(lhs=dst.site, rhs=(dst.method,))] = None
+    rules.extend(returns)
     return ConditionalWPDS(rules=rules, start=model.entry_method)
 
 
