@@ -368,45 +368,42 @@ def _cut_masks(
 
 
 def _components(
-    roots: Iterable[_State], out_of: dict[_State, list[_TransKey]]
+    root: _State, out_of: dict[_State, list[_TransKey]]
 ) -> tuple[list[list[_State]], dict[_State, list[_State]]]:
-    """The strongly connected components of the states below ``roots``,
-    each after those below it and in the order its states finished, and
-    each state's component, by one iterative pass of Tarjan's algorithm."""
-    index: dict[_State, int] = {}
-    low: dict[_State, int] = {}
+    """The strongly connected components of ``root`` and the states below
+    it, each after those below it and in the order its states finished,
+    and each state's component, by one iterative pass of Tarjan's
+    algorithm."""
+    index: dict[_State, int] = {root: 0}
+    low: dict[_State, int] = {root: 0}
     comps: list[list[_State]] = []
     comp_of: dict[_State, list[_State]] = {}
     # the finished states not yet in a component, in the order they finish
     done: list[_State] = []
-    for root in roots:
-        if root in index:
-            continue
-        # the depth-first path: a state, its unread transitions, len(done)
-        index[root] = low[root] = len(index)
-        path = [(root, iter(out_of.get(root, ())), len(done))]
-        while path:
-            q, keys, at = path[-1]
-            for key in keys:
-                nxt = key[3]
-                if nxt not in index:
-                    index[nxt] = low[nxt] = len(index)
-                    path.append((nxt, iter(out_of.get(nxt, ())), len(done)))
-                    break
-                # a state found but not yet in a component
-                if nxt not in comp_of and index[nxt] < low[q]:
-                    low[q] = index[nxt]
-            else:
-                path.pop()
-                done.append(q)
-                if low[q] == index[q]:
-                    comp = done[at:]
-                    del done[at:]
-                    comps.append(comp)
-                    for member in comp:
-                        comp_of[member] = comp
-                elif low[q] < low[path[-1][0]]:
-                    low[path[-1][0]] = low[q]
+    # the depth-first path: a state, its unread transitions, len(done)
+    path = [(root, iter(out_of.get(root, ())), 0)]
+    while path:
+        q, keys, at = path[-1]
+        for key in keys:
+            nxt = key[3]
+            if nxt not in index:
+                index[nxt] = low[nxt] = len(index)
+                path.append((nxt, iter(out_of.get(nxt, ())), len(done)))
+                break
+            # a state found but not yet in a component
+            if nxt not in comp_of and index[nxt] < low[q]:
+                low[q] = index[nxt]
+        else:
+            path.pop()
+            done.append(q)
+            if low[q] == index[q]:
+                comp = done[at:]
+                del done[at:]
+                comps.append(comp)
+                for member in comp:
+                    comp_of[member] = comp
+            elif low[q] < low[path[-1][0]]:
+                low[path[-1][0]] = low[q]
     return comps, comp_of
 
 
@@ -489,7 +486,7 @@ def movp(
     # the read-out's root: the control location, read through the targets
     out_of[_P] = [key for key in trans if key[0] == _P and key[1] in wanted]
     masks = _cut_masks(system.rules, wanted, reads, packing, out_of[_P])
-    comps, comp_of = _components((_P,), out_of)
+    comps, comp_of = _components(_P, out_of)
 
     # the masks, top-down: the reads of the checkpoint a transition reads,
     # or else its source's ``need``, -1 where nothing is cut
