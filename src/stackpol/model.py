@@ -667,28 +667,24 @@ class RouteFamilies(Mapping[str, CtxFamily]):
     A route is an int mask over the model's call sites: ``bit[s]`` is site
     ``s``'s bit, and ``sites`` lists the sites by bit, in call-edge order.
     ``masks[m]`` holds ``m``'s routes in the order they were found, a dict
-    used as an ordered set.  Reading ``self[m]`` decodes ``m``'s family
-    once and keeps it; lint tests contexts against the masks and decodes
-    nothing.
+    used as an ordered set.  Each read of ``self[m]`` decodes ``m``'s
+    family anew, and no pipeline reader reads one twice; lint tests
+    contexts against the masks and decodes nothing.
     """
 
-    __slots__ = ("masks", "bit", "sites", "_decoded")
+    __slots__ = ("masks", "bit", "sites")
 
     def __init__(self, masks: dict[str, dict[int, None]], bit: dict[CallSite, int]):
         self.masks = masks
         self.bit = bit
         self.sites = tuple(bit)
-        self._decoded: dict[str, CtxFamily] = {}
 
     def __getitem__(self, method: str) -> CtxFamily:
-        family = self._decoded.get(method)
-        if family is None:
-            # a set grown in discovery order, then frozen: tests/randmodels.py
-            # draws routes in this iteration order, which
-            # tests/bruteforce.py::phi_meth_by_sets pins
-            members = {_members(mask, self.sites) for mask in self.masks[method]}
-            family = self._decoded[method] = frozenset(members)
-        return family
+        # a set grown in discovery order, then frozen: tests/randmodels.py
+        # draws routes in this iteration order, which
+        # tests/bruteforce.py::phi_meth_by_sets pins
+        members = {_members(mask, self.sites) for mask in self.masks[method]}
+        return frozenset(members)
 
     def __iter__(self):
         return iter(self.masks)
