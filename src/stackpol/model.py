@@ -683,8 +683,7 @@ class RouteFamilies(Mapping[str, CtxFamily]):
         # a set grown in discovery order, then frozen: tests/randmodels.py
         # draws routes in this iteration order, which
         # tests/bruteforce.py::phi_meth_by_sets pins
-        members = {_members(mask, self.sites) for mask in self.masks[method]}
-        return frozenset(members)
+        return frozenset({_members(mask, self.sites) for mask in self.masks[method]})
 
     def __iter__(self):
         return iter(self.masks)
