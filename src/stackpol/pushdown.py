@@ -47,12 +47,12 @@ merged weight ``{key: gen}``, and names get bits in the order the rules
 first name them.  A transition's weight is such a dict.  Digests that
 share ``(kill, finished, history)`` are one entry whose ``gen`` is the
 union of theirs, so a transition keeps one digest per distinct key
-however many routes reach it; ``weights`` proves that the merge changes no grant.
-Sequencing is a handful of int operations per pair, and an update ORs
-into the stored dict in place and re-queues the transition only when a
-key or a ``gen`` bit is new.  The final union is returned as it is,
-with the packing that names its bits; ``PackedWeight.decode`` gives the
-merged ``Weight``, and nothing on the analyze path calls it.
+however many routes reach it; ``weights`` proves that the merge changes
+no grant.  Sequencing is a handful of int operations per pair, and an
+update ORs into the stored dict in place and re-queues the transition
+only when a key or a ``gen`` bit is new.  The final union is returned
+as it is, with the packing that names its bits; ``PackedWeight.decode``
+gives the merged ``Weight``, and nothing on the analyze path calls it.
 ``tuple_cap`` counts merged digests.
 
 The work is bounded, not only the result: a solve spends one unit of
